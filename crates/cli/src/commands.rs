@@ -4,7 +4,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write as _};
 use std::time::Instant;
 
 use parcsr::query::{edges_exist_batch_binary_with_chunking, neighbors_batch_with_chunking};
@@ -92,7 +92,7 @@ fn temporal_compress(
     procs: usize,
     chunk_policy: ChunkPolicy,
 ) -> Result<String, CliError> {
-    let events = gio::read_temporal_edge_list_file(input)
+    let events = parcsr::with_processors(procs, || gio::read_temporal_edge_list_file(input))
         .map_err(|e| err(format!("reading {input}: {e}")))?;
     let mode = if gap {
         parcsr_temporal::FrameMode::Gap
@@ -105,7 +105,7 @@ fn temporal_compress(
         .frame_mode(mode)
         .chunk_policy(chunk_policy)
         .build(&events);
-    let ms = t.elapsed().as_secs_f64() * 1e3;
+    let ms = ms_since(t);
     let file = File::create(out).map_err(|e| err(format!("creating {out}: {e}")))?;
     let mut writer = BufWriter::new(file);
     tcsr.write_to(&mut writer)
@@ -190,6 +190,17 @@ fn generate(
     ))
 }
 
+/// Milliseconds since `t`.
+fn ms_since(t: Instant) -> f64 {
+    t.elapsed().as_secs_f64() * 1e3
+}
+
+/// Reads a SNAP edge-list file, parsing on `procs` threads.
+fn read_edges(input: &str, procs: usize) -> Result<EdgeList, CliError> {
+    parcsr::with_processors(procs, || gio::read_edge_list_file(input))
+        .map_err(|e| err(format!("reading {input}: {e}")))
+}
+
 fn compress(
     input: &str,
     out: &str,
@@ -197,8 +208,9 @@ fn compress(
     procs: usize,
     chunk_policy: ChunkPolicy,
 ) -> Result<String, CliError> {
-    let graph =
-        gio::read_edge_list_file(input).map_err(|e| err(format!("reading {input}: {e}")))?;
+    let t = Instant::now();
+    let graph = parcsr_obs::with_span("parse", || read_edges(input, procs))?;
+    let parse_ms = ms_since(t);
     let mode = if gap {
         PackedCsrMode::Gap
     } else {
@@ -210,14 +222,21 @@ fn compress(
         .processors(procs)
         .chunk_policy(chunk_policy)
         .build_timed(&graph);
+    let t_pack = Instant::now();
     let packed = BitPackedCsr::from_csr_with_chunking(&csr, mode, procs, chunk_policy);
-    let total_ms = t.elapsed().as_secs_f64() * 1e3;
+    let pack_ms = ms_since(t_pack);
+    let total_ms = ms_since(t);
 
-    let file = File::create(out).map_err(|e| err(format!("creating {out}: {e}")))?;
-    let mut writer = BufWriter::new(file);
-    packed
-        .write_to(&mut writer)
-        .map_err(|e| err(format!("writing {out}: {e}")))?;
+    let t = Instant::now();
+    parcsr_obs::with_span("write", || {
+        let file = File::create(out).map_err(|e| err(format!("creating {out}: {e}")))?;
+        let mut writer = BufWriter::new(file);
+        packed
+            .write_to(&mut writer)
+            .and_then(|()| writer.flush())
+            .map_err(|e| err(format!("writing {out}: {e}")))
+    })?;
+    let write_ms = ms_since(t);
 
     let mut report = String::new();
     let _ = writeln!(
@@ -228,7 +247,8 @@ fn compress(
     );
     let _ = writeln!(
         report,
-        "  stages: sort {:.1} ms, degrees {:.1} ms, scan {:.1} ms, fill {:.1} ms",
+        "  stages: parse {parse_ms:.1} ms, sort {:.1} ms, degrees {:.1} ms, scan {:.1} ms, \
+         fill {:.1} ms, pack {pack_ms:.1} ms, write {write_ms:.1} ms",
         timings.sort_ms, timings.degree_ms, timings.scan_ms, timings.fill_ms
     );
     let _ = writeln!(
@@ -244,8 +264,7 @@ fn compress(
 }
 
 fn stats(input: &str) -> Result<String, CliError> {
-    let graph =
-        gio::read_edge_list_file(input).map_err(|e| err(format!("reading {input}: {e}")))?;
+    let graph = read_edges(input, resolve_procs(0))?;
     let s = DegreeStats::of(&graph);
     Ok(format!(
         "{input}: {} nodes, {} edges\n  max degree {}, mean degree {:.2}, isolated {}, gini {:.3}",
@@ -347,6 +366,21 @@ mod tests {
         })
         .unwrap();
         assert!(report.contains("packed CSR"), "{report}");
+        let stages = report
+            .lines()
+            .find(|l| l.trim_start().starts_with("stages:"))
+            .unwrap_or_else(|| panic!("no stages line: {report}"));
+        let names: Vec<&str> = stages
+            .trim_start()
+            .trim_start_matches("stages: ")
+            .split(", ")
+            .map(|s| s.split(' ').next().unwrap())
+            .collect();
+        assert_eq!(
+            names,
+            ["parse", "sort", "degrees", "scan", "fill", "pack", "write"],
+            "{report}"
+        );
 
         let report = execute(&Command::Info {
             input: pcsr.clone(),
@@ -368,6 +402,37 @@ mod tests {
 
         let report = execute(&Command::Stats { input: txt.clone() }).unwrap();
         assert!(report.contains("gini"), "{report}");
+    }
+
+    #[test]
+    fn compress_output_does_not_depend_on_procs() {
+        let txt = tmp("procs.txt");
+        execute(&Command::Generate {
+            model: Model::Rmat,
+            nodes: 1 << 14,
+            // More than one 1 MiB parse block of text.
+            edges: 120_000,
+            seed: 3,
+            out: txt.clone(),
+        })
+        .unwrap();
+        let written: Vec<Vec<u8>> = [1, 2, 3]
+            .into_iter()
+            .map(|procs| {
+                let pcsr = tmp(&format!("procs{procs}.pcsr"));
+                execute(&Command::Compress {
+                    input: txt.clone(),
+                    out: pcsr.clone(),
+                    gap: false,
+                    procs,
+                    chunk_policy: ChunkPolicy::Edges,
+                })
+                .unwrap();
+                std::fs::read(&pcsr).unwrap()
+            })
+            .collect();
+        assert_eq!(written[0], written[1]);
+        assert_eq!(written[0], written[2]);
     }
 
     #[test]

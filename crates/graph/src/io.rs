@@ -7,11 +7,13 @@
 //! dropped in next to the synthetic profiles.
 
 use std::fs::File;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
+use rayon::prelude::*;
+
 use crate::temporal::{TemporalEdge, TemporalEdgeList};
-use crate::types::{Edge, EdgeList, NodeId};
+use crate::types::{EdgeList, NodeId};
 
 /// Errors from parsing SNAP-format text.
 #[derive(Debug)]
@@ -96,22 +98,298 @@ fn check_node(x: u64, line: usize, content: &str) -> Result<NodeId, ParseError> 
     })
 }
 
-/// Parses SNAP edge-list text (`u v` per line, `#`/`%` comments, blank lines
-/// allowed) from any reader. Node count is inferred from the maximum id.
-pub fn read_edge_list<R: BufRead>(reader: R) -> Result<EdgeList, ParseError> {
-    let mut edges: Vec<Edge> = Vec::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if let Some([u, v]) = parse_fields::<2>(&line, i + 1)? {
-            edges.push((check_node(u, i + 1, &line)?, check_node(v, i + 1, &line)?));
+/// Bytes read per block. Each block is cut after its last `\n`; the
+/// unfinished tail is carried into the next block.
+const BLOCK: usize = 1 << 20;
+
+/// Line cap: a line of `MAX_LINE` bytes or more before its `\n` is
+/// rejected, so the read buffer never grows past this size.
+const MAX_LINE: usize = BLOCK;
+
+/// Bytes of a too-long line kept in its error.
+const TOO_LONG_PREFIX: usize = 64;
+
+/// ASCII whitespace as `char::is_whitespace` sees it, minus `\n`.
+#[inline]
+fn is_space(b: u8) -> bool {
+    matches!(b, b' ' | b'\t' | 0x0B | 0x0C | b'\r')
+}
+
+/// The fast path for the line starting at `piece[i]`: exactly `N` ASCII
+/// decimal fields, each at most `u32::MAX`, separated by ASCII whitespace.
+/// Returns the fields and the index after the line's `\n`, or `None` for any
+/// line it does not fully accept (comments, blanks, signs, non-ASCII bytes,
+/// overflow, garbage, the wrong field count).
+#[inline]
+fn fast_line<const N: usize>(piece: &[u8], mut i: usize) -> Option<([u32; N], usize)> {
+    let skip_spaces = |mut i: usize| {
+        while i < piece.len() && is_space(piece[i]) {
+            i += 1;
+        }
+        i
+    };
+    let mut fields = [0u32; N];
+    for field in &mut fields {
+        i = skip_spaces(i);
+        let first = i;
+        let mut value = 0u64;
+        while i < piece.len() {
+            let d = piece[i].wrapping_sub(b'0');
+            if d > 9 {
+                break;
+            }
+            value = value * 10 + u64::from(d);
+            if value > u64::from(u32::MAX) {
+                return None;
+            }
+            i += 1;
+        }
+        if i == first {
+            return None;
+        }
+        *field = value as u32;
+    }
+    i = skip_spaces(i);
+    match piece.get(i) {
+        None => Some((fields, i)),
+        Some(b'\n') => Some((fields, i + 1)),
+        Some(_) => None,
+    }
+}
+
+/// The error `BufRead::lines` reports for a line that is not UTF-8.
+fn invalid_utf8() -> ParseError {
+    ParseError::Io(io::Error::new(
+        io::ErrorKind::InvalidData,
+        "stream did not contain valid UTF-8",
+    ))
+}
+
+/// The slow path: one line (without its line terminator) through
+/// [`parse_fields`] and `finish`, exactly as a line-at-a-time reader sees it.
+fn slow_line<T, const N: usize>(
+    line: &[u8],
+    lineno: usize,
+    finish: &impl Fn([u64; N], usize, &str) -> Result<T, ParseError>,
+) -> Result<Option<T>, ParseError> {
+    let line = std::str::from_utf8(line).map_err(|_| invalid_utf8())?;
+    parse_fields::<N>(line, lineno)?
+        .map(|fields| finish(fields, lineno, line))
+        .transpose()
+}
+
+/// Parses a newline-aligned piece, appending its records to `out`. Returns
+/// the number of lines in the piece; an error's line number counts from 1
+/// at the start of the piece.
+fn parse_piece<T, const N: usize>(
+    piece: &[u8],
+    out: &mut Vec<T>,
+    fast: &impl Fn([u32; N]) -> T,
+    finish: &impl Fn([u64; N], usize, &str) -> Result<T, ParseError>,
+) -> Result<usize, ParseError> {
+    let mut lines = 0;
+    let mut i = 0;
+    while i < piece.len() {
+        lines += 1;
+        if let Some((fields, next)) = fast_line::<N>(piece, i) {
+            out.push(fast(fields));
+            i = next;
+            continue;
+        }
+        let end = piece[i..]
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(piece.len(), |k| i + k);
+        let mut line = &piece[i..end];
+        // `BufRead::lines` drops the `\r` of a `\r\n` terminator only.
+        if end < piece.len() {
+            line = line.strip_suffix(b"\r").unwrap_or(line);
+        }
+        if let Some(record) = slow_line(line, lines, finish)? {
+            out.push(record);
+        }
+        i = end + 1;
+    }
+    Ok(lines)
+}
+
+/// Shifts a piece-relative line number past the `before` lines ahead of it.
+fn renumber(e: ParseError, before: usize) -> ParseError {
+    match e {
+        ParseError::Malformed {
+            line,
+            content,
+            reason,
+        } => ParseError::Malformed {
+            line: line + before,
+            content,
+            reason,
+        },
+        e => e,
+    }
+}
+
+/// Parses a block of whole lines in `spill.len() + 1` newline-aligned pieces
+/// in parallel. Piece 0 appends straight to `out`; the others fill the
+/// `spill` vectors, which are then appended in order. `before` is the number
+/// of lines ahead of the block. Returns the number of lines in the block, or
+/// the first failing line's error in file order.
+fn parse_block<T: Send, const N: usize>(
+    block: &[u8],
+    before: usize,
+    out: &mut Vec<T>,
+    spill: &mut [Vec<T>],
+    fast: &(impl Fn([u32; N]) -> T + Sync),
+    finish: &(impl Fn([u64; N], usize, &str) -> Result<T, ParseError> + Sync),
+) -> Result<usize, ParseError> {
+    let pieces = spill.len() + 1;
+    let mut start = 0;
+    let mut jobs = Vec::with_capacity(pieces);
+    for (k, sink) in std::iter::once(&mut *out)
+        .chain(spill.iter_mut())
+        .enumerate()
+    {
+        let end = if k + 1 == pieces {
+            block.len()
+        } else {
+            let target = (block.len() * (k + 1) / pieces).max(start);
+            block[target..]
+                .iter()
+                .position(|&b| b == b'\n')
+                .map_or(block.len(), |i| target + i + 1)
+        };
+        let piece = &block[start..end];
+        // A record takes at least `2N` bytes (`N - 1` separators and a
+        // `\n`, bar the input's last line), so the workers never grow a sink:
+        // all growth stays on this thread and its allocator arena.
+        sink.reserve(piece.len() / (2 * N) + 1);
+        jobs.push((piece, sink));
+        start = end;
+    }
+    let results: Vec<Result<usize, ParseError>> = jobs
+        .into_par_iter()
+        .map(|(piece, sink)| parse_piece(piece, sink, fast, finish))
+        .collect();
+    let mut lines = before;
+    for r in results {
+        lines += r.map_err(|e| renumber(e, lines))?;
+    }
+    for s in spill {
+        out.append(s);
+    }
+    Ok(lines - before)
+}
+
+/// Reads until `buf` is full or the reader is exhausted, returning true at
+/// the end of the input.
+fn fill(reader: &mut impl Read, buf: &mut [u8], len: &mut usize) -> io::Result<bool> {
+    while *len < buf.len() {
+        match reader.read(&mut buf[*len..]) {
+            Ok(0) => return Ok(true),
+            Ok(n) => *len += n,
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
         }
     }
+    Ok(false)
+}
+
+/// The block parser both readers share: `N` unsigned fields per line.
+/// Lines the ASCII fast path accepts become `fast(fields)`; every other line
+/// goes through [`slow_line`] and `finish`, so accepted input and every
+/// error are those of a line-at-a-time reader. Blocks start at `block` bytes;
+/// a line that does not fit grows the buffer, up to [`MAX_LINE`].
+fn read_records<T: Send, const N: usize>(
+    mut reader: impl Read,
+    block: usize,
+    fast: impl Fn([u32; N]) -> T + Sync,
+    finish: impl Fn([u64; N], usize, &str) -> Result<T, ParseError> + Sync,
+) -> Result<Vec<T>, ParseError> {
+    let mut out = Vec::new();
+    let mut spill: Vec<Vec<T>> = (1..rayon::current_num_threads())
+        .map(|_| Vec::new())
+        .collect();
+    let mut buf = vec![0u8; block.clamp(1, MAX_LINE)];
+    let mut len = 0;
+    let mut lines = 0;
+    loop {
+        let eof = fill(&mut reader, &mut buf, &mut len)?;
+        let cut = if eof {
+            len
+        } else {
+            match buf.iter().rposition(|&b| b == b'\n') {
+                Some(i) => i + 1,
+                None if buf.len() >= MAX_LINE => {
+                    return Err(ParseError::Malformed {
+                        line: lines + 1,
+                        content: String::from_utf8_lossy(&buf[..TOO_LONG_PREFIX]).into_owned(),
+                        reason: "line too long",
+                    })
+                }
+                None => {
+                    buf.resize((buf.len() * 2).min(MAX_LINE), 0);
+                    continue;
+                }
+            }
+        };
+        lines += parse_block(&buf[..cut], lines, &mut out, &mut spill, &fast, &finish)?;
+        if eof {
+            return Ok(out);
+        }
+        buf.copy_within(cut..len, 0);
+        len -= cut;
+    }
+}
+
+/// Parses SNAP edge-list text (`u v` per line, `#`/`%` comments, blank lines
+/// allowed) from any reader. Node count is inferred from the maximum id.
+///
+/// The text is parsed in blocks of about 1 MiB, each split into one piece
+/// per thread of the current rayon pool. A line of 1 MiB or more is
+/// rejected as `"line too long"`. Errors name the first failing line in
+/// file order.
+pub fn read_edge_list<R: BufRead>(reader: R) -> Result<EdgeList, ParseError> {
+    read_edge_list_in_blocks(reader, BLOCK)
+}
+
+/// [`read_edge_list`] with blocks of `block` bytes; tests use tiny blocks to
+/// land block and piece cuts inside small inputs.
+#[doc(hidden)]
+pub fn read_edge_list_in_blocks<R: Read>(reader: R, block: usize) -> Result<EdgeList, ParseError> {
+    let edges = read_records::<_, 2>(
+        reader,
+        block,
+        |[u, v]| (u, v),
+        |[u, v], line, content| Ok((check_node(u, line, content)?, check_node(v, line, content)?)),
+    )?;
     Ok(EdgeList::from_pairs(edges))
 }
 
 /// Reads a SNAP edge-list file.
 pub fn read_edge_list_file<P: AsRef<Path>>(path: P) -> Result<EdgeList, ParseError> {
     read_edge_list(BufReader::new(File::open(path)?))
+}
+
+/// Writes one record as a SNAP line: `N <= 3` decimal fields, tab-separated,
+/// then `\n`; the same bytes as `writeln!` with `{}\t{}`, without the
+/// formatting machinery.
+fn write_record<const N: usize>(w: &mut impl Write, fields: [u32; N]) -> io::Result<()> {
+    // Ten digits and one separator per field, filled from the right.
+    let mut line = [0u8; 33];
+    let mut end = line.len();
+    for (k, mut x) in fields.into_iter().enumerate().rev() {
+        end -= 1;
+        line[end] = if k + 1 == N { b'\n' } else { b'\t' };
+        loop {
+            end -= 1;
+            line[end] = b'0' + (x % 10) as u8;
+            x /= 10;
+            if x == 0 {
+                break;
+            }
+        }
+    }
+    w.write_all(&line[end..])
 }
 
 /// Writes SNAP edge-list text (`u\tv` per line) with a small header comment.
@@ -124,7 +402,7 @@ pub fn write_edge_list<W: Write>(graph: &EdgeList, writer: W) -> io::Result<()> 
         graph.num_edges()
     )?;
     for &(u, v) in graph.edges() {
-        writeln!(w, "{u}\t{v}")?;
+        write_record(&mut w, [u, v])?;
     }
     w.flush()
 }
@@ -134,31 +412,41 @@ pub fn write_edge_list_file<P: AsRef<Path>>(graph: &EdgeList, path: P) -> io::Re
     write_edge_list(graph, File::create(path)?)
 }
 
-/// Parses temporal triplet text (`u v t` per line, comments as above).
+/// Parses temporal triplet text (`u v t` per line, comments as above) with
+/// the block parser of [`read_edge_list`].
 pub fn read_temporal_edge_list<R: BufRead>(reader: R) -> Result<TemporalEdgeList, ParseError> {
-    let mut events = Vec::new();
-    let mut max_node: u64 = 0;
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        if let Some([u, v, t]) = parse_fields::<3>(&line, i + 1)? {
-            max_node = max_node.max(u).max(v);
+    read_temporal_edge_list_in_blocks(reader, BLOCK)
+}
+
+/// [`read_temporal_edge_list`] with blocks of `block` bytes; tests use tiny
+/// blocks to land block and piece cuts inside small inputs.
+#[doc(hidden)]
+pub fn read_temporal_edge_list_in_blocks<R: Read>(
+    reader: R,
+    block: usize,
+) -> Result<TemporalEdgeList, ParseError> {
+    let events = read_records::<_, 3>(
+        reader,
+        block,
+        |[u, v, t]| TemporalEdge::new(u, v, t),
+        |[u, v, t], line, content| {
             let t = u32::try_from(t).map_err(|_| ParseError::Malformed {
-                line: i + 1,
-                content: line.to_string(),
+                line,
+                content: content.to_string(),
                 reason: "timestamp exceeds u32",
             })?;
-            events.push(TemporalEdge::new(
-                check_node(u, i + 1, &line)?,
-                check_node(v, i + 1, &line)?,
+            Ok(TemporalEdge::new(
+                check_node(u, line, content)?,
+                check_node(v, line, content)?,
                 t,
-            ));
-        }
-    }
-    let num_nodes = if events.is_empty() {
-        0
-    } else {
-        max_node as usize + 1
-    };
+            ))
+        },
+    )?;
+    let num_nodes = events
+        .iter()
+        .map(|e| e.u.max(e.v) as usize + 1)
+        .max()
+        .unwrap_or(0);
     Ok(TemporalEdgeList::new(num_nodes, events))
 }
 
@@ -180,7 +468,7 @@ pub fn write_temporal_edge_list<W: Write>(graph: &TemporalEdgeList, writer: W) -
         graph.num_frames()
     )?;
     for e in graph.events() {
-        writeln!(w, "{}\t{}\t{}", e.u, e.v, e.t)?;
+        write_record(&mut w, [e.u, e.v, e.t])?;
     }
     w.flush()
 }
@@ -237,6 +525,19 @@ mod tests {
     }
 
     #[test]
+    fn records_render_as_formatted_text() {
+        for fields in [[0, 0, 0], [7, 10, 99], [u32::MAX, 1_000_000, 429_496_729]] {
+            let mut three = Vec::new();
+            write_record(&mut three, fields).unwrap();
+            let [u, v, t] = fields;
+            assert_eq!(three, format!("{u}\t{v}\t{t}\n").into_bytes());
+            let mut two = Vec::new();
+            write_record(&mut two, [u, v]).unwrap();
+            assert_eq!(two, format!("{u}\t{v}\n").into_bytes());
+        }
+    }
+
+    #[test]
     fn roundtrip_temporal() {
         let t = TemporalEdgeList::new(
             4,
@@ -259,6 +560,107 @@ mod tests {
         let ok = read_temporal_edge_list(Cursor::new("# c\n1 2 3\n")).unwrap();
         assert_eq!(ok.num_events(), 1);
         assert_eq!(ok.events()[0], TemporalEdge::new(1, 2, 3));
+    }
+
+    /// Runs `f` with `threads` rayon workers, so a block splits into that
+    /// many pieces.
+    fn with_threads<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
+        rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap()
+            .install(f)
+    }
+
+    fn malformed(err: ParseError) -> (usize, String, &'static str) {
+        match err {
+            ParseError::Malformed {
+                line,
+                content,
+                reason,
+            } => (line, content, reason),
+            e => panic!("expected a malformed line, got {e}"),
+        }
+    }
+
+    #[test]
+    fn crlf_line_endings() {
+        let g = read_edge_list(Cursor::new("# c\r\n0 1\r\n\r\n2\t3\r\n")).unwrap();
+        assert_eq!(g.edges(), [(0, 1), (2, 3)]);
+        // The `\r` of a `\r\n` terminator is not part of the reported line.
+        let err = read_edge_list(Cursor::new("0 1\r\n0 x\r\n")).unwrap_err();
+        assert_eq!(
+            malformed(err),
+            (2, "0 x".into(), "field is not an unsigned integer")
+        );
+    }
+
+    #[test]
+    fn missing_final_newline() {
+        let g = read_edge_list(Cursor::new("0 1\n2 3")).unwrap();
+        assert_eq!(g.edges(), [(0, 1), (2, 3)]);
+        let t = read_temporal_edge_list(Cursor::new("0 1 2\n3 4 5")).unwrap();
+        assert_eq!(t.events()[1], TemporalEdge::new(3, 4, 5));
+        let err = read_edge_list(Cursor::new("0 1\n2")).unwrap_err();
+        assert_eq!(malformed(err), (2, "2".into(), "too few fields"));
+    }
+
+    #[test]
+    fn leading_zeros_and_plus_signs() {
+        let g = read_edge_list(Cursor::new("007 0000000000000000000042\n+5 +0\n")).unwrap();
+        assert_eq!(g.edges(), [(7, 42), (5, 0)]);
+        let err = read_edge_list(Cursor::new("+4294967296 0\n")).unwrap_err();
+        assert_eq!(
+            malformed(err),
+            (1, "+4294967296 0".into(), "node id exceeds u32")
+        );
+        let err = read_edge_list(Cursor::new("1 -5\n")).unwrap_err();
+        assert_eq!(malformed(err).2, "field is not an unsigned integer");
+    }
+
+    #[test]
+    fn non_ascii_whitespace_and_invalid_utf8() {
+        let g = read_edge_list(Cursor::new("1\u{a0}2\n\x0B3\x0C4\r\n")).unwrap();
+        assert_eq!(g.edges(), [(1, 2), (3, 4)]);
+        let err = read_edge_list(Cursor::new(b"0 1\n0 \xff\n0 x\n".as_slice())).unwrap_err();
+        assert!(
+            matches!(&err, ParseError::Io(e) if e.kind() == io::ErrorKind::InvalidData),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn error_in_second_piece_of_second_block() {
+        // 32-byte blocks of eight 4-byte lines; with two workers the second
+        // block (lines 9-16) splits into lines 9-13 and 14-16.
+        let mut text = "0 1\n".repeat(16);
+        text.replace_range(14 * 4..15 * 4, "0 x\n");
+        text.push_str("0 y\n");
+        let err = with_threads(2, || read_edge_list_in_blocks(Cursor::new(&text), 32)).unwrap_err();
+        assert_eq!(
+            malformed(err),
+            (15, "0 x".into(), "field is not an unsigned integer")
+        );
+        // A failing line in the first piece wins over one in the second.
+        text.replace_range(9 * 4..10 * 4, "0  \n");
+        let err = with_threads(2, || read_edge_list_in_blocks(Cursor::new(&text), 32)).unwrap_err();
+        assert_eq!(malformed(err), (10, "0  ".into(), "too few fields"));
+    }
+
+    #[test]
+    fn overlong_line_is_rejected_with_a_short_prefix() {
+        let mut text = b"0 1\n#".to_vec();
+        text.resize(4 + MAX_LINE, b'7');
+        text.extend_from_slice(b"\n2 3\n");
+        let err = read_edge_list(Cursor::new(&text)).unwrap_err();
+        let (line, content, reason) = malformed(err);
+        assert_eq!((line, reason), (2, "line too long"));
+        assert_eq!(content, format!("#{}", "7".repeat(TOO_LONG_PREFIX - 1)));
+        // One byte shorter, the comment fits.
+        text.truncate(3 + MAX_LINE);
+        text.extend_from_slice(b"\n2 3\n");
+        let g = read_edge_list(Cursor::new(&text)).unwrap();
+        assert_eq!(g.edges(), [(0, 1), (2, 3)]);
     }
 
     #[test]

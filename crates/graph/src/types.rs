@@ -77,14 +77,14 @@ impl EdgeList {
 
     /// Returns a copy sorted by `(source, target)` — the precondition of the
     /// parallel degree computation (Section III-A2 assumes "each chunk
-    /// receives a sorted list of edges"). Parallel sort.
+    /// receives a sorted list of edges"). Parallel sort, skipped when the
+    /// list is already sorted (the check stops at the first inversion).
     pub fn sorted_by_source(&self) -> EdgeList {
-        let mut edges = self.edges.clone();
-        edges.par_sort_unstable();
-        EdgeList {
-            num_nodes: self.num_nodes,
-            edges,
+        let mut sorted = self.clone();
+        if !sorted.is_sorted_by_source() {
+            sorted.sort_by_source();
         }
+        sorted
     }
 
     /// Sorts in place by `(source, target)`. Parallel.
@@ -216,6 +216,17 @@ mod tests {
         assert!(s.is_sorted_by_source());
         assert_eq!(s.edges(), [(0, 1), (0, 2), (1, 4), (3, 0), (3, 1)]);
         assert!(!sample().is_sorted_by_source());
+    }
+
+    #[test]
+    fn sorted_input_comes_back_equal() {
+        let sorted = sample().sorted_by_source();
+        let again = sorted.sorted_by_source();
+        assert_eq!(again.edges(), sorted.edges());
+        assert_eq!(again.num_nodes(), sorted.num_nodes());
+        let empty = EdgeList::new(4, vec![]).sorted_by_source();
+        assert!(empty.is_empty());
+        assert_eq!(empty.num_nodes(), 4);
     }
 
     #[test]
