@@ -196,7 +196,7 @@ mod tests {
     fn packed_input_matches_plain() {
         let g = erdos_renyi(ErParams::new(80, 400, 9));
         let csr = CsrBuilder::new().build(&g.symmetrized());
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 2);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 2);
         assert_close(
             &betweenness_parallel(&csr),
             &betweenness_parallel(&packed),

@@ -135,7 +135,7 @@ mod tests {
     fn runs_identically_on_packed_csr() {
         let g = rmat(RmatParams::new(512, 6_000, 9));
         let csr = CsrBuilder::new().build(&g);
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
         assert_eq!(bfs_parallel(&packed, 3), bfs_sequential(&csr, 3));
     }
 

@@ -183,10 +183,8 @@ mod tests {
         let g = rmat(RmatParams::new(256, 3_000, 11));
         let csr = CsrBuilder::new().build(&g);
         let base = pagerank(&csr, PageRankConfig::default());
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let packed = BitPackedCsr::from_csr(&csr, mode, 4);
-            assert_eq!(pagerank(&packed, PageRankConfig::default()), base);
-        }
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
+        assert_eq!(pagerank(&packed, PageRankConfig::default()), base);
     }
 
     #[test]

@@ -132,7 +132,7 @@ mod tests {
     fn runs_identically_on_packed_inputs() {
         let g = rmat(RmatParams::new(128, 1_200, 5));
         let a = CsrBuilder::new().build(&g);
-        let packed = BitPackedCsr::from_csr(&a, PackedCsrMode::Gap, 4);
+        let packed = BitPackedCsr::from_csr(&a, PackedCsrMode::Raw, 4);
         assert_eq!(spgemm_bool(&packed, &packed), spgemm_bool(&a, &a));
     }
 

@@ -32,7 +32,7 @@ proptest! {
     #[test]
     fn bfs_on_packed_equals_plain(g in arb_graph(50, 150), source in 0u32..50) {
         let csr = CsrBuilder::new().build(&g);
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
         let source = source % g.num_nodes() as u32;
         prop_assert_eq!(bfs_parallel(&packed, source), bfs_sequential(&csr, source));
     }

@@ -15,7 +15,7 @@ use parcsr_graph::EdgeList;
 fn fixtures() -> (EdgeList, Csr, BitPackedCsr) {
     let graph = rmat(RmatParams::new(1 << 13, 1 << 17, 42)).symmetrized();
     let csr = CsrBuilder::new().build(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 8);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 8);
     (graph, csr, packed)
 }
 
@@ -73,7 +73,7 @@ fn bench_spgemm(c: &mut Criterion) {
     // Smaller input: A·A is dense-ish on power-law graphs.
     let graph = rmat(RmatParams::new(1 << 11, 1 << 14, 42));
     let csr = CsrBuilder::new().build(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 8);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 8);
     let mut group = c.benchmark_group("spgemm_two_hop");
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));

@@ -1,13 +1,10 @@
 //! Bit-packing microbench: parallel chunk-and-merge packing across
-//! processor counts and value widths, fixed-width vs. varint codecs, and the
-//! gap-coding ablation on the packed CSR (DESIGN.md ablations "gap coding").
+//! processor counts and value widths, and fixed-width vs. varint codecs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use parcsr::{BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_bitpack::{pack_parallel, varint_encode_stream, PackedArray};
-use parcsr_graph::gen::{rmat, RmatParams};
 
 fn bench_pack_parallel(c: &mut Criterion) {
     let values: Vec<u64> = (0..1_000_000u64)
@@ -49,37 +46,5 @@ fn bench_codecs(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gap_ablation(c: &mut Criterion) {
-    let graph = rmat(RmatParams::new(1 << 14, 1 << 18, 42));
-    let csr = CsrBuilder::new().build(&graph);
-    let mut group = c.benchmark_group("packed_csr_mode");
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.sample_size(10);
-    for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-        group.bench_with_input(BenchmarkId::from_parameter(mode.name()), &csr, |b, csr| {
-            b.iter(|| black_box(BitPackedCsr::from_csr(csr, mode, 8)));
-        });
-    }
-    // Report the sizes once so the ablation's space side is visible in the
-    // bench log.
-    let raw = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 8);
-    let gap = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 8);
-    eprintln!(
-        "packed_csr_mode sizes: unpacked={} B, raw={} B ({} b/col), gap={} B ({} b/col)",
-        csr.heap_bytes(),
-        raw.packed_bytes(),
-        raw.column_width(),
-        gap.packed_bytes(),
-        gap.column_width()
-    );
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_pack_parallel,
-    bench_codecs,
-    bench_gap_ablation
-);
+criterion_group!(benches, bench_pack_parallel, bench_codecs);
 criterion_main!(benches);

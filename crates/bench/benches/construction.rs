@@ -54,7 +54,7 @@ fn bench_packing_stage(c: &mut Criterion) {
     for &p in &[1usize, 4, 16] {
         group.bench_with_input(BenchmarkId::from_parameter(p), &csr, |b, csr| {
             with_processors(p, || {
-                b.iter(|| black_box(BitPackedCsr::from_csr(csr, PackedCsrMode::Gap, p)));
+                b.iter(|| black_box(BitPackedCsr::from_csr(csr, PackedCsrMode::Raw, p)));
             });
         });
     }

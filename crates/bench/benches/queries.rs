@@ -31,7 +31,7 @@ struct Fixtures {
 fn fixtures() -> Fixtures {
     let graph = rmat(RmatParams::new(N, M, 42));
     let csr = CsrBuilder::new().build(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 8);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 8);
     let adj = AdjacencyList::from_edge_list(&graph);
     let flat = EdgeListStore::from_edge_list(&graph);
     let node_queries: Vec<NodeId> = (0..QUERIES)
@@ -134,8 +134,8 @@ fn bench_edges_exist_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// The streaming-vs-materializing row-access dimension: for both packing
-/// modes, answer the same batch of neighborhood queries by (a) decoding each
+/// The streaming-vs-materializing row-access dimension: answer the same
+/// batch of neighborhood queries on the packed CSR by (a) decoding each
 /// row into a reused `Vec` (`row_into`) and (b) streaming it through the
 /// allocation-free cursor (`row_iter`). Each variant folds the visited
 /// neighbor ids so the decode work cannot be optimized away.
@@ -152,41 +152,40 @@ fn bench_row_access(c: &mut Criterion) {
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(10);
     group.throughput(Throughput::Elements(visited));
-    for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-        let packed = BitPackedCsr::from_csr(&csr, mode, 8);
-        group.bench_with_input(
-            BenchmarkId::new(mode.name(), "decode"),
-            &packed,
-            |b, packed| {
-                let mut row = Vec::new();
-                b.iter(|| {
-                    let mut acc = 0u64;
-                    for &u in &node_queries {
-                        packed.row_into(u, &mut row);
-                        for &v in &row {
-                            acc ^= u64::from(v);
-                        }
+    let mode = PackedCsrMode::Raw;
+    let packed = BitPackedCsr::from_csr(&csr, mode, 8);
+    group.bench_with_input(
+        BenchmarkId::new(mode.name(), "decode"),
+        &packed,
+        |b, packed| {
+            let mut row = Vec::new();
+            b.iter(|| {
+                let mut acc = 0u64;
+                for &u in &node_queries {
+                    packed.row_into(u, &mut row);
+                    for &v in &row {
+                        acc ^= u64::from(v);
                     }
-                    black_box(acc)
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new(mode.name(), "stream"),
-            &packed,
-            |b, packed| {
-                b.iter(|| {
-                    let mut acc = 0u64;
-                    for &u in &node_queries {
-                        for v in packed.row_iter(u) {
-                            acc ^= u64::from(v);
-                        }
+                }
+                black_box(acc)
+            });
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new(mode.name(), "stream"),
+        &packed,
+        |b, packed| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                for &u in &node_queries {
+                    for v in packed.row_iter(u) {
+                        acc ^= u64::from(v);
                     }
-                    black_box(acc)
-                });
-            },
-        );
-    }
+                }
+                black_box(acc)
+            });
+        },
+    );
     group.finish();
 }
 
@@ -196,7 +195,7 @@ fn bench_single_edge_split(c: &mut Criterion) {
     let hub_edges: Vec<(NodeId, NodeId)> = (0..250_000u32).map(|v| (0, v)).collect();
     let graph = EdgeList::new(250_001, hub_edges);
     let csr = CsrBuilder::new().build(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 8);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 8);
     let probe: NodeId = 249_999; // worst case for the linear scan
 
     let mut group = c.benchmark_group("single_edge_split");

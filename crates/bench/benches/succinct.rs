@@ -24,7 +24,7 @@ struct Fixtures {
 fn fixtures() -> Fixtures {
     let graph = rmat(RmatParams::new(N, M, 42)).deduped();
     let csr = CsrBuilder::new().build(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 8);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 8);
     let columns: Vec<u32> = csr.targets().to_vec();
     let wavelet = WaveletTree::new(&columns, N as u32);
     let k2 = K2Tree::from_edges(N, graph.edges());

@@ -29,7 +29,7 @@ fn main() {
     let profile = &parcsr_graph::paper_datasets()[3]; // WebNotreDame profile
     let graph = profile.synthesize(opts.scale.min(0.5), opts.seed);
     let csr = CsrBuilder::new().build(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
     let n = csr.num_nodes() as u32;
     eprintln!(
         "queries_sweep: {} stand-in, {} nodes / {} edges, batch {BATCH}",

@@ -21,10 +21,8 @@ fn main() {
     let opts = Options::from_env();
     eprintln!("sizes: scale={} seed={}", opts.scale, opts.seed);
     trace::setup(&opts);
-    println!(
-        "| Graph | Edges | EdgeList text | EdgeList bin | AdjList | CSR | Packed (raw) | Packed (gap) | k2-tree |"
-    );
-    println!("|---|---:|---:|---:|---:|---:|---:|---:|---:|");
+    println!("| Graph | Edges | EdgeList text | EdgeList bin | AdjList | CSR | Packed | k2-tree |");
+    println!("|---|---:|---:|---:|---:|---:|---:|---:|");
     for profile in parcsr_graph::paper_datasets() {
         if let Some(only) = &opts.only {
             if !profile.name.to_lowercase().contains(&only.to_lowercase()) {
@@ -33,21 +31,19 @@ fn main() {
         }
         let graph = profile.synthesize(opts.scale, opts.seed).deduped();
         let csr = CsrBuilder::new().build(&graph);
-        let raw = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
-        let gap = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
         let adj = AdjacencyList::from_edge_list(&graph);
         let flat = EdgeListStore::from_edge_list(&graph);
         let k2 = K2Tree::from_edges(graph.num_nodes(), graph.edges());
         println!(
-            "| {} | {} | {} | {} | {} | {} | {} | {} | {} |",
+            "| {} | {} | {} | {} | {} | {} | {} | {} |",
             profile.name,
             graph.num_edges(),
             format_bytes(graph.text_bytes()),
             format_bytes(flat.heap_bytes()),
             format_bytes(adj.heap_bytes()),
             format_bytes(csr.heap_bytes()),
-            format_bytes(raw.packed_bytes()),
-            format_bytes(gap.packed_bytes()),
+            format_bytes(packed.packed_bytes()),
             format_bytes(k2.packed_bytes()),
         );
     }

@@ -700,7 +700,7 @@ fn window_report(
 pub fn run(opts: &DriverOptions) -> DriverReport {
     let (graph_name, edges) = build_graph(opts);
     let csr = CsrBuilder::new().build(&edges);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
     let n = csr.num_nodes();
 
     // Degree-descending rank table: rank r = the (r+1)-th highest-degree

@@ -149,7 +149,7 @@ fn run_dataset(
 
     // Sizes (independent of processor count; packed once at default width).
     let reference_csr = CsrBuilder::new().build_from_sorted(&sorted).0;
-    let packed = BitPackedCsr::from_csr(&reference_csr, PackedCsrMode::Gap, 4);
+    let packed = BitPackedCsr::from_csr(&reference_csr, PackedCsrMode::Raw, 4);
     // Discard the sizing pre-pass spans: the trace carries timed reps only.
     let _ = parcsr_obs::drain();
 
@@ -165,12 +165,7 @@ fn run_dataset(
             for _ in 0..opts.reps {
                 let t = Instant::now();
                 let (csr, _) = builder.build_from_sorted(&sorted);
-                let packed = BitPackedCsr::from_csr_with_chunking(
-                    &csr,
-                    PackedCsrMode::Gap,
-                    p,
-                    opts.chunk_policy,
-                );
+                let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, p);
                 let elapsed = t.elapsed().as_secs_f64() * 1e3;
                 std::hint::black_box(&packed);
                 // Draining per rep keeps only this rep's spans, so the

@@ -9,12 +9,6 @@
 //! ([`RowCursor::advance`], `Iterator::nth`) without decoding the skipped
 //! elements — the property `GetRowFromCSR` exploits to pull one row out of
 //! the packed structure without touching anything else.
-//!
-//! [`GapDecode`] layers the gap (difference) decoding of [`crate::gap`] on
-//! top of any `u64` stream: the first value passes through absolute, each
-//! subsequent value adds to the running sum. Wrapping a `RowCursor` in a
-//! `GapDecode` streams a gap-coded neighbor row back to absolute ids with no
-//! intermediate buffer.
 
 use crate::bitbuf::{BitBuf, BitReader};
 
@@ -108,50 +102,9 @@ impl Iterator for RowCursor<'_> {
 
 impl ExactSizeIterator for RowCursor<'_> {}
 
-/// Gap-decoding adapter over a `u64` stream: yields the running sum, with
-/// the first element passing through as the absolute head. Zero gaps are
-/// legal (duplicate neighbors in a multigraph row) and decode to repeats.
-#[derive(Debug, Clone)]
-pub struct GapDecode<I> {
-    inner: I,
-    acc: u64,
-    started: bool,
-}
-
-impl<I> GapDecode<I> {
-    /// Wraps a gap stream; the first yielded value is taken as absolute.
-    pub fn new(inner: I) -> Self {
-        GapDecode {
-            inner,
-            acc: 0,
-            started: false,
-        }
-    }
-}
-
-impl<I: Iterator<Item = u64>> Iterator for GapDecode<I> {
-    type Item = u64;
-
-    #[inline]
-    fn next(&mut self) -> Option<u64> {
-        let g = self.inner.next()?;
-        self.acc = if self.started { self.acc + g } else { g };
-        self.started = true;
-        Some(self.acc)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.inner.size_hint()
-    }
-}
-
-impl<I: ExactSizeIterator<Item = u64>> ExactSizeIterator for GapDecode<I> {}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::fixed::PackedArray;
-    use crate::gap::encode_gaps;
 
     #[test]
     fn cursor_yields_range() {
@@ -197,27 +150,5 @@ mod tests {
     fn cursor_range_past_end_panics() {
         let p = PackedArray::pack(&[1, 2, 3]);
         p.range_cursor(2, 2);
-    }
-
-    #[test]
-    fn gap_decode_roundtrips() {
-        let row: Vec<u64> = vec![5, 9, 9, 12, 40, 40, 41];
-        let gaps = encode_gaps(&row);
-        let got: Vec<u64> = GapDecode::new(gaps.iter().copied()).collect();
-        assert_eq!(got, row);
-    }
-
-    #[test]
-    fn gap_decode_over_cursor() {
-        let row: Vec<u64> = vec![3, 3, 4, 10, 100];
-        let gaps = encode_gaps(&row);
-        let p = PackedArray::pack(&gaps);
-        let got: Vec<u64> = GapDecode::new(p.range_cursor(0, gaps.len())).collect();
-        assert_eq!(got, row);
-    }
-
-    #[test]
-    fn gap_decode_empty() {
-        assert_eq!(GapDecode::new(std::iter::empty()).count(), 0);
     }
 }

@@ -44,12 +44,13 @@ impl PackedArray {
 
     /// Packs `values` at an explicit width (used by the parallel packer,
     /// where the width is agreed globally before chunks pack independently).
+    /// Any unsigned element type packs in place, with no widening copy.
     ///
     /// # Panics
     ///
     /// Panics if any value does not fit in `width` bits, or `width` is 0 or
     /// exceeds 64.
-    pub fn pack_with_width(values: &[u64], width: u32) -> Self {
+    pub fn pack_with_width<T: Copy + Into<u64>>(values: &[T], width: u32) -> Self {
         assert!((1..=64).contains(&width), "width must be in 1..=64");
         let mut buf = BitBuf::with_capacity(values.len() * width as usize);
         let limit = if width == 64 {
@@ -58,6 +59,7 @@ impl PackedArray {
             (1u64 << width) - 1
         };
         for &v in values {
+            let v: u64 = v.into();
             assert!(v <= limit, "value {v} does not fit in {width} bits");
             buf.push_bits(v, width);
         }
@@ -218,7 +220,7 @@ mod tests {
 
     #[test]
     fn explicit_width() {
-        let p = PackedArray::pack_with_width(&[1, 2, 3], 20);
+        let p = PackedArray::pack_with_width(&[1u64, 2, 3], 20);
         assert_eq!(p.width(), 20);
         assert_eq!(p.to_vec(), vec![1, 2, 3]);
     }
@@ -226,7 +228,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit")]
     fn value_too_wide_panics() {
-        PackedArray::pack_with_width(&[16], 4);
+        PackedArray::pack_with_width(&[16u64], 4);
     }
 
     #[test]

@@ -11,14 +11,13 @@
 //! * [`bitbuf`] — a growable bit array with a [`BitWriter`]/[`BitReader`] pair
 //!   that can write and read arbitrary-width (≤ 64 bit) values at arbitrary
 //!   bit offsets, including across word boundaries.
-//! * [`fixed`] — [`PackedArray`]: a `u64` sequence packed at a uniform width
-//!   `⌈log2(max+1)⌉`, with O(1) random access — what the packed `iA`/`jA`
-//!   arrays are made of.
-//! * [`gap`] — gap (difference) coding of sorted sequences, the standard
-//!   pre-transform that shrinks sorted neighbor lists before packing.
-//! * [`varint`] — LEB128 variable-length integers, included as the byte-
-//!   aligned comparison codec (EveLog/EdgeLog-style gap compression in the
-//!   related work).
+//! * [`fixed`] — [`PackedArray`]: an unsigned sequence packed at a uniform
+//!   width `⌈log2(max+1)⌉`, with O(1) random access — what the packed
+//!   `iA`/`jA` arrays are made of.
+//! * [`cursor`] — [`RowCursor`]: an allocation-free, seekable stream over a
+//!   range of a packed array (one CSR row).
+//! * [`varint`] — LEB128 variable-length integers, the byte-aligned codec
+//!   behind the EveLog/EdgeLog-style temporal logs of the related work.
 //! * [`parallel`] — Algorithm 4: split the input into one chunk per
 //!   processor, pack every chunk at the globally agreed width, then merge the
 //!   resulting bit arrays by bit-level concatenation.
@@ -41,13 +40,11 @@
 pub mod bitbuf;
 pub mod cursor;
 pub mod fixed;
-pub mod gap;
 pub mod parallel;
 pub mod varint;
 
 pub use bitbuf::{BitBuf, BitReader, BitWriter};
-pub use cursor::{GapDecode, RowCursor};
+pub use cursor::RowCursor;
 pub use fixed::{bits_needed, PackedArray};
-pub use gap::{decode_gaps, decode_gaps_into, encode_gaps, encode_gaps_in_place, max_gap};
 pub use parallel::{pack_parallel, pack_parallel_with_width};
 pub use varint::{varint_decode, varint_decode_stream, varint_encode, varint_encode_stream};

@@ -31,11 +31,16 @@ pub fn pack_parallel(values: &[u64], chunks: usize) -> PackedArray {
 }
 
 /// Packs `values` at an explicit `width` using `chunks` parallel packers.
+/// Any unsigned element type packs in place, with no widening copy.
 ///
 /// # Panics
 ///
 /// Panics if any value does not fit in `width` bits.
-pub fn pack_parallel_with_width(values: &[u64], chunks: usize, width: u32) -> PackedArray {
+pub fn pack_parallel_with_width<T: Copy + Into<u64> + Sync>(
+    values: &[T],
+    chunks: usize,
+    width: u32,
+) -> PackedArray {
     let ranges = chunk_ranges(values.len(), chunks);
     if ranges.len() <= 1 {
         return PackedArray::pack_with_width(values, width);

@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use parcsr_bitpack::{
-    bits_needed, decode_gaps, encode_gaps, pack_parallel, varint_decode_stream,
+    bits_needed, pack_parallel, pack_parallel_with_width, varint_decode_stream,
     varint_encode_stream, BitBuf, PackedArray,
 };
 
@@ -47,10 +47,15 @@ proptest! {
     }
 
     #[test]
-    fn gap_roundtrip(mut values in prop::collection::vec(0u64..u64::MAX / 2, 0..500)) {
-        values.sort_unstable();
-        let gaps = encode_gaps(&values);
-        prop_assert_eq!(decode_gaps(&gaps), values);
+    fn u32_values_pack_like_their_u64_widening(
+        values in prop::collection::vec(any::<u32>(), 0..2000),
+        chunks in 1usize..32,
+    ) {
+        let wide: Vec<u64> = values.iter().map(|&v| u64::from(v)).collect();
+        let width = bits_needed(wide.iter().copied().max().unwrap_or(0));
+        let want = PackedArray::pack_with_width(&wide, width);
+        prop_assert_eq!(&PackedArray::pack_with_width(&values, width), &want);
+        prop_assert_eq!(&pack_parallel_with_width(&values, chunks, width), &want);
     }
 
     #[test]

@@ -43,10 +43,9 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
         Command::Compress {
             input,
             out,
-            gap,
             procs,
             chunk_policy,
-        } => compress(input, out, *gap, resolve_procs(*procs), *chunk_policy),
+        } => compress(input, out, resolve_procs(*procs), *chunk_policy),
         Command::Stats { input } => stats(input),
         Command::Info { input } => info(input),
         Command::Watch {
@@ -204,18 +203,12 @@ fn read_edges(input: &str, procs: usize) -> Result<EdgeList, CliError> {
 fn compress(
     input: &str,
     out: &str,
-    gap: bool,
     procs: usize,
     chunk_policy: ChunkPolicy,
 ) -> Result<String, CliError> {
     let t = Instant::now();
     let graph = parcsr_obs::with_span("parse", || read_edges(input, procs))?;
     let parse_ms = ms_since(t);
-    let mode = if gap {
-        PackedCsrMode::Gap
-    } else {
-        PackedCsrMode::Raw
-    };
 
     let t = Instant::now();
     let (csr, timings) = CsrBuilder::new()
@@ -223,7 +216,7 @@ fn compress(
         .chunk_policy(chunk_policy)
         .build_timed(&graph);
     let t_pack = Instant::now();
-    let packed = BitPackedCsr::from_csr_with_chunking(&csr, mode, procs, chunk_policy);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, procs);
     let pack_ms = ms_since(t_pack);
     let total_ms = ms_since(t);
 
@@ -253,10 +246,9 @@ fn compress(
     );
     let _ = writeln!(
         report,
-        "  sizes: edge list {} B -> packed CSR {} B ({} mode, {}-bit columns)",
+        "  sizes: edge list {} B -> packed CSR {} B ({}-bit columns)",
         graph.binary_bytes(),
         packed.packed_bytes(),
-        mode.name(),
         packed.column_width()
     );
     let _ = write!(report, "  wrote {out}");
@@ -281,10 +273,9 @@ fn load_pcsr(input: &str) -> Result<BitPackedCsr, CliError> {
 fn info(input: &str) -> Result<String, CliError> {
     let packed = load_pcsr(input)?;
     Ok(format!(
-        "{input}: {} nodes, {} edges, {} mode\n  columns {}-bit, offsets {}-bit, {} bytes packed",
+        "{input}: {} nodes, {} edges\n  columns {}-bit, offsets {}-bit, {} bytes packed",
         packed.num_nodes(),
         packed.num_edges(),
-        packed.mode().name(),
         packed.column_width(),
         packed.offset_width(),
         packed.packed_bytes()
@@ -360,7 +351,6 @@ mod tests {
         let report = execute(&Command::Compress {
             input: txt.clone(),
             out: pcsr.clone(),
-            gap: true,
             procs: 2,
             chunk_policy: ChunkPolicy::Edges,
         })
@@ -386,7 +376,6 @@ mod tests {
             input: pcsr.clone(),
         })
         .unwrap();
-        assert!(report.contains("gap mode"), "{report}");
         assert!(report.contains("2000 edges"), "{report}");
 
         let report = execute(&Command::Query {
@@ -423,7 +412,6 @@ mod tests {
                 execute(&Command::Compress {
                     input: txt.clone(),
                     out: pcsr.clone(),
-                    gap: false,
                     procs,
                     chunk_policy: ChunkPolicy::Edges,
                 })
@@ -450,7 +438,6 @@ mod tests {
         execute(&Command::Compress {
             input: txt,
             out: pcsr.clone(),
-            gap: false,
             procs: 1,
             chunk_policy: ChunkPolicy::Rows,
         })

@@ -7,7 +7,7 @@
 //! ```text
 //! parcsr generate --model rmat --nodes 65536 --edges 1048576 --out g.txt
 //! parcsr stats g.txt
-//! parcsr compress g.txt --out g.pcsr --mode gap
+//! parcsr compress g.txt --out g.pcsr
 //! parcsr info g.pcsr
 //! parcsr query g.pcsr --neighbors 0,1,2
 //! parcsr query g.pcsr --edge 0,42

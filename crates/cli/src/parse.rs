@@ -38,8 +38,6 @@ pub enum Command {
         input: String,
         /// Output `.pcsr` path.
         out: String,
-        /// Use gap coding for the column array.
-        gap: bool,
         /// Processor count (0 = all).
         procs: usize,
         /// How build stages split rows into parallel chunks.
@@ -218,7 +216,7 @@ usage: parcsr <command> [flags]
 
 commands:
   generate --nodes N --edges M --out FILE [--model rmat|er|ba] [--seed S]
-  compress INPUT --out FILE [--mode raw|gap] [--procs P]
+  compress INPUT --out FILE [--procs P]
            [--chunk-policy rows|edges]
   stats    INPUT
   info     FILE.pcsr
@@ -333,18 +331,11 @@ impl Command {
                 let input = args
                     .value("compress")
                     .map_err(|_| invalid("compress requires an input path"))?;
-                let (mut out, mut gap, mut procs) = (None, true, 0usize);
+                let (mut out, mut procs) = (None, 0usize);
                 let mut chunk_policy = ChunkPolicy::default();
                 while let Some(flag) = args.items.next() {
                     match flag.as_str() {
                         "--out" => out = Some(args.value("--out")?),
-                        "--mode" => {
-                            gap = match args.value("--mode")?.as_str() {
-                                "gap" => true,
-                                "raw" => false,
-                                other => return Err(invalid(format!("unknown mode {other}"))),
-                            }
-                        }
                         "--procs" => procs = args.parsed("--procs")?,
                         "--chunk-policy" => {
                             chunk_policy = ChunkPolicy::parse(&args.value("--chunk-policy")?)
@@ -356,7 +347,6 @@ impl Command {
                 Ok(Command::Compress {
                     input,
                     out: out.ok_or_else(|| invalid("compress requires --out"))?,
-                    gap,
                     procs,
                     chunk_policy,
                 })
@@ -556,7 +546,6 @@ mod tests {
             Command::Compress {
                 input: "in.txt".into(),
                 out: "out.pcsr".into(),
-                gap: true,
                 procs: 0,
                 chunk_policy: ChunkPolicy::Edges,
             }
@@ -609,20 +598,17 @@ mod tests {
         assert!(parse(&["compress", "in.txt", "--out", "o", "--chunk-policy"]).is_err());
     }
 
+    /// Compress always packs the raw layout; `--mode` is not a flag.
     #[test]
     fn compress_raw_mode() {
-        let c = parse(&[
-            "compress", "in.txt", "--out", "o", "--mode", "raw", "--procs", "8",
-        ])
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Compress {
-                gap: false,
-                procs: 8,
-                ..
-            }
-        ));
+        let c = parse(&["compress", "in.txt", "--out", "o", "--procs", "8"]).unwrap();
+        assert!(matches!(c, Command::Compress { procs: 8, .. }));
+        for mode in ["gap", "raw"] {
+            assert_eq!(
+                parse(&["compress", "in.txt", "--out", "o", "--mode", mode]),
+                Err(ParseError::Invalid("unknown flag --mode".into()))
+            );
+        }
     }
 
     #[test]

@@ -11,10 +11,9 @@
 use std::time::Instant;
 
 use parcsr_graph::{EdgeList, NodeId};
-use parcsr_runtime::split_mut_by_ranges;
+use parcsr_runtime::{run_chunked, split_mut_by_ranges, ChunkPolicy};
 use parcsr_scan::{ScanAlgorithm, Scanner};
 
-use crate::chunked::{run_chunked, ChunkPolicy};
 use crate::degree::degrees_parallel;
 
 /// A Compressed Sparse Row graph: `offsets` (the paper's `iA`, as row start

@@ -13,15 +13,16 @@
 //!   prefix-sum offsets (any [`parcsr_scan::ScanAlgorithm`]) → parallel
 //!   column fill, with per-stage timings for the evaluation harness.
 //! * [`packed`] — Algorithm 4: the bit-packed CSR (`iA` and `jA` compressed
-//!   with the fixed-width codec of \[7\], chunk-parallel with merge), the
-//!   `GetRowFromCSR` row extraction of \[28\], and the gap-coded variant.
+//!   with the fixed-width codec of \[7\], chunk-parallel with merge) and the
+//!   `GetRowFromCSR` row extraction of \[28\].
 //! * [`query`] — Algorithms 6–9: batch neighborhood queries, batch
 //!   edge-existence queries, and single-edge existence with the neighbor
 //!   list itself split across processors (including the binary-search
 //!   refinement the paper suggests).
-//! * [`pool`] — explicit "number of processors" control: every parallel
-//!   routine here can be pinned to a `p`-thread pool, which is how the
-//!   Table II processor sweep is produced.
+//! * [`with_processors`] — explicit "number of processors" control
+//!   (re-exported from `parcsr_runtime`): every parallel routine here can be
+//!   pinned to a `p`-thread pool, which is how the Table II processor sweep
+//!   is produced.
 //!
 //! Beyond the paper's minimal pipeline:
 //!
@@ -47,7 +48,7 @@
 //! assert_eq!(csr.num_edges(), graph.num_edges());
 //!
 //! // Bit-packed compression (Algorithm 4).
-//! let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+//! let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
 //! assert!(packed.packed_bytes() < csr.heap_bytes());
 //!
 //! // Parallel querying (Algorithms 6, 7).
@@ -58,21 +59,20 @@
 //! ```
 
 pub mod build;
-pub mod chunked;
 pub mod degree;
 pub mod packed;
-pub mod pool;
 pub mod query;
 pub mod serial;
 pub mod stream;
 pub mod weighted;
 
 pub use build::{BuildTimings, Csr, CsrBuilder};
-pub use chunked::{run_chunked, run_chunked_plan, Chunk, ChunkPolicy};
 pub use degree::{degrees_atomic, degrees_parallel};
 pub use packed::{BitPackedCsr, PackedCsrMode, PackedRowIter};
-pub use pool::with_processors;
 pub use query::NeighborSource;
 pub use serial::ReadError;
 pub use stream::{StreamError, StreamingCsrPacker};
 pub use weighted::WeightedCsr;
+
+pub use parcsr_runtime::pool::with_processors;
+pub use parcsr_runtime::{run_chunked, run_chunked_plan, Chunk, ChunkPolicy};

@@ -4,10 +4,8 @@
 //! \[7\], chunk-parallel with a bit-array merge (`parcsr_bitpack::parallel`):
 //!
 //! * the offset array `iA` packs at `⌈log2(m+1)⌉` bits per entry;
-//! * the column array `jA` packs at `⌈log2(n)⌉` bits per entry in
-//!   [`PackedCsrMode::Raw`], or — in [`PackedCsrMode::Gap`] — each row is
-//!   first gap-coded (head absolute, tail as consecutive differences), which
-//!   lowers the uniform width on clustered neighbor lists.
+//! * the column array `jA` packs absolute neighbor ids at
+//!   `⌈log2(max id + 1)⌉` bits per entry, straight from the CSR targets.
 //!
 //! Because every `jA` element occupies the same number of bits, row `u`
 //! starts at bit `offsets[u] · width` — the property `GetRowFromCSR` \[28\]
@@ -16,20 +14,17 @@
 
 use rayon::prelude::*;
 
-use parcsr_bitpack::{bits_needed, pack_parallel_with_width, GapDecode, PackedArray, RowCursor};
+use parcsr_bitpack::{bits_needed, pack_parallel_with_width, PackedArray, RowCursor};
 use parcsr_graph::NodeId;
 
 use crate::build::Csr;
-use crate::chunked::{run_chunked, Chunk, ChunkPolicy};
 
-/// How the column array is transformed before packing.
+/// How the column array is laid out. Raw (absolute ids at one uniform
+/// width) is the paper's Algorithm 4 and the only layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PackedCsrMode {
     /// Pack absolute neighbor ids.
     Raw,
-    /// Gap-code each row (head absolute, tail as differences), then pack.
-    /// Same O(1) row addressing; decoding a row is a running sum.
-    Gap,
 }
 
 impl PackedCsrMode {
@@ -37,7 +32,6 @@ impl PackedCsrMode {
     pub fn name(self) -> &'static str {
         match self {
             PackedCsrMode::Raw => "raw",
-            PackedCsrMode::Gap => "gap",
         }
     }
 }
@@ -47,35 +41,18 @@ impl PackedCsrMode {
 pub struct BitPackedCsr {
     num_nodes: usize,
     num_edges: usize,
-    mode: PackedCsrMode,
     /// Packed `iA`: `num_nodes + 1` row offsets.
     offsets: PackedArray,
-    /// Packed `jA`: `num_edges` entries (absolute or gap-coded per row).
+    /// Packed `jA`: `num_edges` absolute neighbor ids, each row sorted.
     columns: PackedArray,
 }
 
 impl BitPackedCsr {
     /// Packs a CSR using `processors` parallel packers per array
-    /// (Algorithm 4 runs the bit-pack once for `iA` and once for `jA`),
-    /// splitting the gap encode by edge count ([`ChunkPolicy::Edges`], the
-    /// workspace default — hub rows spread across workers instead of
-    /// dragging one chunk; `--chunk-policy rows` on the binaries restores
-    /// the historical row-count split).
-    pub fn from_csr(csr: &Csr, mode: PackedCsrMode, processors: usize) -> Self {
-        Self::from_csr_with_chunking(csr, mode, processors, ChunkPolicy::default())
-    }
-
-    /// [`from_csr`](Self::from_csr) with an explicit chunk-splitting policy
-    /// for the gap encode. The policy only changes *which rows each worker
-    /// encodes* — the output is byte-identical across policies and processor
-    /// counts; [`ChunkPolicy::Edges`] balances hub-skewed graphs (see
-    /// `examples/imbalance.rs` for the measured utilization gap).
-    pub fn from_csr_with_chunking(
-        csr: &Csr,
-        mode: PackedCsrMode,
-        processors: usize,
-        policy: ChunkPolicy,
-    ) -> Self {
+    /// (Algorithm 4 runs the bit-pack once for `iA` and once for `jA`).
+    /// The output is byte-identical at every processor count. `Raw` is the
+    /// only [`PackedCsrMode`], so the mode argument selects nothing.
+    pub fn from_csr(csr: &Csr, _mode: PackedCsrMode, processors: usize) -> Self {
         parcsr_obs::span!("pack", edges = csr.num_edges() as u64);
         let offset_width = bits_needed(csr.num_edges() as u64);
         let offsets = parcsr_obs::with_span_args(
@@ -84,61 +61,19 @@ impl BitPackedCsr {
             || pack_parallel_with_width(csr.offsets(), processors, offset_width),
         );
 
-        let column_values: Vec<u64> = parcsr_obs::with_span_args(
-            "pack.encode",
-            parcsr_obs::SpanArgs::new().edges(csr.num_edges() as u64),
-            || match mode {
-                PackedCsrMode::Raw => csr.targets().par_iter().map(|&v| u64::from(v)).collect(),
-                PackedCsrMode::Gap => {
-                    // Gap-code rows in parallel chunks; the policy decides
-                    // whether chunk boundaries balance row counts or edge
-                    // counts. Rows are whole within a chunk, so the output
-                    // slice splits cleanly at chunk edge boundaries.
-                    let mut out = vec![0u64; csr.num_edges()];
-                    let plan = policy.plan(csr.offsets(), processors);
-                    let edge_ranges: Vec<std::ops::Range<usize>> = plan
-                        .iter()
-                        .map(|c| {
-                            csr.offsets()[c.range.start] as usize
-                                ..csr.offsets()[c.range.end] as usize
-                        })
-                        .collect();
-                    let slices = parcsr_scan::split_mut_by_ranges(&mut out, &edge_ranges);
-                    let work: Vec<(Chunk, &mut [u64])> = plan.into_iter().zip(slices).collect();
-                    run_chunked("pack.encode.chunk", work, |chunk, slice| {
-                        let base = csr.offsets()[chunk.range.start] as usize;
-                        for u in chunk.range.clone() {
-                            let s = csr.offsets()[u] as usize - base;
-                            let neigh = csr.neighbors(u as NodeId);
-                            if let Some((&head, tail)) = neigh.split_first() {
-                                slice[s] = u64::from(head);
-                                let mut prev = head;
-                                for (slot, &v) in slice[s + 1..s + neigh.len()].iter_mut().zip(tail)
-                                {
-                                    *slot = u64::from(v - prev);
-                                    prev = v;
-                                }
-                            }
-                        }
-                    });
-                    out
-                }
-            },
-        );
-
         let columns = parcsr_obs::with_span_args(
             "pack.columns",
             parcsr_obs::SpanArgs::new().edges(csr.num_edges() as u64),
             || {
-                let col_width = bits_needed(column_values.iter().copied().max().unwrap_or(0));
-                pack_parallel_with_width(&column_values, processors, col_width)
+                let targets = csr.targets();
+                let max = targets.par_iter().copied().max().unwrap_or(0);
+                pack_parallel_with_width(targets, processors, bits_needed(u64::from(max)))
             },
         );
 
         BitPackedCsr {
             num_nodes: csr.num_nodes(),
             num_edges: csr.num_edges(),
-            mode,
             offsets,
             columns,
         }
@@ -156,7 +91,7 @@ impl BitPackedCsr {
 
     /// Packing mode of the column array.
     pub fn mode(&self) -> PackedCsrMode {
-        self.mode
+        PackedCsrMode::Raw
     }
 
     /// Out-degree of `u`, read from the packed offset array.
@@ -174,8 +109,8 @@ impl BitPackedCsr {
     /// `GetRowFromCSR` \[28\] as a stream: an iterator over `u`'s sorted
     /// neighbor row, decoded lazily out of the packed bit array. O(1) to
     /// create (two offset probes position a cursor at bit
-    /// `offsets[u] · width`); each `next()` is one fixed-width bit read, plus
-    /// the running gap sum in [`PackedCsrMode::Gap`]. No heap allocation.
+    /// `offsets[u] · width`); each `next()` is one fixed-width bit read. No
+    /// heap allocation.
     ///
     /// # Panics
     ///
@@ -186,11 +121,7 @@ impl BitPackedCsr {
         assert!(i < self.num_nodes, "node {u} out of range");
         let start = self.offsets.get(i) as usize;
         let deg = self.offsets.get(i + 1) as usize - start;
-        let cursor = self.columns.range_cursor(start, deg);
-        match self.mode {
-            PackedCsrMode::Raw => PackedRowIter::Raw(cursor),
-            PackedCsrMode::Gap => PackedRowIter::Gap(GapDecode::new(cursor)),
-        }
+        PackedRowIter(self.columns.range_cursor(start, deg))
     }
 
     /// `GetRowFromCSR` \[28\]: decodes `u`'s neighbor row out of the packed
@@ -217,14 +148,9 @@ impl BitPackedCsr {
     }
 
     /// Edge existence straight off the packed bit array — the primitive the
-    /// query algorithms batch and split. No allocation in either mode:
-    ///
-    /// * [`PackedCsrMode::Raw`] rows store sorted absolute ids at a fixed
-    ///   width, so the row supports O(1) random access and the probe is a
-    ///   binary search of O(log deg) direct bit reads.
-    /// * [`PackedCsrMode::Gap`] rows must be prefix-summed from the head, so
-    ///   the probe streams the row with an early exit once the running sum
-    ///   reaches `v` (rows are sorted, so the sum is non-decreasing).
+    /// query algorithms batch and split. Rows store sorted absolute ids at a
+    /// fixed width, so the row supports O(1) random access and the probe is
+    /// a binary search of O(log deg) direct bit reads. No allocation.
     // LINT: hot — per-lookup probe kernel; must stay allocation-free.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         let _t = parcsr_obs::time_histogram(&parcsr_obs::metrics::wellknown::HAS_EDGE_NS);
@@ -233,28 +159,16 @@ impl BitPackedCsr {
         let start = self.offsets.get(i) as usize;
         let deg = self.offsets.get(i + 1) as usize - start;
         let target = u64::from(v);
-        match self.mode {
-            PackedCsrMode::Raw => {
-                let (mut lo, mut hi) = (start, start + deg);
-                while lo < hi {
-                    let mid = lo + (hi - lo) / 2;
-                    if self.columns.get(mid) < target {
-                        lo = mid + 1;
-                    } else {
-                        hi = mid;
-                    }
-                }
-                lo < start + deg && self.columns.get(lo) == target
-            }
-            PackedCsrMode::Gap => {
-                for w in GapDecode::new(self.columns.range_cursor(start, deg)) {
-                    if w >= target {
-                        return w == target;
-                    }
-                }
-                false
+        let (mut lo, mut hi) = (start, start + deg);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if self.columns.get(mid) < target {
+                lo = mid + 1;
+            } else {
+                hi = mid;
             }
         }
+        lo < start + deg && self.columns.get(lo) == target
     }
 
     /// Total compact size in bytes (both packed arrays).
@@ -287,7 +201,6 @@ impl BitPackedCsr {
     pub(crate) fn from_parts(
         num_nodes: usize,
         num_edges: usize,
-        mode: PackedCsrMode,
         offsets: PackedArray,
         columns: PackedArray,
     ) -> Self {
@@ -296,7 +209,6 @@ impl BitPackedCsr {
         BitPackedCsr {
             num_nodes,
             num_edges,
-            mode,
             offsets,
             columns,
         }
@@ -316,33 +228,21 @@ impl BitPackedCsr {
 }
 
 /// Streaming iterator over one packed neighbor row (the return type of
-/// [`BitPackedCsr::row_iter`]). Yields sorted absolute neighbor ids in both
-/// packing modes; in [`PackedCsrMode::Gap`] the running sum is maintained
-/// internally.
+/// [`BitPackedCsr::row_iter`]): yields the row's sorted neighbor ids as
+/// [`NodeId`]s.
 #[derive(Debug, Clone)]
-pub enum PackedRowIter<'a> {
-    /// Raw mode: the cursor yields absolute ids directly.
-    Raw(RowCursor<'a>),
-    /// Gap mode: the cursor yields gaps, decoded by the running-sum adapter.
-    Gap(GapDecode<RowCursor<'a>>),
-}
+pub struct PackedRowIter<'a>(RowCursor<'a>);
 
 impl Iterator for PackedRowIter<'_> {
     type Item = NodeId;
 
     #[inline]
     fn next(&mut self) -> Option<NodeId> {
-        match self {
-            PackedRowIter::Raw(c) => c.next().map(|v| v as NodeId),
-            PackedRowIter::Gap(g) => g.next().map(|v| v as NodeId),
-        }
+        self.0.next().map(|v| v as NodeId)
     }
 
     fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            PackedRowIter::Raw(c) => c.size_hint(),
-            PackedRowIter::Gap(g) => g.size_hint(),
-        }
+        self.0.size_hint()
     }
 }
 
@@ -361,18 +261,16 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_raw_and_gap() {
+    fn roundtrip() {
         let csr = sample_csr();
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let packed = BitPackedCsr::from_csr(&csr, mode, 4);
-            assert_eq!(packed.unpack(), csr, "{}", mode.name());
-        }
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
+        assert_eq!(packed.unpack(), csr);
     }
 
     #[test]
     fn rows_match_unpacked() {
         let csr = sample_csr();
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
         for u in 0..csr.num_nodes() as NodeId {
             assert_eq!(packed.row(u), csr.neighbors(u), "row {u}");
             assert_eq!(packed.degree(u), csr.degree(u));
@@ -382,17 +280,10 @@ mod tests {
     #[test]
     fn has_edge_agrees_with_csr() {
         let csr = sample_csr();
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let packed = BitPackedCsr::from_csr(&csr, mode, 3);
-            for u in (0..512u32).step_by(7) {
-                for v in (0..512u32).step_by(11) {
-                    assert_eq!(
-                        packed.has_edge(u, v),
-                        csr.has_edge(u, v),
-                        "({u}, {v}) {}",
-                        mode.name()
-                    );
-                }
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 3);
+        for u in (0..512u32).step_by(7) {
+            for v in (0..512u32).step_by(11) {
+                assert_eq!(packed.has_edge(u, v), csr.has_edge(u, v), "({u}, {v})");
             }
         }
     }
@@ -412,42 +303,12 @@ mod tests {
     }
 
     #[test]
-    fn gap_mode_never_wider_than_raw() {
-        let csr = sample_csr();
-        let raw = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
-        let gap = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
-        assert!(gap.column_width() <= raw.column_width());
-    }
-
-    #[test]
     fn processor_count_does_not_change_output() {
         let csr = sample_csr();
-        let base = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 1);
+        let base = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 1);
         for p in [2, 3, 8, 64] {
-            assert_eq!(BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, p), base);
+            assert_eq!(BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, p), base);
         }
-    }
-
-    #[test]
-    fn chunking_policy_does_not_change_output() {
-        let csr = sample_csr();
-        let base = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 1);
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let rows = BitPackedCsr::from_csr_with_chunking(&csr, mode, 1, ChunkPolicy::Rows);
-            for p in [1, 2, 3, 8, 64] {
-                for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
-                    assert_eq!(
-                        BitPackedCsr::from_csr_with_chunking(&csr, mode, p, policy),
-                        rows,
-                        "{mode:?} p={p} {policy:?}"
-                    );
-                }
-            }
-        }
-        assert_eq!(
-            BitPackedCsr::from_csr_with_chunking(&csr, PackedCsrMode::Gap, 4, ChunkPolicy::Edges),
-            base
-        );
     }
 
     #[test]
@@ -462,22 +323,20 @@ mod tests {
     fn graph_with_empty_rows() {
         let g = EdgeList::new(8, vec![(1, 7), (1, 2), (6, 0)]);
         let csr = CsrBuilder::new().build(&g);
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let packed = BitPackedCsr::from_csr(&csr, mode, 4);
-            assert!(packed.row(0).is_empty());
-            assert_eq!(packed.row(1), [2, 7]);
-            assert!(packed.row(5).is_empty());
-            assert_eq!(packed.row(6), [0]);
-            assert_eq!(packed.degree(7), 0);
-        }
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
+        assert!(packed.row(0).is_empty());
+        assert_eq!(packed.row(1), [2, 7]);
+        assert!(packed.row(5).is_empty());
+        assert_eq!(packed.row(6), [0]);
+        assert_eq!(packed.degree(7), 0);
     }
 
     #[test]
-    fn duplicate_neighbors_roundtrip_in_gap_mode() {
-        // Multigraph row [3, 3] gives a zero gap.
+    fn duplicate_neighbors_roundtrip() {
+        // Multigraph row with a repeated id.
         let g = EdgeList::new(5, vec![(0, 3), (0, 3), (0, 4)]);
         let csr = CsrBuilder::new().build(&g);
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 2);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 2);
         assert_eq!(packed.row(0), [3, 3, 4]);
         assert!(packed.has_edge(0, 3));
     }
@@ -486,7 +345,7 @@ mod tests {
     fn single_node_self_loop() {
         let g = EdgeList::new(1, vec![(0, 0)]);
         let csr = CsrBuilder::new().build(&g);
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 2);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 2);
         assert_eq!(packed.row(0), [0]);
         assert!(packed.has_edge(0, 0));
     }

@@ -34,10 +34,10 @@ use rayon::prelude::*;
 use parcsr_obs::serve::QueryKind;
 
 use parcsr_graph::NodeId;
+use parcsr_runtime::{run_chunked_plan, ChunkPolicy};
 use parcsr_scan::chunk_ranges;
 
 use crate::build::Csr;
-use crate::chunked::{run_chunked_plan, ChunkPolicy};
 use crate::packed::{BitPackedCsr, PackedCsrMode};
 
 /// Anything that can produce a node's sorted neighbor row. The query
@@ -54,8 +54,7 @@ pub trait NeighborSource: Sync {
     fn row_into(&self, u: NodeId, out: &mut Vec<NodeId>);
 
     /// Edge existence using the source's native access path (binary search
-    /// on a plain CSR; packed-probe binary search or gap-stream scan on a
-    /// packed one).
+    /// on a plain CSR row slice or over the packed bit array).
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool;
 
     /// Streams `u`'s sorted neighbor row in order, calling `visit` on each
@@ -258,9 +257,8 @@ pub fn edges_exist_batch_with_chunking<S: NeighborSource>(
 /// The binary-search refinement of Algorithm 7 ("this could also be extended
 /// to a binary search to speed up the process"): each query goes through the
 /// source's native [`NeighborSource::has_edge`] path — binary search on a
-/// plain CSR row slice, O(log deg) direct bit probes on a raw-mode packed
-/// CSR, streaming early-exit scan on a gap-mode one (where random access
-/// inside a row does not exist). No per-query allocation in any of those.
+/// plain CSR row slice, O(log deg) direct bit probes on a packed CSR. No
+/// per-query allocation in either.
 pub fn edges_exist_batch_binary<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
@@ -269,10 +267,9 @@ pub fn edges_exist_batch_binary<S: NeighborSource>(
     edges_exist_batch_binary_with_chunking(source, queries, processors, ChunkPolicy::default())
 }
 
-/// [`edges_exist_batch_binary`] with an explicit chunking policy. The
-/// binary-search probe costs `O(log deg)` rather than `O(deg)`, but on a
-/// gap-coded row the native path is still a stream scan, so the same
-/// `degree + 1` weighting applies.
+/// [`edges_exist_batch_binary`] with an explicit chunking policy. Queries
+/// are weighted by `degree + 1`, as in the other batch drivers; the result
+/// is identical under either policy.
 pub fn edges_exist_batch_binary_with_chunking<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
@@ -375,7 +372,7 @@ pub fn query_compressed(
     single: Option<(NodeId, NodeId)>,
     processors: usize,
 ) -> (Vec<Vec<NodeId>>, Vec<bool>, Option<bool>) {
-    let packed = BitPackedCsr::from_csr(csr, PackedCsrMode::Gap, processors);
+    let packed = BitPackedCsr::from_csr(csr, PackedCsrMode::Raw, processors);
     (
         neighbors_batch(&packed, neighbor_queries, processors),
         edges_exist_batch(&packed, edge_queries, processors),
@@ -393,7 +390,7 @@ mod tests {
     fn fixtures() -> (Csr, BitPackedCsr) {
         let g = rmat(RmatParams::new(256, 4_000, 77));
         let csr = CsrBuilder::new().build(&g);
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
         (csr, packed)
     }
 
@@ -486,7 +483,7 @@ mod tests {
         let edges: Vec<(NodeId, NodeId)> = (0..1000).map(|v| (0, v)).collect();
         let g = EdgeList::new(1001, edges);
         let csr = CsrBuilder::new().build(&g);
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
         for v in [0u32, 1, 499, 500, 998, 999] {
             assert!(edge_exists_split(&packed, 0, v, 8), "v={v}");
         }

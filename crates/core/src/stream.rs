@@ -6,19 +6,19 @@
 //! mode for the bit-packed CSR: a [`StreamingCsrPacker`] consumes a
 //! source-sorted edge stream and appends each column entry straight into the
 //! packed bit array, so the only non-output state is the `O(n)` degree
-//! array — the 8-bytes-per-edge staging buffer of the batch pipeline never
-//! exists.
+//! array — the batch pipeline's unpacked CSR (4 bytes per edge of targets)
+//! never exists.
 //!
-//! Only [`PackedCsrMode::Raw`] is producible this way: gap coding at a
-//! single uniform width needs the global maximum gap, which is unknowable
-//! until the stream ends (the batch path in [`crate::packed`] covers that
-//! case).
+//! The output is the batch path's
+//! [`PackedCsrMode::Raw`](crate::PackedCsrMode::Raw) layout, except
+//! that the column width comes from the node space (`⌈log2(n)⌉`) rather
+//! than the largest target, which is unknowable until the stream ends.
 
 use parcsr_bitpack::{bits_needed, BitWriter, PackedArray};
 use parcsr_graph::NodeId;
 use parcsr_scan::exclusive_scan_seq;
 
-use crate::packed::{BitPackedCsr, PackedCsrMode};
+use crate::packed::BitPackedCsr;
 
 /// Errors from feeding a [`StreamingCsrPacker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,13 +117,7 @@ impl StreamingCsrPacker {
         offsets.push(num_edges as u64);
         let offsets = PackedArray::pack_with_width(&offsets, bits_needed(num_edges as u64));
         let columns = PackedArray::from_raw_parts(self.columns.finish(), self.col_width, num_edges);
-        BitPackedCsr::from_parts(
-            self.num_nodes,
-            num_edges,
-            PackedCsrMode::Raw,
-            offsets,
-            columns,
-        )
+        BitPackedCsr::from_parts(self.num_nodes, num_edges, offsets, columns)
     }
 }
 
@@ -131,6 +125,7 @@ impl StreamingCsrPacker {
 mod tests {
     use super::*;
     use crate::build::CsrBuilder;
+    use crate::packed::PackedCsrMode;
     use parcsr_graph::gen::{rmat, RmatParams};
     use parcsr_graph::EdgeList;
 

@@ -67,15 +67,14 @@ proptest! {
     #[test]
     fn packed_roundtrip(g in arb_graph(200, 500), p in 1usize..9) {
         let csr = CsrBuilder::new().build(&g);
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let packed = BitPackedCsr::from_csr(&csr, mode, p);
-            let mut row = Vec::new();
-            for u in 0..csr.num_nodes() as u32 {
-                packed.row_into(u, &mut row);
-                prop_assert_eq!(&row[..], csr.neighbors(u), "mode {} node {}", mode.name(), u);
-            }
-            prop_assert_eq!(packed.packed_bytes() > 0, csr.num_edges() > 0 || csr.num_nodes() > 0);
+        let mode = PackedCsrMode::Raw;
+        let packed = BitPackedCsr::from_csr(&csr, mode, p);
+        let mut row = Vec::new();
+        for u in 0..csr.num_nodes() as u32 {
+            packed.row_into(u, &mut row);
+            prop_assert_eq!(&row[..], csr.neighbors(u), "mode {} node {}", mode.name(), u);
         }
+        prop_assert_eq!(packed.packed_bytes() > 0, csr.num_edges() > 0 || csr.num_nodes() > 0);
     }
 
     #[test]
@@ -89,7 +88,7 @@ proptest! {
         let queries: Vec<(u32, u32)> = queries.into_iter().map(|(u, v)| (u % n, v % n)).collect();
         let want: Vec<bool> = queries.iter().map(|&(u, v)| csr.has_edge(u, v)).collect();
 
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, p);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, p);
         prop_assert_eq!(edges_exist_batch(&csr, &queries, p), want.clone());
         prop_assert_eq!(edges_exist_batch(&packed, &queries, p), want.clone());
         prop_assert_eq!(edges_exist_batch_binary(&packed, &queries, p), want);
@@ -139,20 +138,19 @@ proptest! {
     #[test]
     fn row_iter_equals_row_into_equals_neighbors(g in arb_graph(200, 500)) {
         // The streaming cursor, the materializing decode, and the plain CSR
-        // must agree row by row, in both packing modes, no matter how many
-        // processors packed the structure.
+        // must agree row by row, no matter how many processors packed the
+        // structure.
         let csr = CsrBuilder::new().build(&g);
         let mut row = Vec::new();
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            for p in [1usize, 2, 7, 64] {
-                let packed = BitPackedCsr::from_csr(&csr, mode, p);
-                for u in 0..csr.num_nodes() as u32 {
-                    let streamed: Vec<u32> = packed.row_iter(u).collect();
-                    packed.row_into(u, &mut row);
-                    prop_assert_eq!(&streamed[..], &row[..], "iter vs into: mode {} p {} node {}", mode.name(), p, u);
-                    prop_assert_eq!(&streamed[..], csr.neighbors(u), "iter vs csr: mode {} p {} node {}", mode.name(), p, u);
-                    prop_assert_eq!(packed.row_iter(u).len(), csr.degree(u));
-                }
+        let mode = PackedCsrMode::Raw;
+        for p in [1usize, 2, 7, 64] {
+            let packed = BitPackedCsr::from_csr(&csr, mode, p);
+            for u in 0..csr.num_nodes() as u32 {
+                let streamed: Vec<u32> = packed.row_iter(u).collect();
+                packed.row_into(u, &mut row);
+                prop_assert_eq!(&streamed[..], &row[..], "iter vs into: mode {} p {} node {}", mode.name(), p, u);
+                prop_assert_eq!(&streamed[..], csr.neighbors(u), "iter vs csr: mode {} p {} node {}", mode.name(), p, u);
+                prop_assert_eq!(packed.row_iter(u).len(), csr.degree(u));
             }
         }
     }
@@ -161,13 +159,12 @@ proptest! {
     fn streaming_visitor_equals_row_into(g in arb_graph(150, 400), p in 1usize..9) {
         use parcsr::NeighborSource;
         let csr = CsrBuilder::new().build(&g);
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let packed = BitPackedCsr::from_csr(&csr, mode, p);
-            for u in 0..csr.num_nodes() as u32 {
-                let mut visited = Vec::new();
-                packed.for_each_neighbor(u, &mut |v| visited.push(v));
-                prop_assert_eq!(&visited[..], csr.neighbors(u), "mode {} node {}", mode.name(), u);
-            }
+        let mode = PackedCsrMode::Raw;
+        let packed = BitPackedCsr::from_csr(&csr, mode, p);
+        for u in 0..csr.num_nodes() as u32 {
+            let mut visited = Vec::new();
+            packed.for_each_neighbor(u, &mut |v| visited.push(v));
+            prop_assert_eq!(&visited[..], csr.neighbors(u), "mode {} node {}", mode.name(), u);
         }
     }
 
@@ -175,45 +172,43 @@ proptest! {
     fn packed_has_edge_equals_csr(g in arb_graph(100, 300), p in 1usize..5) {
         let csr = CsrBuilder::new().build(&g);
         let n = csr.num_nodes() as u32;
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let packed = BitPackedCsr::from_csr(&csr, mode, p);
-            for u in (0..n).step_by(3) {
-                for v in (0..n).step_by(5) {
-                    prop_assert_eq!(
-                        packed.has_edge(u, v),
-                        csr.has_edge(u, v),
-                        "mode {} ({}, {})", mode.name(), u, v
-                    );
-                }
+        let mode = PackedCsrMode::Raw;
+        let packed = BitPackedCsr::from_csr(&csr, mode, p);
+        for u in (0..n).step_by(3) {
+            for v in (0..n).step_by(5) {
+                prop_assert_eq!(
+                    packed.has_edge(u, v),
+                    csr.has_edge(u, v),
+                    "mode {} ({}, {})", mode.name(), u, v
+                );
             }
         }
     }
 }
 
 /// Deterministic edge-shape cases the random generator is unlikely to pin
-/// down exactly: empty rows, a hub row, and zero gaps from duplicate
+/// down exactly: empty rows, a hub row, and repeated ids from duplicate
 /// neighbors (multigraph rows).
 #[test]
 fn row_iter_edge_shapes() {
     // Hub node 0 with every other node as a neighbor, node 1 with duplicate
-    // (zero-gap) neighbors, nodes 2.. empty.
+    // neighbors, nodes 2.. empty.
     let mut edges: Vec<(u32, u32)> = (0..500u32).map(|v| (0, v)).collect();
     edges.extend([(1, 7), (1, 7), (1, 7), (1, 9)]);
     let g = EdgeList::new(500, edges);
     let csr = CsrBuilder::new().build(&g);
-    for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-        for p in [1usize, 2, 7, 64] {
-            let packed = BitPackedCsr::from_csr(&csr, mode, p);
-            let hub: Vec<u32> = packed.row_iter(0).collect();
-            assert_eq!(hub, csr.neighbors(0), "hub: mode {} p {p}", mode.name());
-            let dup: Vec<u32> = packed.row_iter(1).collect();
-            assert_eq!(dup, [7, 7, 7, 9], "dup: mode {} p {p}", mode.name());
-            assert!(packed.has_edge(1, 7) && packed.has_edge(1, 9));
-            assert!(!packed.has_edge(1, 8));
-            for empty in [2u32, 250, 499] {
-                assert_eq!(packed.row_iter(empty).count(), 0);
-                assert!(!packed.has_edge(empty, 0));
-            }
+    let mode = PackedCsrMode::Raw;
+    for p in [1usize, 2, 7, 64] {
+        let packed = BitPackedCsr::from_csr(&csr, mode, p);
+        let hub: Vec<u32> = packed.row_iter(0).collect();
+        assert_eq!(hub, csr.neighbors(0), "hub: mode {} p {p}", mode.name());
+        let dup: Vec<u32> = packed.row_iter(1).collect();
+        assert_eq!(dup, [7, 7, 7, 9], "dup: mode {} p {p}", mode.name());
+        assert!(packed.has_edge(1, 7) && packed.has_edge(1, 9));
+        assert!(!packed.has_edge(1, 8));
+        for empty in [2u32, 250, 499] {
+            assert_eq!(packed.row_iter(empty).count(), 0);
+            assert!(!packed.has_edge(empty, 0));
         }
     }
 }

@@ -138,7 +138,7 @@ impl WorkerBusy {
 /// One observation of a per-chunk span inside a stage instance.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkObs {
-    /// Name of the chunk span (`"degree.chunk"`, `"pack.encode.chunk"`, …).
+    /// Name of the chunk span (`"degree.chunk"`, `"scatter.chunk"`, …).
     pub name: String,
     /// Worker the chunk ran on.
     pub tid: u32,
@@ -715,8 +715,8 @@ mod tests {
     fn nested_spans_do_not_double_count() {
         let spans = vec![
             span("pack", 0, 0, 0, 100),
-            span("pack.encode", 0, 1, 0, 100), // coordinator sub-span: counts
-            span("inner", 0, 2, 10, 50),       // nested deeper: ignored
+            span("pack.columns", 0, 1, 0, 100), // coordinator sub-span: counts
+            span("inner", 0, 2, 10, 50),        // nested deeper: ignored
             span("w", 1, 0, 0, 100),
             span("w.inner", 1, 1, 5, 20), // nested on the worker: ignored
         ];

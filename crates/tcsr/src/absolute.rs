@@ -28,7 +28,7 @@ impl AbsoluteFrames {
                 let active = events.snapshot_at(t);
                 let graph = EdgeList::new(events.num_nodes(), active);
                 let csr = CsrBuilder::new().processors(processors).build(&graph);
-                BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, processors)
+                BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, processors)
             })
             .collect();
         AbsoluteFrames {

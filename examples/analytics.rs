@@ -22,7 +22,7 @@ fn main() {
     println!("analytics over a {n}-node / {m}-edge synthetic social network\n");
     let graph = rmat(RmatParams::new(n, m, 42)).symmetrized();
     let csr = CsrBuilder::new().build(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, rayon::current_num_threads());
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, rayon::current_num_threads());
     println!(
         "structures: csr {:.2} MB, packed {:.2} MB\n",
         csr.heap_bytes() as f64 / 1e6,

@@ -50,7 +50,7 @@ fn main() {
     let p = rayon::current_num_threads();
     let t = Instant::now();
     let (csr, timings) = CsrBuilder::new().build_timed(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, p);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, p);
     let total_ms = t.elapsed().as_secs_f64() * 1e3;
 
     let text_bytes = std::fs::metadata(&path)

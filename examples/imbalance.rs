@@ -1,7 +1,8 @@
 //! Load-imbalance study on a skewed hub graph: measure per-stage worker
-//! utilization with `parcsr_obs::analyze`, then A/B the gap-encode chunk
-//! policy — split rows by *row count* (the historical default) vs. by
-//! *edge count* — and report the straggler gap the hubs cause.
+//! utilization with `parcsr_obs::analyze`, then A/B the column-fill
+//! (`scatter`) chunk policy — split rows by *row count* (the historical
+//! default) vs. by *edge count* — and report the straggler gap the hubs
+//! cause.
 //!
 //! The graph is adversarial on purpose: a block of 64 hub rows carries
 //! about half of all edges, so an equal-rows split hands one worker the
@@ -80,7 +81,7 @@ fn measure(sorted: &EdgeList, p: usize, policy: ChunkPolicy) -> (f64, TraceAnaly
                 .processors(p)
                 .chunk_policy(policy)
                 .build_from_sorted(sorted);
-            let packed = BitPackedCsr::from_csr_with_chunking(&csr, PackedCsrMode::Gap, p, policy);
+            let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, p);
             let elapsed = t.elapsed().as_secs_f64() * 1e3;
             std::hint::black_box(&packed);
             let spans = parcsr_obs::drain();
@@ -185,14 +186,14 @@ fn edge_payload_skew(analysis: &TraceAnalysis, stage: &str, chunk_name: &str) ->
     (mean > 0.0).then(|| max / mean)
 }
 
-/// Gap-encode chunk statistics (the spans the build-side policy controls).
-fn encode_chunk_stats(analysis: &TraceAnalysis) -> Option<ChunkStats> {
-    pooled_chunk_stats(analysis, "pack", "pack.encode.chunk")
+/// Column-fill chunk statistics (the spans the build-side policy controls).
+fn fill_chunk_stats(analysis: &TraceAnalysis) -> Option<ChunkStats> {
+    pooled_chunk_stats(analysis, "scatter", "scatter.chunk")
 }
 
-/// Gap-encode edge skew.
+/// Column-fill edge skew.
 fn edge_skew(analysis: &TraceAnalysis) -> Option<f64> {
-    edge_payload_skew(analysis, "pack", "pack.encode.chunk")
+    edge_payload_skew(analysis, "scatter", "scatter.chunk")
 }
 
 fn print_cell(p: usize, policy: ChunkPolicy, wall_ms: f64, analysis: &TraceAnalysis) {
@@ -213,9 +214,9 @@ fn print_cell(p: usize, policy: ChunkPolicy, wall_ms: f64, analysis: &TraceAnaly
         }
         println!();
     }
-    if let Some(c) = encode_chunk_stats(analysis) {
+    if let Some(c) = fill_chunk_stats(analysis) {
         print!(
-            "  encode chunks: cv {:.2}, mean {:.2} ms, straggler {:.2} ms (t{} c{})",
+            "  fill chunks: cv {:.2}, mean {:.2} ms, straggler {:.2} ms (t{} c{})",
             c.cv,
             c.mean_ns / 1e6,
             c.max_ns as f64 / 1e6,
@@ -281,18 +282,18 @@ fn main() {
         for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
             let (wall_ms, analysis) = measure(&sorted, p, policy);
             print_cell(p, policy, wall_ms, &analysis);
-            cells.push((encode_chunk_stats(&analysis), edge_skew(&analysis)));
+            cells.push((fill_chunk_stats(&analysis), edge_skew(&analysis)));
         }
         match &cells[..] {
             [(Some(c_rows), Some(s_rows)), (Some(c_edges), Some(s_edges))] => {
                 println!(
-                    "  -> encode straggler {:.2} ms (rows) vs {:.2} ms (edges), \
+                    "  -> fill straggler {:.2} ms (rows) vs {:.2} ms (edges), \
                      edge skew {s_rows:.2}x vs {s_edges:.2}x\n",
                     c_rows.max_ns as f64 / 1e6,
                     c_edges.max_ns as f64 / 1e6,
                 );
             }
-            _ => println!("  -> no pack spans recorded (obs feature off?)\n"),
+            _ => println!("  -> no scatter spans recorded (obs feature off?)\n"),
         }
     }
 
@@ -300,7 +301,7 @@ fn main() {
     // against the packed CSR. The batch split is the only variable; the
     // results are policy-invariant (see tests/chunk_policy_equivalence.rs).
     let (csr, _) = CsrBuilder::new().build_from_sorted(&sorted);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 8);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 8);
     let (neighbor_queries, edge_queries) = hub_heavy_queries();
     let _ = parcsr_obs::drain();
     println!(

@@ -33,8 +33,8 @@ fn main() {
         human(csr.heap_bytes())
     );
 
-    // 3. Bit-packed compression (Algorithm 4) with gap-coded rows.
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, rayon::current_num_threads());
+    // 3. Bit-packed compression (Algorithm 4).
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, rayon::current_num_threads());
     println!(
         "packed csr: {} ({}-bit columns, {}-bit offsets) — {:.1}% of the raw CSR",
         human(packed.packed_bytes()),

@@ -45,7 +45,7 @@ fn main() {
     let graph = rmat(RmatParams::new(n, m, 7));
 
     let csr = CsrBuilder::new().build(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, p);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, p);
     let adj = AdjacencyList::from_edge_list(&graph);
     let flat = EdgeListStore::from_edge_list(&graph);
 

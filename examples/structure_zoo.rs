@@ -29,7 +29,7 @@ fn main() {
     );
 
     let csr = CsrBuilder::new().build(&graph);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, rayon::current_num_threads());
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, rayon::current_num_threads());
     let adj = AdjacencyList::from_edge_list(&graph);
     let matrix = AdjacencyMatrix::from_edge_list(&graph);
     let flat = EdgeListStore::from_edge_list(&graph);

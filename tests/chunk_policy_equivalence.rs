@@ -88,20 +88,18 @@ proptest! {
         }
     }
 
-    /// Bit-packed compression is policy-invariant in both modes.
+    /// The build-then-pack pipeline is policy-invariant: a CSR built under
+    /// either policy at `p` packs at `p` to the sequential result.
     #[test]
     fn packed_build_is_policy_invariant(g in arb_skewed_graph()) {
-        let csr = CsrBuilder::new().build(&g);
-        for mode in [PackedCsrMode::Raw, PackedCsrMode::Gap] {
-            let want = BitPackedCsr::from_csr_with_chunking(&csr, mode, 1, ChunkPolicy::Rows);
-            for p in SWEEP {
-                for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
-                    prop_assert_eq!(
-                        &BitPackedCsr::from_csr_with_chunking(&csr, mode, p, policy),
-                        &want,
-                        "mode={} p={} policy={}", mode.name(), p, policy.name()
-                    );
-                }
+        let want = BitPackedCsr::from_csr(&build(&g, 1, ChunkPolicy::Rows), PackedCsrMode::Raw, 1);
+        for p in SWEEP {
+            for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
+                prop_assert_eq!(
+                    &BitPackedCsr::from_csr(&build(&g, p, policy), PackedCsrMode::Raw, p),
+                    &want,
+                    "p={} policy={}", p, policy.name()
+                );
             }
         }
     }
@@ -137,7 +135,7 @@ proptest! {
     #[test]
     fn query_batches_are_policy_invariant(g in arb_skewed_graph()) {
         let csr = CsrBuilder::new().build(&g);
-        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
         let n = csr.num_nodes() as u32;
         // Hub-first query order maximizes the divergence between the
         // count split and the weighted split.

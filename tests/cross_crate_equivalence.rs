@@ -1,6 +1,6 @@
 //! Cross-crate equivalence: every structure in the workspace that can
-//! answer a query must answer it identically — CSR, bit-packed CSR (both
-//! modes), adjacency list, bit matrix, and flat edge list.
+//! answer a query must answer it identically — CSR, bit-packed CSR,
+//! adjacency list, bit matrix, and flat edge list.
 
 use parcsr::{BitPackedCsr, CsrBuilder, NeighborSource, PackedCsrMode};
 use parcsr_baseline::{AdjacencyList, AdjacencyMatrix, EdgeListStore, GraphStore};
@@ -11,20 +11,18 @@ fn check_all_structures(graph: &EdgeList, label: &str) {
     // The matrix collapses duplicate edges, so compare on the deduped graph.
     let graph = graph.deduped();
     let csr = CsrBuilder::new().build(&graph);
-    let packed_raw = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
-    let packed_gap = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
     let adj = AdjacencyList::from_edge_list(&graph);
     let matrix = AdjacencyMatrix::from_edge_list(&graph);
     let flat = EdgeListStore::from_edge_list(&graph);
 
     let n = graph.num_nodes() as u32;
-    let mut rows = [Vec::new(), Vec::new(), Vec::new(), Vec::new(), Vec::new()];
+    let mut rows = [Vec::new(), Vec::new(), Vec::new(), Vec::new()];
     for u in (0..n).step_by((n as usize / 64).max(1)) {
         NeighborSource::row_into(&csr, u, &mut rows[0]);
-        packed_raw.row_into(u, &mut rows[1]);
-        packed_gap.row_into(u, &mut rows[2]);
-        GraphStore::row_into(&adj, u, &mut rows[3]);
-        GraphStore::row_into(&flat, u, &mut rows[4]);
+        packed.row_into(u, &mut rows[1]);
+        GraphStore::row_into(&adj, u, &mut rows[2]);
+        GraphStore::row_into(&flat, u, &mut rows[3]);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(r, &rows[0], "{label}: structure {i} row {u}");
         }
@@ -34,8 +32,7 @@ fn check_all_structures(graph: &EdgeList, label: &str) {
 
         for v in (0..n).step_by((n as usize / 48).max(1)) {
             let want = csr.has_edge(u, v);
-            assert_eq!(packed_raw.has_edge(u, v), want, "{label} ({u},{v}) raw");
-            assert_eq!(packed_gap.has_edge(u, v), want, "{label} ({u},{v}) gap");
+            assert_eq!(packed.has_edge(u, v), want, "{label} ({u},{v}) packed");
             assert_eq!(
                 GraphStore::has_edge(&adj, u, v),
                 want,
@@ -87,7 +84,7 @@ fn size_ordering_matches_the_papers_story() {
     // size columns.
     let g = rmat(RmatParams::new(1 << 13, 1 << 17, 29)).deduped();
     let csr = CsrBuilder::new().build(&g);
-    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Gap, 4);
+    let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
     let adj = AdjacencyList::from_edge_list(&g);
     let matrix = AdjacencyMatrix::from_edge_list(&g);
 
