@@ -29,11 +29,14 @@ pub fn bfs_sequential<S: NeighborSource>(graph: &S, source: NodeId) -> Vec<u32> 
         level += 1;
         let mut next = Vec::new();
         for &u in &frontier {
-            graph.for_each_neighbor(u, &mut |v| {
-                if dist[v as usize] == UNREACHABLE {
-                    dist[v as usize] = level;
-                    next.push(v);
+            graph.for_each_block_while(u, &mut |block| {
+                for &v in block {
+                    if dist[v as usize] == UNREACHABLE {
+                        dist[v as usize] = level;
+                        next.push(v);
+                    }
                 }
+                true
             });
         }
         frontier = next;
@@ -65,13 +68,16 @@ pub fn bfs_parallel<S: NeighborSource>(graph: &S, source: NodeId) -> Vec<u32> {
                 let mut claimed = Vec::new();
                 // Stream the row straight off the (possibly packed)
                 // structure — no per-node row buffer.
-                graph.for_each_neighbor(u, &mut |v| {
-                    if dist[v as usize]
-                        .compare_exchange(UNREACHABLE, level, Relaxed, Relaxed)
-                        .is_ok()
-                    {
-                        claimed.push(v);
+                graph.for_each_block_while(u, &mut |block| {
+                    for &v in block {
+                        if dist[v as usize]
+                            .compare_exchange(UNREACHABLE, level, Relaxed, Relaxed)
+                            .is_ok()
+                        {
+                            claimed.push(v);
+                        }
                     }
+                    true
                 });
                 claimed
             })

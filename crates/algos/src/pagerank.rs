@@ -92,7 +92,10 @@ pub fn pagerank<S: NeighborSource>(graph: &S, config: PageRankConfig) -> (Vec<f6
 fn transpose<S: NeighborSource>(graph: &S) -> Csr {
     let mut edges = Vec::new();
     for u in 0..graph.num_nodes() as NodeId {
-        graph.for_each_neighbor(u, &mut |v| edges.push((v, u)));
+        graph.for_each_block_while(u, &mut |block| {
+            edges.extend(block.iter().map(|&v| (v, u)));
+            true
+        });
     }
     CsrBuilder::new().build(&EdgeList::new(graph.num_nodes(), edges))
 }

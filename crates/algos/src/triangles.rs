@@ -23,8 +23,8 @@ pub fn count_triangles(graph: &EdgeList) -> u64 {
 /// (every edge pointing from the lower-rank endpoint; see [`orient`]) —
 /// runs directly on a bit-packed oriented CSR. Per worker, one reusable
 /// buffer holds the current node's row; the counterpart row of each
-/// neighbor is *streamed* through the source's visitor and co-scanned
-/// against that buffer, so the inner loop never touches the heap.
+/// neighbor is *streamed* block by block through the source's visitor and
+/// co-scanned against that buffer, so the inner loop never touches the heap.
 pub fn count_triangles_oriented<S: NeighborSource>(oriented: &S) -> u64 {
     (0..oriented.num_nodes() as NodeId)
         .into_par_iter()
@@ -44,16 +44,18 @@ pub fn count_triangles_oriented<S: NeighborSource>(oriented: &S) -> u64 {
 fn streamed_intersection_size<S: NeighborSource>(nu: &[NodeId], source: &S, v: NodeId) -> u64 {
     let mut i = 0usize;
     let mut count = 0u64;
-    source.for_each_neighbor_while(v, &mut |w| {
-        while i < nu.len() && nu[i] < w {
-            i += 1;
-        }
-        if i == nu.len() {
-            return false;
-        }
-        if nu[i] == w {
-            count += 1;
-            i += 1;
+    source.for_each_block_while(v, &mut |block| {
+        for &w in block {
+            while i < nu.len() && nu[i] < w {
+                i += 1;
+            }
+            if i == nu.len() {
+                return false;
+            }
+            if nu[i] == w {
+                count += 1;
+                i += 1;
+            }
         }
         true
     });

@@ -136,9 +136,10 @@ fn bench_edges_exist_batch(c: &mut Criterion) {
 
 /// The streaming-vs-materializing row-access dimension: answer the same
 /// batch of neighborhood queries on the packed CSR by (a) decoding each
-/// row into a reused `Vec` (`row_into`) and (b) streaming it through the
-/// allocation-free cursor (`row_iter`). Each variant folds the visited
-/// neighbor ids so the decode work cannot be optimized away.
+/// row into a reused `Vec` (`row_into`), (b) streaming it through the
+/// allocation-free iterator (`row_iter`) and (c) visiting it block by block
+/// through the slice visitor (`for_each_block_while`). Each variant folds
+/// the visited neighbor ids so the decode work cannot be optimized away.
 fn bench_row_access(c: &mut Criterion) {
     let graph = rmat(RmatParams::new(N, M, 42));
     let csr = CsrBuilder::new().build(&graph);
@@ -181,6 +182,24 @@ fn bench_row_access(c: &mut Criterion) {
                     for v in packed.row_iter(u) {
                         acc ^= u64::from(v);
                     }
+                }
+                black_box(acc)
+            });
+        },
+    );
+    group.bench_with_input(
+        BenchmarkId::new(mode.name(), "visit"),
+        &packed,
+        |b, packed| {
+            b.iter(|| {
+                let mut acc = 0u64;
+                for &u in &node_queries {
+                    packed.for_each_block_while(u, &mut |block| {
+                        for &v in block {
+                            acc ^= u64::from(v);
+                        }
+                        true
+                    });
                 }
                 black_box(acc)
             });

@@ -8,7 +8,7 @@
 //! decompressing anything else.
 
 use crate::bitbuf::BitBuf;
-use crate::cursor::RowCursor;
+use crate::cursor::{self, BlockCursor, RowCursor};
 
 /// Number of bits needed to represent `value` (at least 1, so that a packed
 /// array of zeros still occupies addressable slots).
@@ -147,6 +147,41 @@ impl PackedArray {
         out.clear();
         out.reserve(count);
         out.extend(self.range_cursor(start, count));
+    }
+
+    /// Block-decoding cursor over elements `[start, start + count)` of an
+    /// array of width ≤ 32 (see [`BlockCursor`]). O(1) to create.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the width exceeds 32 or the range reaches past the end of
+    /// the array.
+    pub fn block_cursor(&self, start: usize, count: usize) -> BlockCursor<'_> {
+        assert!(
+            start + count <= self.len,
+            "range {start}..{} out of bounds (len {})",
+            start + count,
+            self.len
+        );
+        BlockCursor::new(&self.buf, self.width, start, count)
+    }
+
+    /// Decodes elements `[start, start + out.len())` of an array of width
+    /// ≤ 32 straight into `out`, unpacking whole 64-value blocks with the
+    /// constant-shift kernel ([`unpack_block`](crate::unpack_block)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the width exceeds 32 or the range reaches past the end of
+    /// the array.
+    pub fn decode_range_u32(&self, start: usize, out: &mut [u32]) {
+        assert!(
+            start + out.len() <= self.len,
+            "range {start}..{} out of bounds (len {})",
+            start + out.len(),
+            self.len
+        );
+        cursor::decode_range(&self.buf, self.width, start, out);
     }
 
     /// Bytes of bit data when stored compactly.

@@ -15,7 +15,10 @@
 //!   width `⌈log2(max+1)⌉`, with O(1) random access — what the packed
 //!   `iA`/`jA` arrays are made of.
 //! * [`cursor`] — [`RowCursor`]: an allocation-free, seekable stream over a
-//!   range of a packed array (one CSR row).
+//!   range of a packed array; and the 64-value block kernel
+//!   ([`unpack_block`]) behind [`BlockCursor`] and
+//!   [`PackedArray::decode_range_u32`], which decode one CSR row a block at
+//!   a time.
 //! * [`varint`] — LEB128 variable-length integers, the byte-aligned codec
 //!   behind the EveLog/EdgeLog-style temporal logs of the related work.
 //! * [`parallel`] — Algorithm 4: split the input into one chunk per
@@ -44,7 +47,7 @@ pub mod parallel;
 pub mod varint;
 
 pub use bitbuf::{BitBuf, BitReader, BitWriter};
-pub use cursor::RowCursor;
+pub use cursor::{unpack_block, BlockCursor, BlockIter, RowCursor, BLOCK_LEN};
 pub use fixed::{bits_needed, PackedArray};
 pub use parallel::{pack_parallel, pack_parallel_with_width};
 pub use varint::{varint_decode, varint_decode_stream, varint_encode, varint_encode_stream};

@@ -10,11 +10,13 @@
 //! Because every `jA` element occupies the same number of bits, row `u`
 //! starts at bit `offsets[u] · width` — the property `GetRowFromCSR` \[28\]
 //! needs to extract a row straight out of the bit array without touching
-//! anything else. That extraction is [`BitPackedCsr::row_into`].
+//! anything else. That extraction is [`BitPackedCsr::row_into`]. Ids are
+//! `u32`, so the column width is at most 32 and whole 64-value blocks of a
+//! row decode through the constant-shift kernel of `parcsr_bitpack::cursor`.
 
 use rayon::prelude::*;
 
-use parcsr_bitpack::{bits_needed, pack_parallel_with_width, PackedArray, RowCursor};
+use parcsr_bitpack::{bits_needed, pack_parallel_with_width, BlockCursor, BlockIter, PackedArray};
 use parcsr_graph::NodeId;
 
 use crate::build::Csr;
@@ -108,36 +110,52 @@ impl BitPackedCsr {
 
     /// `GetRowFromCSR` \[28\] as a stream: an iterator over `u`'s sorted
     /// neighbor row, decoded lazily out of the packed bit array. O(1) to
-    /// create (two offset probes position a cursor at bit
-    /// `offsets[u] · width`); each `next()` is one fixed-width bit read. No
-    /// heap allocation.
+    /// create (two offset probes position a block cursor at element
+    /// `offsets[u]`); the iterator drains a 64-value stack buffer that the
+    /// block kernel refills. No heap allocation.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     // LINT: hot — per-lookup decode kernel; must stay allocation-free.
     pub fn row_iter(&self, u: NodeId) -> PackedRowIter<'_> {
+        self.row_blocks(u).values()
+    }
+
+    /// `u`'s row as a block cursor: chunks of ≤ 64 ids, each ending on a
+    /// 64-element boundary of the column array or at the end of the row.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range.
+    pub(crate) fn row_blocks(&self, u: NodeId) -> BlockCursor<'_> {
+        let (start, deg) = self.row_range(u);
+        self.columns.block_cursor(start, deg)
+    }
+
+    /// First column index and degree of `u`'s row.
+    #[inline]
+    fn row_range(&self, u: NodeId) -> (usize, usize) {
         let i = u as usize;
         assert!(i < self.num_nodes, "node {u} out of range");
         let start = self.offsets.get(i) as usize;
-        let deg = self.offsets.get(i + 1) as usize - start;
-        PackedRowIter(self.columns.range_cursor(start, deg))
+        (start, self.offsets.get(i + 1) as usize - start)
     }
 
     /// `GetRowFromCSR` \[28\]: decodes `u`'s neighbor row out of the packed
-    /// bit array into `out` (cleared first). O(deg(u)) bit reads starting at
-    /// bit `offsets[u] · width`. The materializing counterpart of
-    /// [`row_iter`](Self::row_iter).
+    /// bit array straight into `out` (cleared first). Whole 64-value blocks
+    /// go through the constant-shift kernel; only the row's head and tail
+    /// are read one value at a time.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     pub fn row_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
         let _t = parcsr_obs::time_histogram(&parcsr_obs::metrics::wellknown::ROW_ITER_NS);
-        let it = self.row_iter(u);
+        let (start, deg) = self.row_range(u);
         out.clear();
-        out.reserve(it.len());
-        out.extend(it);
+        out.resize(deg, 0);
+        self.columns.decode_range_u32(start, out);
     }
 
     /// Allocating convenience wrapper over [`row_into`](Self::row_into).
@@ -154,10 +172,7 @@ impl BitPackedCsr {
     // LINT: hot — per-lookup probe kernel; must stay allocation-free.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
         let _t = parcsr_obs::time_histogram(&parcsr_obs::metrics::wellknown::HAS_EDGE_NS);
-        let i = u as usize;
-        assert!(i < self.num_nodes, "node {u} out of range");
-        let start = self.offsets.get(i) as usize;
-        let deg = self.offsets.get(i + 1) as usize - start;
+        let (start, deg) = self.row_range(u);
         let target = u64::from(v);
         let (mut lo, mut hi) = (start, start + deg);
         while lo < hi {
@@ -229,24 +244,8 @@ impl BitPackedCsr {
 
 /// Streaming iterator over one packed neighbor row (the return type of
 /// [`BitPackedCsr::row_iter`]): yields the row's sorted neighbor ids as
-/// [`NodeId`]s.
-#[derive(Debug, Clone)]
-pub struct PackedRowIter<'a>(RowCursor<'a>);
-
-impl Iterator for PackedRowIter<'_> {
-    type Item = NodeId;
-
-    #[inline]
-    fn next(&mut self) -> Option<NodeId> {
-        self.0.next().map(|v| v as NodeId)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        self.0.size_hint()
-    }
-}
-
-impl ExactSizeIterator for PackedRowIter<'_> {}
+/// [`NodeId`]s, draining a 64-value buffer that the block kernel refills.
+pub type PackedRowIter<'a> = BlockIter<'a>;
 
 #[cfg(test)]
 mod tests {

@@ -33,6 +33,7 @@ use rayon::prelude::*;
 
 use parcsr_obs::serve::QueryKind;
 
+use parcsr_bitpack::BLOCK_LEN;
 use parcsr_graph::NodeId;
 use parcsr_runtime::{run_chunked_plan, ChunkPolicy};
 use parcsr_scan::chunk_ranges;
@@ -57,33 +58,23 @@ pub trait NeighborSource: Sync {
     /// on a plain CSR row slice or over the packed bit array).
     fn has_edge(&self, u: NodeId, v: NodeId) -> bool;
 
-    /// Streams `u`'s sorted neighbor row in order, calling `visit` on each
-    /// neighbor until it returns `false` (early exit) or the row ends.
+    /// Streams `u`'s sorted neighbor row in order as consecutive non-empty
+    /// slices, calling `visit` on each until it returns `false` (early exit)
+    /// or the row ends. The slices concatenate to the row.
     ///
     /// The default implementation materializes the row through
-    /// [`row_into`](Self::row_into) — correct for any source. Sources with a
-    /// native streaming path (the bit-packed CSR's row cursor, the plain
-    /// CSR's row slice) override this to visit neighbors without touching
-    /// the heap; the batch query drivers below rely on that to stay
-    /// allocation-free per query.
-    fn for_each_neighbor_while(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        // LINT: alloc-ok(default fallback for sources without a native streaming path; both in-tree sources override it allocation-free)
-        let mut row = Vec::with_capacity(self.degree(u));
+    /// [`row_into`](Self::row_into) and visits it in one call — correct for
+    /// any source. The plain CSR passes its row slice in one call; the
+    /// bit-packed CSR passes blocks of at most 64 ids decoded into a stack
+    /// buffer, so each dynamic call covers a block, not a neighbor, and no
+    /// query touches the heap.
+    fn for_each_block_while(&self, u: NodeId, visit: &mut dyn FnMut(&[NodeId]) -> bool) {
+        // LINT: alloc-ok(default fallback for sources without a native block path; both in-tree sources override it allocation-free)
+        let mut row = Vec::new();
         self.row_into(u, &mut row);
-        for &v in &row {
-            if !visit(v) {
-                return;
-            }
+        if !row.is_empty() {
+            visit(&row);
         }
-    }
-
-    /// Streams `u`'s full sorted neighbor row through `visit` (no early
-    /// exit).
-    fn for_each_neighbor(&self, u: NodeId, visit: &mut dyn FnMut(NodeId)) {
-        self.for_each_neighbor_while(u, &mut |v| {
-            visit(v);
-            true
-        });
     }
 }
 
@@ -105,11 +96,10 @@ impl NeighborSource for Csr {
         Csr::has_edge(self, u, v)
     }
 
-    fn for_each_neighbor_while(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        for &v in self.neighbors(u) {
-            if !visit(v) {
-                return;
-            }
+    fn for_each_block_while(&self, u: NodeId, visit: &mut dyn FnMut(&[NodeId]) -> bool) {
+        let row = self.neighbors(u);
+        if !row.is_empty() {
+            visit(row);
         }
     }
 }
@@ -131,9 +121,12 @@ impl NeighborSource for BitPackedCsr {
         BitPackedCsr::has_edge(self, u, v)
     }
 
-    fn for_each_neighbor_while(&self, u: NodeId, visit: &mut dyn FnMut(NodeId) -> bool) {
-        for v in self.row_iter(u) {
-            if !visit(v) {
+    fn for_each_block_while(&self, u: NodeId, visit: &mut dyn FnMut(&[NodeId]) -> bool) {
+        let mut blocks = self.row_blocks(u);
+        let mut buf = [0; BLOCK_LEN];
+        loop {
+            let block = blocks.next_block(&mut buf);
+            if block.is_empty() || !visit(block) {
                 return;
             }
         }
@@ -160,6 +153,53 @@ fn degree_prefix<S: NeighborSource>(
     prefix
 }
 
+/// True when a batch runs as one chunk, inline on the calling thread.
+fn one_chunk(processors: usize, queries: usize) -> bool {
+    processors <= 1 || queries <= 1
+}
+
+/// The one-chunk batch: answers every query inline and collects straight
+/// into the result, with no degree prefix, plan, work vector or flatten. It
+/// records the same `span` / `chunk_span` pair a one-chunk plan records;
+/// their edge totals (the sum of `degree` over the queries) are taken only
+/// while recording is on.
+fn run_inline<Q, R>(
+    span: &'static str,
+    chunk_span: &'static str,
+    queries: &[Q],
+    degree: impl Fn(&Q) -> usize,
+    answer: impl FnMut(&Q) -> R,
+) -> Vec<R> {
+    let edges = if parcsr_obs::is_enabled() {
+        queries.iter().map(|q| degree(q) as u64).sum()
+    } else {
+        0
+    };
+    let _span = parcsr_obs::enter_with_args(span, parcsr_obs::SpanArgs::new().edges(edges));
+    let _chunk = (!queries.is_empty()).then(|| {
+        parcsr_obs::enter_with_args(
+            chunk_span,
+            parcsr_obs::SpanArgs::new()
+                .chunk(0)
+                .chunk_len(queries.len() as u64)
+                .edges(edges),
+        )
+    });
+    // LINT: alloc-ok(the single exactly-sized result vector the API returns)
+    queries.iter().map(answer).collect()
+}
+
+/// One neighborhood query, accounted into the serving telemetry.
+fn neighbors_query<S: NeighborSource>(source: &S, u: NodeId) -> Vec<NodeId> {
+    let mut q = parcsr_obs::serve::query_start();
+    q.source(u as u64);
+    // LINT: alloc-ok(the result row is the output; row_into sizes it exactly from the degree)
+    let mut row = Vec::new();
+    source.row_into(u, &mut row);
+    q.finish(QueryKind::Neighbors, || row.len());
+    row
+}
+
 /// Algorithm 6: answers an array of neighborhood queries, the query array
 /// split into `processors` chunks answered concurrently. Result `i` is the
 /// sorted neighbor row of `queries[i]`. Splits with the default
@@ -175,13 +215,23 @@ pub fn neighbors_batch<S: NeighborSource>(
 /// [`neighbors_batch`] with an explicit chunking policy: queries are
 /// weighted by `degree + 1` under [`ChunkPolicy::Edges`] so hub-heavy
 /// batches spread across processors, or split by query count under
-/// [`ChunkPolicy::Rows`]. The result is identical either way.
+/// [`ChunkPolicy::Rows`]. The result is identical either way. One
+/// processor or one query runs inline as a single chunk.
 pub fn neighbors_batch_with_chunking<S: NeighborSource>(
     source: &S,
     queries: &[NodeId],
     processors: usize,
     policy: ChunkPolicy,
 ) -> Vec<Vec<NodeId>> {
+    if one_chunk(processors, queries.len()) {
+        return run_inline(
+            "query.neighbors",
+            "query.neighbors.chunk",
+            queries,
+            |&u| source.degree(u),
+            |&u| neighbors_query(source, u),
+        );
+    }
     let prefix = degree_prefix(source, queries.iter().copied(), queries.len());
     let _span = parcsr_obs::enter_with_args(
         "query.neighbors",
@@ -189,22 +239,11 @@ pub fn neighbors_batch_with_chunking<S: NeighborSource>(
     );
     let plan = policy.plan(&prefix, processors);
     let chunks: Vec<Vec<Vec<NodeId>>> = run_chunked_plan("query.neighbors.chunk", plan, |chunk| {
-        // LINT: alloc-ok(one exactly-sized result container per chunk; the rows it holds are the API output)
-        let mut out = Vec::with_capacity(chunk.range.len());
-        for &u in &queries[chunk.range.clone()] {
-            let deg = source.degree(u);
-            let mut q = parcsr_obs::serve::query_start();
-            q.source(u as u64);
-            // The result row is the one unavoidable allocation (it is
-            // the output); sized exactly from the packed degree so the
-            // streaming fill never reallocates.
-            // LINT: alloc-ok(the result row is the output, sized exactly from the packed degree so the streaming fill never reallocates)
-            let mut row = Vec::with_capacity(deg);
-            source.for_each_neighbor(u, &mut |v| row.push(v));
-            q.finish(QueryKind::Neighbors, || deg);
-            out.push(row);
-        }
-        out
+        queries[chunk.range.clone()]
+            .iter()
+            .map(|&u| neighbors_query(source, u))
+            // LINT: alloc-ok(one exactly-sized result container per chunk; the rows it holds are the API output)
+            .collect()
     });
     // LINT: alloc-ok(flattening chunk outputs into the single result vector the API returns)
     chunks.into_iter().flatten().collect()
@@ -212,9 +251,10 @@ pub fn neighbors_batch_with_chunking<S: NeighborSource>(
 
 /// Algorithm 7: answers an array of edge-existence queries, the query array
 /// split into `processors` chunks. Each processor streams the source row
-/// through [`NeighborSource::for_each_neighbor_while`] and exits at the
-/// first neighbor ≥ the target (the paper's linear scan with early exit on
-/// the sorted row) — no row materialization, no per-query allocation.
+/// block by block through [`NeighborSource::for_each_block_while`] and
+/// exits at the first neighbor ≥ the target (the paper's linear scan with
+/// early exit on the sorted row) — no row materialization, no per-query
+/// allocation.
 pub fn edges_exist_batch<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
@@ -241,13 +281,12 @@ pub fn edges_exist_batch_with_chunking<S: NeighborSource>(
         QueryKind::EdgeScan,
         |source, u, v| {
             let mut found = false;
-            source.for_each_neighbor_while(u, &mut |w| {
-                if w >= v {
-                    found = w == v;
+            source.for_each_block_while(u, &mut |block| match block.iter().position(|&w| w >= v) {
+                Some(i) => {
+                    found = block[i] == v;
                     false
-                } else {
-                    true
                 }
+                None => true,
             });
             found
         },
@@ -294,6 +333,22 @@ fn batch_edge_queries<S: NeighborSource>(
     kind: QueryKind,
     probe: impl Fn(&S, NodeId, NodeId) -> bool + Sync,
 ) -> Vec<bool> {
+    let edge_query = |&(u, v): &(NodeId, NodeId)| {
+        let mut q = parcsr_obs::serve::query_start();
+        q.source(u as u64);
+        let hit = probe(source, u, v);
+        q.finish(kind, || source.degree(u));
+        hit
+    };
+    if one_chunk(processors, queries.len()) {
+        return run_inline(
+            "query.edges",
+            "query.edges.chunk",
+            queries,
+            |&(u, _)| source.degree(u),
+            edge_query,
+        );
+    }
     let prefix = degree_prefix(source, queries.iter().map(|&(u, _)| u), queries.len());
     let _span = parcsr_obs::enter_with_args(
         "query.edges",
@@ -303,13 +358,7 @@ fn batch_edge_queries<S: NeighborSource>(
     let chunks: Vec<Vec<bool>> = run_chunked_plan("query.edges.chunk", plan, |chunk| {
         queries[chunk.range.clone()]
             .iter()
-            .map(|&(u, v)| {
-                let mut q = parcsr_obs::serve::query_start();
-                q.source(u as u64);
-                let hit = probe(source, u, v);
-                q.finish(kind, || source.degree(u));
-                hit
-            })
+            .map(edge_query)
             // LINT: alloc-ok(one exactly-sized bool vector per chunk; flattened below into the API result)
             .collect()
     });

@@ -129,14 +129,20 @@ impl BitPackedCsr {
         }
         let offsets = read_packed(r, off_w, off_n)?;
         let columns = read_packed(r, col_w, col_n)?;
+        // Ids are u32 and writers pack at the width of the largest, so a
+        // wider column array can only be corrupt.
+        if col_w > 32 {
+            return Err(ReadError::Corrupt("column width exceeds 32 bits"));
+        }
 
         // One pass over both arrays: offsets are a monotone ramp from 0 to
-        // m, and each row they delimit holds sorted ids below n.
+        // m, and each row they delimit holds sorted ids below n. Columns
+        // decode a 64-value block at a time.
         let mut offs = offsets.iter();
         if offs.next() != Some(0) {
             return Err(ReadError::Corrupt("first offset must be 0"));
         }
-        let mut cols = columns.iter();
+        let mut cols = columns.block_cursor(0, columns.len()).values();
         let mut start = 0u64;
         for end in offs {
             if end < start {
@@ -145,15 +151,21 @@ impl BitPackedCsr {
             if end > m {
                 return Err(ReadError::Corrupt("last offset must equal num_edges"));
             }
-            let mut prev = 0u64;
-            for v in cols.by_ref().take((end - start) as usize) {
-                if v >= n {
-                    return Err(ReadError::Corrupt("column id must be below num_nodes"));
+            let (mut left, mut prev) = ((end - start) as usize, 0);
+            while left > 0 {
+                // Columns hold m ids and rows end at most at m, so a run is
+                // never empty here.
+                let run = cols.next_run(left);
+                for &v in run {
+                    if u64::from(v) >= n {
+                        return Err(ReadError::Corrupt("column id must be below num_nodes"));
+                    }
+                    if v < prev {
+                        return Err(ReadError::Corrupt("rows must be sorted"));
+                    }
+                    prev = v;
                 }
-                if v < prev {
-                    return Err(ReadError::Corrupt("rows must be sorted"));
-                }
-                prev = v;
+                left -= run.len();
             }
             start = end;
         }
@@ -332,6 +344,20 @@ mod tests {
         let back = read(&bytes).unwrap();
         assert_eq!(back.row(0), [1, 1]);
         assert!(back.has_edge(0, 1) && !back.has_edge(0, 3));
+    }
+
+    #[test]
+    fn column_width_past_32_rejected() {
+        // `tiny()`'s columns repacked at 33 bits: every id is in range and
+        // every row sorted, but no u32 id needs more than 32 bits.
+        let mut bytes = TINY_PCSR[..COL_BITS_AT].to_vec();
+        bytes[COL_W_AT..COL_W_AT + 4].copy_from_slice(&33u32.to_le_bytes());
+        let wide = PackedArray::pack_with_width(&[1u64, 3, 4, 0, 2], 33);
+        bytes.extend_from_slice(&(wide.bit_buf().len() as u64).to_le_bytes());
+        for &word in wide.bit_buf().words() {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        assert_eq!(corrupt_reason(&bytes), "column width exceeds 32 bits");
     }
 
     #[test]

@@ -7,7 +7,7 @@ use parcsr::query::{
     edge_exists_split, edge_exists_split_binary, edges_exist_batch, edges_exist_batch_binary,
     neighbors_batch,
 };
-use parcsr::{degrees_parallel, BitPackedCsr, Csr, CsrBuilder, PackedCsrMode};
+use parcsr::{degrees_parallel, BitPackedCsr, Csr, CsrBuilder, NeighborSource, PackedCsrMode};
 use parcsr_graph::EdgeList;
 use parcsr_scan::ScanAlgorithm;
 
@@ -156,16 +156,67 @@ proptest! {
     }
 
     #[test]
-    fn streaming_visitor_equals_row_into(g in arb_graph(150, 400), p in 1usize..9) {
-        use parcsr::NeighborSource;
+    fn streaming_visitor_equals_row_into(g in arb_graph(150, 400), p in 1usize..9, stop in 1usize..4) {
+        // The slice visitor on both sources: non-empty slices (at most one
+        // 64-value block on the packed CSR) that concatenate to the row, and
+        // no further slice once the visitor has returned `false`.
         let csr = CsrBuilder::new().build(&g);
         let mode = PackedCsrMode::Raw;
         let packed = BitPackedCsr::from_csr(&csr, mode, p);
         for u in 0..csr.num_nodes() as u32 {
-            let mut visited = Vec::new();
-            packed.for_each_neighbor(u, &mut |v| visited.push(v));
-            prop_assert_eq!(&visited[..], csr.neighbors(u), "mode {} node {}", mode.name(), u);
+            let sources: [(&dyn NeighborSource, usize); 2] = [(&csr, usize::MAX), (&packed, 64)];
+            for (source, max_len) in sources {
+                let mut visited = Vec::new();
+                let mut slices_ok = true;
+                source.for_each_block_while(u, &mut |block| {
+                    slices_ok &= !block.is_empty() && block.len() <= max_len;
+                    visited.extend_from_slice(block);
+                    true
+                });
+                prop_assert!(slices_ok, "slice shape: mode {} node {}", mode.name(), u);
+                prop_assert_eq!(&visited[..], csr.neighbors(u), "mode {} node {}", mode.name(), u);
+
+                let (mut calls, mut after_false) = (0usize, 0usize);
+                source.for_each_block_while(u, &mut |_| {
+                    if calls >= stop {
+                        after_false += 1;
+                    }
+                    calls += 1;
+                    calls < stop
+                });
+                prop_assert_eq!(after_false, 0, "slice after false: node {}", u);
+            }
         }
+    }
+
+    #[test]
+    fn hub_row_block_paths_agree(
+        lead in prop::collection::vec(0u32..2000, 0..130),
+        hub in prop::collection::vec(0u32..2000, 1000..1300),
+        p in 1usize..5,
+    ) {
+        // One packed row of degree >= 1000, starting at any column offset
+        // mod 64 (node 0's `lead` row comes first): head, whole blocks and
+        // tail all decode, through every row access path.
+        let mut edges: Vec<(u32, u32)> = lead.iter().map(|&v| (0, v)).collect();
+        edges.extend(hub.iter().map(|&v| (1, v)));
+        let csr = CsrBuilder::new().build(&EdgeList::new(2000, edges));
+        let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, p);
+        let want = csr.neighbors(1);
+        let streamed: Vec<u32> = packed.row_iter(1).collect();
+        prop_assert_eq!(&streamed[..], want);
+        prop_assert_eq!(&packed.row(1)[..], want);
+        let mut visited = Vec::new();
+        packed.for_each_block_while(1, &mut |block| {
+            visited.extend_from_slice(block);
+            true
+        });
+        prop_assert_eq!(&visited[..], want);
+        prop_assert_eq!(&neighbors_batch(&packed, &[1, 0, 1], p)[0][..], want);
+        let probes: Vec<(u32, u32)> = (0..2000).step_by(7).map(|v| (1, v)).collect();
+        let truth: Vec<bool> = probes.iter().map(|&(u, v)| csr.has_edge(u, v)).collect();
+        prop_assert_eq!(edges_exist_batch(&packed, &probes, p), truth.clone());
+        prop_assert_eq!(edges_exist_batch_binary(&packed, &probes, p), truth);
     }
 
     #[test]

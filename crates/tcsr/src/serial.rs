@@ -17,7 +17,7 @@ use std::io::{self, Read, Write};
 
 use parcsr_bitpack::{BitBuf, PackedArray};
 
-use crate::frame::{DeltaFrame, FrameMode};
+use crate::frame::{unkey, DeltaFrame, FrameMode};
 use crate::tcsr::Tcsr;
 
 const MAGIC: [u8; 8] = *b"PARTCSR\x01";
@@ -70,21 +70,15 @@ impl Tcsr {
         if magic != MAGIC {
             return Err(ReadError::BadMagic(magic));
         }
-        let num_nodes = read_u64(r)? as usize;
+        let num_nodes = read_u64(r)?;
         let num_frames = read_u64(r)? as usize;
         let mut frames = Vec::with_capacity(num_frames.min(1 << 20));
         for _ in 0..num_frames {
             let frame = DeltaFrame::read_from(r)?;
-            // Every key's endpoints must fit the node space.
-            if let Some(max) = frame.decode_keys().last() {
-                let (u, v) = crate::frame::unkey(*max);
-                if u as usize >= num_nodes || v as usize >= num_nodes {
-                    return Err(ReadError::Corrupt("frame references out-of-range node"));
-                }
-            }
+            check_keys(&frame, num_nodes)?;
             frames.push(frame);
         }
-        Ok(Tcsr::from_frames(num_nodes, frames))
+        Ok(Tcsr::from_frames(num_nodes as usize, frames))
     }
 }
 
@@ -127,40 +121,66 @@ impl DeltaFrame {
         if !(1..=64).contains(&width) {
             return Err(ReadError::Corrupt("width must be in 1..=64"));
         }
-        let len = read_u64(r)? as usize;
-        let bits = read_u64(r)? as usize;
-        if bits != len * width as usize {
+        let len = read_u64(r)?;
+        let bits = read_u64(r)?;
+        let expected = len
+            .checked_mul(u64::from(width))
+            .ok_or(ReadError::Corrupt("len * width overflows"))?;
+        if bits != expected {
             return Err(ReadError::Corrupt("bit length mismatch"));
         }
-        let mut buf = BitBuf::with_capacity(bits);
+        let len = usize::try_from(len).map_err(|_| ReadError::Corrupt("len overflows"))?;
+        let bits = usize::try_from(bits).map_err(|_| ReadError::Corrupt("bit length overflows"))?;
+        // Grows as words arrive: the header alone never sizes an allocation.
+        let mut buf = BitBuf::new();
         let mut scratch = [0u8; 8];
         let mut remaining = bits;
-        for _ in 0..bits.div_ceil(64) {
+        while remaining > 0 {
             r.read_exact(&mut scratch)?;
             let word = u64::from_le_bytes(scratch);
             let take = remaining.min(64) as u32;
             if take < 64 && (word >> take) != 0 {
                 return Err(ReadError::Corrupt("padding bits must be zero"));
             }
-            buf.push_bits(
-                if take == 64 {
-                    word
-                } else {
-                    word & ((1u64 << take) - 1)
-                },
-                take,
-            );
+            buf.push_bits(word, take);
             remaining -= take as usize;
         }
         let keys = PackedArray::from_raw_parts(buf, width, len);
-        let frame = DeltaFrame::from_raw_parts(mode, has_head.then_some(head_raw), keys)
-            .ok_or(ReadError::Corrupt("inconsistent head/keys combination"))?;
-        // Keys must be strictly increasing.
-        let decoded = frame.decode_keys();
-        if !decoded.windows(2).all(|w| w[0] < w[1]) {
+        DeltaFrame::from_raw_parts(mode, has_head.then_some(head_raw), keys)
+            .ok_or(ReadError::Corrupt("inconsistent head/keys combination"))
+    }
+}
+
+/// One decode pass over a frame's keys: they must strictly increase, and
+/// every key's endpoints must fit the node space.
+fn check_keys(frame: &DeltaFrame, num_nodes: u64) -> Result<(), ReadError> {
+    let mut prev = None;
+    let mut check = |key: u64| {
+        if prev.is_some_and(|p| key <= p) {
             return Err(ReadError::Corrupt("frame keys must be strictly increasing"));
         }
-        Ok(frame)
+        prev = Some(key);
+        let (u, v) = unkey(key);
+        if u64::from(u) >= num_nodes || u64::from(v) >= num_nodes {
+            return Err(ReadError::Corrupt("frame references out-of-range node"));
+        }
+        Ok(())
+    };
+    let mut packed = frame.packed_keys().iter();
+    match (frame.mode(), frame.head_key()) {
+        (FrameMode::Random, _) => packed.try_for_each(check),
+        (FrameMode::Gap, None) => Ok(()),
+        (FrameMode::Gap, Some(head)) => {
+            check(head)?;
+            let mut key = head;
+            for gap in packed {
+                key = key
+                    .checked_add(gap)
+                    .ok_or(ReadError::Corrupt("frame key overflows"))?;
+                check(key)?;
+            }
+            Ok(())
+        }
     }
 }
 
@@ -264,6 +284,104 @@ mod tests {
         let mut bad_bits = bytes.clone();
         bad_bits[46] ^= 0xFF;
         assert!(Tcsr::read_from(&mut bad_bits.as_slice()).is_err());
+    }
+
+    /// A one-frame random-mode file over `num_nodes` nodes whose frame
+    /// header declares `len` keys at `width` bits and `bits` payload bits,
+    /// followed by `words`.
+    fn one_frame(num_nodes: u64, width: u32, len: u64, bits: u64, words: &[u64]) -> Vec<u8> {
+        frame_file(num_nodes, None, width, len, bits, words)
+    }
+
+    /// [`one_frame`] in gap mode when `head` is set.
+    fn frame_file(
+        num_nodes: u64,
+        head: Option<u64>,
+        width: u32,
+        len: u64,
+        bits: u64,
+        words: &[u64],
+    ) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&num_nodes.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&[u8::from(head.is_some()), u8::from(head.is_some())]);
+        bytes.extend_from_slice(&head.unwrap_or(0).to_le_bytes());
+        bytes.extend_from_slice(&width.to_le_bytes());
+        bytes.extend_from_slice(&len.to_le_bytes());
+        bytes.extend_from_slice(&bits.to_le_bytes());
+        for word in words {
+            bytes.extend_from_slice(&word.to_le_bytes());
+        }
+        bytes
+    }
+
+    /// [`one_frame`] holding exactly `keys`, packed at 64 bits.
+    fn keys_frame(num_nodes: u64, keys: &[u64]) -> Vec<u8> {
+        let packed = PackedArray::pack_with_width(keys, 64);
+        let buf = packed.bit_buf();
+        one_frame(
+            num_nodes,
+            64,
+            keys.len() as u64,
+            buf.len() as u64,
+            buf.words(),
+        )
+    }
+
+    fn corrupt_reason(bytes: &[u8]) -> &'static str {
+        match Tcsr::read_from(&mut &bytes[..]) {
+            Err(ReadError::Corrupt(what)) => what,
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn len_times_width_overflow_rejected() {
+        let bytes = one_frame(4, 64, 1 << 60, 0, &[]);
+        assert_eq!(corrupt_reason(&bytes), "len * width overflows");
+    }
+
+    #[test]
+    fn declared_size_is_not_allocated_up_front() {
+        // 54 bytes declaring 2^40 keys at 16 bits (2 TiB) with no payload:
+        // the reader must run out of input, not memory.
+        let bytes = one_frame(4, 16, 1 << 40, 1 << 44, &[]);
+        assert_eq!(bytes.len(), 54);
+        assert!(matches!(
+            Tcsr::read_from(&mut bytes.as_slice()),
+            Err(ReadError::Io(_))
+        ));
+    }
+
+    #[test]
+    fn non_increasing_keys_rejected() {
+        let (a, b) = (crate::frame::key(0, 1), crate::frame::key(2, 3));
+        for keys in [[b, a], [a, a]] {
+            assert_eq!(
+                corrupt_reason(&keys_frame(4, &keys)),
+                "frame keys must be strictly increasing"
+            );
+        }
+        assert!(Tcsr::read_from(&mut keys_frame(4, &[a, b]).as_slice()).is_ok());
+    }
+
+    #[test]
+    fn out_of_range_endpoint_before_the_last_key_rejected() {
+        // (0, 9) sorts before (1, 2), so the last key alone looks in range.
+        let keys = [crate::frame::key(0, 9), crate::frame::key(1, 2)];
+        assert_eq!(
+            corrupt_reason(&keys_frame(4, &keys)),
+            "frame references out-of-range node"
+        );
+    }
+
+    #[test]
+    fn gap_key_overflow_rejected() {
+        // Head (2^32 - 1, 2^32 - 2) is in range of 2^33 nodes; the gap of 5
+        // after it overflows u64.
+        let bytes = frame_file(1 << 33, Some(u64::MAX - 1), 3, 1, 3, &[5]);
+        assert_eq!(corrupt_reason(&bytes), "frame key overflows");
     }
 
     #[test]
