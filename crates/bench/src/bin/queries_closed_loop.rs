@@ -8,9 +8,13 @@
 //!     --graph hub --clients 8 --duration-ms 2000 --window-ms 250 --json
 //! ```
 //!
-//! `--json` output is consumed by `cargo xtask slo-check`; built with
-//! `--features obs`, `--trace <file>` additionally exports `query.win.*`
-//! counter events for `chrome://tracing` / `cargo xtask check-trace`.
+//! `--json` output lists every window and is consumed by `cargo xtask
+//! slo-check`. Built with `--features obs`, `--trace <file>` additionally
+//! exports the process-global history ring as `query.win.*`,
+//! `query.phase.*` and `query.exemplar.*` counter events for
+//! `chrome://tracing` / `cargo xtask check-trace`. The ring keeps the
+//! newest `HISTORY_WINDOWS` (64) windows, so a longer run's trace holds
+//! only those.
 
 use parcsr_bench::closed_loop::{render_table, run, spawn_admin, DriverOptions};
 use parcsr_bench::{trace, Options, ToJson};

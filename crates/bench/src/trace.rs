@@ -78,21 +78,18 @@ pub fn finish(opts: &Options, spans: &[SpanRecord]) {
     parcsr_obs::mem::publish_gauges();
     let metrics = parcsr_obs::metrics::snapshot();
     let mem = parcsr_obs::mem::snapshot();
-    // Serving-telemetry windows (plus their phase decomposition and tail
-    // exemplars), if any query-window rotation ran (the closed-loop
-    // driver's reporter); all empty for the build-side binaries.
-    let windows = parcsr_obs::serve::drain_window_log();
-    let phases = parcsr_obs::serve::drain_phase_log();
-    let exemplars = parcsr_obs::serve::drain_exemplar_log();
+    // Serving-telemetry windows (with their phase decomposition and tail
+    // exemplars) from the history ring, if any query-window rotation ran
+    // (the closed-loop driver's reporter); empty for the build-side
+    // binaries.
+    let history = parcsr_obs::serve::history_snapshot();
     if let Some(path) = &opts.trace {
         match parcsr_obs::export::write_chrome_trace(
             Path::new(path),
             spans,
             &metrics,
             mem,
-            &windows,
-            &phases,
-            &exemplars,
+            &history,
         ) {
             Ok(()) => eprintln!("trace: wrote {} spans to {path}", spans.len()),
             Err(e) => {

@@ -93,9 +93,7 @@ where
                 &spans,
                 &metrics,
                 mem,
-                &parcsr_obs::serve::drain_window_log(),
-                &parcsr_obs::serve::drain_phase_log(),
-                &parcsr_obs::serve::drain_exemplar_log(),
+                &parcsr_obs::serve::history_snapshot(),
             ) {
                 Ok(()) => eprintln!("trace: wrote {} spans to {path}", spans.len()),
                 Err(e) => eprintln!("trace: failed to write {path}: {e}"),

@@ -366,24 +366,30 @@ mod tests {
         let windows: Vec<HistoryWindow> = p99s
             .iter()
             .enumerate()
-            .map(|(i, &p99)| HistoryWindow {
-                window: i as u64,
-                end_ns: (i as u64 + 1) * 250_000_000,
-                dur_ns: 250_000_000,
-                queries: 1000,
-                qps: 4000.0,
-                cells: vec![WindowCell {
-                    kind: QueryKind::Neighbors,
-                    class: DegreeClass::Hub,
-                    summary: HistogramSummary {
-                        count: 1000,
-                        sum: p99 * 100,
-                        max: p99,
-                        p50: p99 / 2,
-                        p95: p99,
-                        p99,
-                    },
-                }],
+            .map(|(i, &p99)| {
+                let summary = HistogramSummary {
+                    count: 1000,
+                    sum: p99 * 100,
+                    max: p99,
+                    p50: p99 / 2,
+                    p95: p99,
+                    p99,
+                };
+                HistoryWindow {
+                    window: i as u64,
+                    start_ns: i as u64 * 250_000_000,
+                    end_ns: (i as u64 + 1) * 250_000_000,
+                    dur_ns: 250_000_000,
+                    queries: 1000,
+                    qps: 4000.0,
+                    cells: vec![WindowCell {
+                        kind: QueryKind::Neighbors,
+                        class: DegreeClass::Hub,
+                        phases: [summary; 3],
+                        summary,
+                    }],
+                    exemplars: Vec::new(),
+                }
             })
             .collect();
         expo::parse(&expo::render_history(&windows)).unwrap()

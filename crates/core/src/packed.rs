@@ -151,7 +151,6 @@ impl BitPackedCsr {
     ///
     /// Panics if `u` is out of range.
     pub fn row_into(&self, u: NodeId, out: &mut Vec<NodeId>) {
-        let _t = parcsr_obs::time_histogram(&parcsr_obs::metrics::wellknown::ROW_ITER_NS);
         let (start, deg) = self.row_range(u);
         out.clear();
         out.resize(deg, 0);
@@ -171,7 +170,6 @@ impl BitPackedCsr {
     /// a binary search of O(log deg) direct bit reads. No allocation.
     // LINT: hot — per-lookup probe kernel; must stay allocation-free.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        let _t = parcsr_obs::time_histogram(&parcsr_obs::metrics::wellknown::HAS_EDGE_NS);
         let (start, deg) = self.row_range(u);
         let target = u64::from(v);
         let (mut lo, mut hi) = (start, start + deg);

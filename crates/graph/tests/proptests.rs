@@ -305,9 +305,14 @@ proptest! {
         let evs: Vec<TemporalEdge> = events.iter().map(|&(u, v, t)| TemporalEdge::new(u, v, t)).collect();
         let tl = TemporalEdgeList::new(20, evs.clone());
         let snap = tl.snapshot_at(query_t);
-        // Manual parity count per edge.
-        for u in 0..20u32 {
-            for v in 0..20u32 {
+        // Manual parity count per edge. The bound is read at run time: with
+        // a constant bound the optimiser works on the whole 20 × 20 loop
+        // nest around the assertion macro, and a release build of this file
+        // does not finish. (Asserting `n == 20` first would make it a
+        // constant again.)
+        let n = tl.num_nodes() as u32;
+        for u in 0..n {
+            for v in 0..n {
                 let count = evs.iter().filter(|e| e.u == u && e.v == v && e.t <= query_t).count();
                 let active = snap.binary_search(&(u, v)).is_ok();
                 prop_assert_eq!(active, count % 2 == 1, "edge ({}, {})", u, v);

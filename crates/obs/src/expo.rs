@@ -754,6 +754,7 @@ mod tests {
         use crate::serve::{DegreeClass, HistoryWindow, QueryKind, WindowCell};
         let window = |epoch: u64| HistoryWindow {
             window: epoch,
+            start_ns: (epoch - 1) * 1_000_000,
             end_ns: epoch * 1_000_000,
             dur_ns: 1_000_000,
             queries: 5,
@@ -762,7 +763,9 @@ mod tests {
                 kind: QueryKind::Neighbors,
                 class: DegreeClass::Hub,
                 summary: summary(5, 500, 200),
+                phases: [summary(5, 500, 200); 3],
             }],
+            exemplars: Vec::new(),
         };
         let text = render_history(&[window(3), window(4)]);
         assert!(text.contains("\nparcsr_history_windows 2\n"));

@@ -15,11 +15,15 @@
 //! `mem.peak_bytes` point, and one terminal point per metric — counters,
 //! gauges, and the query-latency histograms (`count`/`p50`/`p95`/`p99`) —
 //! so latency and memory land in the same timeline as the spans. When
-//! serving telemetry ran ([`crate::serve`]), each completed window adds a
-//! `query.win.<kind>.<class>` point (args: `window`, `count`, `p50`, `p95`,
-//! `p99`) at its rotation timestamp plus one `query.win.qps` point per
-//! window with the summed query count and achieved qps.
-//! `cargo xtask check-trace` validates both event kinds.
+//! serving telemetry ran ([`crate::serve`]), every window retained by the
+//! history ring ([`crate::serve::history_snapshot`], the newest
+//! [`crate::serve::HISTORY_WINDOWS`]) adds, at its rotation timestamp, a
+//! `query.win.<kind>.<class>` point per non-empty cell (args: `window`,
+//! `count`, `sum`, `p50`, `p95`, `p99`), one `query.win.qps` point with the
+//! summed query count and achieved qps, a `query.phase.<phase>.<kind>.<class>`
+//! point per phase of each cell, and a `query.exemplar.<kind>.<class>` point
+//! per captured tail query. `cargo xtask check-trace` validates both event
+//! kinds.
 //!
 //! The summary exporter renders per-stage and per-(stage, worker) wall-clock
 //! aggregates, a memory section when accounting ran, and the metrics
@@ -32,8 +36,10 @@ use std::path::Path;
 
 use crate::json::Json;
 use crate::mem::MemSnapshot;
-use crate::metrics::MetricsSnapshot;
-use crate::serve::{ExemplarRecord, PhaseRecord, WindowRecord};
+use crate::metrics::{HistogramSummary, MetricsSnapshot};
+use crate::serve::{
+    exemplar_series_name, phase_series_name, window_series_name, HistoryWindow, QueryPhase,
+};
 use crate::span::SpanRecord;
 
 fn span_args_json(r: &SpanRecord) -> Json {
@@ -85,6 +91,17 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> Json {
     )
 }
 
+fn summary_args(window: u64, s: &HistogramSummary) -> Vec<(String, Json)> {
+    vec![
+        ("window".into(), Json::Int(window as i64)),
+        ("count".into(), Json::Int(s.count as i64)),
+        ("sum".into(), Json::Int(s.sum as i64)),
+        ("p50".into(), Json::Int(s.p50 as i64)),
+        ("p95".into(), Json::Int(s.p95 as i64)),
+        ("p99".into(), Json::Int(s.p99 as i64)),
+    ]
+}
+
 fn counter_event(name: &str, ts_us: f64, args: Vec<(String, Json)>) -> Json {
     Json::Object(vec![
         ("name".into(), Json::Str(name.to_string())),
@@ -102,24 +119,19 @@ fn counter_event(name: &str, ts_us: f64, args: Vec<(String, Json)>) -> Json {
 /// sampled at each top-level coordinator span end, a per-stage peak series,
 /// and the process peak) and for every metric in `metrics` — counters,
 /// gauges, and the query-latency histograms. Pass `mem = None` when memory
-/// accounting did not run; the memory series are then omitted. `windows`
-/// (from [`crate::serve::drain_window_log`], rotation order) adds the
-/// per-window serving-telemetry series described in the module docs;
-/// `phases` ([`crate::serve::drain_phase_log`]) adds one
-/// `query.phase.<phase>.<kind>.<class>` point per phase of each non-empty
-/// cell (args: `window`, `count`, `sum`, `p50`, `p95`, `p99`), and
-/// `exemplars` ([`crate::serve::drain_exemplar_log`]) one
-/// `query.exemplar.<kind>.<class>` point per captured tail query (args:
-/// `window`, `source`, `total`, `queue`, `exec`, `reply`). Pass `&[]` for
-/// any log that has no entries.
+/// accounting did not run; the memory series are then omitted. `history`
+/// (from [`crate::serve::history_snapshot`], oldest first) adds the
+/// per-window serving-telemetry series described in the module docs: the
+/// `query.win.*` cells and `query.win.qps` of every window, then every
+/// window's `query.phase.*` points (args as for `query.win.*`), then every
+/// window's `query.exemplar.*` points (args: `window`, `source`, `total`,
+/// `queue`, `exec`, `reply`). Pass `&[]` when no window rotated.
 #[must_use]
 pub fn chrome_trace_with_counters(
     spans: &[SpanRecord],
     metrics: &MetricsSnapshot,
     mem: Option<MemSnapshot>,
-    windows: &[WindowRecord],
-    phases: &[PhaseRecord],
-    exemplars: &[ExemplarRecord],
+    history: &[HistoryWindow],
 ) -> Json {
     let Json::Array(mut events) = chrome_trace_json(spans) else {
         unreachable!("chrome_trace_json returns an array");
@@ -180,85 +192,66 @@ pub fn chrome_trace_with_counters(
     }
 
     // Serving-telemetry windows: one point per (window, kind, class) cell at
-    // the window's rotation timestamp, then one qps point per window. The
-    // log is in rotation order, so each counter name's series is
-    // time-ordered (a property `check-trace` enforces).
-    let mut i = 0;
-    while i < windows.len() {
-        let mut queries = 0u64;
-        let mut j = i;
-        while j < windows.len() && windows[j].window == windows[i].window {
-            let w = &windows[j];
-            let ts_us = w.end_ns as f64 / 1_000.0;
+    // the window's rotation timestamp, then one qps point per window that
+    // saw traffic. The ring is oldest first, so each counter name's series
+    // is time-ordered (a property `check-trace` enforces).
+    for w in history.iter().filter(|w| !w.cells.is_empty()) {
+        let ts_us = w.end_ns as f64 / 1_000.0;
+        for cell in &w.cells {
             events.push(counter_event(
-                &w.series_name(),
+                &window_series_name(cell.kind, cell.class),
                 ts_us,
-                vec![
-                    ("window".into(), Json::Int(w.window as i64)),
-                    ("count".into(), Json::Int(w.summary.count as i64)),
-                    ("sum".into(), Json::Int(w.summary.sum as i64)),
-                    ("p50".into(), Json::Int(w.summary.p50 as i64)),
-                    ("p95".into(), Json::Int(w.summary.p95 as i64)),
-                    ("p99".into(), Json::Int(w.summary.p99 as i64)),
-                ],
+                summary_args(w.window, &cell.summary),
             ));
-            queries += w.summary.count;
-            j += 1;
         }
-        let w = &windows[i];
-        let dur_ns = w.end_ns.saturating_sub(w.start_ns);
-        let qps = if dur_ns > 0 {
-            queries as f64 * 1e9 / dur_ns as f64
-        } else {
-            0.0
-        };
         events.push(counter_event(
             "query.win.qps",
-            w.end_ns as f64 / 1_000.0,
+            ts_us,
             vec![
                 ("window".into(), Json::Int(w.window as i64)),
-                ("queries".into(), Json::Int(queries as i64)),
-                ("qps".into(), Json::Float(qps)),
+                ("queries".into(), Json::Int(w.queries as i64)),
+                ("qps".into(), Json::Float(w.qps)),
             ],
         ));
-        i = j;
     }
 
     // Per-phase window series: the queue/exec/reply decomposition of each
-    // `query.win.*` cell, same rotation order, so each phase series is
+    // `query.win.*` cell, same window order, so each phase series is
     // time-ordered and its window ordinals are monotone. `check-trace`
     // additionally verifies that for each (window, cell) the three phase
     // sums stay within tolerance of the end-to-end `sum` above.
-    for p in phases {
-        events.push(counter_event(
-            &p.series_name(),
-            p.end_ns as f64 / 1_000.0,
-            vec![
-                ("window".into(), Json::Int(p.window as i64)),
-                ("count".into(), Json::Int(p.summary.count as i64)),
-                ("sum".into(), Json::Int(p.summary.sum as i64)),
-                ("p50".into(), Json::Int(p.summary.p50 as i64)),
-                ("p95".into(), Json::Int(p.summary.p95 as i64)),
-                ("p99".into(), Json::Int(p.summary.p99 as i64)),
-            ],
-        ));
+    for w in history {
+        for cell in &w.cells {
+            for phase in QueryPhase::ALL {
+                let summary = &cell.phases[phase.index()];
+                if summary.count > 0 {
+                    events.push(counter_event(
+                        &phase_series_name(phase, cell.kind, cell.class),
+                        w.end_ns as f64 / 1_000.0,
+                        summary_args(w.window, summary),
+                    ));
+                }
+            }
+        }
     }
 
     // Tail exemplars: one point per captured slow query at its window's
     // rotation timestamp, carrying the full phase breakdown.
-    for e in exemplars {
-        events.push(counter_event(
-            &e.series_name(),
-            e.end_ns as f64 / 1_000.0,
-            vec![
-                ("window".into(), Json::Int(e.window as i64)),
-                ("source".into(), Json::Int(e.exemplar.source as i64)),
-                ("total".into(), Json::Int(e.exemplar.ns.total_ns as i64)),
-                ("queue".into(), Json::Int(e.exemplar.ns.queue_ns as i64)),
-                ("exec".into(), Json::Int(e.exemplar.ns.exec_ns as i64)),
-                ("reply".into(), Json::Int(e.exemplar.ns.reply_ns as i64)),
-            ],
-        ));
+    for w in history {
+        for e in &w.exemplars {
+            events.push(counter_event(
+                &exemplar_series_name(e.kind, e.class),
+                w.end_ns as f64 / 1_000.0,
+                vec![
+                    ("window".into(), Json::Int(w.window as i64)),
+                    ("source".into(), Json::Int(e.source as i64)),
+                    ("total".into(), Json::Int(e.ns.total_ns as i64)),
+                    ("queue".into(), Json::Int(e.ns.queue_ns as i64)),
+                    ("exec".into(), Json::Int(e.ns.exec_ns as i64)),
+                    ("reply".into(), Json::Int(e.ns.reply_ns as i64)),
+                ],
+            ));
+        }
     }
     Json::Array(events)
 }
@@ -270,13 +263,11 @@ pub fn write_chrome_trace(
     spans: &[SpanRecord],
     metrics: &MetricsSnapshot,
     mem: Option<MemSnapshot>,
-    windows: &[WindowRecord],
-    phases: &[PhaseRecord],
-    exemplars: &[ExemplarRecord],
+    history: &[HistoryWindow],
 ) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(
-        chrome_trace_with_counters(spans, metrics, mem, windows, phases, exemplars)
+        chrome_trace_with_counters(spans, metrics, mem, history)
             .pretty()
             .as_bytes(),
     )?;
@@ -567,7 +558,7 @@ mod tests {
             live_bytes: 150,
             peak_bytes: 1000,
         });
-        let json = chrome_trace_with_counters(&[a, b], &metrics, mem, &[], &[], &[]);
+        let json = chrome_trace_with_counters(&[a, b], &metrics, mem, &[]);
         let events = json.as_array().unwrap();
         // 2 spans + 2×(live,stage_peak) + peak + counter + histogram = 9.
         assert_eq!(events.len(), 9);
@@ -602,24 +593,38 @@ mod tests {
             Some(180)
         );
         // No mem snapshot → no mem series at all.
-        let json = chrome_trace_with_counters(
-            &[span("degree", 0, 1, 0, 0)],
-            &metrics,
-            None,
-            &[],
-            &[],
-            &[],
-        );
+        let json = chrome_trace_with_counters(&[span("degree", 0, 1, 0, 0)], &metrics, None, &[]);
         let events = json.as_array().unwrap();
         assert!(events
             .iter()
             .all(|e| e.get("name").unwrap().as_str() != Some("mem.live_bytes")));
     }
 
+    /// A history-ring window with no exemplars, its qps derived from
+    /// `cells` as `rotate_window` derives it.
+    fn history_window(
+        window: u64,
+        start_ns: u64,
+        end_ns: u64,
+        cells: Vec<crate::serve::WindowCell>,
+    ) -> HistoryWindow {
+        let queries: u64 = cells.iter().map(|c| c.summary.count).sum();
+        let dur_ns = end_ns - start_ns;
+        HistoryWindow {
+            window,
+            start_ns,
+            end_ns,
+            dur_ns,
+            queries,
+            qps: queries as f64 * 1e9 / dur_ns as f64,
+            cells,
+            exemplars: Vec::new(),
+        }
+    }
+
     #[test]
     fn chrome_trace_window_counter_events() {
-        use crate::metrics::HistogramSummary;
-        use crate::serve::{DegreeClass, QueryKind, WindowRecord};
+        use crate::serve::{DegreeClass, QueryKind, WindowCell};
         let sum = |count: u64, p99: u64| HistogramSummary {
             count,
             sum: count * 100,
@@ -628,39 +633,41 @@ mod tests {
             p95: p99,
             p99,
         };
+        // Cells fed only end-to-end: no phase points.
+        let cell = |kind, class, summary| WindowCell {
+            kind,
+            class,
+            summary,
+            phases: [HistogramSummary::default(); 3],
+        };
         let windows = vec![
-            WindowRecord {
-                window: 0,
-                start_ns: 0,
-                end_ns: 1_000_000_000,
-                kind: QueryKind::Neighbors,
-                class: DegreeClass::Low,
-                summary: sum(300, 8_000),
-            },
-            WindowRecord {
-                window: 0,
-                start_ns: 0,
-                end_ns: 1_000_000_000,
-                kind: QueryKind::EdgeScan,
-                class: DegreeClass::Hub,
-                summary: sum(100, 90_000),
-            },
-            WindowRecord {
-                window: 1,
-                start_ns: 1_000_000_000,
-                end_ns: 2_000_000_000,
-                kind: QueryKind::Neighbors,
-                class: DegreeClass::Low,
-                summary: sum(500, 7_000),
-            },
+            history_window(
+                0,
+                0,
+                1_000_000_000,
+                vec![
+                    cell(QueryKind::Neighbors, DegreeClass::Low, sum(300, 8_000)),
+                    cell(QueryKind::EdgeScan, DegreeClass::Hub, sum(100, 90_000)),
+                ],
+            ),
+            history_window(
+                1,
+                1_000_000_000,
+                2_000_000_000,
+                vec![cell(
+                    QueryKind::Neighbors,
+                    DegreeClass::Low,
+                    sum(500, 7_000),
+                )],
+            ),
+            // A window without traffic adds no points at all.
+            history_window(2, 2_000_000_000, 3_000_000_000, Vec::new()),
         ];
         let json = chrome_trace_with_counters(
             &[span("serve", 0, 2_000_000_000, 0, 0)],
             &MetricsSnapshot::default(),
             None,
             &windows,
-            &[],
-            &[],
         );
         let events = json.as_array().unwrap();
         // 1 span + 3 window cells + 2 qps points.
@@ -700,10 +707,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_phase_and_exemplar_events() {
-        use crate::metrics::HistogramSummary;
-        use crate::serve::{
-            DegreeClass, Exemplar, ExemplarRecord, PhaseNanos, PhaseRecord, QueryKind, QueryPhase,
-        };
+        use crate::serve::{DegreeClass, Exemplar, PhaseNanos, QueryKind, WindowCell};
         let summary = |count: u64, sum: u64| HistogramSummary {
             count,
             sum,
@@ -712,47 +716,53 @@ mod tests {
             p95: sum,
             p99: sum,
         };
-        let phases: Vec<PhaseRecord> = [
-            (QueryPhase::Queue, 4_000u64),
-            (QueryPhase::Exec, 90_000),
-            (QueryPhase::Reply, 1_000),
-        ]
-        .into_iter()
-        .map(|(phase, sum)| PhaseRecord {
-            window: 0,
-            end_ns: 1_000_000_000,
-            phase,
-            kind: QueryKind::SplitSearch,
-            class: DegreeClass::Hub,
-            summary: summary(10, sum),
-        })
-        .collect();
-        let exemplars = vec![ExemplarRecord {
-            window: 0,
-            end_ns: 1_000_000_000,
-            exemplar: Exemplar {
+        let mut window = history_window(
+            0,
+            0,
+            1_000_000_000,
+            vec![WindowCell {
                 kind: QueryKind::SplitSearch,
                 class: DegreeClass::Hub,
-                source: 42,
-                ns: PhaseNanos {
-                    total_ns: 95_000,
-                    queue_ns: 4_000,
-                    exec_ns: 90_000,
-                    reply_ns: 1_000,
-                },
+                summary: summary(10, 95_000),
+                phases: [summary(10, 4_000), summary(10, 90_000), summary(10, 1_000)],
+            }],
+        );
+        window.exemplars = vec![Exemplar {
+            kind: QueryKind::SplitSearch,
+            class: DegreeClass::Hub,
+            source: 42,
+            ns: PhaseNanos {
+                total_ns: 95_000,
+                queue_ns: 4_000,
+                exec_ns: 90_000,
+                reply_ns: 1_000,
             },
         }];
         let json = chrome_trace_with_counters(
             &[span("serve", 0, 1_000_000_000, 0, 0)],
             &MetricsSnapshot::default(),
             None,
-            &[],
-            &phases,
-            &exemplars,
+            &[window],
         );
         let events = json.as_array().unwrap();
-        // 1 span + 3 phase points + 1 exemplar point.
-        assert_eq!(events.len(), 5);
+        // 1 span + 1 window cell + 1 qps point + 3 phase points + 1
+        // exemplar point, in that order.
+        assert_eq!(events.len(), 7);
+        let names: Vec<_> = events
+            .iter()
+            .map(|e| e.get("name").unwrap().as_str().unwrap())
+            .collect();
+        assert_eq!(
+            names[1..],
+            [
+                "query.win.split.hub",
+                "query.win.qps",
+                "query.phase.queue.split.hub",
+                "query.phase.exec.split.hub",
+                "query.phase.reply.split.hub",
+                "query.exemplar.split.hub",
+            ]
+        );
         let queue = events
             .iter()
             .find(|e| e.get("name").unwrap().as_str() == Some("query.phase.queue.split.hub"))

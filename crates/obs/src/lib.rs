@@ -19,8 +19,9 @@
 //!   sampler ([`set_trace_sample`]) keeps tracing affordable in long runs;
 //!   kept records carry the period so aggregation stays unbiased.
 //! * **Metrics** ([`metrics`]): atomic counters and gauges plus log-bucketed
-//!   (HDR-style) latency histograms with p50/p95/p99 extraction, used on the
-//!   query path (`has_edge`, `row_iter`).
+//!   (HDR-style) latency histograms with p50/p95/p99 extraction, behind a
+//!   name registry. The serving slabs below are built from the same
+//!   histograms.
 //! * **Memory** ([`mem`]): a counting global allocator (registered only by
 //!   the bench/CLI binaries) tracking live/peak heap bytes, with per-stage
 //!   peak attribution threaded through the span records.
@@ -29,12 +30,15 @@
 //!   per-query accounting by query kind and degree class — the qps /
 //!   percentile-per-window shape a query server reports against an SLO,
 //!   fed by the instrumented batch entry points in `parcsr` and
-//!   `parcsr-algos` and consumed by the `queries_closed_loop` load driver.
+//!   `parcsr-algos` (one timer per query) and consumed by the
+//!   `queries_closed_loop` load driver. Rotated windows are kept in one
+//!   bounded history ring.
 //! * **Exporters** ([`export`]): a human-readable per-stage/per-thread
 //!   summary table (with a memory section) and a Chrome `chrome://tracing`
 //!   JSON trace writer — span events with `args` payloads plus counter
-//!   events for memory and the query-latency histograms — built on the
-//!   hand-rolled [`json`] module (shared with `parcsr-bench`).
+//!   events for memory, the registry's metrics and the history ring's
+//!   serving windows — built on the hand-rolled [`json`] module (shared
+//!   with `parcsr-bench`).
 //! * **Analysis** ([`analyze`]): pure arithmetic over collected spans —
 //!   per-stage worker-utilization/critical-path metrics and chunk-imbalance
 //!   statistics. Compiled unconditionally (it holds no recording state), so
@@ -62,7 +66,7 @@ pub mod metrics;
 pub mod serve;
 pub mod span;
 
-pub use metrics::{counter, gauge, time_histogram, Counter, Gauge, Histogram, QueryTimer};
+pub use metrics::{counter, gauge, Counter, Gauge, Histogram};
 pub use span::{
     drain, enter, enter_with_args, with_span, with_span_args, Span, SpanArgs, SpanRecord,
 };

@@ -4,9 +4,10 @@
 //! compiled and fully functional — they are plain atomics, `const`
 //! constructible, and unit-testable without any feature. What the `enabled`
 //! cargo feature gates is the *facade* instrumented crates use: the
-//! name-registry handles ([`counter`], [`gauge`], [`histogram`]) and the
-//! [`time_histogram`] query timer become zero-sized no-ops when the feature
-//! is off, so disabled builds pay nothing at the call sites.
+//! name-registry handles ([`counter`], [`gauge`], [`histogram`]) become
+//! zero-sized no-ops when the feature is off, so disabled builds pay
+//! nothing at the call sites. Per-query latency lives in
+//! [`crate::serve`], not here.
 //!
 //! The histogram is HDR-style log-bucketed: values `< 32` get exact
 //! single-value buckets; above that each power-of-two octave is split into
@@ -265,8 +266,8 @@ impl Default for Histogram {
 }
 
 /// Snapshot of one histogram (all values in the recorded unit, ns for the
-/// query-path histograms).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// query-path histograms). The default is the empty histogram's summary.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HistogramSummary {
     /// Observation count.
     pub count: u64,
@@ -280,17 +281,6 @@ pub struct HistogramSummary {
     pub p95: u64,
     /// 99th percentile (bucket upper bound).
     pub p99: u64,
-}
-
-/// Well-known histograms for the packed query path. Always present (they are
-/// plain statics) but only written through the gated facade.
-pub mod wellknown {
-    use super::Histogram;
-
-    /// Per-call latency of `BitPackedCsr::has_edge`, nanoseconds.
-    pub static HAS_EDGE_NS: Histogram = Histogram::new();
-    /// Per-row latency of a full `BitPackedCsr::row_iter` walk, nanoseconds.
-    pub static ROW_ITER_NS: Histogram = Histogram::new();
 }
 
 #[cfg(feature = "enabled")]
@@ -495,42 +485,6 @@ pub fn histogram(name: &'static str) -> HistogramHandle {
     }
 }
 
-/// RAII timer recording its elapsed nanoseconds into a histogram on drop.
-/// Zero-sized when the `enabled` feature is off.
-pub struct QueryTimer {
-    #[cfg(feature = "enabled")]
-    armed: Option<(u64, &'static Histogram)>,
-}
-
-impl Drop for QueryTimer {
-    #[inline(always)]
-    fn drop(&mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some((start_ns, hist)) = self.armed.take() {
-            hist.record(crate::span::now_ns().saturating_sub(start_ns));
-        }
-    }
-}
-
-/// Starts timing into `hist` (typically one of [`wellknown`]'s statics);
-/// the elapsed nanoseconds are recorded when the returned guard drops.
-/// Compiles to nothing when the `enabled` feature is off; one relaxed load
-/// when compiled in but runtime recording is off.
-#[inline(always)]
-pub fn time_histogram(hist: &'static Histogram) -> QueryTimer {
-    #[cfg(feature = "enabled")]
-    {
-        QueryTimer {
-            armed: crate::is_enabled().then(|| (crate::span::now_ns(), hist)),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = hist;
-        QueryTimer {}
-    }
-}
-
 /// One windowed serving cell in a [`MetricsSnapshot`]: a
 /// `(kind, class)` latency summary for one completed window of the
 /// serving slabs ([`crate::serve::QuerySlabs`]). The `name` is the
@@ -554,8 +508,8 @@ pub struct WindowSeries {
     pub summary: HistogramSummary,
 }
 
-/// Point-in-time snapshot of every registered metric plus the non-empty
-/// [`wellknown`] histograms, and — when merged from
+/// Point-in-time snapshot of every registered metric, and — when merged
+/// from
 /// [`crate::serve`] — the windowed serving grid. Empty when the `enabled`
 /// feature is off. This is the one merge path every exporter shares: the
 /// Chrome-trace counter events, the Prometheus-style exposition, and the
@@ -593,22 +547,13 @@ impl MetricsSnapshot {
     }
 }
 
-/// Takes a [`MetricsSnapshot`] of the registry and the query-path
-/// histograms.
+/// Takes a [`MetricsSnapshot`] of the registry.
 #[must_use]
 pub fn snapshot() -> MetricsSnapshot {
     #[cfg_attr(not(feature = "enabled"), allow(unused_mut))]
     let mut snap = MetricsSnapshot::default();
     #[cfg(feature = "enabled")]
     {
-        for (name, hist) in [
-            ("query.has_edge_ns", &wellknown::HAS_EDGE_NS),
-            ("query.row_iter_ns", &wellknown::ROW_ITER_NS),
-        ] {
-            if hist.count() > 0 {
-                snap.histograms.push((name.to_string(), hist.summary()));
-            }
-        }
         registry::visit(
             |name, v| snap.counters.push((name.to_string(), v)),
             |name, v| snap.gauges.push((name.to_string(), v)),

@@ -20,24 +20,28 @@
 //!   recording).
 //! * Per-cell **phase decomposition** ([`QueryPhase`]): each cell carries a
 //!   `queue`/`exec`/`reply` triple of `(overall, windowed)` histogram pairs
-//!   next to the end-to-end pair, fed by the phase-timed [`QueryStart`]
-//!   guard (`queued → dispatched → executed → replied` checkpoints). The
-//!   phases partition the end-to-end time exactly, so per-window phase sums
-//!   never exceed the end-to-end sum (`check-trace` enforces this on the
-//!   exported events).
+//!   next to the end-to-end pair, fed by [`QuerySlabs::record_query`] with
+//!   a [`PhaseNanos`] cut from four checkpoints. The phases partition the
+//!   end-to-end time exactly, so per-window phase sums never exceed the
+//!   end-to-end sum (`check-trace` enforces this on the exported events).
 //! * A per-shard **tail-exemplar reservoir** ([`Exemplar`]): the
 //!   [`EXEMPLARS_PER_SHARD`] slowest queries of the live window with their
 //!   full phase breakdown, rotated with the window. Admission is gated on a
 //!   relaxed floor load, so the common (fast-query) path stays wait-free.
 //! * A **history ring** ([`HistoryRing`]): the last [`HISTORY_WINDOWS`]
-//!   rotated window summaries (per-cell count/percentiles + qps), the data
-//!   behind the admin plane's `history` endpoint and `parcsr watch`'s
-//!   sparklines.
+//!   rotated windows ([`HistoryWindow`]: open/close time, qps, per-cell
+//!   summaries with their phase split, and the window's tail exemplars).
+//!   It is the only record of a rotated window: the admin plane's
+//!   `history` endpoint, `parcsr watch`'s sparklines and the trace
+//!   exporter's `query.win.*` / `query.phase.*` / `query.exemplar.*`
+//!   series all read it.
 //! * A process-global facade ([`query_start`], [`rotate_window`],
-//!   [`drain_window_log`], [`drain_phase_log`], [`drain_exemplar_log`],
-//!   [`history_snapshot`]) gated exactly like the rest of the crate: ZST
-//!   no-ops without the `enabled` feature, one relaxed load when compiled
-//!   in but runtime recording is off.
+//!   [`history_snapshot`], [`serving_snapshot`]) gated exactly like the
+//!   rest of the crate: ZST no-ops without the `enabled` feature, one
+//!   relaxed load when compiled in but runtime recording is off. Its guard
+//!   times each query once, start to finish, and records the whole time as
+//!   `exec` ([`PhaseNanos::all_exec`]): the in-process query path has no
+//!   queue and no reply to time.
 //!
 //! # Concurrency contract
 //!
@@ -176,18 +180,17 @@ impl DegreeClass {
 }
 
 /// One phase of a request's lifecycle, as cut by the
-/// `queued → dispatched → executed → replied` checkpoints of the
-/// [`QueryStart`] guard:
+/// `queued → dispatched → executed → replied` checkpoints
+/// ([`PhaseNanos::from_checkpoints`]):
 ///
 /// ```text
 /// queued ──queue──▶ dispatched ──exec──▶ executed ──reply──▶ replied
 /// ```
 ///
-/// The three phases partition the end-to-end time exactly. A guard that
-/// never marks a checkpoint degenerates gracefully: without `dispatched`
-/// the queue phase is 0, without `executed` the reply phase is 0 — so the
-/// in-process query path (which has no queue today) reports everything as
-/// `exec`, and the future data plane inherits the API unchanged.
+/// The three phases partition the end-to-end time exactly. The
+/// closed-loop driver stamps all four checkpoints for its own slabs; the
+/// process-global [`QueryStart`] guard stamps only `queued` and `replied`,
+/// so it reports everything as `exec` ([`PhaseNanos::all_exec`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryPhase {
     /// `queued → dispatched`: time spent waiting for a worker.
@@ -256,7 +259,7 @@ impl PhaseNanos {
     }
 
     /// A sample with only a total (no checkpoints): everything counts as
-    /// `exec`, matching the degenerate guard documented on [`QueryPhase`].
+    /// `exec`, as the global guard documented on [`QueryPhase`] records.
     #[must_use]
     pub fn all_exec(total_ns: u64) -> Self {
         Self {
@@ -541,8 +544,12 @@ pub struct WindowCell {
     pub kind: QueryKind,
     /// Degree class.
     pub class: DegreeClass,
-    /// Merged-across-shards summary for the window.
+    /// Merged-across-shards end-to-end summary for the window.
     pub summary: HistogramSummary,
+    /// The same window's per-phase summaries, indexed by
+    /// [`QueryPhase::index`]. A phase's count is 0 when the cell was fed
+    /// only through [`QuerySlabs::record`].
+    pub phases: [HistogramSummary; NUM_QUERY_PHASES],
 }
 
 /// Sharded per-worker query-latency slabs. Value type — the closed-loop
@@ -740,7 +747,7 @@ impl QuerySlabs {
     }
 
     /// Every non-empty `(kind, class)` cell of window `epoch`, merged across
-    /// shards, in slab-index order.
+    /// shards, with its phase split, in slab-index order.
     #[must_use]
     pub fn window_cells(&self, epoch: u64) -> Vec<WindowCell> {
         let mut out = Vec::new();
@@ -752,6 +759,9 @@ impl QuerySlabs {
                         kind,
                         class,
                         summary,
+                        phases: QueryPhase::ALL.map(|phase| {
+                            self.window_phase_summary(epoch, phase, Some(kind), Some(class))
+                        }),
                     });
                 }
             }
@@ -811,96 +821,19 @@ pub fn exemplar_series_name(kind: QueryKind, class: DegreeClass) -> String {
     format!("query.exemplar.{}.{}", kind.name(), class.name())
 }
 
-/// One completed window of one `(kind, class)` cell from the process-global
-/// slabs, as drained by [`drain_window_log`] and exported as a
-/// `query.win.<kind>.<class>` trace counter event. Always compiled.
-#[derive(Debug, Clone)]
-pub struct WindowRecord {
-    /// The completed epoch.
-    pub window: u64,
-    /// Window open time (ns on the span clock; `0` for the first window,
-    /// meaning "process tracing epoch").
-    pub start_ns: u64,
-    /// Window close (rotation) time, ns on the span clock.
-    pub end_ns: u64,
-    /// Query kind.
-    pub kind: QueryKind,
-    /// Degree class.
-    pub class: DegreeClass,
-    /// Merged-across-shards summary for the window.
-    pub summary: HistogramSummary,
-}
-
-impl WindowRecord {
-    /// The record's canonical `query.win.<kind>.<class>` series name
-    /// (see [`window_series_name`]).
-    #[must_use]
-    pub fn series_name(&self) -> String {
-        window_series_name(self.kind, self.class)
-    }
-}
-
-/// One completed window of one phase of one `(kind, class)` cell from the
-/// process-global slabs, as drained by [`drain_phase_log`] and exported as
-/// a `query.phase.<phase>.<kind>.<class>` trace counter event. Always
-/// compiled.
-#[derive(Debug, Clone)]
-pub struct PhaseRecord {
-    /// The completed epoch.
-    pub window: u64,
-    /// Window close (rotation) time, ns on the span clock.
-    pub end_ns: u64,
-    /// Lifecycle phase.
-    pub phase: QueryPhase,
-    /// Query kind.
-    pub kind: QueryKind,
-    /// Degree class.
-    pub class: DegreeClass,
-    /// Merged-across-shards summary of the phase for the window.
-    pub summary: HistogramSummary,
-}
-
-impl PhaseRecord {
-    /// The record's canonical `query.phase.<phase>.<kind>.<class>` series
-    /// name (see [`phase_series_name`]).
-    #[must_use]
-    pub fn series_name(&self) -> String {
-        phase_series_name(self.phase, self.kind, self.class)
-    }
-}
-
-/// One tail exemplar of one completed window from the process-global
-/// slabs, as drained by [`drain_exemplar_log`] and exported as a
-/// `query.exemplar.<kind>.<class>` trace counter event. Always compiled.
-#[derive(Debug, Clone)]
-pub struct ExemplarRecord {
-    /// The completed epoch.
-    pub window: u64,
-    /// Window close (rotation) time, ns on the span clock.
-    pub end_ns: u64,
-    /// The captured tail query.
-    pub exemplar: Exemplar,
-}
-
-impl ExemplarRecord {
-    /// The record's canonical `query.exemplar.<kind>.<class>` series name
-    /// (see [`exemplar_series_name`]).
-    #[must_use]
-    pub fn series_name(&self) -> String {
-        exemplar_series_name(self.exemplar.kind, self.exemplar.class)
-    }
-}
-
-/// One rotated window's summary as retained by the history ring: the
-/// non-empty `(kind, class)` cells plus the window-level throughput.
+/// One rotated window as retained by the history ring — the only record of
+/// it: the non-empty `(kind, class)` cells with their phase split, the
+/// window-level throughput, and the window's tail exemplars.
 #[derive(Debug, Clone)]
 pub struct HistoryWindow {
     /// The completed epoch.
     pub window: u64,
+    /// Window open time, ns on the span clock: the previous rotation, or 0
+    /// (the process tracing epoch) for the first window.
+    pub start_ns: u64,
     /// Window close (rotation) time, ns on the span clock.
     pub end_ns: u64,
-    /// Window length, nanoseconds (0 for the first window, whose open time
-    /// is the process tracing epoch).
+    /// Window length, `end_ns - start_ns`.
     pub dur_ns: u64,
     /// Total queries across all cells.
     pub queries: u64,
@@ -908,6 +841,9 @@ pub struct HistoryWindow {
     pub qps: f64,
     /// Per-cell summaries, slab-index order, empty cells skipped.
     pub cells: Vec<WindowCell>,
+    /// The window's tail exemplars, slowest first
+    /// ([`QuerySlabs::completed_exemplars`]).
+    pub exemplars: Vec<Exemplar>,
 }
 
 /// Fixed-capacity ring of rotated window summaries: the time-series view
@@ -974,6 +910,16 @@ impl HistoryRing {
             .cloned()
     }
 
+    /// The newest retained window (`None` before the first push).
+    #[must_use]
+    pub fn newest(&self) -> Option<HistoryWindow> {
+        self.ring
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .back()
+            .cloned()
+    }
+
     /// Every retained window, oldest first.
     #[must_use]
     pub fn snapshot(&self) -> Vec<HistoryWindow> {
@@ -1007,76 +953,28 @@ static GLOBAL_SLABS: OnceLock<QuerySlabs> = OnceLock::new();
 static GLOBAL_HISTORY: OnceLock<HistoryRing> = OnceLock::new();
 
 #[cfg(feature = "enabled")]
-static WINDOW_LOG: Mutex<Vec<WindowRecord>> = Mutex::new(Vec::new());
-
-#[cfg(feature = "enabled")]
-static PHASE_LOG: Mutex<Vec<PhaseRecord>> = Mutex::new(Vec::new());
-
-#[cfg(feature = "enabled")]
-static EXEMPLAR_LOG: Mutex<Vec<ExemplarRecord>> = Mutex::new(Vec::new());
-
-/// Span-clock time of the last [`rotate_window`] (0 = none yet), so each
-/// drained window knows when it opened.
-#[cfg(feature = "enabled")]
-static LAST_ROTATE_NS: AtomicU64 = AtomicU64::new(0);
-
-/// Wall-clock length of the most recently completed window, nanoseconds
-/// (0 = no window completed yet). Lets [`serving_snapshot`] report a
-/// `query.win.duration_ns` gauge so scrapers can turn per-window counts
-/// into qps without knowing the reporter's `--window-ms`.
-#[cfg(feature = "enabled")]
-static LAST_WINDOW_DUR_NS: AtomicU64 = AtomicU64::new(0);
-
-#[cfg(feature = "enabled")]
 fn global_slabs() -> &'static QuerySlabs {
     GLOBAL_SLABS.get_or_init(|| QuerySlabs::new(GLOBAL_SHARDS, GLOBAL_WINDOWS))
 }
 
-/// In-flight phase-timed guard from [`query_start`]. Construction stamps
-/// the `queued` checkpoint; [`dispatched`](Self::dispatched) and
-/// [`executed`](Self::executed) stamp the intermediate checkpoints;
-/// [`finish`](Self::finish) stamps `replied` and records the
-/// phase-decomposed sample. Checkpoints are optional — an unmarked
-/// `dispatched` means no queue phase, an unmarked `executed` means no
-/// reply phase (see [`QueryPhase`]) — so today's in-process query path and
-/// the future data plane share one API. Zero-sized when the `enabled`
-/// feature is off.
+/// In-flight query guard from [`query_start`]. Construction stamps the
+/// start; [`finish`](Self::finish) stamps the end and records the elapsed
+/// time as one `exec`-only sample ([`PhaseNanos::all_exec`]). Zero-sized
+/// when the `enabled` feature is off.
 pub struct QueryStart {
     #[cfg(feature = "enabled")]
     armed: Option<PhaseClock>,
 }
 
-/// The checkpoint timestamps of one armed [`QueryStart`].
+/// The start stamp and source label of one armed [`QueryStart`].
 #[cfg(feature = "enabled")]
 #[derive(Clone, Copy)]
 struct PhaseClock {
     queued_ns: u64,
-    dispatched_ns: Option<u64>,
-    executed_ns: Option<u64>,
     source: u64,
 }
 
 impl QueryStart {
-    /// Marks the `dispatched` checkpoint: the query left the queue and
-    /// began executing. Queue time is 0 if never called.
-    #[inline(always)]
-    pub fn dispatched(&mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some(clock) = self.armed.as_mut() {
-            clock.dispatched_ns = Some(crate::span::now_ns());
-        }
-    }
-
-    /// Marks the `executed` checkpoint: the query's work finished and the
-    /// reply phase began. Reply time is 0 if never called.
-    #[inline(always)]
-    pub fn executed(&mut self) {
-        #[cfg(feature = "enabled")]
-        if let Some(clock) = self.armed.as_mut() {
-            clock.executed_ns = Some(crate::span::now_ns());
-        }
-    }
-
     /// Labels the source vertex for tail-exemplar capture (0, the default,
     /// when the caller never labels one).
     #[inline(always)]
@@ -1091,18 +989,15 @@ impl QueryStart {
         }
     }
 
-    /// Completes the query: stamps the `replied` checkpoint, classifies
-    /// `degree()` (only evaluated when a sample will actually be recorded),
-    /// and records the phase-decomposed sample — histograms plus the tail
-    /// exemplar reservoir — into the global slabs.
+    /// Completes the query: stamps the end, classifies `degree()` (only
+    /// evaluated when a sample will actually be recorded), and records the
+    /// sample — histograms plus the tail exemplar reservoir — into the
+    /// global slabs.
     #[inline(always)]
     pub fn finish(self, kind: QueryKind, degree: impl FnOnce() -> usize) {
         #[cfg(feature = "enabled")]
         if let Some(clock) = self.armed {
-            let replied = crate::span::now_ns();
-            let dispatched = clock.dispatched_ns.unwrap_or(clock.queued_ns);
-            let executed = clock.executed_ns.unwrap_or(replied);
-            let ns = PhaseNanos::from_checkpoints(clock.queued_ns, dispatched, executed, replied);
+            let total = crate::span::now_ns().saturating_sub(clock.queued_ns);
             let shard = rayon::current_thread_index().map_or(0, |i| i + 1);
             global_slabs().record_query(
                 shard,
@@ -1110,7 +1005,7 @@ impl QueryStart {
                     kind,
                     class: DegreeClass::classify(degree()),
                     source: clock.source,
-                    ns,
+                    ns: PhaseNanos::all_exec(total),
                 },
             );
         }
@@ -1132,8 +1027,6 @@ pub fn query_start() -> QueryStart {
         QueryStart {
             armed: crate::is_enabled().then(|| PhaseClock {
                 queued_ns: crate::span::now_ns(),
-                dispatched_ns: None,
-                executed_ns: None,
                 source: 0,
             }),
         }
@@ -1144,87 +1037,36 @@ pub fn query_start() -> QueryStart {
     }
 }
 
-/// Rotates the process-global slabs (single-rotator) and, for the
-/// completed window: appends one [`WindowRecord`] per non-empty
-/// `(kind, class)` cell to the window log, one [`PhaseRecord`] per phase of
-/// each such cell to the phase log, the window's tail exemplars to the
-/// exemplar log, and the window's summary to the history ring. Returns the
-/// completed epoch, or `None` when nothing was ever recorded (or the
-/// feature is off).
+/// Rotates the process-global slabs (single-rotator) and pushes the
+/// completed window — its non-empty cells with their phase split, its qps
+/// and its tail exemplars — into the history ring. Returns the completed
+/// epoch, or `None` when nothing was ever recorded (or the feature is off).
 pub fn rotate_window() -> Option<u64> {
     #[cfg(feature = "enabled")]
     {
         let slabs = GLOBAL_SLABS.get()?;
+        let history = GLOBAL_HISTORY.get_or_init(|| HistoryRing::new(HISTORY_WINDOWS));
         let end_ns = crate::span::now_ns();
-        let start_ns = LAST_ROTATE_NS.swap(end_ns, Relaxed);
+        let start_ns = history.newest().map_or(0, |w| w.end_ns);
         let dur_ns = end_ns.saturating_sub(start_ns);
-        LAST_WINDOW_DUR_NS.store(dur_ns, Relaxed);
         let completed = slabs.rotate();
         let cells = slabs.window_cells(completed);
-
-        {
-            let mut phases = PHASE_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-            for cell in &cells {
-                for phase in QueryPhase::ALL {
-                    let summary = slabs.window_phase_summary(
-                        completed,
-                        phase,
-                        Some(cell.kind),
-                        Some(cell.class),
-                    );
-                    if summary.count > 0 {
-                        phases.push(PhaseRecord {
-                            window: completed,
-                            end_ns,
-                            phase,
-                            kind: cell.kind,
-                            class: cell.class,
-                            summary,
-                        });
-                    }
-                }
-            }
-        }
-
-        {
-            let mut log = EXEMPLAR_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-            for exemplar in slabs.completed_exemplars() {
-                log.push(ExemplarRecord {
-                    window: completed,
-                    end_ns,
-                    exemplar,
-                });
-            }
-        }
-
         let queries: u64 = cells.iter().map(|c| c.summary.count).sum();
         let qps = if dur_ns > 0 {
             queries as f64 * 1e9 / dur_ns as f64
         } else {
             0.0
         };
-        GLOBAL_HISTORY
-            .get_or_init(|| HistoryRing::new(HISTORY_WINDOWS))
-            .push(HistoryWindow {
-                window: completed,
-                end_ns,
-                dur_ns,
-                queries,
-                qps,
-                cells: cells.clone(),
-            });
-
-        let mut log = WINDOW_LOG.lock().unwrap_or_else(PoisonError::into_inner);
-        for cell in cells {
-            log.push(WindowRecord {
-                window: completed,
-                start_ns,
-                end_ns,
-                kind: cell.kind,
-                class: cell.class,
-                summary: cell.summary,
-            });
-        }
+        history.push(HistoryWindow {
+            window: completed,
+            start_ns,
+            end_ns,
+            dur_ns,
+            queries,
+            qps,
+            cells,
+            exemplars: slabs.completed_exemplars(),
+        });
         Some(completed)
     }
     #[cfg(not(feature = "enabled"))]
@@ -1234,9 +1076,10 @@ pub fn rotate_window() -> Option<u64> {
 }
 
 /// Every retained window of the process-global history ring, oldest
-/// first — the payload behind the admin plane's `history` endpoint.
-/// Read-only and safe from any thread, like [`serving_snapshot`]. Empty
-/// when the feature is off or no window ever rotated.
+/// first — the payload behind the admin plane's `history` endpoint and the
+/// trace exporter's windowed series. Read-only and safe from any thread,
+/// like [`serving_snapshot`]. Empty when the feature is off or no window
+/// ever rotated.
 #[must_use]
 pub fn history_snapshot() -> Vec<HistoryWindow> {
     #[cfg(feature = "enabled")]
@@ -1256,11 +1099,12 @@ pub fn history_snapshot() -> Vec<HistoryWindow> {
 /// (the admin plane's scrape path): the most recently *completed* window's
 /// `(kind, class)` grid as [`WindowSeries`] entries (the live, still-filling
 /// window when nothing has rotated yet), plus `query.win.epoch` (live
-/// epoch) and `query.win.duration_ns` (length of the last completed window)
-/// gauges. Read-only — never rotates, so it is safe to call from any
-/// thread while a reporter owns rotation (a scrape that races a rotation
-/// sees the one-sample boundary smear documented in the module header, no
-/// worse). Empty when the feature is off or nothing was ever recorded.
+/// epoch) and `query.win.duration_ns` (length of the newest history-ring
+/// window) gauges. Read-only — never rotates, so it is safe to call from
+/// any thread while a reporter owns rotation (a scrape that races a
+/// rotation sees the one-sample boundary smear documented in the module
+/// header, no worse). Empty when the feature is off or nothing was ever
+/// recorded.
 #[must_use]
 pub fn serving_snapshot() -> MetricsSnapshot {
     #[cfg(feature = "enabled")]
@@ -1273,57 +1117,17 @@ pub fn serving_snapshot() -> MetricsSnapshot {
         let mut snap = slabs.snapshot(shown);
         snap.gauges
             .push(("query.win.epoch".to_string(), live as i64));
-        snap.gauges.push((
-            "query.win.duration_ns".to_string(),
-            LAST_WINDOW_DUR_NS.load(Relaxed) as i64,
-        ));
+        let last_dur_ns = GLOBAL_HISTORY
+            .get()
+            .and_then(HistoryRing::newest)
+            .map_or(0, |w| w.dur_ns);
+        snap.gauges
+            .push(("query.win.duration_ns".to_string(), last_dur_ns as i64));
         snap
     }
     #[cfg(not(feature = "enabled"))]
     {
         MetricsSnapshot::default()
-    }
-}
-
-/// Takes every [`WindowRecord`] accumulated by [`rotate_window`] since the
-/// last drain, in rotation order. Empty without the `enabled` feature.
-#[must_use]
-pub fn drain_window_log() -> Vec<WindowRecord> {
-    #[cfg(feature = "enabled")]
-    {
-        std::mem::take(&mut *WINDOW_LOG.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
-}
-
-/// Takes every [`PhaseRecord`] accumulated by [`rotate_window`] since the
-/// last drain, in rotation order. Empty without the `enabled` feature.
-#[must_use]
-pub fn drain_phase_log() -> Vec<PhaseRecord> {
-    #[cfg(feature = "enabled")]
-    {
-        std::mem::take(&mut *PHASE_LOG.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
-    }
-}
-
-/// Takes every [`ExemplarRecord`] accumulated by [`rotate_window`] since
-/// the last drain, in rotation order. Empty without the `enabled` feature.
-#[must_use]
-pub fn drain_exemplar_log() -> Vec<ExemplarRecord> {
-    #[cfg(feature = "enabled")]
-    {
-        std::mem::take(&mut *EXEMPLAR_LOG.lock().unwrap_or_else(PoisonError::into_inner))
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
     }
 }
 
@@ -1610,11 +1414,13 @@ mod tests {
     fn history_window(epoch: u64) -> HistoryWindow {
         HistoryWindow {
             window: epoch,
+            start_ns: epoch * 1_000,
             end_ns: (epoch + 1) * 1_000,
             dur_ns: 1_000,
             queries: 10,
             qps: 10.0,
             cells: Vec::new(),
+            exemplars: Vec::new(),
         }
     }
 
@@ -1623,6 +1429,7 @@ mod tests {
         let ring = HistoryRing::new(3);
         assert!(ring.is_empty());
         assert!(ring.window(0).is_none(), "never pushed");
+        assert!(ring.newest().is_none());
         for epoch in 0..5 {
             ring.push(history_window(epoch));
         }
@@ -1635,5 +1442,6 @@ mod tests {
         }
         let ordinals: Vec<_> = ring.snapshot().iter().map(|w| w.window).collect();
         assert_eq!(ordinals, [2, 3, 4], "oldest first");
+        assert_eq!(ring.newest().unwrap().window, 4);
     }
 }

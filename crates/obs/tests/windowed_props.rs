@@ -170,11 +170,13 @@ proptest! {
         for i in 0..pushes {
             ring.push(HistoryWindow {
                 window: i as u64,
+                start_ns: i as u64 * 1_000_000,
                 end_ns: (i as u64 + 1) * 1_000_000,
                 dur_ns: 1_000_000,
                 queries: i as u64 * 10,
                 qps: i as f64,
                 cells: Vec::new(),
+                exemplars: Vec::new(),
             });
         }
         prop_assert_eq!(ring.len(), pushes.min(cap));

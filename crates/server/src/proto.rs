@@ -8,7 +8,7 @@
 //!   pipeline commands and split concatenated responses without sniffing
 //!   payload contents.
 //! * **HTTP**: `GET <path> HTTP/1.x`; headers are skipped up to the blank
-//!   line, the response is a minimal `HTTP/1.0` message with
+//!   line (at most [`MAX_HEADER_LINES`] of them), the response is a minimal `HTTP/1.0` message with
 //!   `Content-Length` and `Connection: close`, and the connection closes
 //!   after one exchange. Just enough for `curl` and Prometheus scrapers.
 
@@ -16,6 +16,12 @@
 /// lines draw an error response and a close — see
 /// [`crate::buffer::Buffer::take_line`].
 pub const MAX_LINE: usize = 4096;
+
+/// Most HTTP header lines accepted per request. The read timeout applies
+/// to each read, not to the session, so without a cap a client sending one
+/// header line every few seconds would hold its session thread forever.
+/// Past the cap the session answers `431` and closes.
+pub const MAX_HEADER_LINES: usize = 64;
 
 /// What the admin plane serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

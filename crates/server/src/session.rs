@@ -9,7 +9,8 @@
 
 use crate::buffer::Buffer;
 use crate::proto::{
-    http_response, parse_request, plain_err, plain_ok, Endpoint, Request, MAX_LINE,
+    http_response, parse_request, plain_err, plain_ok, Endpoint, Request, MAX_HEADER_LINES,
+    MAX_LINE,
 };
 use parcsr_obs::expo;
 use parcsr_obs::metrics::MetricsSnapshot;
@@ -36,15 +37,19 @@ pub enum Exit {
     HttpServed,
     /// A request line exceeded [`MAX_LINE`]; an error response was sent.
     Oversized,
+    /// An HTTP request sent more than [`MAX_HEADER_LINES`] header lines;
+    /// a `431` response was sent.
+    TooManyHeaders,
     /// The stream's read timeout elapsed with no complete request.
     TimedOut,
 }
 
 /// While skipping HTTP headers: the endpoint to serve once the blank line
-/// arrives.
+/// arrives, and the header lines skipped so far.
 #[derive(Debug, Clone, Copy)]
 struct PendingHttp {
     endpoint: Option<Endpoint>,
+    headers: usize,
 }
 
 /// One admin connection.
@@ -117,12 +122,24 @@ impl<S: Read + Write> Session<S> {
                     }
                 };
 
-                if let Some(pending) = self.pending_http {
-                    if !line.is_empty() {
-                        continue; // skip an HTTP header line
+                if let Some(pending) = self.pending_http.as_mut() {
+                    if line.is_empty() {
+                        let endpoint = pending.endpoint;
+                        self.serve_http(endpoint)?;
+                        return Ok(Exit::HttpServed);
                     }
-                    self.serve_http(pending.endpoint)?;
-                    return Ok(Exit::HttpServed);
+                    pending.headers += 1; // skip an HTTP header line
+                    if pending.headers > MAX_HEADER_LINES {
+                        let msg = format!("more than {MAX_HEADER_LINES} header lines\n");
+                        self.respond(&http_response(
+                            431,
+                            "Request Header Fields Too Large",
+                            "text/plain",
+                            &msg,
+                        ))?;
+                        return Ok(Exit::TooManyHeaders);
+                    }
+                    continue;
                 }
 
                 match parse_request(&line) {
@@ -139,7 +156,10 @@ impl<S: Read + Write> Session<S> {
                         has_headers,
                     } => {
                         if has_headers {
-                            self.pending_http = Some(PendingHttp { endpoint });
+                            self.pending_http = Some(PendingHttp {
+                                endpoint,
+                                headers: 0,
+                            });
                         } else {
                             self.serve_http(endpoint)?;
                             return Ok(Exit::HttpServed);
@@ -265,8 +285,17 @@ mod tests {
 
     fn test_history() -> Vec<HistoryWindow> {
         use parcsr_obs::serve::{DegreeClass, QueryKind, WindowCell};
+        let summary = HistogramSummary {
+            count: 4,
+            sum: 400,
+            max: 200,
+            p50: 90,
+            p95: 200,
+            p99: 200,
+        };
         vec![HistoryWindow {
             window: 9,
+            start_ns: 1_000_000,
             end_ns: 2_000_000,
             dur_ns: 1_000_000,
             queries: 4,
@@ -274,15 +303,10 @@ mod tests {
             cells: vec![WindowCell {
                 kind: QueryKind::Neighbors,
                 class: DegreeClass::Hub,
-                summary: HistogramSummary {
-                    count: 4,
-                    sum: 400,
-                    max: 200,
-                    p50: 90,
-                    p95: 200,
-                    p99: 200,
-                },
+                phases: [summary; 3],
+                summary,
             }],
+            exemplars: Vec::new(),
         }]
     }
 
@@ -411,6 +435,28 @@ mod tests {
         let body = out.split("\r\n\r\n").nth(1).unwrap();
         assert!(expo::parse(body).unwrap().saw_eof);
         assert!(body.contains("parcsr_history_qps{window=\"9\"} 4000\n"));
+    }
+
+    #[test]
+    fn header_lines_past_the_cap_draw_431_and_close() {
+        let request = |headers: usize| {
+            let mut req = b"GET /metrics HTTP/1.1\r\n".to_vec();
+            for i in 0..headers {
+                req.extend_from_slice(format!("X-Filler-{i}: x\r\n").as_bytes());
+            }
+            req.extend_from_slice(b"\r\n");
+            req
+        };
+        // Exactly at the cap is still served.
+        let (exit, out) = run_session(ChunkedStream::bytes(&request(MAX_HEADER_LINES), 7));
+        assert_eq!(exit, Exit::HttpServed);
+        assert!(out.starts_with("HTTP/1.0 200 OK\r\n"));
+        // One line over is refused before the blank line arrives.
+        let (exit, out) = run_session(ChunkedStream::bytes(&request(MAX_HEADER_LINES + 1), 7));
+        assert_eq!(exit, Exit::TooManyHeaders);
+        assert!(out.starts_with("HTTP/1.0 431 Request Header Fields Too Large\r\n"));
+        assert!(out.contains("Connection: close\r\n"));
+        assert!(out.ends_with(&format!("more than {MAX_HEADER_LINES} header lines\n")));
     }
 
     #[test]
