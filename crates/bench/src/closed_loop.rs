@@ -333,8 +333,9 @@ pub fn spawn_admin(opts: &DriverOptions) -> Option<parcsr_server::admin::AdminSe
     }
 }
 
-/// Hub-graph shape constants at scale 1.0 (mirrors `examples/imbalance.rs`,
-/// which records the measured imbalance story for the same graph).
+/// Hub-graph shape constants at scale 1.0: the graph of EXPERIMENTS.md's
+/// imbalance study, whose edge-skew bound `tests/skew_invariance.rs` holds
+/// on the same shape.
 const HUB_NODES: u32 = 200_000;
 const HUB_PER_NODE: u32 = 5;
 const HUB_ROWS: u32 = 64;

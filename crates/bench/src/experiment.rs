@@ -157,9 +157,7 @@ fn run_dataset(
     let mut t1 = None;
     for &p in &opts.processors {
         let (time_ms, best_spans) = with_processors(p, || {
-            let builder = CsrBuilder::new()
-                .processors(p)
-                .chunk_policy(opts.chunk_policy);
+            let builder = CsrBuilder::new().processors(p);
             let mut best = f64::INFINITY;
             let mut best_spans = Vec::new();
             for _ in 0..opts.reps {
@@ -235,7 +233,6 @@ mod tests {
             mem_metrics: false,
             mem_sample: None,
             imbalance: false,
-            chunk_policy: parcsr::ChunkPolicy::default(),
         }
     }
 

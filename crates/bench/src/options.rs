@@ -1,8 +1,6 @@
 //! Minimal CLI option parsing shared by the harness binaries (no external
 //! argument-parsing dependency; the flags are few and stable).
 
-use parcsr::ChunkPolicy;
-
 /// Harness options.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Options {
@@ -45,10 +43,6 @@ pub struct Options {
     /// critical-path ratio) to each `stages` entry of the JSON output;
     /// requires the `obs` build feature to measure anything.
     pub imbalance: bool,
-    /// How build stages split rows into parallel chunks (default: edge
-    /// weighted; `--chunk-policy rows` restores the historical row-count
-    /// split).
-    pub chunk_policy: ChunkPolicy,
 }
 
 impl Default for Options {
@@ -67,7 +61,6 @@ impl Default for Options {
             mem_metrics: false,
             mem_sample: None,
             imbalance: false,
-            chunk_policy: ChunkPolicy::default(),
         }
     }
 }
@@ -139,10 +132,6 @@ impl Options {
                     opts.mem_sample = Some(n);
                 }
                 "--imbalance" => opts.imbalance = true,
-                "--chunk-policy" => {
-                    opts.chunk_policy = ChunkPolicy::parse(&value("--chunk-policy")?)
-                        .map_err(|e| format!("--chunk-policy: {e}"))?;
-                }
                 "--help" | "-h" => {
                     return Err(HELP.to_string());
                 }
@@ -186,10 +175,7 @@ Flags:
                   (default: $PARCSR_MEM_SAMPLE, else off; implies accounting)
   --imbalance     append per-stage worker-utilization / chunk-imbalance stats
                   to the JSON output
-                  (observability flags need a build with --features obs)
-  --chunk-policy <rows|edges>  how build stages split rows into parallel
-                  chunks (default edges: weight rows by degree so hubs
-                  spread out; rows = historical near-equal row counts)";
+                  (observability flags need a build with --features obs)";
 
 #[cfg(test)]
 mod tests {
@@ -234,6 +220,21 @@ mod tests {
     fn unknown_flag_is_error() {
         let e = parse(&["--nope"]).unwrap_err();
         assert!(e.contains("--nope"));
+    }
+
+    /// The chunk-policy switch is gone: chunking is always edge-weighted,
+    /// so every former spelling of the flag is rejected as unknown.
+    #[test]
+    fn chunk_policy_flag() {
+        for args in [
+            &["--chunk-policy", "rows"][..],
+            &["--chunk-policy", "edges"],
+            &["--chunk-policy", "nope"],
+            &["--chunk-policy"],
+        ] {
+            let e = parse(args).unwrap_err();
+            assert!(e.starts_with("unknown flag --chunk-policy "), "{e}");
+        }
     }
 
     #[test]
@@ -318,17 +319,6 @@ mod tests {
             assert_eq!(o.trace_sample, Some(8), "{args:?}");
             assert!(o.metrics && o.mem_metrics, "{args:?}");
         }
-    }
-
-    #[test]
-    fn chunk_policy_flag() {
-        assert_eq!(parse(&[]).unwrap().chunk_policy, ChunkPolicy::Edges);
-        let o = parse(&["--chunk-policy", "rows"]).unwrap();
-        assert_eq!(o.chunk_policy, ChunkPolicy::Rows);
-        let o = parse(&["--chunk-policy", "edges"]).unwrap();
-        assert_eq!(o.chunk_policy, ChunkPolicy::Edges);
-        assert!(parse(&["--chunk-policy", "nope"]).is_err());
-        assert!(parse(&["--chunk-policy"]).is_err());
     }
 
     #[test]

@@ -7,8 +7,8 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, Write as _};
 use std::time::Instant;
 
-use parcsr::query::{edges_exist_batch_binary_with_chunking, neighbors_batch_with_chunking};
-use parcsr::{BitPackedCsr, ChunkPolicy, CsrBuilder, PackedCsrMode};
+use parcsr::query::{edges_exist_batch_binary, neighbors_batch};
+use parcsr::{BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::gen::{barabasi_albert, erdos_renyi, rmat, BaParams, ErParams, RmatParams};
 use parcsr_graph::{io as gio, DegreeStats, EdgeList};
 
@@ -40,12 +40,7 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             seed,
             out,
         } => generate(*model, *nodes, *edges, *seed, out),
-        Command::Compress {
-            input,
-            out,
-            procs,
-            chunk_policy,
-        } => compress(input, out, resolve_procs(*procs), *chunk_policy),
+        Command::Compress { input, out, procs } => compress(input, out, resolve_procs(*procs)),
         Command::Stats { input } => stats(input),
         Command::Info { input } => info(input),
         Command::Watch {
@@ -59,21 +54,13 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             neighbors,
             edges,
             procs,
-            chunk_policy,
-        } => query(
-            input,
-            neighbors,
-            edges,
-            resolve_procs(*procs),
-            *chunk_policy,
-        ),
+        } => query(input, neighbors, edges, resolve_procs(*procs)),
         Command::TemporalCompress {
             input,
             out,
             gap,
             procs,
-            chunk_policy,
-        } => temporal_compress(input, out, *gap, resolve_procs(*procs), *chunk_policy),
+        } => temporal_compress(input, out, *gap, resolve_procs(*procs)),
         Command::TemporalQuery {
             input,
             frame,
@@ -84,13 +71,7 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
     }
 }
 
-fn temporal_compress(
-    input: &str,
-    out: &str,
-    gap: bool,
-    procs: usize,
-    chunk_policy: ChunkPolicy,
-) -> Result<String, CliError> {
+fn temporal_compress(input: &str, out: &str, gap: bool, procs: usize) -> Result<String, CliError> {
     let events = parcsr::with_processors(procs, || gio::read_temporal_edge_list_file(input))
         .map_err(|e| err(format!("reading {input}: {e}")))?;
     let mode = if gap {
@@ -102,7 +83,6 @@ fn temporal_compress(
     let tcsr = parcsr_temporal::TcsrBuilder::new()
         .processors(procs)
         .frame_mode(mode)
-        .chunk_policy(chunk_policy)
         .build(&events);
     let ms = ms_since(t);
     let file = File::create(out).map_err(|e| err(format!("creating {out}: {e}")))?;
@@ -200,21 +180,13 @@ fn read_edges(input: &str, procs: usize) -> Result<EdgeList, CliError> {
         .map_err(|e| err(format!("reading {input}: {e}")))
 }
 
-fn compress(
-    input: &str,
-    out: &str,
-    procs: usize,
-    chunk_policy: ChunkPolicy,
-) -> Result<String, CliError> {
+fn compress(input: &str, out: &str, procs: usize) -> Result<String, CliError> {
     let t = Instant::now();
     let graph = parcsr_obs::with_span("parse", || read_edges(input, procs))?;
     let parse_ms = ms_since(t);
 
     let t = Instant::now();
-    let (csr, timings) = CsrBuilder::new()
-        .processors(procs)
-        .chunk_policy(chunk_policy)
-        .build_timed(&graph);
+    let (csr, timings) = CsrBuilder::new().processors(procs).build_timed(&graph);
     let t_pack = Instant::now();
     let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, procs);
     let pack_ms = ms_since(t_pack);
@@ -287,7 +259,6 @@ fn query(
     neighbors: &[u32],
     edges: &[(u32, u32)],
     procs: usize,
-    chunk_policy: ChunkPolicy,
 ) -> Result<String, CliError> {
     let packed = load_pcsr(input)?;
     let n = packed.num_nodes() as u32;
@@ -302,7 +273,7 @@ fn query(
 
     let mut report = String::new();
     if !neighbors.is_empty() {
-        let rows = neighbors_batch_with_chunking(&packed, neighbors, procs, chunk_policy);
+        let rows = neighbors_batch(&packed, neighbors, procs);
         for (u, row) in neighbors.iter().zip(rows) {
             let preview: Vec<u32> = row.iter().copied().take(16).collect();
             let _ = writeln!(
@@ -314,7 +285,7 @@ fn query(
         }
     }
     if !edges.is_empty() {
-        let answers = edges_exist_batch_binary_with_chunking(&packed, edges, procs, chunk_policy);
+        let answers = edges_exist_batch_binary(&packed, edges, procs);
         for (&(u, v), exists) in edges.iter().zip(answers) {
             let _ = writeln!(report, "edge ({u}, {v}): {exists}");
         }
@@ -352,7 +323,6 @@ mod tests {
             input: txt.clone(),
             out: pcsr.clone(),
             procs: 2,
-            chunk_policy: ChunkPolicy::Edges,
         })
         .unwrap();
         assert!(report.contains("packed CSR"), "{report}");
@@ -383,7 +353,6 @@ mod tests {
             neighbors: vec![0, 1],
             edges: vec![(0, 1)],
             procs: 2,
-            chunk_policy: ChunkPolicy::Edges,
         })
         .unwrap();
         assert!(report.contains("neighbors(0)"), "{report}");
@@ -413,7 +382,6 @@ mod tests {
                     input: txt.clone(),
                     out: pcsr.clone(),
                     procs,
-                    chunk_policy: ChunkPolicy::Edges,
                 })
                 .unwrap();
                 std::fs::read(&pcsr).unwrap()
@@ -439,7 +407,6 @@ mod tests {
             input: txt,
             out: pcsr.clone(),
             procs: 1,
-            chunk_policy: ChunkPolicy::Rows,
         })
         .unwrap();
         let e = execute(&Command::Query {
@@ -447,7 +414,6 @@ mod tests {
             neighbors: vec![500],
             edges: vec![],
             procs: 1,
-            chunk_policy: ChunkPolicy::Edges,
         })
         .unwrap_err();
         assert!(e.to_string().contains("out of range"));
@@ -468,7 +434,6 @@ mod tests {
             out: tcsr_path.clone(),
             gap: true,
             procs: 2,
-            chunk_policy: ChunkPolicy::Edges,
         })
         .unwrap();
         assert!(report.contains("gap mode"), "{report}");
@@ -508,7 +473,6 @@ mod tests {
             out: out.clone(),
             gap: false,
             procs: 1,
-            chunk_policy: ChunkPolicy::Rows,
         })
         .unwrap();
         let e = execute(&Command::TemporalQuery {

@@ -3,8 +3,6 @@
 
 use std::fmt;
 
-use parcsr::ChunkPolicy;
-
 /// Which synthetic model `generate` uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Model {
@@ -40,8 +38,6 @@ pub enum Command {
         out: String,
         /// Processor count (0 = all).
         procs: usize,
-        /// How build stages split rows into parallel chunks.
-        chunk_policy: ChunkPolicy,
     },
     /// Print degree statistics of a SNAP text file.
     Stats {
@@ -63,8 +59,6 @@ pub enum Command {
         edges: Vec<(u32, u32)>,
         /// Processor count (0 = all).
         procs: usize,
-        /// How query batches split across processors.
-        chunk_policy: ChunkPolicy,
     },
     /// Compress a temporal triplet file (`u v t` lines) into a `.tcsr`.
     TemporalCompress {
@@ -76,8 +70,6 @@ pub enum Command {
         gap: bool,
         /// Processor count (0 = all).
         procs: usize,
-        /// How the event stream splits into parallel chunks.
-        chunk_policy: ChunkPolicy,
     },
     /// Poll a running process's admin plane and render a live per-kind /
     /// per-degree-class latency table.
@@ -217,19 +209,12 @@ usage: parcsr <command> [flags]
 commands:
   generate --nodes N --edges M --out FILE [--model rmat|er|ba] [--seed S]
   compress INPUT --out FILE [--procs P]
-           [--chunk-policy rows|edges]
   stats    INPUT
   info     FILE.pcsr
   query    FILE.pcsr [--neighbors u1,u2,...] [--edge u,v] [--procs P]
-           [--chunk-policy rows|edges]
   temporal-compress INPUT --out FILE [--mode random|gap] [--procs P]
-           [--chunk-policy rows|edges]
   temporal-query FILE.tcsr --frame T [--edge u,v] [--neighbors u1,u2] [--count]
   watch    HOST:PORT [--interval-ms N] [--once] [--out FILE]
-
-  --chunk-policy controls how parallel work splits into chunks: `edges`
-  (default) weights rows/queries by degree so hub nodes spread across
-  processors; `rows` restores the historical near-equal count split.
 
   watch polls a running process's admin plane (see --admin-port) and
   renders a refreshing per-kind/per-class latency table; --once scrapes a
@@ -332,15 +317,10 @@ impl Command {
                     .value("compress")
                     .map_err(|_| invalid("compress requires an input path"))?;
                 let (mut out, mut procs) = (None, 0usize);
-                let mut chunk_policy = ChunkPolicy::default();
                 while let Some(flag) = args.items.next() {
                     match flag.as_str() {
                         "--out" => out = Some(args.value("--out")?),
                         "--procs" => procs = args.parsed("--procs")?,
-                        "--chunk-policy" => {
-                            chunk_policy = ChunkPolicy::parse(&args.value("--chunk-policy")?)
-                                .map_err(invalid)?
-                        }
                         other => return Err(invalid(format!("unknown flag {other}"))),
                     }
                 }
@@ -348,7 +328,6 @@ impl Command {
                     input,
                     out: out.ok_or_else(|| invalid("compress requires --out"))?,
                     procs,
-                    chunk_policy,
                 })
             }
             "stats" => Ok(Command::Stats {
@@ -366,7 +345,6 @@ impl Command {
                     .value("query")
                     .map_err(|_| invalid("query requires an input path"))?;
                 let (mut neighbors, mut edges, mut procs) = (Vec::new(), Vec::new(), 0usize);
-                let mut chunk_policy = ChunkPolicy::default();
                 while let Some(flag) = args.items.next() {
                     match flag.as_str() {
                         "--neighbors" => {
@@ -380,10 +358,6 @@ impl Command {
                         }
                         "--edge" => edges.push(parse_pair(&args.value("--edge")?, "--edge")?),
                         "--procs" => procs = args.parsed("--procs")?,
-                        "--chunk-policy" => {
-                            chunk_policy = ChunkPolicy::parse(&args.value("--chunk-policy")?)
-                                .map_err(invalid)?
-                        }
                         other => return Err(invalid(format!("unknown flag {other}"))),
                     }
                 }
@@ -395,7 +369,6 @@ impl Command {
                     neighbors,
                     edges,
                     procs,
-                    chunk_policy,
                 })
             }
             "temporal-compress" => {
@@ -403,7 +376,6 @@ impl Command {
                     .value("temporal-compress")
                     .map_err(|_| invalid("temporal-compress requires an input path"))?;
                 let (mut out, mut gap, mut procs) = (None, true, 0usize);
-                let mut chunk_policy = ChunkPolicy::default();
                 while let Some(flag) = args.items.next() {
                     match flag.as_str() {
                         "--out" => out = Some(args.value("--out")?),
@@ -415,10 +387,6 @@ impl Command {
                             }
                         }
                         "--procs" => procs = args.parsed("--procs")?,
-                        "--chunk-policy" => {
-                            chunk_policy = ChunkPolicy::parse(&args.value("--chunk-policy")?)
-                                .map_err(invalid)?
-                        }
                         other => return Err(invalid(format!("unknown flag {other}"))),
                     }
                 }
@@ -427,7 +395,6 @@ impl Command {
                     out: out.ok_or_else(|| invalid("temporal-compress requires --out"))?,
                     gap,
                     procs,
-                    chunk_policy,
                 })
             }
             "temporal-query" => {
@@ -547,55 +514,27 @@ mod tests {
                 input: "in.txt".into(),
                 out: "out.pcsr".into(),
                 procs: 0,
-                chunk_policy: ChunkPolicy::Edges,
             }
         );
     }
 
+    /// Row chunks are always planned by edge weight; the flag that chose
+    /// a count split is gone from every command.
     #[test]
-    fn chunk_policy_flag() {
-        let c = parse(&["compress", "in.txt", "--out", "o", "--chunk-policy", "rows"]).unwrap();
-        assert!(matches!(
-            c,
-            Command::Compress {
-                chunk_policy: ChunkPolicy::Rows,
-                ..
-            }
-        ));
-        let c = parse(&[
-            "query",
-            "g.pcsr",
-            "--edge",
-            "1,2",
-            "--chunk-policy",
-            "edges",
-        ])
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::Query {
-                chunk_policy: ChunkPolicy::Edges,
-                ..
-            }
-        ));
-        let c = parse(&[
-            "temporal-compress",
-            "ev.txt",
-            "--out",
-            "g.tcsr",
-            "--chunk-policy",
-            "rows",
-        ])
-        .unwrap();
-        assert!(matches!(
-            c,
-            Command::TemporalCompress {
-                chunk_policy: ChunkPolicy::Rows,
-                ..
-            }
-        ));
-        assert!(parse(&["compress", "in.txt", "--out", "o", "--chunk-policy", "nope"]).is_err());
-        assert!(parse(&["compress", "in.txt", "--out", "o", "--chunk-policy"]).is_err());
+    fn chunk_plan_flag_is_unknown() {
+        for args in [
+            &["compress", "in.txt", "--out", "o"][..],
+            &["query", "g.pcsr", "--edge", "1,2"],
+            &["temporal-compress", "ev.txt", "--out", "g.tcsr"],
+        ] {
+            let mut args = args.to_vec();
+            args.extend(["--chunk-policy", "rows"]);
+            assert_eq!(
+                parse(&args),
+                Err(ParseError::Invalid("unknown flag --chunk-policy".into())),
+                "{args:?}"
+            );
+        }
     }
 
     /// Compress always packs the raw layout; `--mode` is not a flag.
@@ -631,7 +570,6 @@ mod tests {
                 neighbors: vec![1, 2, 3],
                 edges: vec![(4, 5), (6, 7)],
                 procs: 0,
-                chunk_policy: ChunkPolicy::Edges,
             }
         );
     }
@@ -659,7 +597,6 @@ mod tests {
                 out: "g.tcsr".into(),
                 gap: false,
                 procs: 0,
-                chunk_policy: ChunkPolicy::Edges,
             }
         );
         assert!(parse(&["temporal-compress", "ev.txt"]).is_err());

@@ -11,7 +11,7 @@
 use std::time::Instant;
 
 use parcsr_graph::{EdgeList, NodeId};
-use parcsr_runtime::{run_chunked, split_mut_by_ranges, ChunkPolicy};
+use parcsr_runtime::{plan, run_chunked, split_mut_by_ranges};
 use parcsr_scan::{ScanAlgorithm, Scanner};
 
 use crate::degree::degrees_parallel;
@@ -189,37 +189,19 @@ impl BuildTimings {
 #[derive(Debug, Clone, Copy)]
 pub struct CsrBuilder {
     processors: usize,
-    scan: ScanAlgorithm,
-    chunk_policy: ChunkPolicy,
 }
 
 impl CsrBuilder {
-    /// Builder with the paper's defaults: chunked scan, one chunk per
-    /// current rayon thread, edge-weighted chunking.
+    /// Builder with one chunk per current rayon thread.
     pub fn new() -> Self {
         CsrBuilder {
             processors: rayon::current_num_threads(),
-            scan: ScanAlgorithm::Chunked,
-            chunk_policy: ChunkPolicy::default(),
         }
     }
 
     /// Sets the logical processor count (number of chunks).
     pub fn processors(mut self, p: usize) -> Self {
         self.processors = p.max(1);
-        self
-    }
-
-    /// Sets the scan algorithm used for the offset array.
-    pub fn scan_algorithm(mut self, alg: ScanAlgorithm) -> Self {
-        self.scan = alg;
-        self
-    }
-
-    /// Sets the chunking policy for the column-fill stage. The output CSR is
-    /// identical either way; only the parallel work split changes.
-    pub fn chunk_policy(mut self, policy: ChunkPolicy) -> Self {
-        self.chunk_policy = policy;
         self
     }
 
@@ -273,7 +255,7 @@ impl CsrBuilder {
         let offsets =
             parcsr_obs::with_span_args("scan", parcsr_obs::SpanArgs::new().edges(n as u64), || {
                 let degrees64: Vec<u64> = degrees.iter().map(|&d| u64::from(d)).collect();
-                let scanner = Scanner::with_chunks(self.scan, p);
+                let scanner = Scanner::with_chunks(ScanAlgorithm::Chunked, p);
                 let mut offsets = scanner.exclusive_scan(&degrees64);
                 offsets.push(sorted.num_edges() as u64);
                 offsets
@@ -281,15 +263,14 @@ impl CsrBuilder {
         timings.scan_ms = ms_since(t);
 
         // Column fill: the sorted edge list's target column, copied in
-        // row chunks planned by the chunking policy. Under the default
-        // edge-weighted plan a hub row's edges stay inside one worker's chunk
-        // instead of inflating whichever row-balanced chunk drew the hub.
+        // edge-weighted row chunks, so a hub row's edges stay inside one
+        // worker's chunk instead of inflating a row-balanced one.
         let t = Instant::now();
         let targets: Vec<NodeId> = parcsr_obs::with_span_args(
             "scatter",
             parcsr_obs::SpanArgs::new().edges(sorted.num_edges() as u64),
             || {
-                let plan = self.chunk_policy.plan(&offsets, p);
+                let plan = plan(&offsets, p);
                 let edge_ranges: Vec<_> = plan
                     .iter()
                     .map(|c| offsets[c.range.start] as usize..offsets[c.range.end] as usize)
@@ -335,7 +316,7 @@ fn ms_since(t: Instant) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parcsr_graph::gen::{erdos_renyi, rmat, ErParams, RmatParams};
+    use parcsr_graph::gen::{rmat, RmatParams};
 
     fn paper_example() -> EdgeList {
         // The 10-node graph of Table I (upper triangular + mirrored rows as
@@ -381,19 +362,6 @@ mod tests {
         for p in [1, 2, 4, 8, 32] {
             let got = CsrBuilder::new().processors(p).build(&g);
             assert_eq!(got, want, "p={p}");
-        }
-    }
-
-    #[test]
-    fn all_scan_algorithms_agree() {
-        let g = erdos_renyi(ErParams::new(700, 5_000, 5));
-        let want = Csr::from_edge_list_sequential(&g);
-        for alg in ScanAlgorithm::ALL {
-            let got = CsrBuilder::new()
-                .processors(6)
-                .scan_algorithm(alg)
-                .build(&g);
-            assert_eq!(got, want, "{}", alg.name());
         }
     }
 
@@ -467,22 +435,6 @@ mod tests {
         }
         // Double transpose is the identity.
         assert_eq!(t.transposed(), csr);
-    }
-
-    #[test]
-    fn chunk_policy_does_not_change_csr() {
-        let g = rmat(RmatParams::new(512, 8_000, 5));
-        for p in [1, 2, 7, 64] {
-            let rows = CsrBuilder::new()
-                .processors(p)
-                .chunk_policy(ChunkPolicy::Rows)
-                .build(&g);
-            let edges = CsrBuilder::new()
-                .processors(p)
-                .chunk_policy(ChunkPolicy::Edges)
-                .build(&g);
-            assert_eq!(rows, edges, "p={p}");
-        }
     }
 
     #[test]

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
 use rayon::prelude::*;
 
 use parcsr_graph::{Edge, NodeId};
-use parcsr_scan::chunk_ranges;
+use parcsr_runtime::chunk_ranges;
 
 /// One chunk of Algorithm 2 over a source-sorted `chunk`: emits every
 /// complete (non-head) node run through `emit` and returns the head node
@@ -135,7 +135,7 @@ pub mod checked {
 
     use parcsr_check as check;
     use parcsr_graph::{Edge, NodeId};
-    use parcsr_scan::chunk_ranges;
+    use parcsr_runtime::chunk_ranges;
 
     use super::count_chunk_runs;
 

@@ -10,8 +10,8 @@
 //!   resolves chunk-boundary overlaps without synchronization on the hot
 //!   path, plus the atomic-increment ablation comparator.
 //! * [`build`] — the parallel CSR constructor: sort → parallel degrees →
-//!   prefix-sum offsets (any [`parcsr_scan::ScanAlgorithm`]) → parallel
-//!   column fill, with per-stage timings for the evaluation harness.
+//!   prefix-sum offsets (Algorithm 1's chunked scan) → parallel column
+//!   fill, with per-stage timings for the evaluation harness.
 //! * [`packed`] — Algorithm 4: the bit-packed CSR (`iA` and `jA` compressed
 //!   with the fixed-width codec of \[7\], chunk-parallel with merge) and the
 //!   `GetRowFromCSR` row extraction of \[28\].
@@ -75,4 +75,4 @@ pub use stream::{StreamError, StreamingCsrPacker};
 pub use weighted::WeightedCsr;
 
 pub use parcsr_runtime::pool::with_processors;
-pub use parcsr_runtime::{run_chunked, run_chunked_plan, Chunk, ChunkPolicy};
+pub use parcsr_runtime::{run_chunked, run_chunked_plan, Chunk};

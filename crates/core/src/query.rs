@@ -18,9 +18,8 @@
 //!
 //! The batch drivers weight each query by the degree of its subject node
 //! (plus a constant per-query charge) and split the batch with the shared
-//! [`ChunkPolicy`] planner, so a run of hub queries no longer lands in one
-//! processor's chunk. [`ChunkPolicy::Rows`] restores the historical
-//! query-count split.
+//! [`parcsr_runtime::plan`] planner, so a run of hub queries does not land in
+//! one processor's chunk.
 //!
 //! Every individual query is additionally accounted into the serving
 //! telemetry slabs (`parcsr_obs::serve`): latency per [`QueryKind`] per
@@ -35,8 +34,7 @@ use parcsr_obs::serve::QueryKind;
 
 use parcsr_bitpack::BLOCK_LEN;
 use parcsr_graph::NodeId;
-use parcsr_runtime::{run_chunked_plan, ChunkPolicy};
-use parcsr_scan::chunk_ranges;
+use parcsr_runtime::{chunk_ranges, plan, run_chunked_plan};
 
 use crate::build::Csr;
 use crate::packed::{BitPackedCsr, PackedCsrMode};
@@ -135,8 +133,8 @@ impl NeighborSource for BitPackedCsr {
 
 /// Cumulative degrees of a query batch's subject nodes: `prefix[i+1] -
 /// prefix[i]` is the degree of query `i`, which is exactly the prefix-sum
-/// shape [`ChunkPolicy::plan`] weights by (the planner adds the constant
-/// per-query charge itself).
+/// shape [`plan`] weights by (the planner adds the constant per-query
+/// charge itself).
 fn degree_prefix<S: NeighborSource>(
     source: &S,
     nodes: impl Iterator<Item = NodeId>,
@@ -202,26 +200,13 @@ fn neighbors_query<S: NeighborSource>(source: &S, u: NodeId) -> Vec<NodeId> {
 
 /// Algorithm 6: answers an array of neighborhood queries, the query array
 /// split into `processors` chunks answered concurrently. Result `i` is the
-/// sorted neighbor row of `queries[i]`. Splits with the default
-/// [`ChunkPolicy`] (edge-weighted); see [`neighbors_batch_with_chunking`].
+/// sorted neighbor row of `queries[i]`. Queries are weighted by
+/// `degree + 1` so hub-heavy batches spread across processors. One
+/// processor or one query runs inline as a single chunk.
 pub fn neighbors_batch<S: NeighborSource>(
     source: &S,
     queries: &[NodeId],
     processors: usize,
-) -> Vec<Vec<NodeId>> {
-    neighbors_batch_with_chunking(source, queries, processors, ChunkPolicy::default())
-}
-
-/// [`neighbors_batch`] with an explicit chunking policy: queries are
-/// weighted by `degree + 1` under [`ChunkPolicy::Edges`] so hub-heavy
-/// batches spread across processors, or split by query count under
-/// [`ChunkPolicy::Rows`]. The result is identical either way. One
-/// processor or one query runs inline as a single chunk.
-pub fn neighbors_batch_with_chunking<S: NeighborSource>(
-    source: &S,
-    queries: &[NodeId],
-    processors: usize,
-    policy: ChunkPolicy,
 ) -> Vec<Vec<NodeId>> {
     if one_chunk(processors, queries.len()) {
         return run_inline(
@@ -237,7 +222,7 @@ pub fn neighbors_batch_with_chunking<S: NeighborSource>(
         "query.neighbors",
         parcsr_obs::SpanArgs::new().edges(*prefix.last().unwrap_or(&0)),
     );
-    let plan = policy.plan(&prefix, processors);
+    let plan = plan(&prefix, processors);
     let chunks: Vec<Vec<Vec<NodeId>>> = run_chunked_plan("query.neighbors.chunk", plan, |chunk| {
         queries[chunk.range.clone()]
             .iter()
@@ -254,30 +239,17 @@ pub fn neighbors_batch_with_chunking<S: NeighborSource>(
 /// block by block through [`NeighborSource::for_each_block_while`] and
 /// exits at the first neighbor ≥ the target (the paper's linear scan with
 /// early exit on the sorted row) — no row materialization, no per-query
-/// allocation.
+/// allocation. Queries are weighted by the source node's `degree + 1`, since
+/// a linear scan's cost is the row length.
 pub fn edges_exist_batch<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
     processors: usize,
 ) -> Vec<bool> {
-    edges_exist_batch_with_chunking(source, queries, processors, ChunkPolicy::default())
-}
-
-/// [`edges_exist_batch`] with an explicit chunking policy: queries are
-/// weighted by the source node's `degree + 1` under [`ChunkPolicy::Edges`]
-/// (a linear scan's cost is the row length), or split by query count under
-/// [`ChunkPolicy::Rows`]. The result is identical either way.
-pub fn edges_exist_batch_with_chunking<S: NeighborSource>(
-    source: &S,
-    queries: &[(NodeId, NodeId)],
-    processors: usize,
-    policy: ChunkPolicy,
-) -> Vec<bool> {
     batch_edge_queries(
         source,
         queries,
         processors,
-        policy,
         QueryKind::EdgeScan,
         |source, u, v| {
             let mut found = false;
@@ -297,29 +269,17 @@ pub fn edges_exist_batch_with_chunking<S: NeighborSource>(
 /// to a binary search to speed up the process"): each query goes through the
 /// source's native [`NeighborSource::has_edge`] path — binary search on a
 /// plain CSR row slice, O(log deg) direct bit probes on a packed CSR. No
-/// per-query allocation in either.
+/// per-query allocation in either. Queries are weighted by `degree + 1`, as
+/// in the other batch drivers.
 pub fn edges_exist_batch_binary<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
     processors: usize,
 ) -> Vec<bool> {
-    edges_exist_batch_binary_with_chunking(source, queries, processors, ChunkPolicy::default())
-}
-
-/// [`edges_exist_batch_binary`] with an explicit chunking policy. Queries
-/// are weighted by `degree + 1`, as in the other batch drivers; the result
-/// is identical under either policy.
-pub fn edges_exist_batch_binary_with_chunking<S: NeighborSource>(
-    source: &S,
-    queries: &[(NodeId, NodeId)],
-    processors: usize,
-    policy: ChunkPolicy,
-) -> Vec<bool> {
     batch_edge_queries(
         source,
         queries,
         processors,
-        policy,
         QueryKind::EdgeBinary,
         |source, u, v| source.has_edge(u, v),
     )
@@ -329,7 +289,6 @@ fn batch_edge_queries<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
     processors: usize,
-    policy: ChunkPolicy,
     kind: QueryKind,
     probe: impl Fn(&S, NodeId, NodeId) -> bool + Sync,
 ) -> Vec<bool> {
@@ -354,7 +313,7 @@ fn batch_edge_queries<S: NeighborSource>(
         "query.edges",
         parcsr_obs::SpanArgs::new().edges(*prefix.last().unwrap_or(&0)),
     );
-    let plan = policy.plan(&prefix, processors);
+    let plan = plan(&prefix, processors);
     let chunks: Vec<Vec<bool>> = run_chunked_plan("query.edges.chunk", plan, |chunk| {
         queries[chunk.range.clone()]
             .iter()
@@ -548,40 +507,6 @@ mod tests {
         assert_eq!(exists.len(), 2);
         assert_eq!(single, Some(csr.has_edge(3, 4)));
         assert_eq!(hoods[0], csr.neighbors(1));
-    }
-
-    #[test]
-    fn chunk_policy_does_not_change_query_results() {
-        let (csr, packed) = fixtures();
-        // Front-load hub queries so the weighted plan actually differs from
-        // the count split.
-        let mut queries: Vec<NodeId> = (0..256).collect();
-        queries.sort_by_key(|&u| std::cmp::Reverse(csr.degree(u)));
-        let edge_queries: Vec<(NodeId, NodeId)> =
-            queries.iter().map(|&u| (u, (u * 31) % 256)).collect();
-        for p in [1, 2, 7, 64] {
-            let rows = neighbors_batch_with_chunking(&packed, &queries, p, ChunkPolicy::Rows);
-            let edges = neighbors_batch_with_chunking(&packed, &queries, p, ChunkPolicy::Edges);
-            assert_eq!(rows, edges, "neighbors p={p}");
-            let rows =
-                edges_exist_batch_with_chunking(&packed, &edge_queries, p, ChunkPolicy::Rows);
-            let edges =
-                edges_exist_batch_with_chunking(&packed, &edge_queries, p, ChunkPolicy::Edges);
-            assert_eq!(rows, edges, "edges p={p}");
-            let rows = edges_exist_batch_binary_with_chunking(
-                &packed,
-                &edge_queries,
-                p,
-                ChunkPolicy::Rows,
-            );
-            let edges = edges_exist_batch_binary_with_chunking(
-                &packed,
-                &edge_queries,
-                p,
-                ChunkPolicy::Edges,
-            );
-            assert_eq!(rows, edges, "binary p={p}");
-        }
     }
 
     #[test]

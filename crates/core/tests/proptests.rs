@@ -9,7 +9,6 @@ use parcsr::query::{
 };
 use parcsr::{degrees_parallel, BitPackedCsr, Csr, CsrBuilder, NeighborSource, PackedCsrMode};
 use parcsr_graph::EdgeList;
-use parcsr_scan::ScanAlgorithm;
 
 fn arb_graph(max_node: u32, max_edges: usize) -> impl Strategy<Value = EdgeList> {
     (
@@ -124,15 +123,6 @@ proptest! {
         let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 2);
         prop_assert_eq!(edge_exists_split(&packed, u, v, p), want);
         prop_assert_eq!(edge_exists_split_binary(&packed, u, v, p), want);
-    }
-
-    #[test]
-    fn scan_algorithm_choice_is_invisible(g in arb_graph(150, 400)) {
-        let base = CsrBuilder::new().scan_algorithm(ScanAlgorithm::Sequential).build(&g);
-        for alg in ScanAlgorithm::ALL {
-            let other = CsrBuilder::new().processors(5).scan_algorithm(alg).build(&g);
-            prop_assert_eq!(&other, &base, "{}", alg.name());
-        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 
 use rayon::prelude::*;
 
-use parcsr_scan::{chunk_ranges, exclusive_scan_seq};
+use parcsr_runtime::chunk_ranges;
+use parcsr_scan::exclusive_scan_seq;
 
 use crate::types::Edge;
 
@@ -141,7 +142,8 @@ pub mod checked {
     use std::sync::Arc;
 
     use parcsr_check as check;
-    use parcsr_scan::{chunk_ranges, exclusive_scan_seq};
+    use parcsr_runtime::chunk_ranges;
+    use parcsr_scan::exclusive_scan_seq;
 
     use super::{digit, RADIX};
     use crate::types::Edge;

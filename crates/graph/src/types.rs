@@ -77,8 +77,8 @@ impl EdgeList {
 
     /// Returns a copy sorted by `(source, target)` — the precondition of the
     /// parallel degree computation (Section III-A2 assumes "each chunk
-    /// receives a sorted list of edges"). Parallel sort, skipped when the
-    /// list is already sorted (the check stops at the first inversion).
+    /// receives a sorted list of edges"). The sort is skipped when the list
+    /// is already sorted (the check stops at the first inversion).
     pub fn sorted_by_source(&self) -> EdgeList {
         let mut sorted = self.clone();
         if !sorted.is_sorted_by_source() {
@@ -87,7 +87,9 @@ impl EdgeList {
         sorted
     }
 
-    /// Sorts in place by `(source, target)`. Parallel.
+    /// Sorts in place by `(source, target)` with `par_sort_unstable`. The
+    /// in-tree rayon shim runs its `par_sort_*` family sequentially, so this
+    /// is a one-thread comparison sort until a real rayon is swapped in.
     pub fn sort_by_source(&mut self) {
         self.edges.par_sort_unstable();
     }

@@ -16,9 +16,9 @@
 //! * [`chunk_ranges_by_prefix_sum`] — the same weighted split driven
 //!   directly by a CSR-style prefix-sum array (offsets *are* the prefix
 //!   sum), allocation-free and `O(chunks · log n)`;
-//! * [`ChunkPolicy`] — the row-chunking rule the pipeline stages consume
-//!   ([`ChunkPolicy::Edges`] is the default: hub rows get isolated instead
-//!   of dragging a whole chunk);
+//! * [`plan`] — the row-chunk plan the pipeline stages consume: near-equal
+//!   edge counts over the offsets, so hub rows get isolated instead of
+//!   dragging a whole chunk ([`plan_uniform`] for stages with no offsets);
 //! * [`run_chunked`] / [`run_chunked_plan`] — execute one planned chunk per
 //!   parallel task, each wrapped in a span carrying the
 //!   `chunk`/`chunk_len`/`edges` payloads that `parcsr_obs::analyze` turns
@@ -29,11 +29,10 @@
 //!   processor sweep pins each measurement to, next to the planner that
 //!   feeds them.
 //!
-//! Every planner in the workspace routes through here (`parcsr-scan`
-//! re-exports the planners for backward compatibility), so the scan,
+//! Every planner in the workspace routes through here, so the scan,
 //! degree-computation, bit-packing, query-batching and TCSR pipelines agree
-//! on chunk boundaries. `examples/imbalance.rs` A/B-tests the policies on a
-//! skewed hub graph and EXPERIMENTS.md records the measured gap.
+//! on chunk boundaries. EXPERIMENTS.md records the measured skew of the
+//! edge-weighted plan against the count split it replaced.
 
 pub mod pool;
 
@@ -245,95 +244,60 @@ pub fn split_mut_by_ranges<'a, T>(
     out
 }
 
-/// How a row range is divided into parallel chunks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ChunkPolicy {
-    /// Near-equal row counts per chunk ([`chunk_ranges`]): the historical
-    /// default, right only when per-row cost is uniform.
-    Rows,
-    /// Near-equal edge counts per chunk ([`chunk_ranges_by_prefix_sum`] over
-    /// the offsets array, charging `degree + 1` per row so empty-row runs
-    /// still spread out): resists hub-row skew and is the workspace default.
-    #[default]
-    Edges,
+/// Plans row chunks for a CSR-shaped `offsets` array (length `n + 1`,
+/// non-decreasing): near-equal edge counts per chunk
+/// ([`chunk_ranges_by_prefix_sum`], charging `degree + 1` per row so
+/// empty-row runs still spread out), so a hub row gets isolated instead of
+/// dragging a whole chunk. Returns at most `chunks` non-empty [`Chunk`]s
+/// covering `0..n` contiguously; empty when `n == 0`. Planning is
+/// allocation-free beyond the returned plan and records a `plan` span whose
+/// `chunks` payload is the plan size.
+#[must_use]
+pub fn plan(offsets: &[u64], chunks: usize) -> Vec<Chunk> {
+    let mut span = parcsr_obs::enter("plan");
+    let n = offsets.len().saturating_sub(1);
+    let plan: Vec<Chunk> = chunk_ranges_by_prefix_sum(offsets, chunks)
+        .into_iter()
+        .enumerate()
+        .map(|(index, range)| {
+            let edges = offsets[range.end] - offsets[range.start];
+            Chunk {
+                index,
+                range,
+                edges,
+            }
+        })
+        .collect();
+    let edges = if n == 0 { 0 } else { offsets[n] - offsets[0] };
+    span.set_args(
+        parcsr_obs::SpanArgs::new()
+            .chunks(plan.len() as u64)
+            .edges(edges),
+    );
+    plan
 }
 
-impl ChunkPolicy {
-    /// Stable name for reports and experiment output.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ChunkPolicy::Rows => "rows",
-            ChunkPolicy::Edges => "edges",
-        }
-    }
-
-    /// Parses a policy name as written on a command line (`"rows"` /
-    /// `"edges"`).
-    pub fn parse(name: &str) -> Result<Self, String> {
-        match name {
-            "rows" => Ok(ChunkPolicy::Rows),
-            "edges" => Ok(ChunkPolicy::Edges),
-            other => Err(format!("unknown chunk policy `{other}` (rows|edges)")),
-        }
-    }
-
-    /// Plans row chunks for a CSR-shaped `offsets` array (length `n + 1`,
-    /// non-decreasing). Returns at most `chunks` non-empty [`Chunk`]s
-    /// covering `0..n` contiguously; empty when `n == 0`. Planning is
-    /// allocation-free beyond the returned plan and records a `plan` span
-    /// whose `chunks` payload is the plan size.
-    #[must_use]
-    pub fn plan(self, offsets: &[u64], chunks: usize) -> Vec<Chunk> {
-        let mut span = parcsr_obs::enter("plan");
-        let n = offsets.len().saturating_sub(1);
-        let ranges = match self {
-            ChunkPolicy::Rows => chunk_ranges(n, chunks),
-            ChunkPolicy::Edges => chunk_ranges_by_prefix_sum(offsets, chunks),
-        };
-        let plan: Vec<Chunk> = ranges
-            .into_iter()
-            .enumerate()
-            .map(|(index, range)| {
-                let edges = offsets[range.end] - offsets[range.start];
-                Chunk {
-                    index,
-                    range,
-                    edges,
-                }
-            })
-            .collect();
-        let edges = if n == 0 { 0 } else { offsets[n] - offsets[0] };
-        span.set_args(
-            parcsr_obs::SpanArgs::new()
-                .chunks(plan.len() as u64)
-                .edges(edges),
-        );
-        plan
-    }
-
-    /// The fallback plan for stages whose elements have no prefix sum to
-    /// weight by (e.g. raw event lists): a near-equal count split regardless
-    /// of policy, with each chunk's element count as its `edges` payload.
-    #[must_use]
-    pub fn plan_uniform(self, len: usize, chunks: usize) -> Vec<Chunk> {
-        let mut span = parcsr_obs::enter("plan");
-        let plan: Vec<Chunk> = chunk_ranges(len, chunks)
-            .into_iter()
-            .enumerate()
-            .map(|(index, range)| Chunk {
-                index,
-                edges: range.len() as u64,
-                range,
-            })
-            .collect();
-        span.set_args(
-            parcsr_obs::SpanArgs::new()
-                .chunks(plan.len() as u64)
-                .edges(len as u64),
-        );
-        plan
-    }
+/// The plan for stages whose elements have no prefix sum to weight by
+/// (e.g. raw event lists): a near-equal count split ([`chunk_ranges`]), with
+/// each chunk's element count as its `edges` payload.
+#[must_use]
+pub fn plan_uniform(len: usize, chunks: usize) -> Vec<Chunk> {
+    let mut span = parcsr_obs::enter("plan");
+    let plan: Vec<Chunk> = chunk_ranges(len, chunks)
+        .into_iter()
+        .enumerate()
+        .map(|(index, range)| Chunk {
+            index,
+            edges: range.len() as u64,
+            range,
+        })
+        .collect();
+    span.set_args(
+        parcsr_obs::SpanArgs::new()
+            .chunks(plan.len() as u64)
+            .edges(len as u64),
+    );
+    plan
 }
 
 /// One planned chunk of rows.
@@ -606,31 +570,8 @@ mod tests {
     const HUB: [u64; 7] = [0, 12, 13, 14, 15, 16, 16];
 
     #[test]
-    fn default_policy_is_edges() {
-        assert_eq!(ChunkPolicy::default(), ChunkPolicy::Edges);
-    }
-
-    #[test]
-    fn policy_parses_its_own_names() {
-        for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
-            assert_eq!(ChunkPolicy::parse(policy.name()), Ok(policy));
-        }
-        assert!(ChunkPolicy::parse("columns").is_err());
-    }
-
-    #[test]
-    fn row_policy_balances_rows_not_edges() {
-        let plan = ChunkPolicy::Rows.plan(&HUB, 2);
-        assert_eq!(plan.len(), 2);
-        assert_eq!(plan[0].range, 0..3);
-        assert_eq!(plan[1].range, 3..6);
-        assert_eq!(plan[0].edges, 14);
-        assert_eq!(plan[1].edges, 2);
-    }
-
-    #[test]
     fn edge_policy_isolates_the_hub() {
-        let plan = ChunkPolicy::Edges.plan(&HUB, 2);
+        let plan = plan(&HUB, 2);
         assert_eq!(plan.len(), 2);
         assert_eq!(plan[0].range, 0..1, "hub row gets its own chunk");
         assert_eq!(plan[1].range, 1..6);
@@ -640,46 +581,42 @@ mod tests {
 
     #[test]
     fn plans_cover_rows_exactly_once() {
-        for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
-            for chunks in [1usize, 2, 3, 7, 64] {
-                let plan = policy.plan(&HUB, chunks);
-                let mut prev = 0;
-                let mut edges = 0;
-                for (i, c) in plan.iter().enumerate() {
-                    assert_eq!(c.index, i);
-                    assert_eq!(c.range.start, prev);
-                    assert!(!c.range.is_empty());
-                    prev = c.range.end;
-                    edges += c.edges;
-                }
-                assert_eq!(prev, 6, "{policy:?} x{chunks}");
-                assert_eq!(edges, 16);
+        for chunks in [1usize, 2, 3, 7, 64] {
+            let plan = plan(&HUB, chunks);
+            let mut prev = 0;
+            let mut edges = 0;
+            for (i, c) in plan.iter().enumerate() {
+                assert_eq!(c.index, i);
+                assert_eq!(c.range.start, prev);
+                assert!(!c.range.is_empty());
+                prev = c.range.end;
+                edges += c.edges;
             }
+            assert_eq!(prev, 6, "x{chunks}");
+            assert_eq!(edges, 16);
         }
-        assert!(ChunkPolicy::Rows.plan(&[0], 4).is_empty());
-        assert!(ChunkPolicy::Edges.plan(&[], 4).is_empty());
+        assert!(plan(&[0], 4).is_empty());
+        assert!(plan(&[], 4).is_empty());
     }
 
     #[test]
     fn uniform_plan_counts_elements_as_edges() {
-        for policy in [ChunkPolicy::Rows, ChunkPolicy::Edges] {
-            let plan = policy.plan_uniform(10, 3);
-            assert_eq!(plan.len(), 3);
-            let mut prev = 0;
-            for (i, c) in plan.iter().enumerate() {
-                assert_eq!(c.index, i);
-                assert_eq!(c.range.start, prev);
-                assert_eq!(c.edges, c.range.len() as u64);
-                prev = c.range.end;
-            }
-            assert_eq!(prev, 10);
+        let plan = plan_uniform(10, 3);
+        assert_eq!(plan.len(), 3);
+        let mut prev = 0;
+        for (i, c) in plan.iter().enumerate() {
+            assert_eq!(c.index, i);
+            assert_eq!(c.range.start, prev);
+            assert_eq!(c.edges, c.range.len() as u64);
+            prev = c.range.end;
         }
-        assert!(ChunkPolicy::Edges.plan_uniform(0, 4).is_empty());
+        assert_eq!(prev, 10);
+        assert!(plan_uniform(0, 4).is_empty());
     }
 
     #[test]
     fn run_chunked_preserves_chunk_order() {
-        let plan = ChunkPolicy::Edges.plan(&HUB, 3);
+        let plan = plan(&HUB, 3);
         let indices = run_chunked_plan("test.chunk", plan.clone(), |c| c.index);
         assert_eq!(indices, (0..plan.len()).collect::<Vec<_>>());
 

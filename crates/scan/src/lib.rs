@@ -69,9 +69,3 @@ pub use sequential::{
     exclusive_scan_seq, exclusive_scan_seq_by, inclusive_scan_seq, inclusive_scan_seq_by,
 };
 pub use two_pass::{inclusive_scan_two_pass, inclusive_scan_two_pass_by};
-// Chunk planning lives in the shared `parcsr-runtime` crate; re-exported
-// here because every scan entry point takes a chunk count and callers
-// historically imported the planners from this crate.
-pub use parcsr_runtime::{
-    chunk_ranges, chunk_ranges_by_prefix_sum, chunk_ranges_weighted, split_mut_by_ranges,
-};

@@ -13,7 +13,7 @@
 use rayon::prelude::*;
 
 use parcsr_graph::{TemporalEdge, TemporalEdgeList, Timestamp};
-use parcsr_runtime::{run_chunked_plan, ChunkPolicy};
+use parcsr_runtime::{plan_uniform, run_chunked_plan};
 
 use crate::frame::{key, DeltaFrame, FrameMode};
 use crate::tcsr::Tcsr;
@@ -73,7 +73,6 @@ fn merge_frame_piece(slot: &mut Vec<u64>, mut keys: Vec<u64>) {
 pub struct TcsrBuilder {
     processors: usize,
     mode: FrameMode,
-    chunk_policy: ChunkPolicy,
 }
 
 impl TcsrBuilder {
@@ -82,7 +81,6 @@ impl TcsrBuilder {
         TcsrBuilder {
             processors: rayon::current_num_threads(),
             mode: FrameMode::Random,
-            chunk_policy: ChunkPolicy::default(),
         }
     }
 
@@ -98,20 +96,12 @@ impl TcsrBuilder {
         self
     }
 
-    /// Sets the chunking policy. Events carry no offsets array to weight
-    /// by, so both policies currently fall back to the count split; the
-    /// knob exists so callers can thread one policy through the whole
-    /// pipeline.
-    pub fn chunk_policy(mut self, policy: ChunkPolicy) -> Self {
-        self.chunk_policy = policy;
-        self
-    }
-
     /// Builds the differential TCSR from a time-sorted event list.
     pub fn build(&self, events: &TemporalEdgeList) -> Tcsr {
         let num_frames = events.num_frames();
         let evs = events.events();
-        let plan = self.chunk_policy.plan_uniform(evs.len(), self.processors);
+        // Events carry no offsets array to weight by: a count split.
+        let plan = plan_uniform(evs.len(), self.processors);
 
         // Per chunk: (frame, sorted parity-collapsed key list) in frame
         // order. Chunks see disjoint event ranges of the (t, u, v)-sorted
@@ -170,7 +160,7 @@ pub mod checked {
 
     use parcsr_check as check;
     use parcsr_graph::TemporalEdge;
-    use parcsr_scan::chunk_ranges;
+    use parcsr_runtime::chunk_ranges;
 
     use super::{collapse_chunk, merge_frame_piece};
 

@@ -15,7 +15,7 @@
 use rayon::prelude::*;
 
 use parcsr_graph::{NodeId, Timestamp};
-use parcsr_scan::chunk_ranges;
+use parcsr_runtime::chunk_ranges;
 
 use crate::frame::{sym_diff, DeltaFrame};
 

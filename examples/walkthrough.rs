@@ -10,7 +10,8 @@
 
 use parcsr::{degrees_parallel, CsrBuilder};
 use parcsr_graph::EdgeList;
-use parcsr_scan::{chunk_ranges, inclusive_scan_seq};
+use parcsr_runtime::chunk_ranges;
+use parcsr_scan::inclusive_scan_seq;
 
 fn main() {
     figure_1();
