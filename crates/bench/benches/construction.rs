@@ -62,21 +62,41 @@ fn bench_packing_stage(c: &mut Criterion) {
 }
 
 fn bench_sort_stage(c: &mut Criterion) {
-    // The pre-processing the paper assumes away: rayon's parallel
-    // comparison sort vs the LSD radix sort (DESIGN.md ablation "sort").
+    // The pre-processing the paper assumes away: sorting the edge list by
+    // source and then building (Algorithms 1-4's input), against the
+    // counting build that buckets an unsorted list straight into rows
+    // (DESIGN.md ablation "sort"). The presorted input measures what each
+    // path pays when the sort has nothing to do.
     let graph = rmat(RmatParams::new(N, M, 42));
+    let presorted = graph.sorted_by_source();
     let mut group = c.benchmark_group("sort_stage");
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(10);
     group.throughput(Throughput::Elements(M as u64));
-    group.bench_function("comparison", |b| {
-        b.iter(|| black_box(graph.sorted_by_source()));
-    });
-    for &chunks in &[4usize, 16] {
-        group.bench_with_input(BenchmarkId::new("radix", chunks), &graph, |b, g| {
-            b.iter(|| black_box(g.sorted_by_source_radix(chunks)));
-        });
+    for (input, g) in [("unsorted", &graph), ("presorted", &presorted)] {
+        for &p in &[1usize, 2] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("sort_then_build/{input}"), p),
+                g,
+                |b, g| {
+                    with_processors(p, || {
+                        let builder = CsrBuilder::new().processors(p);
+                        b.iter(|| black_box(builder.build_from_sorted(&g.sorted_by_source()).0));
+                    });
+                },
+            );
+            group.bench_with_input(
+                BenchmarkId::new(format!("counting_build/{input}"), p),
+                g,
+                |b, g| {
+                    with_processors(p, || {
+                        let builder = CsrBuilder::new().processors(p);
+                        b.iter(|| black_box(builder.build(g)));
+                    });
+                },
+            );
+        }
     }
     group.finish();
 }

@@ -1,17 +1,29 @@
 //! Parallel CSR construction (Section III).
 //!
-//! Pipeline: sort the edge list by source (precondition of Algorithm 2) →
-//! compute the degree array in parallel (Algorithms 2–3) → prefix-sum the
-//! degrees into row offsets (Algorithm 1 / any scan in `parcsr-scan`) →
-//! fill the column array in parallel. Because the edge list is sorted by
-//! `(source, target)`, the column array *is* the target column of the sorted
-//! list, so the fill is a parallel copy and every row comes out sorted —
+//! Two pipelines share the paper's degree → prefix sum → fill shape:
+//!
+//! * [`CsrBuilder::build_from_sorted`] is the paper's, over an edge list
+//!   sorted by source (the precondition of Algorithm 2): the degree array in
+//!   parallel (Algorithms 2–3), its prefix sum into row offsets
+//!   (Algorithm 1), then the fill. Because the list is sorted by
+//!   `(source, target)`, the column array *is* its target column, so the
+//!   fill is a parallel copy and every row comes out sorted. Table II and
+//!   Figures 6–7 time this path.
+//! * [`CsrBuilder::build`] takes any edge list and runs the same three steps
+//!   in counting-sort form (`parcsr_graph::sort`): per-chunk source
+//!   histograms are the degrees, Algorithm 1 scans them into offsets, one
+//!   parallel scatter buckets the targets into their rows, and rows not
+//!   already sorted are sorted in place. The edge list is neither cloned nor
+//!   sorted.
+//!
+//! Both produce the canonical CSR — rows sorted ascending, duplicates kept —
 //! which the query algorithms exploit for binary search.
 
 use std::time::Instant;
 
+use parcsr_graph::sort::SourceCounts;
 use parcsr_graph::{EdgeList, NodeId};
-use parcsr_runtime::{plan, run_chunked, split_mut_by_ranges};
+use parcsr_runtime::{plan, run_chunked, split_mut_by_ranges, Chunk};
 use parcsr_scan::{ScanAlgorithm, Scanner};
 
 use crate::degree::degrees_parallel;
@@ -168,13 +180,20 @@ impl Csr {
 /// decompose into.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BuildTimings {
-    /// Parallel sort of the edge list (0 when the input was pre-sorted).
+    /// [`CsrBuilder::build`]: the parallel in-row sort after the scatter
+    /// (rows already sorted are only checked). 0 from
+    /// [`CsrBuilder::build_from_sorted`], whose input arrives sorted.
     pub sort_ms: f64,
-    /// Parallel degree computation (Algorithms 2–3).
+    /// The degree array: per-chunk source histograms, summed
+    /// ([`CsrBuilder::build`]), or Algorithms 2–3 over the sorted list
+    /// ([`CsrBuilder::build_from_sorted`]).
     pub degree_ms: f64,
-    /// Prefix-sum of the degree array (Algorithm 1).
+    /// Prefix-sum of the degree array into row offsets (Algorithm 1).
     pub scan_ms: f64,
-    /// Parallel column-array fill.
+    /// The column array: per-(chunk, node) cursors and the parallel scatter
+    /// of targets into their rows ([`CsrBuilder::build`]), or the parallel
+    /// copy of the sorted list's target column
+    /// ([`CsrBuilder::build_from_sorted`]).
     pub fill_ms: f64,
 }
 
@@ -205,22 +224,65 @@ impl CsrBuilder {
         self
     }
 
-    /// Builds the CSR, sorting a copy of the edge list first.
+    /// Builds the CSR from an edge list in any order, with the counting
+    /// build (see the module docs).
     pub fn build(&self, graph: &EdgeList) -> Csr {
         self.build_timed(graph).0
     }
 
-    /// Builds the CSR and reports per-stage timings.
+    /// Builds the CSR with the counting build and reports per-stage timings.
     pub fn build_timed(&self, graph: &EdgeList) -> (Csr, BuildTimings) {
+        let n = graph.num_nodes();
+        let m = graph.num_edges();
+        let p = self.processors;
         let mut timings = BuildTimings::default();
+
+        // Degrees: per-chunk source histograms, summed.
         let t = Instant::now();
-        let sorted = parcsr_obs::with_span_args(
-            "sort",
-            parcsr_obs::SpanArgs::new().edges(graph.num_edges() as u64),
-            || graph.sorted_by_source(),
-        );
+        let counts = SourceCounts::count(graph.edges(), n, p);
+        let degrees = counts.degrees();
+        timings.degree_ms = ms_since(t);
+
+        // Algorithm 1: prefix sum -> row offsets.
+        let t = Instant::now();
+        let offsets =
+            parcsr_obs::with_span_args("scan", parcsr_obs::SpanArgs::new().edges(n as u64), || {
+                self.scan_offsets(&degrees, m)
+            });
+        drop(degrees);
+        timings.scan_ms = ms_since(t);
+
+        // Fill: each target scattered into its row, in input order.
+        let t = Instant::now();
+        let mut targets = counts.scatter(&offsets);
+        timings.fill_ms = ms_since(t);
+
+        // Sort each row that the input order left unsorted.
+        let t = Instant::now();
+        parcsr_obs::with_span_args("sort", parcsr_obs::SpanArgs::new().edges(m as u64), || {
+            run_chunked(
+                "sort.chunk",
+                row_chunks(&offsets, p, &mut targets),
+                |chunk, out: &mut [NodeId]| {
+                    let first = offsets[chunk.range.start];
+                    for u in chunk.range.clone() {
+                        let row = &mut out
+                            [(offsets[u] - first) as usize..(offsets[u + 1] - first) as usize];
+                        if !row.is_sorted() {
+                            row.sort_unstable();
+                        }
+                    }
+                },
+            );
+        });
         timings.sort_ms = ms_since(t);
-        let csr = self.build_from_sorted_inner(&sorted, &mut timings);
+
+        let csr = Csr {
+            num_nodes: n,
+            offsets,
+            targets,
+        };
+        debug_assert_eq!(csr.validate(), Ok(()));
         (csr, timings)
     }
 
@@ -255,31 +317,21 @@ impl CsrBuilder {
         let offsets =
             parcsr_obs::with_span_args("scan", parcsr_obs::SpanArgs::new().edges(n as u64), || {
                 let degrees64: Vec<u64> = degrees.iter().map(|&d| u64::from(d)).collect();
-                let scanner = Scanner::with_chunks(ScanAlgorithm::Chunked, p);
-                let mut offsets = scanner.exclusive_scan(&degrees64);
-                offsets.push(sorted.num_edges() as u64);
-                offsets
+                self.scan_offsets(&degrees64, sorted.num_edges())
             });
         timings.scan_ms = ms_since(t);
 
         // Column fill: the sorted edge list's target column, copied in
-        // edge-weighted row chunks, so a hub row's edges stay inside one
-        // worker's chunk instead of inflating a row-balanced one.
+        // edge-weighted row chunks.
         let t = Instant::now();
         let targets: Vec<NodeId> = parcsr_obs::with_span_args(
             "scatter",
             parcsr_obs::SpanArgs::new().edges(sorted.num_edges() as u64),
             || {
-                let plan = plan(&offsets, p);
-                let edge_ranges: Vec<_> = plan
-                    .iter()
-                    .map(|c| offsets[c.range.start] as usize..offsets[c.range.end] as usize)
-                    .collect();
                 let mut targets = vec![0 as NodeId; sorted.num_edges()];
-                let outs = split_mut_by_ranges(&mut targets, &edge_ranges);
                 run_chunked(
                     "scatter.chunk",
-                    plan.into_iter().zip(outs).collect(),
+                    row_chunks(&offsets, p, &mut targets),
                     |chunk, out: &mut [NodeId]| {
                         let first = offsets[chunk.range.start] as usize;
                         let src = &sorted.edges()[first..first + out.len()];
@@ -301,6 +353,33 @@ impl CsrBuilder {
         debug_assert_eq!(csr.validate(), Ok(()));
         csr
     }
+
+    /// Algorithm 1: the exclusive prefix sum of `degrees`, plus a trailing
+    /// slot holding the edge count.
+    fn scan_offsets(&self, degrees: &[u64], num_edges: usize) -> Vec<u64> {
+        let scanner = Scanner::with_chunks(ScanAlgorithm::Chunked, self.processors);
+        let mut offsets = scanner.exclusive_scan(degrees);
+        offsets.push(num_edges as u64);
+        offsets
+    }
+}
+
+/// `targets` cut at the row boundaries of [`plan`]'s edge-weighted row
+/// chunks, so a hub row's edges stay inside one worker's chunk instead of
+/// inflating a row-balanced one.
+fn row_chunks<'a>(
+    offsets: &[u64],
+    processors: usize,
+    targets: &'a mut [NodeId],
+) -> Vec<(Chunk, &'a mut [NodeId])> {
+    let plan = plan(offsets, processors);
+    let edge_ranges: Vec<_> = plan
+        .iter()
+        .map(|c| offsets[c.range.start] as usize..offsets[c.range.end] as usize)
+        .collect();
+    plan.into_iter()
+        .zip(split_mut_by_ranges(targets, &edge_ranges))
+        .collect()
 }
 
 impl Default for CsrBuilder {
@@ -393,6 +472,29 @@ mod tests {
         let csr = CsrBuilder::new().build(&g);
         assert_eq!(csr.neighbors(0), [1, 1]);
         assert_eq!(csr.num_edges(), 3);
+    }
+
+    #[test]
+    fn counting_build_matches_sorted_build_on_sorted_input() {
+        // A source-sorted list leaves every row sorted after the scatter, so
+        // the in-row sort only checks; the result is the paper path's.
+        let g = rmat(RmatParams::new(512, 8_000, 5)).sorted_by_source();
+        let want = CsrBuilder::new().build_from_sorted(&g).0;
+        for p in [1, 2, 3, 8] {
+            assert_eq!(CsrBuilder::new().processors(p).build(&g), want, "p={p}");
+        }
+    }
+
+    #[test]
+    fn many_processors_few_edges_stays_small() {
+        // n = 2^24, m = 1 at p = 64: the histogram count follows m / n, so
+        // this allocates one 64 MiB histogram, not 64 of them (4 GiB).
+        let g = EdgeList::new(1 << 24, vec![(0, 1)]);
+        let csr = CsrBuilder::new().processors(64).build(&g);
+        assert_eq!(csr.num_nodes(), 1 << 24);
+        assert_eq!(csr.neighbors(0), [1]);
+        assert_eq!(csr.offsets()[1..].iter().min(), Some(&1));
+        assert_eq!(csr.offsets().last(), Some(&1));
     }
 
     #[test]

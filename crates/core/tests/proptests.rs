@@ -41,6 +41,13 @@ proptest! {
     }
 
     #[test]
+    fn counting_build_equals_sorted_build(g in arb_graph(300, 600), p in 1usize..17) {
+        let builder = CsrBuilder::new().processors(p);
+        let want = builder.build_from_sorted(&g.sorted_by_source()).0;
+        prop_assert_eq!(builder.build(&g), want);
+    }
+
+    #[test]
     fn degrees_parallel_equals_histogram(g in arb_graph(200, 500), p in 1usize..33) {
         let sorted = g.sorted_by_source();
         let got = degrees_parallel(sorted.edges(), sorted.num_nodes(), p);

@@ -37,7 +37,6 @@ pub mod types;
 pub mod weighted;
 
 pub use datasets::{paper_datasets, DatasetProfile};
-pub use sort::par_radix_sort_edges;
 pub use stats::DegreeStats;
 pub use temporal::{TemporalEdge, TemporalEdgeList, Timestamp};
 pub use types::{Edge, EdgeList, NodeId};

@@ -1,56 +1,61 @@
-//! Parallel LSD radix sort for edge lists.
+//! The counting build's source bucketing: per-chunk source histograms and
+//! the parallel scatter of targets into their rows.
 //!
-//! The paper assumes its input edge lists arrive sorted; in practice the
-//! sort dominates preprocessing (compare `BuildTimings::sort_ms` against
-//! the rest of the pipeline). Edge pairs are fixed-width 64-bit keys, so a
-//! least-significant-digit radix sort applies: four passes of 16-bit
-//! digits, each pass a (parallel histogram → prefix sum → parallel scatter)
-//! round — the same histogram-plus-prefix-sum shape as the degree/offset
-//! computation itself, built on the same `parcsr-scan` machinery.
+//! `parcsr::CsrBuilder::build` builds a CSR straight from an unsorted edge
+//! list. It runs the paper's degree → prefix sum → fill in counting-sort
+//! form, so the list is neither cloned nor sorted first. Its stages, named
+//! as `BuildTimings` reports them:
+//!
+//! * **degrees** — [`SourceCounts::count`]: each edge chunk counts its
+//!   sources into its own histogram, in parallel. Summed over chunks, the
+//!   histograms are the degree array ([`SourceCounts::degrees`]).
+//! * **scan** — Algorithm 1 turns the degrees into row offsets (in
+//!   `parcsr`).
+//! * **fill** — [`SourceCounts::scatter`]: each histogram becomes its
+//!   chunk's write cursors in place (in row `u`, chunk `c`'s slots follow
+//!   chunk `c − 1`'s), then every chunk writes its edges' targets at its
+//!   cursors in parallel. Each row holds its targets in input order.
+//! * **sort** — every row not already sorted is sorted in place (in
+//!   `parcsr`). A source-sorted input leaves every row sorted, so that
+//!   stage only checks.
+//!
+//! Per-chunk histograms cost `chunks · n · 4` bytes, so
+//! `histogram_chunks` takes no more chunks than the input has edges per
+//! node: the histograms never outweigh the column array they fill.
+//!
+//! The scatter's parallel writes are this crate's only `unsafe` code. Their
+//! disjointness is checked at run time ([`SourceCounts::scatter`] verifies
+//! the cursors tile `0..m`) and schedule-checked under
+//! `--cfg parcsr_check` (`checked::scatter_pass_model`).
 
-use rayon::prelude::*;
+use parcsr_runtime::{plan_uniform, run_chunked, run_chunked_plan, Chunk};
 
-use parcsr_runtime::chunk_ranges;
-use parcsr_scan::exclusive_scan_seq;
+use crate::types::{Edge, NodeId};
 
-use crate::types::Edge;
-
-const DIGIT_BITS: u32 = 16;
-const RADIX: usize = 1 << DIGIT_BITS;
-const PASSES: u32 = 4;
-
-#[inline]
-fn key(e: Edge) -> u64 {
-    (u64::from(e.0) << 32) | u64::from(e.1)
-}
-
-#[inline]
-fn digit(e: Edge, pass: u32) -> usize {
-    ((key(e) >> (pass * DIGIT_BITS)) & (RADIX as u64 - 1)) as usize
-}
-
-/// A raw shared output buffer for the scatter phase. Writers hold disjoint
-/// index sets by construction (each (chunk, digit) pair owns the contiguous
-/// range the prefix sum assigned to it), which is what makes the unchecked
+/// A raw shared output buffer for the scatter. Writers hold disjoint index
+/// sets by construction (each (chunk, node) pair owns the contiguous range
+/// its cursor starts in its row), which is what makes the unchecked
 /// parallel writes sound.
-struct ScatterTarget<'a> {
-    ptr: *mut Edge,
+struct ScatterTarget<'a, T> {
+    ptr: *mut T,
     len: usize,
-    _marker: std::marker::PhantomData<&'a mut [Edge]>,
+    _marker: std::marker::PhantomData<&'a mut [T]>,
 }
 
 // SAFETY: sharing `ScatterTarget` across threads is sound only under the
-// disjoint-index invariant: the exclusive prefix sum over per-(chunk, digit)
-// histogram counts assigns every (chunk, digit) bucket a contiguous output
-// range, the ranges tile the output exactly, and each scatter thread writes
-// only inside its own chunk's buckets — so no two threads ever write the
-// same index, and nobody reads until the pass's implicit join. That
-// invariant is schedule-checked in `checked::scatter_pass_model` (run with
-// `--cfg parcsr_check`), including a seeded violation that shares cursors.
-unsafe impl Sync for ScatterTarget<'_> {}
+// disjoint-index invariant: the per-(chunk, node) cursors start ranges that
+// tile the output exactly (`cursors_in_place` checks the counts they come
+// from against the row offsets), each range holds exactly that chunk's
+// edges out of that node, and each scatter thread writes only inside its
+// own chunk's ranges — so no two threads ever write the same index, and
+// nobody reads until the scatter's closing join. `T: Send` because values move across threads.
+// The invariant is schedule-checked in `checked::scatter_pass_model` (run
+// with `--cfg parcsr_check`), including a seeded violation that shares
+// cursors.
+unsafe impl<T: Send> Sync for ScatterTarget<'_, T> {}
 
-impl<'a> ScatterTarget<'a> {
-    fn new(buf: &'a mut [Edge]) -> Self {
+impl<'a, T> ScatterTarget<'a, T> {
+    fn new(buf: &'a mut [T]) -> Self {
         ScatterTarget {
             ptr: buf.as_mut_ptr(),
             len: buf.len(),
@@ -61,12 +66,12 @@ impl<'a> ScatterTarget<'a> {
     /// # Safety
     ///
     /// `i` must be in bounds (`i < self.len`) and *owned* by the calling
-    /// thread for the duration of the pass: no other thread may write index
-    /// `i`, and no thread may read it until the scatter's closing join. The
-    /// sort upholds this by giving each (chunk, digit) cursor a private
-    /// range carved out by the exclusive prefix sum.
+    /// thread for the duration of the scatter: no other thread may write
+    /// index `i`, and no thread may read it until the scatter's closing
+    /// join. The scatter upholds this by giving each (chunk, node) cursor a
+    /// private range carved out of the row offsets.
     #[inline]
-    unsafe fn write(&self, i: usize, value: Edge) {
+    unsafe fn write(&self, i: usize, value: T) {
         debug_assert!(i < self.len);
         // SAFETY: caller guarantees `i < self.len`, so the offset stays
         // inside the allocation; caller's disjoint-index invariant rules
@@ -75,67 +80,177 @@ impl<'a> ScatterTarget<'a> {
     }
 }
 
-/// Sorts edges by `(source, target)` with a parallel LSD radix sort using
-/// `chunks` logical processors. Stable and deterministic; output equals
-/// `edges.sort_unstable()` (ties are full-key equal, so stability is moot).
-pub fn par_radix_sort_edges(edges: &mut Vec<Edge>, chunks: usize) {
-    let n = edges.len();
-    if n <= 1 {
-        return;
+/// Histogram chunks for `num_edges` edges over `num_nodes` nodes on
+/// `processors` workers: `min(p, max(1, m / n))`. Each chunk's histogram
+/// holds `n` counters, so the histograms together never hold more counters
+/// than there are edges — an input like `n = 2^24, m = 1` at `p = 64` gets
+/// one histogram, not 64.
+fn histogram_chunks(num_nodes: usize, num_edges: usize, processors: usize) -> usize {
+    let per_node = num_edges / num_nodes.max(1);
+    processors.max(1).min(per_node.max(1))
+}
+
+/// One chunk's source histogram: `counts[u]` edges of `edges` leave `u`.
+///
+/// # Panics
+///
+/// Panics if a source is `>= num_nodes` (the histogram index is
+/// bounds-checked).
+fn count_sources(edges: &[Edge], num_nodes: usize) -> Vec<u32> {
+    let mut counts = vec![0u32; num_nodes];
+    for &(u, _) in edges {
+        counts[u as usize] += 1;
     }
-    let chunks = chunks.max(1).min(n);
-    let mut scratch: Vec<Edge> = vec![(0, 0); n];
-    let ranges = chunk_ranges(n, chunks);
+    counts
+}
 
-    // Each pass reads `edges` and scatters into `scratch`, then the two
-    // vectors swap contents (an O(1) pointer swap); PASSES is even, so the
-    // final result lands back in `edges`.
-    for pass in 0..PASSES {
-        let src: &[Edge] = edges;
-        let dst: &mut [Edge] = &mut scratch;
-
-        // Parallel per-chunk histograms.
-        let histograms: Vec<Vec<u64>> = ranges
-            .par_iter()
-            .map(|r| {
-                let mut h = vec![0u64; RADIX];
-                for &e in &src[r.clone()] {
-                    h[digit(e, pass)] += 1;
-                }
-                h
-            })
-            .collect();
-
-        // Global offsets in (digit, chunk) order: an exclusive prefix sum
-        // assigns every (chunk, digit) bucket its contiguous output range.
-        let mut offsets = vec![0u64; RADIX * chunks];
-        for d in 0..RADIX {
-            for (c, h) in histograms.iter().enumerate() {
-                offsets[d * chunks + c] = h[d];
-            }
+/// Turns per-chunk histograms into per-chunk write cursors in place:
+/// chunk `c`'s cursor for `u` is the count of `u` in chunks `0..c`, the
+/// place in row `u` where chunk `c`'s edges out of `u` start. Cursors count
+/// from the row start, so they fit `u32` at any edge count (degrees are
+/// `u32` throughout the workspace).
+///
+/// # Panics
+///
+/// Panics unless the rows tile `0..num_edges` exactly: `offsets` must start
+/// at 0, step by each node's summed count, and end at `num_edges`. That
+/// also rules out a wrapped counter (the counts would sum short of
+/// `num_edges`), so every (chunk, node) range holds exactly its edges.
+fn cursors_in_place(counts: &mut [Vec<u32>], offsets: &[u64], num_edges: usize) {
+    let n = offsets.len().saturating_sub(1);
+    assert!(
+        offsets.first() == Some(&0) && offsets[n] == num_edges as u64,
+        "row offsets must run from 0 to the edge count"
+    );
+    for u in 0..n {
+        // Every cursor the scatter reaches is at most the row length, so a
+        // row that fits `u32` keeps every cursor increment from wrapping.
+        let mut within = 0u32;
+        for h in counts.iter_mut() {
+            let count = h[u];
+            h[u] = within;
+            within = within
+                .checked_add(count)
+                .expect("a node with more than u32::MAX edges");
         }
-        exclusive_scan_seq(&mut offsets);
-
-        // Parallel scatter: chunk c writes bucket d into
-        // offsets[d * chunks + c] .. + histograms[c][d] — disjoint ranges.
-        let target = ScatterTarget::new(dst);
-        ranges.par_iter().enumerate().for_each(|(c, r)| {
-            let mut cursors: Vec<u64> = (0..RADIX).map(|d| offsets[d * chunks + c]).collect();
-            for &e in &src[r.clone()] {
-                let d = digit(e, pass);
-                // SAFETY: this (chunk, digit) range is owned exclusively by
-                // chunk c; cursors never cross into the next bucket because
-                // exactly histograms[c][d] elements carry digit d here.
-                unsafe { target.write(cursors[d] as usize, e) };
-                cursors[d] += 1;
-            }
-        });
-
-        std::mem::swap(edges, &mut scratch);
+        assert_eq!(
+            offsets[u] + u64::from(within),
+            offsets[u + 1],
+            "row offsets disagree with the counts"
+        );
     }
 }
 
-/// Schedule-checked model of one radix-sort scatter pass (compiled only
+/// Writes each edge's target at its source's row start plus cursor,
+/// advancing the cursor. Shared by the shipped scatter (an unchecked raw
+/// write) and the `cfg(parcsr_check)` model (a checked one), so the checker
+/// verifies the cursor arithmetic that ships.
+#[inline]
+fn scatter_chunk(
+    edges: &[Edge],
+    offsets: &[u64],
+    cursors: &mut [u32],
+    mut write: impl FnMut(usize, NodeId),
+) {
+    for &(u, v) in edges {
+        let cursor = &mut cursors[u as usize];
+        write((offsets[u as usize] + u64::from(*cursor)) as usize, v);
+        *cursor += 1;
+    }
+}
+
+/// Per-chunk source histograms of one edge list: the degree stage of the
+/// counting build, and (through [`SourceCounts::scatter`]) its fill.
+#[derive(Debug)]
+pub struct SourceCounts<'a> {
+    edges: &'a [Edge],
+    num_nodes: usize,
+    /// The edge chunks, one per histogram.
+    plan: Vec<Chunk>,
+    /// `counts[c][u]`: edges of chunk `c` leaving `u`.
+    counts: Vec<Vec<u32>>,
+}
+
+impl<'a> SourceCounts<'a> {
+    /// Counts the sources of `edges` in `histogram_chunks` near-equal edge
+    /// chunks, one parallel task each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a source is `>= num_nodes`.
+    pub fn count(edges: &'a [Edge], num_nodes: usize, processors: usize) -> Self {
+        let m = edges.len();
+        parcsr_obs::with_span_args(
+            "degree",
+            parcsr_obs::SpanArgs::new().edges(m as u64),
+            || {
+                let plan = plan_uniform(m, histogram_chunks(num_nodes, m, processors));
+                let counts = run_chunked_plan("degree.chunk", plan.clone(), |chunk| {
+                    count_sources(&edges[chunk.range.clone()], num_nodes)
+                });
+                SourceCounts {
+                    edges,
+                    num_nodes,
+                    plan,
+                    counts,
+                }
+            },
+        )
+    }
+
+    /// The out-degree of every node: the histograms summed over chunks.
+    pub fn degrees(&self) -> Vec<u64> {
+        let mut degrees = vec![0u64; self.num_nodes];
+        for h in &self.counts {
+            for (d, &k) in degrees.iter_mut().zip(h) {
+                *d += u64::from(k);
+            }
+        }
+        degrees
+    }
+
+    /// The column array: every edge's target, bucketed by source into the
+    /// rows `offsets` lays out, each row in input order. Turns the
+    /// histograms into cursors in place, then scatters every chunk in
+    /// parallel.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `offsets` is the exclusive prefix sum of
+    /// [`SourceCounts::degrees`] followed by the edge count.
+    pub fn scatter(mut self, offsets: &[u64]) -> Vec<NodeId> {
+        let m = self.edges.len();
+        assert_eq!(offsets.len(), self.num_nodes + 1, "one offset per row");
+        parcsr_obs::with_span_args(
+            "scatter",
+            parcsr_obs::SpanArgs::new().edges(m as u64),
+            || {
+                cursors_in_place(&mut self.counts, offsets, m);
+                let mut targets: Vec<NodeId> = vec![0; m];
+                let out = ScatterTarget::new(&mut targets);
+                let edges = self.edges;
+                let work: Vec<(Chunk, Vec<u32>)> = self.plan.into_iter().zip(self.counts).collect();
+                run_chunked("scatter.chunk", work, |chunk, mut cursors: Vec<u32>| {
+                    scatter_chunk(
+                        &edges[chunk.range.clone()],
+                        offsets,
+                        &mut cursors,
+                        |i, v| {
+                            // SAFETY: `cursors_in_place` checked that the
+                            // (chunk, node) ranges tile `0..m`, and each holds
+                            // exactly this chunk's edges out of that node, so
+                            // `i < m` and no other chunk writes `i`.
+                            unsafe { out.write(i, v) }
+                        },
+                    );
+                });
+                targets
+            },
+        )
+    }
+}
+
+/// Schedule-checked model of the counting build's scatter (compiled only
 /// under `--cfg parcsr_check`).
 #[cfg(parcsr_check)]
 pub mod checked {
@@ -143,63 +258,55 @@ pub mod checked {
 
     use parcsr_check as check;
     use parcsr_runtime::chunk_ranges;
-    use parcsr_scan::exclusive_scan_seq;
 
-    use super::{digit, RADIX};
-    use crate::types::Edge;
+    use super::{count_sources, cursors_in_place, scatter_chunk};
+    use crate::types::{Edge, NodeId};
 
-    /// Known-bad variants of the scatter pass, used to validate the checker.
+    /// Known-bad variants of the scatter, used to validate the checker.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     pub enum SortFault {
-        /// The shipped per-(chunk, digit) cursor layout (must be race-free).
+        /// The shipped per-(chunk, node) cursor layout (must be race-free).
         None,
-        /// Every chunk starts its cursors at chunk 0's offsets, as if the
-        /// prefix sum had not partitioned the output. Chunks sharing a
-        /// digit then write the same destination slots concurrently.
+        /// Every chunk starts from chunk 0's cursors, as if the histograms
+        /// had not partitioned each row. Chunks sharing a source node then
+        /// write that node's first slots concurrently.
         SharedCursors,
     }
 
-    /// Model of one `par_radix_sort_edges` scatter pass over instrumented
-    /// shared memory: the real histogram/offset arithmetic (same `digit`,
-    /// same `(digit, chunk)`-order exclusive scan), with the unsafe
-    /// `ScatterTarget` writes replaced by checked [`check::Slice`] writes.
-    /// Must be called inside [`parcsr_check::model`] /
-    /// [`parcsr_check::check`]. Returns the scattered output.
+    /// Model of `SourceCounts::scatter` over instrumented shared memory:
+    /// the real histogram and cursor arithmetic (`count_sources`,
+    /// `cursors_in_place`, `scatter_chunk`) over `chunks` near-equal edge
+    /// chunks, with the unsafe `ScatterTarget` writes replaced by checked
+    /// [`check::Slice`] writes. Must be called inside
+    /// [`parcsr_check::model`] / [`parcsr_check::check`]. Returns the
+    /// column array.
     pub fn scatter_pass_model(
         edges: Vec<Edge>,
+        num_nodes: usize,
         chunks: usize,
-        pass: u32,
         fault: SortFault,
-    ) -> Vec<Edge> {
-        let n = edges.len();
-        let chunks = chunks.max(1).min(n.max(1));
-        let ranges = chunk_ranges(n, chunks);
+    ) -> Vec<NodeId> {
+        let m = edges.len();
+        let ranges = chunk_ranges(m, chunks);
 
-        // Histograms and offsets are pre-scatter coordinator work (the real
-        // kernel computes them in an earlier rayon phase, separated from
-        // the scatter by an implicit sync); the scatter is the phase under
-        // test.
-        let histograms: Vec<Vec<u64>> = ranges
+        // Histograms, offsets and cursors are pre-scatter work (the real
+        // build computes them in earlier stages, separated from the scatter
+        // by a join); the scatter is the phase under test.
+        let mut counts: Vec<Vec<u32>> = ranges
             .iter()
-            .map(|r| {
-                let mut h = vec![0u64; RADIX];
-                for &e in &edges[r.clone()] {
-                    h[digit(e, pass)] += 1;
-                }
-                h
-            })
+            .map(|r| count_sources(&edges[r.clone()], num_nodes))
             .collect();
-        let mut offsets = vec![0u64; RADIX * chunks];
-        for d in 0..RADIX {
-            for (c, h) in histograms.iter().enumerate() {
-                offsets[d * chunks + c] = h[d];
-            }
+        let mut offsets = vec![0u64];
+        for u in 0..num_nodes {
+            let degree: u64 = counts.iter().map(|h| u64::from(h[u])).sum();
+            offsets.push(offsets[u] + degree);
         }
-        exclusive_scan_seq(&mut offsets);
+        cursors_in_place(&mut counts, &offsets, m);
 
-        let dst = check::Slice::new(vec![(0u32, 0u32); n]).named("sort.scratch");
+        let dst = check::Slice::new(vec![0 as NodeId; m]).named("sort.targets");
         let edges = Arc::new(edges);
         let offsets = Arc::new(offsets);
+        let counts = Arc::new(counts);
         let workers: Vec<_> = ranges
             .into_iter()
             .enumerate()
@@ -207,19 +314,14 @@ pub mod checked {
                 let dst = dst.clone();
                 let edges = Arc::clone(&edges);
                 let offsets = Arc::clone(&offsets);
+                let counts = Arc::clone(&counts);
                 check::spawn(move || {
                     let cursor_chunk = match fault {
                         SortFault::None => c,
                         SortFault::SharedCursors => 0,
                     };
-                    let mut cursors: Vec<u64> = (0..RADIX)
-                        .map(|d| offsets[d * chunks + cursor_chunk])
-                        .collect();
-                    for &e in &edges[r.clone()] {
-                        let d = digit(e, pass);
-                        dst.write(cursors[d] as usize, e);
-                        cursors[d] += 1;
-                    }
+                    let mut cursors = counts[cursor_chunk].clone();
+                    scatter_chunk(&edges[r], &offsets, &mut cursors, |i, v| dst.write(i, v));
                 })
             })
             .collect();
@@ -235,67 +337,133 @@ mod tests {
     use super::*;
     use crate::gen::{rmat, RmatParams};
 
-    fn reference(mut v: Vec<Edge>) -> Vec<Edge> {
-        v.sort_unstable();
-        v
+    /// The counting build's column array, stage by stage, with a sequential
+    /// offsets scan.
+    fn bucket(edges: &[Edge], num_nodes: usize, processors: usize) -> (Vec<u64>, Vec<NodeId>) {
+        let counts = SourceCounts::count(edges, num_nodes, processors);
+        let mut offsets = vec![0u64];
+        for d in counts.degrees() {
+            offsets.push(offsets.last().unwrap() + d);
+        }
+        let targets = counts.scatter(&offsets);
+        (offsets, targets)
+    }
+
+    /// Stable bucketing by source with std's stable sort: each row in
+    /// input order.
+    fn reference(edges: &[Edge]) -> Vec<NodeId> {
+        let mut v = edges.to_vec();
+        v.sort_by_key(|&(u, _)| u);
+        v.into_iter().map(|(_, w)| w).collect()
+    }
+
+    #[test]
+    fn histogram_chunks_respect_the_memory_bound() {
+        // m < n: one histogram, whatever p is.
+        assert_eq!(histogram_chunks(100, 99, 8), 1);
+        assert_eq!(histogram_chunks(1 << 24, 1, 64), 1);
+        // m >= p · n: one histogram per processor.
+        assert_eq!(histogram_chunks(100, 800, 8), 8);
+        assert_eq!(histogram_chunks(100, 10_000, 8), 8);
+        // In between: m / n of them.
+        assert_eq!(histogram_chunks(100, 350, 8), 3);
+        // No edges, no nodes, or p = 0: still at least one.
+        assert_eq!(histogram_chunks(100, 0, 8), 1);
+        assert_eq!(histogram_chunks(0, 0, 8), 1);
+        assert_eq!(histogram_chunks(10, 100, 0), 1);
+        for (n, m, p) in [(1usize, 5usize, 4usize), (7, 100, 3), (1000, 999, 64)] {
+            let c = histogram_chunks(n, m, p);
+            assert!(c >= 1 && c * n <= m.max(n), "n={n} m={m} p={p}");
+        }
     }
 
     #[test]
     fn sorts_small_lists() {
-        let mut edges = vec![(3u32, 1u32), (0, 9), (3, 0), (2, 5), (0, 1)];
-        let want = reference(edges.clone());
-        par_radix_sort_edges(&mut edges, 2);
-        assert_eq!(edges, want);
+        // Bucketed by source, each row in input order.
+        let edges = vec![(3u32, 1u32), (0, 9), (3, 0), (2, 5), (0, 1)];
+        for p in [1, 2, 3, 8] {
+            let (offsets, targets) = bucket(&edges, 10, p);
+            assert_eq!(offsets, [0, 2, 2, 3, 5, 5, 5, 5, 5, 5, 5], "p={p}");
+            assert_eq!(targets, [9, 1, 5, 1, 0], "p={p}");
+        }
     }
 
     #[test]
     fn matches_std_sort_on_random_input() {
-        let g = rmat(RmatParams::new(1 << 12, 50_000, 7));
-        for chunks in [1, 2, 3, 8, 16] {
-            let mut edges = g.edges().to_vec();
-            let want = reference(edges.clone());
-            par_radix_sort_edges(&mut edges, chunks);
-            assert_eq!(edges, want, "chunks={chunks}");
+        // A hub-heavy R-MAT list with many nodes shared between chunks.
+        let g = rmat(RmatParams::new(1 << 8, 50_000, 7));
+        let want = reference(g.edges());
+        for p in [1, 2, 3, 8, 16] {
+            let (_, targets) = bucket(g.edges(), g.num_nodes(), p);
+            assert_eq!(targets, want, "p={p}");
         }
     }
 
     #[test]
     fn handles_duplicates_and_extremes() {
-        let mut edges = vec![
-            (u32::MAX, u32::MAX),
+        // Duplicate edges stay, and the first and last node ids bucket to
+        // the first and last rows.
+        let n = 1000;
+        let last = n as NodeId - 1;
+        let edges = vec![
+            (last, last),
             (0, 0),
-            (u32::MAX, 0),
-            (0, u32::MAX),
+            (last, 0),
+            (0, last),
             (0, 0),
-            (u32::MAX, u32::MAX),
+            (last, last),
         ];
-        let want = reference(edges.clone());
-        par_radix_sort_edges(&mut edges, 3);
-        assert_eq!(edges, want);
+        for p in [1, 3] {
+            let (offsets, targets) = bucket(&edges, n, p);
+            assert_eq!(offsets[1], 3, "p={p}");
+            assert_eq!(offsets[n - 1], 3, "p={p}");
+            assert_eq!(targets, [0, last, 0, last, 0, last], "p={p}");
+        }
     }
 
     #[test]
     fn empty_and_singleton() {
-        let mut empty: Vec<Edge> = vec![];
-        par_radix_sort_edges(&mut empty, 4);
-        assert!(empty.is_empty());
-        let mut one = vec![(5u32, 6u32)];
-        par_radix_sort_edges(&mut one, 4);
-        assert_eq!(one, [(5, 6)]);
+        assert_eq!(bucket(&[], 0, 4), (vec![0], vec![]));
+        assert_eq!(bucket(&[], 3, 4), (vec![0, 0, 0, 0], vec![]));
+        assert_eq!(
+            bucket(&[(5, 6)], 7, 4),
+            (vec![0, 0, 0, 0, 0, 0, 1, 1], vec![6])
+        );
     }
 
     #[test]
     fn already_sorted_is_unchanged() {
-        let mut edges: Vec<Edge> = (0..1000u32).map(|i| (i / 4, i % 4)).collect();
-        let want = edges.clone();
-        par_radix_sort_edges(&mut edges, 8);
-        assert_eq!(edges, want);
+        // A source-sorted list comes back as its own target column.
+        let edges: Vec<Edge> = (0..1000u32).map(|i| (i / 4, i % 4)).collect();
+        let want: Vec<NodeId> = edges.iter().map(|&(_, v)| v).collect();
+        let (_, targets) = bucket(&edges, 250, 8);
+        assert_eq!(targets, want);
     }
 
     #[test]
     fn chunk_count_larger_than_input() {
-        let mut edges = vec![(2u32, 0u32), (1, 1), (0, 2)];
-        par_radix_sort_edges(&mut edges, 100);
-        assert_eq!(edges, [(0, 2), (1, 1), (2, 0)]);
+        // p = 100 on three edges: one histogram (m / n = 1), one chunk.
+        let edges = vec![(2u32, 0u32), (1, 1), (0, 2)];
+        assert_eq!(bucket(&edges, 3, 100), (vec![0, 1, 2, 3], vec![2, 1, 0]));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn source_out_of_range_panics() {
+        SourceCounts::count(&[(0, 0), (5, 0)], 3, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "disagree with the counts")]
+    fn scatter_rejects_offsets_that_do_not_match() {
+        let edges = [(0u32, 1u32), (1, 0), (1, 1)];
+        SourceCounts::count(&edges, 2, 1).scatter(&[0, 2, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "from 0 to the edge count")]
+    fn scatter_rejects_a_short_total() {
+        let edges = [(0u32, 1u32), (1, 0)];
+        SourceCounts::count(&edges, 2, 1).scatter(&[0, 1, 1]);
     }
 }

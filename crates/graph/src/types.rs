@@ -94,18 +94,6 @@ impl EdgeList {
         self.edges.par_sort_unstable();
     }
 
-    /// Returns a copy sorted by `(source, target)` using the parallel LSD
-    /// radix sort (`crate::sort`) with `chunks` logical processors — the
-    /// ablation comparator against rayon's comparison sort.
-    pub fn sorted_by_source_radix(&self, chunks: usize) -> EdgeList {
-        let mut edges = self.edges.clone();
-        crate::sort::par_radix_sort_edges(&mut edges, chunks);
-        EdgeList {
-            num_nodes: self.num_nodes,
-            edges,
-        }
-    }
-
     /// True if edges are sorted by `(source, target)`.
     pub fn is_sorted_by_source(&self) -> bool {
         self.edges.windows(2).all(|w| w[0] <= w[1])

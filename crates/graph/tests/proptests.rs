@@ -321,18 +321,6 @@ proptest! {
     }
 
     #[test]
-    fn radix_sort_equals_comparison_sort(
-        edges in arb_edges(u32::MAX, 400),
-        chunks in 1usize..17,
-    ) {
-        let mut radix = edges.clone();
-        parcsr_graph::par_radix_sort_edges(&mut radix, chunks);
-        let mut want = edges;
-        want.sort_unstable();
-        prop_assert_eq!(radix, want);
-    }
-
-    #[test]
     fn text_bytes_matches_actual_rendering(edges in arb_edges(100_000, 150)) {
         let g = EdgeList::from_pairs(edges);
         let actual: usize = g

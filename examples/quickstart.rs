@@ -20,8 +20,9 @@ fn main() {
         human(graph.binary_bytes())
     );
 
-    // 2. Parallel CSR construction (sort -> parallel degrees -> prefix-sum
-    //    offsets -> parallel fill), with per-stage timings.
+    // 2. Parallel CSR construction from the unsorted list (per-chunk degree
+    //    histograms -> prefix-sum offsets -> parallel fill -> in-row sort),
+    //    with per-stage timings.
     let (csr, timings) = CsrBuilder::new().build_timed(&graph);
     println!(
         "csr built in {:.2} ms (sort {:.2} + degrees {:.2} + scan {:.2} + fill {:.2}), {}",
