@@ -1,14 +1,13 @@
 //! Succinct-structure comparison: the bit-packed CSR against the
-//! related-work structures it competes with (Section II) — a wavelet tree
-//! over the column array and a k²-tree over the adjacency matrix — on size
-//! and query latency.
+//! related-work structure it competes with (Section II) — a k²-tree over
+//! the adjacency matrix — on size and query latency.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use parcsr::{BitPackedCsr, Csr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::gen::{rmat, RmatParams};
-use parcsr_succinct::{K2Tree, WaveletTree};
+use parcsr_succinct::K2Tree;
 
 const N: usize = 1 << 13;
 const M: usize = 1 << 17;
@@ -16,7 +15,6 @@ const M: usize = 1 << 17;
 struct Fixtures {
     csr: Csr,
     packed: BitPackedCsr,
-    wavelet: WaveletTree,
     k2: K2Tree,
     probes: Vec<(u32, u32)>,
 }
@@ -25,8 +23,6 @@ fn fixtures() -> Fixtures {
     let graph = rmat(RmatParams::new(N, M, 42)).deduped();
     let csr = CsrBuilder::new().build(&graph);
     let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 8);
-    let columns: Vec<u32> = csr.targets().to_vec();
-    let wavelet = WaveletTree::new(&columns, N as u32);
     let k2 = K2Tree::from_edges(N, graph.edges());
     let probes: Vec<(u32, u32)> = (0..4096)
         .map(|i| {
@@ -47,7 +43,6 @@ fn fixtures() -> Fixtures {
     Fixtures {
         csr,
         packed,
-        wavelet,
         k2,
         probes,
     }
@@ -86,26 +81,14 @@ fn bench_edge_probes(c: &mut Criterion) {
 }
 
 fn bench_reverse_neighbors(c: &mut Criterion) {
-    // In-neighbor queries: CSR needs a transpose; the wavelet tree and the
-    // k²-tree answer directly.
+    // In-neighbor queries: CSR needs a transpose; the k²-tree answers
+    // directly.
     let f = fixtures();
     let targets: Vec<u32> = (0..64).map(|i| (i * 251) as u32 % N as u32).collect();
     let mut group = c.benchmark_group("succinct_in_neighbors");
     group.measurement_time(std::time::Duration::from_secs(3));
     group.warm_up_time(std::time::Duration::from_millis(500));
     group.sample_size(10);
-    group.bench_function("wavelet-select", |b| {
-        b.iter(|| {
-            let mut total = 0usize;
-            for &v in &targets {
-                let deg = f.wavelet.count(v);
-                for k in 0..deg {
-                    total += black_box(f.wavelet.select(v, k)).is_some() as usize;
-                }
-            }
-            total
-        })
-    });
     group.bench_function("k2tree-column", |b| {
         b.iter(|| {
             let mut total = 0usize;

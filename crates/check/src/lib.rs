@@ -52,7 +52,7 @@
 //!
 //! * Fork/join is the only synchronization primitive — exactly what the
 //!   paper's `sync()` barriers compile to in the rayon-phase kernels. Locks
-//!   and condvars (the lockstep scan) are out of scope.
+//!   and condvars are out of scope.
 //! * Relaxed atomic stores in shipped kernels are modeled as **plain**
 //!   accesses on purpose: the kernels' correctness claim is
 //!   disjointness-by-construction, and that is the claim being verified.

@@ -24,7 +24,7 @@ use std::time::Instant;
 use parcsr_graph::sort::SourceCounts;
 use parcsr_graph::{EdgeList, NodeId};
 use parcsr_runtime::{plan, run_chunked, split_mut_by_ranges, Chunk};
-use parcsr_scan::{ScanAlgorithm, Scanner};
+use parcsr_scan::inclusive_scan_chunked;
 
 use crate::degree::degrees_parallel;
 
@@ -247,7 +247,7 @@ impl CsrBuilder {
         let t = Instant::now();
         let offsets =
             parcsr_obs::with_span_args("scan", parcsr_obs::SpanArgs::new().edges(n as u64), || {
-                self.scan_offsets(&degrees, m)
+                self.scan_offsets(degrees.iter().copied())
             });
         drop(degrees);
         timings.scan_ms = ms_since(t);
@@ -316,8 +316,7 @@ impl CsrBuilder {
         let t = Instant::now();
         let offsets =
             parcsr_obs::with_span_args("scan", parcsr_obs::SpanArgs::new().edges(n as u64), || {
-                let degrees64: Vec<u64> = degrees.iter().map(|&d| u64::from(d)).collect();
-                self.scan_offsets(&degrees64, sorted.num_edges())
+                self.scan_offsets(degrees.iter().map(|&d| u64::from(d)))
             });
         timings.scan_ms = ms_since(t);
 
@@ -354,12 +353,14 @@ impl CsrBuilder {
         csr
     }
 
-    /// Algorithm 1: the exclusive prefix sum of `degrees`, plus a trailing
-    /// slot holding the edge count.
-    fn scan_offsets(&self, degrees: &[u64], num_edges: usize) -> Vec<u64> {
-        let scanner = Scanner::with_chunks(ScanAlgorithm::Chunked, self.processors);
-        let mut offsets = scanner.exclusive_scan(degrees);
-        offsets.push(num_edges as u64);
+    /// Algorithm 1: the row offsets, i.e. the exclusive prefix sum of
+    /// `degrees` plus a trailing slot holding the edge count, computed as
+    /// the inclusive scan of one `[0, degrees…]` buffer.
+    fn scan_offsets(&self, degrees: impl ExactSizeIterator<Item = u64>) -> Vec<u64> {
+        let mut offsets = Vec::with_capacity(degrees.len() + 1);
+        offsets.push(0);
+        offsets.extend(degrees);
+        inclusive_scan_chunked(&mut offsets, self.processors);
         offsets
     }
 }

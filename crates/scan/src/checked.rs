@@ -1,7 +1,7 @@
-//! Schedule-checked models of the chunked and two-pass scans (compiled only
-//! under `--cfg parcsr_check`).
+//! Schedule-checked model of the chunked scan (compiled only under
+//! `--cfg parcsr_check`).
 //!
-//! Each model re-expresses a kernel's phase structure over
+//! The model re-expresses the kernel's phase structure over
 //! [`parcsr_check::Slice`] shared memory, with one logical thread per chunk
 //! and joins where the real kernel has a rayon phase boundary (the paper's
 //! `sync()`). Chunk-local work uses `with_range`/`read_range` — one schedule
@@ -96,65 +96,6 @@ pub fn chunked_scan_model(input: Vec<u64>, chunks: usize, fault: ScanFault) -> V
         h.join();
     }
     if let Some(h) = unsynced_carry {
-        h.join();
-    }
-    data.snapshot()
-}
-
-/// Model of the two-pass scan: parallel per-chunk totals, serial exclusive
-/// scan of the totals, parallel seeded per-chunk re-scan. Must be called
-/// inside a model.
-pub fn two_pass_scan_model(input: Vec<u64>, chunks: usize) -> Vec<u64> {
-    let n = input.len();
-    let ranges = chunk_ranges(n, chunks);
-    let data = check::Slice::new(input).named("scan.data");
-    if ranges.len() <= 1 {
-        data.with_range(0..n, scan_in_place);
-        return data.snapshot();
-    }
-
-    // Pass 1: per-chunk totals, returned through join (thread-local result,
-    // no shared writes).
-    let totals: Vec<u64> = ranges
-        .iter()
-        .cloned()
-        .map(|r| {
-            let data = data.clone();
-            check::spawn(move || data.read_range(r).iter().sum::<u64>())
-        })
-        .collect::<Vec<_>>()
-        .into_iter()
-        .map(|h| h.join())
-        .collect();
-
-    // Serial exclusive scan of the totals on the coordinator.
-    let mut carries = totals;
-    let mut acc = 0u64;
-    for c in carries.iter_mut() {
-        let next = acc + *c;
-        *c = acc;
-        acc = next;
-    }
-
-    // Pass 2: per-chunk scan seeded with the carry.
-    let pass2: Vec<_> = ranges
-        .iter()
-        .cloned()
-        .zip(carries)
-        .map(|(r, carry)| {
-            let data = data.clone();
-            check::spawn(move || {
-                data.with_range(r, |chunk| {
-                    let mut acc = carry;
-                    for x in chunk.iter_mut() {
-                        acc += *x;
-                        *x = acc;
-                    }
-                })
-            })
-        })
-        .collect();
-    for h in pass2 {
         h.join();
     }
     data.snapshot()

@@ -13,37 +13,23 @@
 //!    adds the previous chunk's (now global) last element to all of its
 //!    elements *except the last*, which was already fixed in phase 2.
 //!
-//! Two implementations are provided:
-//!
-//! * [`inclusive_scan_chunked_by`] expresses the phases as consecutive rayon
-//!   parallel regions (a rayon scope join is the paper's `sync()`).
-//! * [`inclusive_scan_chunked_lockstep_by`] is a structurally faithful
-//!   transcription: `p` persistent worker threads run the whole algorithm,
-//!   separated by real barriers, with the carry propagation performed inside a
-//!   mutex-protected turn-taking region exactly as the pseudo-code describes.
-//!   It exists to demonstrate (and test) that the phase-structured rayon
-//!   version computes the same thing as the literal algorithm.
+//! The phases are consecutive rayon parallel regions: the join that ends
+//! each region is the paper's `sync()`.
 
-use parking_lot::{Condvar, Mutex};
 use rayon::prelude::*;
 
-use crate::op::{AddOp, ScanOp};
-use crate::sequential::inclusive_scan_seq_by;
+use crate::sequential::inclusive_scan_seq;
 use parcsr_runtime::{chunk_ranges, split_mut_by_ranges};
 
-/// In-place inclusive scan using the paper's chunked algorithm with `chunks`
-/// logical processors, phrased as three rayon phases.
+/// In-place inclusive prefix sum (wrapping addition) with the paper's
+/// chunked algorithm over `chunks` logical processors.
 ///
-/// Output is identical to [`crate::inclusive_scan_seq_by`] for every valid
-/// monoid, regardless of `chunks`.
-pub fn inclusive_scan_chunked_by<T, O>(data: &mut [T], chunks: usize, op: &O)
-where
-    T: Copy + Send + Sync,
-    O: ScanOp<T> + Sync,
-{
+/// Output is identical to [`crate::inclusive_scan_seq`] regardless of
+/// `chunks`.
+pub fn inclusive_scan_chunked(data: &mut [u64], chunks: usize) {
     let ranges = chunk_ranges(data.len(), chunks);
     if ranges.len() <= 1 {
-        inclusive_scan_seq_by(data, op);
+        inclusive_scan_seq(data);
         return;
     }
 
@@ -57,7 +43,7 @@ where
                     .chunk(i as u64)
                     .chunk_len(chunk.len() as u64),
             );
-            inclusive_scan_seq_by(chunk, op);
+            inclusive_scan_seq(chunk);
         });
     });
     // Implicit sync(): the parallel iterator completes before we continue.
@@ -68,14 +54,14 @@ where
         for w in ranges.windows(2) {
             let prev_last = data[w[0].end - 1];
             let cur_last = &mut data[w[1].end - 1];
-            *cur_last = op.combine(prev_last, *cur_last);
+            *cur_last = prev_last.wrapping_add(*cur_last);
         }
     });
 
     // Phase 3: each chunk (except the first) adds the previous chunk's global
     // prefix to all but its last element (Alg. 1 lines 11-13).
     parcsr_obs::with_span("scan.fixup", || {
-        let carries: Vec<T> = ranges[..ranges.len() - 1]
+        let carries: Vec<u64> = ranges[..ranges.len() - 1]
             .iter()
             .map(|r| data[r.end - 1])
             .collect();
@@ -95,162 +81,15 @@ where
                 );
                 let last = chunk.len() - 1;
                 for x in &mut chunk[..last] {
-                    *x = op.combine(carry, *x);
+                    *x = carry.wrapping_add(*x);
                 }
             });
     });
-}
-
-/// In-place inclusive prefix sum with the paper's chunked algorithm.
-pub fn inclusive_scan_chunked<T>(data: &mut [T], chunks: usize)
-where
-    T: Copy + Send + Sync,
-    AddOp: ScanOp<T>,
-{
-    inclusive_scan_chunked_by(data, chunks, &AddOp);
-}
-
-/// Turn-taking state for the lockstep carry-propagation region: `turn` is the
-/// index of the chunk currently allowed to add its predecessor's tail.
-struct TurnLock {
-    state: Mutex<usize>,
-    cv: Condvar,
-}
-
-impl TurnLock {
-    fn new() -> Self {
-        TurnLock {
-            state: Mutex::new(0),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks until it is `me`'s turn, runs `f`, then passes the turn on.
-    fn in_turn<R>(&self, me: usize, f: impl FnOnce() -> R) -> R {
-        let mut turn = self.state.lock();
-        while *turn != me {
-            self.cv.wait(&mut turn);
-        }
-        let r = f();
-        *turn += 1;
-        self.cv.notify_all();
-        r
-    }
-}
-
-/// A reusable `p`-thread barrier (the paper's `sync()`).
-struct Barrier {
-    state: Mutex<(usize, usize)>, // (waiting count, generation)
-    cv: Condvar,
-    total: usize,
-}
-
-impl Barrier {
-    fn new(total: usize) -> Self {
-        Barrier {
-            state: Mutex::new((0, 0)),
-            cv: Condvar::new(),
-            total,
-        }
-    }
-
-    fn wait(&self) {
-        let mut s = self.state.lock();
-        let gen = s.1;
-        s.0 += 1;
-        if s.0 == self.total {
-            s.0 = 0;
-            s.1 = s.1.wrapping_add(1);
-            self.cv.notify_all();
-        } else {
-            while s.1 == gen {
-                self.cv.wait(&mut s);
-            }
-        }
-    }
-}
-
-/// Structurally faithful transcription of Algorithm 1: `p` persistent threads,
-/// real barriers for `sync()`, and a lock-guarded turn-taking region for the
-/// carry propagation. Semantically identical to
-/// [`inclusive_scan_chunked_by`]; measurably slower because of the explicit
-/// synchronization, which the benches quantify.
-pub fn inclusive_scan_chunked_lockstep_by<T, O>(data: &mut [T], chunks: usize, op: &O)
-where
-    T: Copy + Send + Sync,
-    O: ScanOp<T> + Sync,
-{
-    let ranges = chunk_ranges(data.len(), chunks);
-    if ranges.len() <= 1 {
-        inclusive_scan_seq_by(data, op);
-        return;
-    }
-    let p = ranges.len();
-    let barrier = Barrier::new(p);
-    let turn = TurnLock::new();
-
-    // Tail values published by phase 2, read by phase 3. Indexed by chunk id;
-    // slot `c` holds the global prefix at the end of chunk `c`.
-    let tails: Vec<Mutex<Option<T>>> = (0..p).map(|_| Mutex::new(None)).collect();
-
-    let parts = split_mut_by_ranges(data, &ranges);
-    std::thread::scope(|scope| {
-        for (pid, chunk) in parts.into_iter().enumerate() {
-            let barrier = &barrier;
-            let turn = &turn;
-            let tails = &tails;
-            scope.spawn(move || {
-                // Lines 2-3: local inclusive scan.
-                inclusive_scan_seq_by(chunk, op);
-                // Line 4: sync().
-                barrier.wait();
-
-                // Lines 6-9: under the lock, in chunk order, absorb the
-                // previous chunk's tail into our last element and publish
-                // our own tail. Publication must happen inside the turn
-                // region: the successor enters its turn the moment `turn`
-                // increments, and must find the tail already there.
-                turn.in_turn(pid, || {
-                    let last = chunk.len() - 1;
-                    if pid > 0 {
-                        let prev = (*tails[pid - 1].lock())
-                            .expect("predecessor published its tail in turn order");
-                        chunk[last] = op.combine(prev, chunk[last]);
-                    }
-                    *tails[pid].lock() = Some(chunk[last]);
-                });
-                // Line 10: sync().
-                barrier.wait();
-
-                // Lines 11-13: add the predecessor's global tail to all but
-                // the last element.
-                if pid > 0 {
-                    let carry = (*tails[pid - 1].lock()).expect("published before barrier");
-                    let last = chunk.len() - 1;
-                    for x in &mut chunk[..last] {
-                        *x = op.combine(carry, *x);
-                    }
-                }
-            });
-        }
-    });
-}
-
-/// Lockstep-thread variant of the chunked prefix sum (see
-/// [`inclusive_scan_chunked_lockstep_by`]).
-pub fn inclusive_scan_chunked_lockstep<T>(data: &mut [T], chunks: usize)
-where
-    T: Copy + Send + Sync,
-    AddOp: ScanOp<T>,
-{
-    inclusive_scan_chunked_lockstep_by(data, chunks, &AddOp);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{MaxOp, XorOp};
-    use crate::sequential::inclusive_scan_seq;
 
     fn reference(v: &[u64]) -> Vec<u64> {
         let mut r = v.to_vec();
@@ -279,17 +118,6 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_matches_sequential() {
-        let input: Vec<u64> = (0..57).map(|i| i * i % 13).collect();
-        let want = reference(&input);
-        for chunks in [1, 2, 3, 5, 8, 57] {
-            let mut v = input.clone();
-            inclusive_scan_chunked_lockstep(&mut v, chunks);
-            assert_eq!(v, want, "chunks={chunks}");
-        }
-    }
-
-    #[test]
     fn empty_and_tiny() {
         let mut v: Vec<u64> = vec![];
         inclusive_scan_chunked(&mut v, 4);
@@ -310,61 +138,5 @@ mod tests {
         let mut v = input.clone();
         inclusive_scan_chunked(&mut v, 4);
         assert_eq!(v, [5, 10, 15, 20]);
-    }
-
-    #[test]
-    fn works_with_max_op() {
-        let input: Vec<i64> = vec![3, -1, 4, 1, 5, -9, 2, 6];
-        let mut want = input.clone();
-        inclusive_scan_seq_by(&mut want, &MaxOp);
-        let mut v = input.clone();
-        inclusive_scan_chunked_by(&mut v, 3, &MaxOp);
-        assert_eq!(v, want);
-    }
-
-    #[test]
-    fn works_with_xor_op() {
-        let input: Vec<u32> = (0..33u64).map(|i| (i * 2654435761 % 101) as u32).collect();
-        let mut want = input.clone();
-        inclusive_scan_seq_by(&mut want, &XorOp);
-        let mut v = input.clone();
-        inclusive_scan_chunked_by(&mut v, 5, &XorOp);
-        assert_eq!(v, want);
-
-        let mut v = input.clone();
-        inclusive_scan_chunked_lockstep_by(&mut v, 5, &XorOp);
-        assert_eq!(v, want);
-    }
-
-    #[test]
-    fn lockstep_stress_under_concurrency() {
-        // Regression test for a publication race: a thread must publish its
-        // tail *inside* the turn region, or its successor can observe an
-        // unpublished tail, panic, and strand the rest of the team on the
-        // barrier. Many small scans from many threads make the race window
-        // hit reliably if it exists.
-        std::thread::scope(|s| {
-            for t in 0..8 {
-                s.spawn(move || {
-                    for round in 0..200 {
-                        let input: Vec<u64> = (0..64).map(|i| (i + t * 31 + round) % 17).collect();
-                        let mut got = input.clone();
-                        inclusive_scan_chunked_lockstep(&mut got, 8);
-                        let mut want = input;
-                        inclusive_scan_seq(&mut want);
-                        assert_eq!(got, want, "t={t} round={round}");
-                    }
-                });
-            }
-        });
-    }
-
-    #[test]
-    fn lockstep_heavier_thread_counts() {
-        let input: Vec<u64> = (0..1000).map(|i| i % 7).collect();
-        let want = reference(&input);
-        let mut v = input.clone();
-        inclusive_scan_chunked_lockstep(&mut v, 32);
-        assert_eq!(v, want);
     }
 }

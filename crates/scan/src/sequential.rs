@@ -1,63 +1,31 @@
-//! Sequential scans — the ground truth every parallel variant is tested
-//! against, and the `p = 1` baseline of the paper's Table II.
+//! Sequential scans — the ground truth the chunked scan is tested against,
+//! and the `p = 1` baseline of the paper's Table II.
 
-use crate::op::{AddOp, ScanOp};
-
-/// In-place inclusive scan with a custom operator:
-/// `data[i] = op(data[0], …, data[i])`.
-pub fn inclusive_scan_seq_by<T, O>(data: &mut [T], op: &O)
-where
-    T: Copy,
-    O: ScanOp<T>,
-{
-    let mut acc = match data.first() {
-        Some(&x) => x,
-        None => return,
-    };
-    for x in data.iter_mut().skip(1) {
-        acc = op.combine(acc, *x);
+/// In-place inclusive prefix sum (wrapping addition):
+/// `data[i] = data[0] + … + data[i]`.
+pub fn inclusive_scan_seq(data: &mut [u64]) {
+    let mut acc = 0u64;
+    for x in data.iter_mut() {
+        acc = acc.wrapping_add(*x);
         *x = acc;
     }
 }
 
-/// In-place inclusive prefix sum (wrapping addition).
-pub fn inclusive_scan_seq<T>(data: &mut [T])
-where
-    T: Copy,
-    AddOp: ScanOp<T>,
-{
-    inclusive_scan_seq_by(data, &AddOp);
-}
-
-/// In-place exclusive scan with a custom operator:
-/// `data[i] = op(identity, data[0], …, data[i-1])`.
-pub fn exclusive_scan_seq_by<T, O>(data: &mut [T], op: &O)
-where
-    T: Copy,
-    O: ScanOp<T>,
-{
-    let mut acc = op.identity();
+/// In-place exclusive prefix sum (wrapping addition):
+/// `data[i] = data[0] + … + data[i - 1]`. The CSR row-offset array is
+/// exactly the exclusive prefix sum of the degree array.
+pub fn exclusive_scan_seq(data: &mut [u64]) {
+    let mut acc = 0u64;
     for x in data.iter_mut() {
-        let next = op.combine(acc, *x);
+        let next = acc.wrapping_add(*x);
         *x = acc;
         acc = next;
     }
 }
 
-/// In-place exclusive prefix sum (wrapping addition). The CSR row-offset
-/// array is exactly the exclusive prefix sum of the degree array.
-pub fn exclusive_scan_seq<T>(data: &mut [T])
-where
-    T: Copy,
-    AddOp: ScanOp<T>,
-{
-    exclusive_scan_seq_by(data, &AddOp);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::op::{MaxOp, XorOp};
 
     #[test]
     fn inclusive_basic() {
@@ -75,32 +43,16 @@ mod tests {
 
     #[test]
     fn empty_and_singleton() {
-        let mut empty: Vec<u32> = vec![];
+        let mut empty: Vec<u64> = vec![];
         inclusive_scan_seq(&mut empty);
         exclusive_scan_seq(&mut empty);
         assert!(empty.is_empty());
 
-        let mut one = vec![7u32];
+        let mut one = vec![7u64];
         inclusive_scan_seq(&mut one);
         assert_eq!(one, [7]);
         exclusive_scan_seq(&mut one);
         assert_eq!(one, [0]);
-    }
-
-    #[test]
-    fn inclusive_max() {
-        let mut v = vec![3i32, 1, 4, 1, 5];
-        inclusive_scan_seq_by(&mut v, &MaxOp);
-        assert_eq!(v, [3, 3, 4, 4, 5]);
-    }
-
-    #[test]
-    fn inclusive_xor_parity() {
-        // XOR scan over indicator bits gives "seen an odd number of times so
-        // far" — the TCSR activity rule.
-        let mut v = vec![1u8, 1, 0, 1, 0];
-        inclusive_scan_seq_by(&mut v, &XorOp);
-        assert_eq!(v, [1, 0, 0, 1, 1]);
     }
 
     #[test]

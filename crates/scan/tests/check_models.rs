@@ -1,10 +1,10 @@
-//! Schedule-exploration tests for the scan kernels. Compiled (and run) only
+//! Schedule-exploration tests for the chunked scan. Compiled (and run) only
 //! under `RUSTFLAGS="--cfg parcsr_check"`; see DESIGN.md §"Concurrency
 //! correctness".
 #![cfg(parcsr_check)]
 
 use parcsr_check as check;
-use parcsr_scan::checked::{chunked_scan_model, two_pass_scan_model, ScanFault};
+use parcsr_scan::checked::{chunked_scan_model, ScanFault};
 
 fn reference(input: &[u64]) -> Vec<u64> {
     let mut out = input.to_vec();
@@ -58,22 +58,6 @@ fn chunked_scan_missing_sync_races() {
         err.kind == "read-write" || err.kind == "write-read",
         "unexpected kind: {err}"
     );
-}
-
-/// The two-pass formulation is race-free at p = 2 and p = 3: pass-1 readers
-/// are ordered before pass-2 writers by the join/fork edges through the
-/// coordinator.
-#[test]
-fn two_pass_scan_all_schedules() {
-    for chunks in [2usize, 3] {
-        let input = vec![5u64, 0, 2, 9, 1, 1, 7];
-        let want = reference(&input);
-        let report = check::model(|| {
-            let got = two_pass_scan_model(input.clone(), chunks);
-            assert_eq!(got, want);
-        });
-        assert!(report.executions >= 2, "chunks={chunks}");
-    }
 }
 
 /// Degenerate shapes stay race-free (single chunk, empty input).

@@ -1,14 +1,9 @@
-//! Property tests: every parallel scan is equivalent to the sequential scan
-//! for arbitrary inputs, operators and chunk counts, and the provided
-//! operators satisfy the monoid laws.
+//! Property tests: the chunked scan is equivalent to the sequential scan
+//! for arbitrary inputs and chunk counts.
 
 use proptest::prelude::*;
 
-use parcsr_scan::{
-    exclusive_scan_blelloch, exclusive_scan_seq, inclusive_scan_blelloch, inclusive_scan_chunked,
-    inclusive_scan_chunked_lockstep, inclusive_scan_seq, inclusive_scan_seq_by,
-    inclusive_scan_two_pass, AddOp, MaxOp, ScanAlgorithm, ScanOp, Scanner, XorOp,
-};
+use parcsr_scan::{inclusive_scan_chunked, inclusive_scan_seq};
 
 fn seq_inclusive(v: &[u64]) -> Vec<u64> {
     let mut r = v.to_vec();
@@ -23,116 +18,6 @@ proptest! {
         let mut got = v.clone();
         inclusive_scan_chunked(&mut got, chunks);
         prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn lockstep_equals_sequential(v in prop::collection::vec(any::<u64>(), 0..500), chunks in 1usize..12) {
-        let want = seq_inclusive(&v);
-        let mut got = v.clone();
-        inclusive_scan_chunked_lockstep(&mut got, chunks);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn two_pass_equals_sequential(v in prop::collection::vec(any::<u64>(), 0..2000), chunks in 1usize..40) {
-        let want = seq_inclusive(&v);
-        let mut got = v.clone();
-        inclusive_scan_two_pass(&mut got, chunks);
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn blelloch_inclusive_equals_sequential(v in prop::collection::vec(any::<u64>(), 0..2000)) {
-        let want = seq_inclusive(&v);
-        prop_assert_eq!(inclusive_scan_blelloch(&v), want);
-    }
-
-    #[test]
-    fn blelloch_exclusive_equals_sequential(v in prop::collection::vec(any::<u64>(), 0..2000)) {
-        let mut want = v.clone();
-        exclusive_scan_seq(&mut want);
-        prop_assert_eq!(exclusive_scan_blelloch(&v), want);
-    }
-
-    #[test]
-    fn scanner_exclusive_consistent_across_algorithms(
-        v in prop::collection::vec(any::<u32>(), 0..800),
-        chunks in 1usize..17,
-    ) {
-        let mut want = v.clone();
-        exclusive_scan_seq(&mut want);
-        for alg in ScanAlgorithm::ALL {
-            let s = Scanner::with_chunks(alg, chunks);
-            prop_assert_eq!(s.exclusive_scan(&v), want.clone(), "{}", alg.name());
-        }
-    }
-
-    #[test]
-    fn xor_scan_equals_sequential_all_algorithms(
-        v in prop::collection::vec(any::<u32>(), 0..600),
-        chunks in 1usize..9,
-    ) {
-        let mut want = v.clone();
-        inclusive_scan_seq_by(&mut want, &XorOp);
-        for alg in ScanAlgorithm::ALL {
-            let s = Scanner::with_chunks(alg, chunks);
-            let mut got = v.clone();
-            s.inclusive_scan_in_place_by(&mut got, &XorOp);
-            prop_assert_eq!(got, want.clone(), "{}", alg.name());
-        }
-    }
-
-    #[test]
-    fn monoid_laws_add(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
-        let op = AddOp;
-        prop_assert_eq!(op.combine(a, op.combine(b, c)), op.combine(op.combine(a, b), c));
-        prop_assert_eq!(op.combine(op.identity(), a), a);
-        prop_assert_eq!(op.combine(a, op.identity()), a);
-    }
-
-    #[test]
-    fn monoid_laws_max(a in any::<i64>(), b in any::<i64>(), c in any::<i64>()) {
-        let op = MaxOp;
-        prop_assert_eq!(op.combine(a, op.combine(b, c)), op.combine(op.combine(a, b), c));
-        prop_assert_eq!(op.combine(op.identity(), a), a);
-    }
-
-    #[test]
-    fn monoid_laws_xor(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
-        let op = XorOp;
-        prop_assert_eq!(op.combine(a, op.combine(b, c)), op.combine(op.combine(a, b), c));
-        prop_assert_eq!(op.combine(op.identity(), a), a);
-        prop_assert_eq!(op.combine(a, a), op.identity());
-    }
-
-    #[test]
-    fn segmented_scan_equals_per_segment_sequential(
-        segments in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..40), 0..30),
-    ) {
-        // Flatten segments and record offsets.
-        let mut data: Vec<u64> = Vec::new();
-        let mut offsets: Vec<u64> = vec![0];
-        for seg in &segments {
-            data.extend_from_slice(seg);
-            offsets.push(data.len() as u64);
-        }
-        let mut got = data.clone();
-        parcsr_scan::segmented_inclusive_scan(&mut got, &offsets);
-
-        let mut want: Vec<u64> = Vec::new();
-        for seg in &segments {
-            let mut s = seg.clone();
-            inclusive_scan_seq(&mut s);
-            want.extend(s);
-        }
-        prop_assert_eq!(got, want);
-
-        // And the per-segment sums match the scan's last elements.
-        let sums = parcsr_scan::segmented_sum(&data, &offsets);
-        for (i, seg) in segments.iter().enumerate() {
-            let direct: u64 = seg.iter().fold(0u64, |a, &b| a.wrapping_add(b));
-            prop_assert_eq!(sums[i], direct, "segment {}", i);
-        }
     }
 
     #[test]
@@ -170,7 +55,7 @@ fn arb_hub_degrees() -> impl Strategy<Value = Vec<u64>> {
 }
 
 proptest! {
-    /// Both parallel scan formulations agree with the sequential scan on
+    /// The chunked scan agrees with the sequential scan on
     /// hub-dominated inputs at every paper-relevant processor count —
     /// including p = 64, where the hub's run straddles ~20 chunk
     /// boundaries and every carry in between is hub-generated.
@@ -181,14 +66,6 @@ proptest! {
             let mut got = v.clone();
             inclusive_scan_chunked(&mut got, chunks);
             prop_assert_eq!(&got, &want, "chunked, p={}", chunks);
-
-            let mut got = v.clone();
-            inclusive_scan_two_pass(&mut got, chunks);
-            prop_assert_eq!(&got, &want, "two-pass, p={}", chunks);
-
-            let mut got = v.clone();
-            inclusive_scan_chunked_lockstep(&mut got, chunks);
-            prop_assert_eq!(&got, &want, "lockstep, p={}", chunks);
         }
     }
 }

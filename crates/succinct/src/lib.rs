@@ -6,10 +6,6 @@
 //!
 //! * [`bitvector`] — a rank/select bitvector, the primitive everything else
 //!   in this family stands on;
-//! * [`wavelet`] — a wavelet tree over the CSR column array, the device the
-//!   CAS/CET temporal structures \[21\] use for logarithmic-time queries.
-//!   Over `jA` it answers *reverse* (in-neighbor) queries without building
-//!   the transpose;
 //! * [`k2tree`] — the k²-tree of Brisaboa, Ladra, Navarro \[18\]: the
 //!   adjacency matrix as a recursively subdivided quadtree over a bit
 //!   vector, with both row and column queries.
@@ -29,8 +25,6 @@
 
 pub mod bitvector;
 pub mod k2tree;
-pub mod wavelet;
 
 pub use bitvector::RankSelect;
 pub use k2tree::K2Tree;
-pub use wavelet::WaveletTree;

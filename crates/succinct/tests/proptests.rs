@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use parcsr::CsrBuilder;
 use parcsr_graph::EdgeList;
-use parcsr_succinct::{K2Tree, RankSelect, WaveletTree};
+use parcsr_succinct::{K2Tree, RankSelect};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -29,29 +29,6 @@ proptest! {
     }
 
     #[test]
-    fn wavelet_access_rank_select(
-        seq in prop::collection::vec(0u32..40, 0..400),
-    ) {
-        let wt = WaveletTree::new(&seq, 40);
-        prop_assert_eq!(wt.len(), seq.len());
-        for (i, &s) in seq.iter().enumerate() {
-            prop_assert_eq!(wt.access(i), s, "access {}", i);
-        }
-        for symbol in [0u32, 1, 13, 39] {
-            let mut seen = 0usize;
-            for i in 0..=seq.len() {
-                prop_assert_eq!(wt.rank(symbol, i), seen, "rank({}, {})", symbol, i);
-                if i < seq.len() && seq[i] == symbol {
-                    prop_assert_eq!(wt.select(symbol, seen), Some(i));
-                    seen += 1;
-                }
-            }
-            prop_assert_eq!(wt.count(symbol), seen);
-            prop_assert_eq!(wt.select(symbol, seen), None);
-        }
-    }
-
-    #[test]
     fn k2tree_matches_edge_set(
         raw in prop::collection::vec((0u32..48, 0u32..48), 0..300),
     ) {
@@ -63,30 +40,6 @@ proptest! {
             prop_assert_eq!(t.row(u), row, "row {}", u);
             let col: Vec<u32> = set.iter().filter(|&&(_, d)| d == u).map(|&(s, _)| s).collect();
             prop_assert_eq!(t.column(u), col, "column {}", u);
-        }
-    }
-
-    #[test]
-    fn wavelet_over_csr_columns_answers_in_neighbors(
-        raw in prop::collection::vec((0u32..30, 0u32..30), 1..200),
-    ) {
-        // The CAS trick: a wavelet tree over jA answers reverse queries.
-        let g = EdgeList::from_pairs(raw).deduped();
-        let csr = CsrBuilder::new().build(&g);
-        let columns: Vec<u32> = csr.targets().to_vec();
-        let wt = WaveletTree::new(&columns, g.num_nodes() as u32);
-
-        for v in 0..g.num_nodes() as u32 {
-            // In-degree = total occurrences of v in jA.
-            let in_deg = g.edges().iter().filter(|&&(_, t)| t == v).count();
-            prop_assert_eq!(wt.count(v), in_deg, "in-degree of {}", v);
-            // Each occurrence position maps back to its source row via the
-            // offset array.
-            for k in 0..in_deg {
-                let pos = wt.select(v, k).unwrap();
-                let u = csr.offsets().partition_point(|&o| o <= pos as u64) - 1;
-                prop_assert!(csr.neighbors(u as u32).contains(&v));
-            }
         }
     }
 

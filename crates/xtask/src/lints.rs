@@ -234,11 +234,7 @@ impl WorkspaceReport {
 /// Files allowed to contain `unsafe` code. Everything else in the
 /// workspace must be 100% safe Rust. `crates/obs/src/mem.rs` owns the
 /// counting `GlobalAlloc` (the trait itself is unsafe to implement).
-pub const UNSAFE_ALLOWLIST: &[&str] = &[
-    "crates/graph/src/sort.rs",
-    "crates/obs/src/mem.rs",
-    "shims/parking_lot/src/lib.rs",
-];
+pub const UNSAFE_ALLOWLIST: &[&str] = &["crates/graph/src/sort.rs", "crates/obs/src/mem.rs"];
 
 /// Hot query-path files: panicking constructs and allocating constructs are
 /// banned everywhere in these files — they run per neighbor-list lookup and
@@ -247,11 +243,7 @@ pub const HOT_PATHS: &[&str] = &["crates/core/src/query.rs", "crates/bitpack/src
 
 /// Files that must carry `#![deny(unsafe_op_in_unsafe_fn)]` (the crate
 /// roots owning the allowlisted `unsafe` code).
-pub const DENY_UNSAFE_OP_ROOTS: &[&str] = &[
-    "crates/graph/src/lib.rs",
-    "crates/obs/src/lib.rs",
-    "shims/parking_lot/src/lib.rs",
-];
+pub const DENY_UNSAFE_OP_ROOTS: &[&str] = &["crates/graph/src/lib.rs", "crates/obs/src/lib.rs"];
 
 /// Path prefixes exempt from the span-coverage pass: the runtime crate
 /// *defines* the chunked executors (and spans them internally), and the
@@ -1025,10 +1017,11 @@ pub fn analyze_file(file: &str, text: &str) -> FileReport {
                     file: file.to_string(),
                     line: i + 1,
                     rule: "unsafe-allowlist",
-                    message: "`unsafe` outside the allowlist (crates/graph/src/sort.rs, \
-                              crates/obs/src/mem.rs, shims/parking_lot/src/lib.rs); \
-                              rewrite safely or move the code behind an allowlisted module"
-                        .to_string(),
+                    message: format!(
+                        "`unsafe` outside the allowlist ({}); rewrite safely or move the \
+                         code behind an allowlisted module",
+                        UNSAFE_ALLOWLIST.join(", ")
+                    ),
                 });
             } else if !safety_documented(&raw_lines, i) {
                 out.push(Violation {
@@ -1176,6 +1169,9 @@ unsafe fn write(i: usize) {}
         let v = lint_file("crates/core/src/query.rs", src);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, "unsafe-allowlist");
+        for path in UNSAFE_ALLOWLIST {
+            assert!(v[0].message.contains(path), "{}", v[0].message);
+        }
     }
 
     #[test]

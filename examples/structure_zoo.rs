@@ -2,9 +2,9 @@
 //!
 //! Builds the same synthetic social network into the paper's structures
 //! (CSR, bit-packed CSR) and the related-work structures from Section II
-//! (adjacency matrix/list, flat edge list, k²-tree, wavelet-tree-augmented
-//! CSR, PMA-backed dynamic CSR), then prints a size/latency comparison —
-//! the time-space trade-off landscape the paper is positioned in.
+//! (adjacency matrix/list, flat edge list, k²-tree), then prints a
+//! size/latency comparison — the time-space trade-off landscape the paper
+//! is positioned in.
 //!
 //! ```text
 //! cargo run --release -p parcsr --example structure_zoo
@@ -14,9 +14,8 @@ use std::time::Instant;
 
 use parcsr::{BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_baseline::{AdjacencyList, AdjacencyMatrix, EdgeListStore, GraphStore};
-use parcsr_dynamic::DynamicCsr;
 use parcsr_graph::gen::{rmat, RmatParams};
-use parcsr_succinct::{K2Tree, WaveletTree};
+use parcsr_succinct::K2Tree;
 
 fn main() {
     let n = 1 << 13;
@@ -34,9 +33,6 @@ fn main() {
     let matrix = AdjacencyMatrix::from_edge_list(&graph);
     let flat = EdgeListStore::from_edge_list(&graph);
     let k2 = K2Tree::from_edges(graph.num_nodes(), graph.edges());
-    let columns: Vec<u32> = csr.targets().to_vec();
-    let wavelet = WaveletTree::new(&columns, graph.num_nodes() as u32);
-    let dynamic = DynamicCsr::from_edge_list(&graph);
 
     // A probe workload: 100k edge-existence checks, half hits.
     let probes: Vec<(u32, u32)> = (0..100_000usize)
@@ -74,34 +70,6 @@ fn main() {
     row("k2-tree", k2.packed_bytes(), || {
         probes.iter().filter(|&&(u, v)| k2.has_edge(u, v)).count()
     });
-    row("pcsr (dynamic)", 0, || {
-        probes
-            .iter()
-            .filter(|&&(u, v)| dynamic.has_edge(u, v))
-            .count()
-    });
-
-    // The wavelet tree answers a different question: in-neighbors without a
-    // transpose.
-    let v = graph.edges()[0].1;
-    let t = Instant::now();
-    let in_deg = wavelet.count(v);
-    let mut in_neighbors = Vec::with_capacity(in_deg);
-    for k in 0..in_deg {
-        let pos = wavelet.select(v, k).expect("k < count");
-        let u = csr.offsets().partition_point(|&o| o <= pos as u64) - 1;
-        in_neighbors.push(u as u32);
-    }
-    println!(
-        "\nwavelet tree over jA: in-neighbors({v}) -> {} sources in {:.2} ms (no transpose built)",
-        in_neighbors.len(),
-        t.elapsed().as_secs_f64() * 1e3
-    );
-    let k2_col = k2.column(v);
-    in_neighbors.sort_unstable();
-    in_neighbors.dedup();
-    assert_eq!(in_neighbors, k2_col, "wavelet and k2-tree must agree");
-    println!("k2-tree column({v}) agrees ✓");
 }
 
 fn row(name: &str, bytes: usize, probe: impl FnOnce() -> usize) {
@@ -109,9 +77,5 @@ fn row(name: &str, bytes: usize, probe: impl FnOnce() -> usize) {
     let hits = probe();
     let ms = t.elapsed().as_secs_f64() * 1e3;
     std::hint::black_box(hits);
-    if bytes > 0 {
-        println!("{name:<22} {bytes:>12} {ms:>11.1} ms");
-    } else {
-        println!("{name:<22} {:>12} {ms:>11.1} ms", "-");
-    }
+    println!("{name:<22} {bytes:>12} {ms:>11.1} ms");
 }

@@ -174,7 +174,7 @@ mod pool {
     use super::{POOL_WIDTH, WORKER_INDEX};
 
     /// Splits `items` into `parts` contiguous runs of near-equal size
-    /// (larger first — the same convention as `parcsr_scan::chunk_ranges`).
+    /// (larger first — the same convention as `parcsr_runtime::chunk_ranges`).
     fn split_vec<T>(items: Vec<T>, parts: usize) -> Vec<Vec<T>> {
         let n = items.len();
         let parts = parts.max(1).min(n.max(1));

@@ -7,7 +7,7 @@ use parcsr::query::{edges_exist_batch, neighbors_batch};
 use parcsr::{with_processors, BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_bitpack::pack_parallel;
 use parcsr_graph::gen::{rmat, temporal_toggles, RmatParams, TemporalParams};
-use parcsr_scan::{ScanAlgorithm, Scanner};
+use parcsr_scan::{inclusive_scan_chunked, inclusive_scan_seq};
 use parcsr_temporal::TcsrBuilder;
 
 /// The paper's processor sweep, including oversubscription (64 > host
@@ -48,15 +48,11 @@ fn raw_pack_is_processor_invariant() {
 fn scans_are_processor_invariant() {
     let data: Vec<u64> = (0..50_000u64).map(|i| i % 1000).collect();
     let mut base = data.clone();
-    Scanner::with_chunks(ScanAlgorithm::Sequential, 1).inclusive_scan_in_place(&mut base);
-    for alg in ScanAlgorithm::ALL {
-        for p in SWEEP {
-            let mut v = data.clone();
-            with_processors(p.min(16), || {
-                Scanner::with_chunks(alg, p).inclusive_scan_in_place(&mut v);
-            });
-            assert_eq!(v, base, "{} p={p}", alg.name());
-        }
+    inclusive_scan_seq(&mut base);
+    for p in SWEEP {
+        let mut v = data.clone();
+        with_processors(p.min(16), || inclusive_scan_chunked(&mut v, p));
+        assert_eq!(v, base, "p={p}");
     }
 }
 
