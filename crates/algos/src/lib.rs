@@ -3,47 +3,28 @@
 //! Graph analytics over the (compressed) CSR.
 //!
 //! The paper's introduction motivates compression with downstream analyses —
-//! influence, spread of infection, routing, betweenness. This crate supplies
-//! those consumers, running on anything that implements
+//! influence, spread of infection, routing. This crate supplies three such
+//! consumers, running on anything that implements
 //! [`parcsr::NeighborSource`] (so the same analysis runs on the plain CSR
 //! and the bit-packed one, quantifying the compressed structure's query
 //! overhead in a realistic workload):
 //!
 //! * [`bfs`] — sequential and level-synchronous parallel breadth-first
 //!   search;
-//! * [`pagerank`] — pull-based power iteration (deterministic: each node
-//!   sums its in-neighbor contributions in a fixed order);
-//! * [`components`] — weakly connected components by parallel min-label
-//!   propagation;
-//! * [`triangles`] — triangle counting by sorted-row intersection;
-//! * [`spgemm`] — boolean sparse matrix–matrix multiplication on compressed
-//!   structures (the workload `GetRowFromCSR` \[28\] was built for);
-//! * [`shortest_paths`] — Dijkstra and a parallel relaxation SSSP over the
-//!   weighted CSR;
-//! * [`betweenness`] — Brandes' betweenness centrality ("the edge
-//!   betweenness of the highways", the introduction's own example),
-//!   parallel over sources, with a sampled estimator;
-//! * [`kcore`] — k-core decomposition by parallel peeling.
+//! * [`pagerank`](mod@pagerank) — pull-based power iteration
+//!   (deterministic: each node sums its in-neighbor contributions in a
+//!   fixed order);
+//! * [`triangles`] — triangle counting by sorted-row intersection.
 //!
 //! Every parallel routine has a sequential reference implementation and is
 //! property-tested against it.
 
-pub mod betweenness;
 pub mod bfs;
-pub mod components;
-pub mod kcore;
 pub mod pagerank;
-pub mod shortest_paths;
-pub mod spgemm;
 pub mod triangles;
 
-pub use betweenness::{betweenness_parallel, betweenness_sampled, betweenness_sequential};
 pub use bfs::{bfs_parallel, bfs_sequential, UNREACHABLE};
-pub use components::{connected_components_parallel, connected_components_sequential};
-pub use kcore::{kcore_parallel, kcore_sequential};
 pub use pagerank::{pagerank, PageRankConfig};
-pub use shortest_paths::{dijkstra, parallel_sssp, INF};
-pub use spgemm::{spgemm_bool, two_hop};
 pub use triangles::{
     count_triangles, count_triangles_oriented, count_triangles_sequential, orient,
 };

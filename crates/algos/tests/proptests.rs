@@ -3,14 +3,12 @@
 
 use proptest::prelude::*;
 
-use parcsr::{BitPackedCsr, CsrBuilder, PackedCsrMode, WeightedCsr};
+use parcsr::{BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_algos::{
-    betweenness_parallel, betweenness_sequential, bfs_parallel, bfs_sequential,
-    connected_components_parallel, connected_components_sequential, count_triangles,
-    count_triangles_sequential, dijkstra, kcore_parallel, kcore_sequential, pagerank,
-    parallel_sssp, spgemm_bool, PageRankConfig,
+    bfs_parallel, bfs_sequential, count_triangles, count_triangles_sequential, pagerank,
+    PageRankConfig,
 };
-use parcsr_graph::{EdgeList, WeightedEdgeList};
+use parcsr_graph::EdgeList;
 
 fn arb_graph(max_node: u32, max_edges: usize) -> impl Strategy<Value = EdgeList> {
     prop::collection::vec((0..max_node, 0..max_node), 1..max_edges).prop_map(|edges| {
@@ -38,27 +36,6 @@ proptest! {
     }
 
     #[test]
-    fn components_parallel_equals_sequential(g in arb_graph(60, 150)) {
-        let csr = CsrBuilder::new().build(&g);
-        prop_assert_eq!(
-            connected_components_parallel(&csr),
-            connected_components_sequential(&csr)
-        );
-    }
-
-    #[test]
-    fn component_labels_are_canonical_minima(g in arb_graph(40, 100)) {
-        let csr = CsrBuilder::new().build(&g);
-        let labels = connected_components_parallel(&csr);
-        for (u, &l) in labels.iter().enumerate() {
-            // The label is a member of the component...
-            prop_assert_eq!(labels[l as usize], l, "label of {} not a root", u);
-            // ...and no smaller than any other member's label.
-            prop_assert!(l as usize <= u);
-        }
-    }
-
-    #[test]
     fn triangles_parallel_equals_sequential(g in arb_graph(40, 200)) {
         prop_assert_eq!(count_triangles(&g), count_triangles_sequential(&g));
     }
@@ -70,49 +47,6 @@ proptest! {
         let total: f64 = r.iter().sum();
         prop_assert!((total - 1.0).abs() < 1e-6, "sum={}", total);
         prop_assert!(r.iter().all(|&x| x > 0.0));
-    }
-
-    #[test]
-    fn kcore_parallel_equals_sequential(g in arb_graph(50, 200)) {
-        let csr = CsrBuilder::new().build(&g);
-        prop_assert_eq!(kcore_parallel(&csr), kcore_sequential(&csr));
-    }
-
-    #[test]
-    fn betweenness_parallel_equals_sequential(g in arb_graph(35, 100)) {
-        let csr = CsrBuilder::new().build(&g);
-        let seq = betweenness_sequential(&csr);
-        let par = betweenness_parallel(&csr);
-        for (i, (a, b)) in seq.iter().zip(&par).enumerate() {
-            prop_assert!((a - b).abs() <= 1e-9 * (1.0 + a.abs()), "node {}: {} vs {}", i, a, b);
-        }
-    }
-
-    #[test]
-    fn sssp_parallel_equals_dijkstra(g in arb_graph(40, 150), source in 0u32..40) {
-        let weighted = WeightedEdgeList::from_unweighted(&g, 50);
-        let wcsr = WeightedCsr::from_edge_list(&weighted, 3);
-        let source = source % g.num_nodes() as u32;
-        prop_assert_eq!(parallel_sssp(&wcsr, source), dijkstra(&wcsr, source));
-    }
-
-    #[test]
-    fn spgemm_matches_dense_reference(
-        a_edges in prop::collection::vec((0u32..25, 0u32..25), 1..80),
-        b_edges in prop::collection::vec((0u32..25, 0u32..25), 1..80),
-    ) {
-        let a = CsrBuilder::new().build(&EdgeList::new(25, a_edges));
-        let b = CsrBuilder::new().build(&EdgeList::new(25, b_edges));
-        let c = spgemm_bool(&a, &b);
-        for u in 0..25u32 {
-            let mut expect: Vec<u32> = Vec::new();
-            for &v in a.neighbors(u) {
-                expect.extend_from_slice(b.neighbors(v));
-            }
-            expect.sort_unstable();
-            expect.dedup();
-            prop_assert_eq!(c.neighbors(u), &expect[..], "row {}", u);
-        }
     }
 
     #[test]

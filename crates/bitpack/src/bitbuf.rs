@@ -156,43 +156,6 @@ impl BitBuf {
     }
 }
 
-/// Streaming writer over a [`BitBuf`] (a thin convenience wrapper; the buffer
-/// itself supports appends directly).
-#[derive(Debug, Default)]
-pub struct BitWriter {
-    buf: BitBuf,
-}
-
-impl BitWriter {
-    /// Creates a writer with an empty buffer.
-    pub fn new() -> Self {
-        BitWriter::default()
-    }
-
-    /// Creates a writer with capacity for `bits` bits.
-    pub fn with_capacity(bits: usize) -> Self {
-        BitWriter {
-            buf: BitBuf::with_capacity(bits),
-        }
-    }
-
-    /// Appends the low `width` bits of `value`.
-    #[inline]
-    pub fn write(&mut self, value: u64, width: u32) {
-        self.buf.push_bits(value, width);
-    }
-
-    /// Bits written so far.
-    pub fn bit_len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Finishes writing and returns the buffer.
-    pub fn finish(self) -> BitBuf {
-        self.buf
-    }
-}
-
 /// Streaming cursor reading consecutive values from a [`BitBuf`].
 #[derive(Debug, Clone)]
 pub struct BitReader<'a> {
@@ -281,7 +244,7 @@ mod tests {
 
     #[test]
     fn writer_reader_stream() {
-        let mut w = BitWriter::new();
+        let mut buf = BitBuf::new();
         let values: Vec<(u64, u32)> = (0..200)
             .map(|i| {
                 (
@@ -291,9 +254,8 @@ mod tests {
             })
             .collect();
         for &(v, width) in &values {
-            w.write(v, width);
+            buf.push_bits(v, width);
         }
-        let buf = w.finish();
         let mut r = BitReader::new(&buf);
         for &(v, width) in &values {
             assert_eq!(r.read(width), v);

@@ -8,9 +8,9 @@
 //! of Gopal et al. \[7\], applied chunk-parallel with a final merge of the
 //! per-chunk bit arrays (Algorithm 4). This crate is that engine:
 //!
-//! * [`bitbuf`] — a growable bit array with a [`BitWriter`]/[`BitReader`] pair
-//!   that can write and read arbitrary-width (≤ 64 bit) values at arbitrary
-//!   bit offsets, including across word boundaries.
+//! * [`bitbuf`] — a growable bit array ([`BitBuf`]) and its streaming
+//!   [`BitReader`] that append and read arbitrary-width (≤ 64 bit) values at
+//!   arbitrary bit offsets, including across word boundaries.
 //! * [`fixed`] — [`PackedArray`]: an unsigned sequence packed at a uniform
 //!   width `⌈log2(max+1)⌉`, with O(1) random access — what the packed
 //!   `iA`/`jA` arrays are made of.
@@ -46,7 +46,7 @@ pub mod fixed;
 pub mod parallel;
 pub mod varint;
 
-pub use bitbuf::{BitBuf, BitReader, BitWriter};
+pub use bitbuf::{BitBuf, BitReader};
 pub use cursor::{unpack_block, BlockCursor, BlockIter, RowCursor, BLOCK_LEN};
 pub use fixed::{bits_needed, PackedArray};
 pub use parallel::{pack_parallel, pack_parallel_with_width};

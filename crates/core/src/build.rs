@@ -126,17 +126,6 @@ impl Csr {
             + self.targets.len() * std::mem::size_of::<NodeId>()
     }
 
-    /// The transposed CSR (every edge reversed): in-neighbor queries on the
-    /// original graph become out-neighbor queries on the transpose. Built
-    /// with the parallel pipeline.
-    pub fn transposed(&self) -> Csr {
-        let mut edges = Vec::with_capacity(self.num_edges());
-        for u in 0..self.num_nodes as NodeId {
-            edges.extend(self.neighbors(u).iter().map(|&v| (v, u)));
-        }
-        CsrBuilder::new().build(&EdgeList::new(self.num_nodes, edges))
-    }
-
     /// Internal consistency check: offsets monotone, bounds meet the edge
     /// count, rows sorted, targets in range. Used by tests and debug
     /// assertions; `O(n + m)`.
@@ -523,21 +512,6 @@ mod tests {
             let row = csr.neighbors(u);
             assert!(row.windows(2).all(|w| w[0] <= w[1]), "row {u}");
         }
-    }
-
-    #[test]
-    fn transpose_reverses_every_edge() {
-        let g = rmat(RmatParams::new(256, 2_000, 41));
-        let csr = CsrBuilder::new().build(&g);
-        let t = csr.transposed();
-        assert_eq!(t.num_edges(), csr.num_edges());
-        for u in 0..csr.num_nodes() as NodeId {
-            for &v in csr.neighbors(u) {
-                assert!(t.has_edge(v, u), "({u}, {v}) missing from transpose");
-            }
-        }
-        // Double transpose is the identity.
-        assert_eq!(t.transposed(), csr);
     }
 
     #[test]

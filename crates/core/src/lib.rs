@@ -24,14 +24,8 @@
 //!   pinned to a `p`-thread pool, which is how the Table II processor sweep
 //!   is produced.
 //!
-//! Beyond the paper's minimal pipeline:
-//!
-//! * [`weighted`] — the `vA` value array (Section III defines it, the
-//!   evaluation drops it) carried through construction and packing;
-//! * [`stream`] — streaming construction of the packed CSR (the authors'
-//!   refs \[3\]/\[4\] direction): sorted edges in, packed bits out, no
-//!   staging buffer;
-//! * [`serial`] — a versioned on-disk format for the packed CSR.
+//! Beyond the paper's minimal pipeline, [`serial`] is a versioned on-disk
+//! format for the packed CSR.
 //!
 //! # Quickstart
 //!
@@ -63,16 +57,12 @@ pub mod degree;
 pub mod packed;
 pub mod query;
 pub mod serial;
-pub mod stream;
-pub mod weighted;
 
 pub use build::{BuildTimings, Csr, CsrBuilder};
 pub use degree::{degrees_atomic, degrees_parallel};
 pub use packed::{BitPackedCsr, PackedCsrMode, PackedRowIter};
 pub use query::NeighborSource;
 pub use serial::ReadError;
-pub use stream::{StreamError, StreamingCsrPacker};
-pub use weighted::WeightedCsr;
 
 pub use parcsr_runtime::pool::with_processors;
 pub use parcsr_runtime::{run_chunked, run_chunked_plan, Chunk};

@@ -13,19 +13,15 @@
 //! * [`erdos_renyi`] — uniform G(n, m); the unskewed control.
 //! * [`barabasi_albert`] — preferential attachment; an alternative heavy-tail
 //!   model (sequential by nature).
-//! * [`sbm`] — stochastic block model; planted communities for the analytics
-//!   tests that need known structure.
 //! * [`temporal_toggles`] — a time-evolving workload for the TCSR pipeline:
 //!   edges toggling on/off across frames.
 
 mod ba;
 mod er;
 mod rmat;
-mod sbm;
 mod temporal;
 
 pub use ba::{barabasi_albert, BaParams};
 pub use er::{erdos_renyi, ErParams};
 pub use rmat::{rmat, RmatParams};
-pub use sbm::{sbm, sbm_block_of, SbmParams};
 pub use temporal::{temporal_toggles, TemporalParams};

@@ -34,10 +34,8 @@ pub mod sort;
 pub mod stats;
 pub mod temporal;
 pub mod types;
-pub mod weighted;
 
 pub use datasets::{paper_datasets, DatasetProfile};
 pub use stats::DegreeStats;
 pub use temporal::{TemporalEdge, TemporalEdgeList, Timestamp};
 pub use types::{Edge, EdgeList, NodeId};
-pub use weighted::{Weight, WeightedEdge, WeightedEdgeList};

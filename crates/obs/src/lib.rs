@@ -9,7 +9,7 @@
 //! experiment durations. This crate provides that with no external
 //! dependencies (the workspace builds offline):
 //!
-//! * **Spans** ([`span`]): RAII guards created with [`enter`] /
+//! * **Spans** ([`span`](mod@span)): RAII guards created with [`enter`] /
 //!   [`enter_with_args`] or the [`span!`] macro, timed on the monotonic
 //!   clock, nestable, carrying typed payloads ([`SpanArgs`]: edge counts,
 //!   chunk index/size, bit width), recorded into per-thread buffers that

@@ -3,7 +3,7 @@
 //!
 //! Bit packing exists precisely to trade CPU for bytes, so the size story
 //! has to be measured next to the time story. This module provides a
-//! [`CountingAlloc`] that wraps the system allocator and keeps three relaxed
+//! `CountingAlloc` that wraps the system allocator and keeps three relaxed
 //! atomics: **live** bytes (allocated minus freed), the process-wide
 //! monotone **peak**, and a resettable **watermark** used by top-level
 //! coordinator spans to attribute peak memory to individual pipeline stages
@@ -56,7 +56,7 @@ pub struct MemSnapshot {
 
 /// Turns memory reporting on or off. A no-op unless the `enabled` feature
 /// is compiled in; reporting additionally requires a registered
-/// [`CountingAlloc`] to have observed an allocation.
+/// `CountingAlloc` to have observed an allocation.
 pub fn set_enabled(on: bool) {
     // ORDERING: Relaxed — an independent on/off flag; readers need eventual
     // visibility only, and no other memory is published through it.

@@ -10,8 +10,8 @@
 //!   last element into the next chunk's last element (the paper's
 //!   `Lock()`/`Unlock()` region), then in parallel add the carried-in prefix to
 //!   the remaining elements of every chunk.
-//! * [`sequential`] — the single-threaded inclusive/exclusive scans, the
-//!   oracle the chunked scan is tested against.
+//! * [`sequential`] — the single-threaded inclusive scan, the oracle the
+//!   chunked scan is tested against.
 //!
 //! Addition wraps, so the scan is total for every input and its result does
 //! not depend on the chunking. The chunked scan is *deterministic*: for a
@@ -21,15 +21,15 @@
 //! # Example
 //!
 //! ```
-//! use parcsr_scan::{exclusive_scan_seq, inclusive_scan_chunked};
+//! use parcsr_scan::{inclusive_scan_chunked, inclusive_scan_seq};
 //!
 //! let mut degrees = vec![1u64, 2, 1, 2, 1, 1, 1, 2, 2, 1];
+//! let mut expected = degrees.clone();
 //! inclusive_scan_chunked(&mut degrees, 4);
 //! assert_eq!(degrees, [1, 3, 4, 6, 7, 8, 9, 11, 13, 14]);
 //!
-//! let mut offsets = vec![1u64, 2, 1, 2];
-//! exclusive_scan_seq(&mut offsets);
-//! assert_eq!(offsets, [0, 1, 3, 4]);
+//! inclusive_scan_seq(&mut expected);
+//! assert_eq!(degrees, expected);
 //! ```
 
 #[cfg(parcsr_check)]
@@ -38,4 +38,4 @@ pub mod chunked;
 pub mod sequential;
 
 pub use chunked::inclusive_scan_chunked;
-pub use sequential::{exclusive_scan_seq, inclusive_scan_seq};
+pub use sequential::inclusive_scan_seq;

@@ -1,5 +1,6 @@
 //! The TCP listener facade: binds `127.0.0.1:<port>`, accepts on a named
-//! background thread, and runs one [`Session`] per connection on a
+//! background thread, and runs one
+//! [`session::Session`](crate::session::Session) per connection on a
 //! short-lived thread with a read timeout. Admin traffic is one scraper
 //! and maybe a human with `nc`, so thread-per-connection is the right
 //! amount of machinery — the event loop stays out of the tree until the
@@ -90,7 +91,7 @@ impl AdminServer {
     }
 
     /// Stops the accept loop and joins it. In-flight sessions finish on
-    /// their own (bounded by [`SESSION_READ_TIMEOUT`]); their threads are
+    /// their own (bounded by `SESSION_READ_TIMEOUT`); their threads are
     /// deliberately not tracked — the admin plane must never stall process
     /// exit behind a slow scraper. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {

@@ -1,6 +1,6 @@
 //! Graph analytics directly on the compressed structure — the downstream
 //! workloads the paper's introduction motivates (influence, reachability,
-//! communities), run on both the plain and the bit-packed CSR to show the
+//! clustering), run on both the plain and the bit-packed CSR to show the
 //! compressed structure is genuinely usable, not just storable.
 //!
 //! ```text
@@ -10,10 +10,7 @@
 use std::time::Instant;
 
 use parcsr::{BitPackedCsr, CsrBuilder, PackedCsrMode};
-use parcsr_algos::{
-    bfs_parallel, connected_components_parallel, count_triangles, pagerank, PageRankConfig,
-    UNREACHABLE,
-};
+use parcsr_algos::{bfs_parallel, count_triangles, pagerank, PageRankConfig, UNREACHABLE};
 use parcsr_graph::gen::{rmat, RmatParams};
 
 fn main() {
@@ -71,18 +68,6 @@ fn main() {
         println!("  node {u:>6}  rank {r:.6}  degree {}", csr.degree(*u));
     }
     println!();
-
-    // Communities: weakly connected components.
-    let t = Instant::now();
-    let labels = connected_components_parallel(&csr);
-    let mut uniq = labels.clone();
-    uniq.sort_unstable();
-    uniq.dedup();
-    println!(
-        "connected components: {} components ({:.1} ms)",
-        uniq.len(),
-        t.elapsed().as_secs_f64() * 1e3
-    );
 
     // Cohesion: triangles.
     let t = Instant::now();
