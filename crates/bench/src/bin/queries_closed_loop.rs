@@ -16,7 +16,7 @@
 //! newest `HISTORY_WINDOWS` (64) windows, so a longer run's trace holds
 //! only those.
 
-use parcsr_bench::closed_loop::{render_table, run, spawn_admin, DriverOptions};
+use parcsr_bench::closed_loop::{render_table, run, DriverOptions};
 use parcsr_bench::{trace, Options, ToJson};
 
 // Counting allocator behind --mem-metrics; registered only in obs builds,
@@ -37,14 +37,7 @@ fn main() {
     };
     trace::setup(&obs_opts);
 
-    // Live introspection for the duration of the run: scrape
-    // 127.0.0.1:<port> with `parcsr watch`, curl, or a Prometheus server.
-    let mut admin = spawn_admin(&opts);
-
     let report = run(&opts);
-    if let Some(server) = admin.as_mut() {
-        server.shutdown();
-    }
 
     if opts.json {
         eprint!("{}", render_table(&report));

@@ -132,10 +132,6 @@ pub struct DriverOptions {
     pub metrics: bool,
     /// Span sampling period for the trace.
     pub trace_sample: Option<u32>,
-    /// Serve the live admin plane (metrics/stats/health) on
-    /// `127.0.0.1:<port>` for the duration of the run (needs
-    /// `--features obs`; `0` picks an ephemeral port).
-    pub admin_port: Option<u16>,
 }
 
 impl Default for DriverOptions {
@@ -155,7 +151,6 @@ impl Default for DriverOptions {
             trace: None,
             metrics: false,
             trace_sample: None,
-            admin_port: None,
         }
     }
 }
@@ -261,12 +256,6 @@ impl DriverOptions {
                     }
                     opts.trace_sample = Some(n);
                 }
-                "--admin-port" => {
-                    let p: u16 = value("--admin-port")?
-                        .parse()
-                        .map_err(|e| format!("--admin-port: {e}"))?;
-                    opts.admin_port = Some(p);
-                }
                 "--help" | "-h" => return Err(HELP.to_string()),
                 other => return Err(format!("unknown flag {other} (try --help)")),
             }
@@ -307,31 +296,7 @@ Flags:
   --trace <file>      write a Chrome trace with query.win.* counter events
   --metrics           print the obs metrics summary to stderr
   --trace-sample <n>  record every nth same-name span per thread
-  --admin-port <p>    serve live metrics/stats/health on 127.0.0.1:p while
-                      the run drives load (0 picks an ephemeral port)
                       (observability flags need a build with --features obs)";
-
-/// Starts the admin plane for [`DriverOptions::admin_port`], reporting the
-/// bound address (or why it is unavailable) on stderr. Returns the server
-/// handle so the caller scopes the listener to the run; `None` when no
-/// port was requested or the plane is not compiled in. Kept out of [`run`]
-/// so the driver itself stays side-effect free for library callers.
-pub fn spawn_admin(opts: &DriverOptions) -> Option<parcsr_server::admin::AdminServer> {
-    let port = opts.admin_port?;
-    match parcsr_server::admin::spawn(port) {
-        Ok(server) => {
-            // A live admin plane implies live metrics: turn runtime
-            // recording on even when no --trace/--metrics flag did.
-            parcsr_obs::set_enabled(true);
-            eprintln!("admin: listening on {}", server.local_addr());
-            Some(server)
-        }
-        Err(e) => {
-            eprintln!("admin: --admin-port unavailable: {e}");
-            None
-        }
-    }
-}
 
 /// Hub-graph shape constants at scale 1.0: the graph of EXPERIMENTS.md's
 /// imbalance study, whose edge-skew bound `tests/skew_invariance.rs` holds
@@ -1097,8 +1062,6 @@ mod tests {
             "90000",
             "--min-qps",
             "1000.5",
-            "--admin-port",
-            "9184",
         ])
         .unwrap();
         assert_eq!(o.graph, GraphKind::Web);
@@ -1112,7 +1075,6 @@ mod tests {
         assert!(o.json);
         assert_eq!(o.p99_ns, Some(90_000));
         assert_eq!(o.min_qps, Some(1000.5));
-        assert_eq!(o.admin_port, Some(9184));
     }
 
     #[test]
@@ -1127,8 +1089,7 @@ mod tests {
         assert!(parse(&["--min-qps", "nan"]).is_err());
         assert!(parse(&["--nope"]).is_err());
         assert!(parse(&["--p99-ns"]).is_err());
-        assert!(parse(&["--admin-port", "notaport"]).is_err());
-        assert!(parse(&["--admin-port", "70000"]).is_err());
+        assert!(parse(&["--admin-port", "9184"]).is_err());
     }
 
     #[test]

@@ -43,12 +43,6 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
         Command::Compress { input, out, procs } => compress(input, out, resolve_procs(*procs)),
         Command::Stats { input } => stats(input),
         Command::Info { input } => info(input),
-        Command::Watch {
-            addr,
-            interval_ms,
-            once,
-            out,
-        } => crate::watch::run_watch(addr, *interval_ms, *once, out).map_err(err),
         Command::Query {
             input,
             neighbors,

@@ -18,7 +18,6 @@
 
 pub mod commands;
 pub mod parse;
-pub mod watch;
 
 pub use commands::execute;
 pub use parse::{Command, ObsOptions, ParseError};
@@ -60,27 +59,8 @@ where
         parcsr_obs::mem::set_enabled(obs.mem_metrics || mem_sample.is_some());
         parcsr_obs::set_enabled(true);
     }
-    // Live introspection: serve metrics/stats/health on 127.0.0.1:<port>
-    // while the command runs. A failed spawn (port taken, or the admin
-    // plane not compiled in) degrades to a warning.
-    let mut admin = None;
-    if let Some(port) = obs.admin_port {
-        match parcsr_server::admin::spawn(port) {
-            Ok(server) => {
-                // A live admin plane implies live metrics, even when no
-                // collection switch was given.
-                parcsr_obs::set_enabled(true);
-                eprintln!("admin: listening on {}", server.local_addr());
-                admin = Some(server);
-            }
-            Err(e) => eprintln!("admin: --admin-port unavailable: {e}"),
-        }
-    }
     let command = Command::parse(rest).map_err(|e| e.to_string())?;
     let result = execute(&command).map_err(|e| e.to_string());
-    if let Some(mut server) = admin.take() {
-        server.shutdown();
-    }
     if obs.active() {
         parcsr_obs::mem::publish_gauges();
         parcsr_obs::set_enabled(false);

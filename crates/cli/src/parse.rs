@@ -71,18 +71,6 @@ pub enum Command {
         /// Processor count (0 = all).
         procs: usize,
     },
-    /// Poll a running process's admin plane and render a live per-kind /
-    /// per-degree-class latency table.
-    Watch {
-        /// Admin endpoint address (`host:port`).
-        addr: String,
-        /// Poll interval in milliseconds.
-        interval_ms: u64,
-        /// Scrape once, print the table, and exit (CI mode).
-        once: bool,
-        /// Also write each raw exposition scrape to this path.
-        out: Option<String>,
-    },
     /// Query a `.tcsr` file at a time-frame.
     TemporalQuery {
         /// Input `.tcsr` path.
@@ -113,10 +101,6 @@ pub struct ObsOptions {
     /// Mid-span memory sampling period: every Nth allocation updates the
     /// per-span high-water mark (implies memory accounting).
     pub mem_sample: Option<u64>,
-    /// Serve the live admin plane (metrics/stats/health) on
-    /// `127.0.0.1:<port>` for the duration of the command (`0` picks an
-    /// ephemeral port).
-    pub admin_port: Option<u16>,
 }
 
 impl ObsOptions {
@@ -163,14 +147,6 @@ impl ObsOptions {
                     }
                     obs.mem_sample = Some(n);
                 }
-                "--admin-port" => {
-                    let p: u16 = it
-                        .next()
-                        .ok_or_else(|| invalid("--admin-port requires a value"))?
-                        .parse()
-                        .map_err(|e| invalid(format!("--admin-port: {e}")))?;
-                    obs.admin_port = Some(p);
-                }
                 _ => rest.push(arg),
             }
         }
@@ -214,11 +190,6 @@ commands:
   query    FILE.pcsr [--neighbors u1,u2,...] [--edge u,v] [--procs P]
   temporal-compress INPUT --out FILE [--mode random|gap] [--procs P]
   temporal-query FILE.tcsr --frame T [--edge u,v] [--neighbors u1,u2] [--count]
-  watch    HOST:PORT [--interval-ms N] [--once] [--out FILE]
-
-  watch polls a running process's admin plane (see --admin-port) and
-  renders a refreshing per-kind/per-class latency table; --once scrapes a
-  single time and prints it (CI mode), --out also saves the raw scrape.
 
 global flags (any command):
   --trace FILE    write a Chrome trace (chrome://tracing JSON) of the run
@@ -228,8 +199,6 @@ global flags (any command):
   --mem-metrics   track live/peak heap bytes and per-stage memory peaks
   --mem-sample N  sample the live-heap high-water mark every Nth allocation
                   (default: $PARCSR_MEM_SAMPLE, else off; implies accounting)
-  --admin-port P  serve live metrics/stats/health on 127.0.0.1:P while the
-                  command runs (0 picks an ephemeral port)
                   (all need a binary built with --features obs)";
 
 fn invalid(msg: impl Into<String>) -> ParseError {
@@ -254,6 +223,14 @@ impl Args {
         self.value(flag)?
             .parse()
             .map_err(|e| invalid(format!("{flag}: {e}")))
+    }
+
+    /// Rejects whatever is left after a command's last operand.
+    fn finish(&mut self) -> Result<(), ParseError> {
+        match self.items.next() {
+            Some(flag) => Err(invalid(format!("unknown flag {flag}"))),
+            None => Ok(()),
+        }
     }
 }
 
@@ -330,16 +307,20 @@ impl Command {
                     procs,
                 })
             }
-            "stats" => Ok(Command::Stats {
-                input: args
+            "stats" => {
+                let input = args
                     .value("stats")
-                    .map_err(|_| invalid("stats requires an input path"))?,
-            }),
-            "info" => Ok(Command::Info {
-                input: args
+                    .map_err(|_| invalid("stats requires an input path"))?;
+                args.finish()?;
+                Ok(Command::Stats { input })
+            }
+            "info" => {
+                let input = args
                     .value("info")
-                    .map_err(|_| invalid("info requires an input path"))?,
-            }),
+                    .map_err(|_| invalid("info requires an input path"))?;
+                args.finish()?;
+                Ok(Command::Info { input })
+            }
             "query" => {
                 let input = args
                     .value("query")
@@ -431,31 +412,6 @@ impl Command {
                     edges,
                     neighbors,
                     count,
-                })
-            }
-            "watch" => {
-                let addr = args
-                    .value("watch")
-                    .map_err(|_| invalid("watch requires a host:port address"))?;
-                let (mut interval_ms, mut once, mut out) = (1_000u64, false, None);
-                while let Some(flag) = args.items.next() {
-                    match flag.as_str() {
-                        "--interval-ms" => {
-                            interval_ms = args.parsed("--interval-ms")?;
-                            if interval_ms == 0 {
-                                return Err(invalid("--interval-ms must be at least 1"));
-                            }
-                        }
-                        "--once" => once = true,
-                        "--out" => out = Some(args.value("--out")?),
-                        other => return Err(invalid(format!("unknown flag {other}"))),
-                    }
-                }
-                Ok(Command::Watch {
-                    addr,
-                    interval_ms,
-                    once,
-                    out,
                 })
             }
             other => Err(invalid(format!("unknown command {other}"))),
@@ -721,64 +677,14 @@ mod tests {
     }
 
     #[test]
-    fn watch_parses_with_defaults_and_flags() {
-        let c = parse(&["watch", "127.0.0.1:9184"]).unwrap();
-        assert_eq!(
-            c,
-            Command::Watch {
-                addr: "127.0.0.1:9184".into(),
-                interval_ms: 1_000,
-                once: false,
-                out: None,
-            }
-        );
-        let c = parse(&[
-            "watch",
-            "localhost:9184",
-            "--interval-ms",
-            "250",
-            "--once",
-            "--out",
-            "/tmp/scrape.txt",
-        ])
-        .unwrap();
-        assert_eq!(
-            c,
-            Command::Watch {
-                addr: "localhost:9184".into(),
-                interval_ms: 250,
-                once: true,
-                out: Some("/tmp/scrape.txt".into()),
-            }
-        );
-        assert!(parse(&["watch"]).is_err());
-        assert!(parse(&["watch", "a:1", "--interval-ms", "0"]).is_err());
-        assert!(parse(&["watch", "a:1", "--bogus"]).is_err());
-    }
-
-    #[test]
-    fn admin_port_strips_from_anywhere() {
-        let args = ["stats", "--admin-port", "9184", "g.txt"];
-        let (obs, rest) = ObsOptions::extract(args.iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(obs.admin_port, Some(9184));
-        assert!(
-            !obs.active(),
-            "--admin-port serves live state; it is not a collection switch"
-        );
-        assert_eq!(rest, ["stats", "g.txt"]);
-        assert!(ObsOptions::extract(["--admin-port".to_string()]).is_err());
-        assert!(
-            ObsOptions::extract(["--admin-port".to_string(), "70000".to_string()]).is_err(),
-            "ports are u16"
-        );
-    }
-
-    #[test]
     fn help_and_unknowns() {
         assert_eq!(parse(&[]).unwrap_err(), ParseError::Help);
         assert_eq!(parse(&["--help"]).unwrap_err(), ParseError::Help);
         assert!(parse(&["frobnicate"]).is_err());
         assert!(parse(&["generate", "--bogus"]).is_err());
         assert!(parse(&["query", "f", "--edge", "nope"]).is_err());
+        assert!(parse(&["stats", "g.txt", "--admin-port", "9184"]).is_err());
+        assert!(parse(&["info", "g.pcsr", "--bogus"]).is_err());
+        assert!(parse(&["watch", "127.0.0.1:9184"]).is_err());
     }
 }

@@ -32,7 +32,7 @@
 //!   fed by the instrumented batch entry points in `parcsr` and
 //!   `parcsr-algos` (one timer per query) and consumed by the
 //!   `queries_closed_loop` load driver. Rotated windows are kept in one
-//!   bounded history ring.
+//!   bounded history ring, which only the trace exporter reads.
 //! * **Exporters** ([`export`]): a human-readable per-stage/per-thread
 //!   summary table (with a memory section) and a Chrome `chrome://tracing`
 //!   JSON trace writer — span events with `args` payloads plus counter
@@ -58,7 +58,6 @@
 //! [`set_trace_sample`] period bounds the recording cost of what is.
 
 pub mod analyze;
-pub mod expo;
 pub mod export;
 pub mod json;
 pub mod mem;
@@ -87,18 +86,6 @@ static TRACE_SAMPLE: AtomicU32 = AtomicU32::new(1);
 #[must_use]
 pub const fn compiled() -> bool {
     cfg!(feature = "enabled")
-}
-
-/// The full live-metrics view in one document: the registry snapshot
-/// ([`metrics::snapshot`] — counters, gauges, histograms) merged with the
-/// windowed serving grid ([`serve::serving_snapshot`]). This is the one
-/// merge path the admin plane's exposition and JSON stats endpoints
-/// consume; empty when the `enabled` feature is off.
-#[must_use]
-pub fn snapshot_all() -> metrics::MetricsSnapshot {
-    let mut snap = metrics::snapshot();
-    snap.merge(serve::serving_snapshot());
-    snap
 }
 
 /// Turns runtime recording on or off. A no-op unless the `enabled` feature

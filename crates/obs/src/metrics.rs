@@ -485,35 +485,10 @@ pub fn histogram(name: &'static str) -> HistogramHandle {
     }
 }
 
-/// One windowed serving cell in a [`MetricsSnapshot`]: a
-/// `(kind, class)` latency summary for one completed window of the
-/// serving slabs ([`crate::serve::QuerySlabs`]). The `name` is the
-/// canonical `query.win.<kind>.<class>` series name produced by
-/// [`crate::serve::window_series_name`] — the single definition shared by
-/// the trace exporter, the exposition renderer, and the JSON stats
-/// endpoint — while `kind`/`class` carry the label values so renderers
-/// that prefer labeled families (Prometheus exposition) never re-derive
-/// them by splitting the name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WindowSeries {
-    /// Canonical dotted series name (`query.win.<kind>.<class>`).
-    pub name: String,
-    /// Query-kind label value (e.g. `neighbors`).
-    pub kind: &'static str,
-    /// Degree-class label value (`low`/`mid`/`hub`).
-    pub class: &'static str,
-    /// The completed window ordinal the summary covers.
-    pub window: u64,
-    /// Merged-across-shards latency summary for the window, nanoseconds.
-    pub summary: HistogramSummary,
-}
-
-/// Point-in-time snapshot of every registered metric, and — when merged
-/// from
-/// [`crate::serve`] — the windowed serving grid. Empty when the `enabled`
-/// feature is off. This is the one merge path every exporter shares: the
-/// Chrome-trace counter events, the Prometheus-style exposition, and the
-/// admin JSON stats endpoint all consume this shape.
+/// Point-in-time snapshot of every registered metric. Empty when the
+/// `enabled` feature is off. The Chrome-trace counter events and the
+/// summary table both consume this shape; the windowed serving grid
+/// reaches the trace through [`crate::serve::history_snapshot`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` for each counter, registration order.
@@ -522,28 +497,13 @@ pub struct MetricsSnapshot {
     pub gauges: Vec<(String, i64)>,
     /// `(name, summary)` for each histogram, registration order.
     pub histograms: Vec<(String, HistogramSummary)>,
-    /// Windowed serving cells (kind × degree-class), slab-index order.
-    pub windows: Vec<WindowSeries>,
 }
 
 impl MetricsSnapshot {
     /// True when nothing was recorded.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty()
-            && self.gauges.is_empty()
-            && self.histograms.is_empty()
-            && self.windows.is_empty()
-    }
-
-    /// Appends every entry of `other`, preserving both orders. Used to
-    /// combine the registry snapshot with the serving-slab snapshot into
-    /// the one document the admin plane serves.
-    pub fn merge(&mut self, other: MetricsSnapshot) {
-        self.counters.extend(other.counters);
-        self.gauges.extend(other.gauges);
-        self.histograms.extend(other.histograms);
-        self.windows.extend(other.windows);
+        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
     }
 }
 

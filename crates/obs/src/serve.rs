@@ -31,12 +31,10 @@
 //! * A **history ring** ([`HistoryRing`]): the last [`HISTORY_WINDOWS`]
 //!   rotated windows ([`HistoryWindow`]: open/close time, qps, per-cell
 //!   summaries with their phase split, and the window's tail exemplars).
-//!   It is the only record of a rotated window: the admin plane's
-//!   `history` endpoint, `parcsr watch`'s sparklines and the trace
-//!   exporter's `query.win.*` / `query.phase.*` / `query.exemplar.*`
-//!   series all read it.
+//!   It is the only record of a rotated window: the trace exporter's
+//!   `query.win.*` / `query.phase.*` / `query.exemplar.*` series read it.
 //! * A process-global facade ([`query_start`], [`rotate_window`],
-//!   [`history_snapshot`], [`serving_snapshot`]) gated exactly like the
+//!   [`history_snapshot`]) gated exactly like the
 //!   rest of the crate: ZST no-ops without the `enabled` feature, one
 //!   relaxed load when compiled in but runtime recording is off. Its guard
 //!   times each query once, start to finish, and records the whole time as
@@ -69,7 +67,7 @@ use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::OnceLock;
 use std::sync::{Mutex, PoisonError};
 
-use crate::metrics::{Histogram, HistogramSummary, MetricsSnapshot, WindowSeries};
+use crate::metrics::{Histogram, HistogramSummary};
 
 /// Query types the serving path accounts for, matching the paper's
 /// query-algorithm families (Algorithms 6–9).
@@ -768,33 +766,12 @@ impl QuerySlabs {
         }
         out
     }
-
-    /// Snapshot of window `epoch` as [`MetricsSnapshot`] window series: one
-    /// [`WindowSeries`] per non-empty `(kind, class)` cell, named through
-    /// [`window_series_name`] — the same one-definition naming the trace
-    /// exporter uses, so every exporter agrees on `query.win.<kind>.<class>`.
-    #[must_use]
-    pub fn snapshot(&self, epoch: u64) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for cell in self.window_cells(epoch) {
-            snap.windows.push(WindowSeries {
-                name: window_series_name(cell.kind, cell.class),
-                kind: cell.kind.name(),
-                class: cell.class.name(),
-                window: epoch,
-                summary: cell.summary,
-            });
-        }
-        snap
-    }
 }
 
 /// The canonical series name for one `(kind, class)` cell of the windowed
 /// serving grid: `query.win.<kind>.<class>`. The *single* definition of
-/// this naming — the Chrome-trace counter events
-/// ([`crate::export::chrome_trace_with_counters`]), [`QuerySlabs::snapshot`],
-/// and (through it) the exposition and JSON stats renderers all call here,
-/// so the name cannot drift between exporters.
+/// this naming, which the Chrome-trace counter events
+/// ([`crate::export::chrome_trace_with_counters`]) go through.
 #[must_use]
 pub fn window_series_name(kind: QueryKind, class: DegreeClass) -> String {
     format!("query.win.{}.{}", kind.name(), class.name())
@@ -847,7 +824,7 @@ pub struct HistoryWindow {
 }
 
 /// Fixed-capacity ring of rotated window summaries: the time-series view
-/// behind the admin plane's `history` endpoint. Pushing past capacity
+/// the trace exporter writes. Pushing past capacity
 /// evicts oldest-first, and [`HistoryRing::window`] returns `None` for
 /// evicted (or never-pushed) epochs — the same retention semantics as
 /// [`WindowedHistogram`], which the property tests pin.
@@ -941,9 +918,9 @@ const GLOBAL_SHARDS: usize = 8;
 #[cfg(feature = "enabled")]
 const GLOBAL_WINDOWS: usize = 4;
 
-/// Windows the process-global history ring retains. Sized so a default
-/// watch cadence (250 ms windows) keeps ~16 s of history on screen — and
-/// comfortably above the 30 sparkline columns `parcsr watch` renders.
+/// Windows the process-global history ring retains. At the closed-loop
+/// driver's default 250 ms windows that is the last ~16 s of a run, which
+/// a longer run's trace then holds.
 pub const HISTORY_WINDOWS: usize = 64;
 
 #[cfg(feature = "enabled")]
@@ -1076,10 +1053,9 @@ pub fn rotate_window() -> Option<u64> {
 }
 
 /// Every retained window of the process-global history ring, oldest
-/// first — the payload behind the admin plane's `history` endpoint and the
-/// trace exporter's windowed series. Read-only and safe from any thread,
-/// like [`serving_snapshot`]. Empty when the feature is off or no window
-/// ever rotated.
+/// first — the payload behind the trace exporter's windowed series.
+/// Read-only and safe from any thread, even while a reporter owns
+/// rotation. Empty when the feature is off or no window ever rotated.
 #[must_use]
 pub fn history_snapshot() -> Vec<HistoryWindow> {
     #[cfg(feature = "enabled")]
@@ -1092,42 +1068,6 @@ pub fn history_snapshot() -> Vec<HistoryWindow> {
     #[cfg(not(feature = "enabled"))]
     {
         Vec::new()
-    }
-}
-
-/// Snapshot of the process-global serving slabs for live introspection
-/// (the admin plane's scrape path): the most recently *completed* window's
-/// `(kind, class)` grid as [`WindowSeries`] entries (the live, still-filling
-/// window when nothing has rotated yet), plus `query.win.epoch` (live
-/// epoch) and `query.win.duration_ns` (length of the newest history-ring
-/// window) gauges. Read-only — never rotates, so it is safe to call from
-/// any thread while a reporter owns rotation (a scrape that races a
-/// rotation sees the one-sample boundary smear documented in the module
-/// header, no worse). Empty when the feature is off or nothing was ever
-/// recorded.
-#[must_use]
-pub fn serving_snapshot() -> MetricsSnapshot {
-    #[cfg(feature = "enabled")]
-    {
-        let Some(slabs) = GLOBAL_SLABS.get() else {
-            return MetricsSnapshot::default();
-        };
-        let live = slabs.epoch();
-        let shown = live.saturating_sub(1);
-        let mut snap = slabs.snapshot(shown);
-        snap.gauges
-            .push(("query.win.epoch".to_string(), live as i64));
-        let last_dur_ns = GLOBAL_HISTORY
-            .get()
-            .and_then(HistoryRing::newest)
-            .map_or(0, |w| w.dur_ns);
-        snap.gauges
-            .push(("query.win.duration_ns".to_string(), last_dur_ns as i64));
-        snap
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        MetricsSnapshot::default()
     }
 }
 
@@ -1233,21 +1173,16 @@ mod tests {
         slabs.record(0, QueryKind::Neighbors, DegreeClass::Low, 100);
         slabs.record(1, QueryKind::SplitSearch, DegreeClass::Hub, 9_000);
         let completed = slabs.rotate();
-        let snap = slabs.snapshot(completed);
-        assert!(snap.counters.is_empty() && snap.histograms.is_empty());
-        let names: Vec<_> = snap.windows.iter().map(|w| w.name.as_str()).collect();
+        let names: Vec<_> = slabs
+            .window_cells(completed)
+            .iter()
+            .map(|c| window_series_name(c.kind, c.class))
+            .collect();
         assert_eq!(
             names,
             ["query.win.neighbors.low", "query.win.split.hub"],
             "slab-index order, one definition of the naming"
         );
-        // Labels mirror the name's components without re-deriving them.
-        assert_eq!(snap.windows[0].kind, "neighbors");
-        assert_eq!(snap.windows[0].class, "low");
-        assert_eq!(snap.windows[1].window, completed);
-        assert_eq!(snap.windows[1].summary.count, 1);
-        // An empty epoch snapshots to an empty series list.
-        assert!(slabs.snapshot(slabs.epoch()).windows.is_empty());
     }
 
     #[test]

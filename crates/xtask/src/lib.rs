@@ -2,11 +2,9 @@
 //! Rust lexer, the static-analysis passes built on it, the fixture
 //! corpus harness that keeps the passes honest, and the artifact
 //! validators (`check-trace`'s semantic rules, `slo-check`'s result
-//! gating, `expo-check`'s exposition rules). The `cargo xtask` binary
-//! (`src/main.rs`) drives these;
+//! gating). The `cargo xtask` binary (`src/main.rs`) drives these;
 //! integration tests exercise them directly.
 
-pub mod expo_check;
 pub mod fixtures;
 pub mod lexer;
 pub mod lints;

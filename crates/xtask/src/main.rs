@@ -8,11 +8,6 @@
 //!   counter (`"C"`) events, non-empty, time-ordered per thread / per
 //!   counter, with well-typed span args. CI runs it on a bench smoke
 //!   trace so a silently-broken recorder fails the build.
-//! * `expo-check FILE` — validates an admin-plane metrics scrape (see
-//!   [`xtask::expo_check`]): well-formed exposition grammar, paired
-//!   HELP/TYPE per family, unique series, finite values, non-negative
-//!   counters, legal quantile labels. CI scrapes the closed-loop smoke's
-//!   `--admin-port` mid-run and gates the snapshot through it.
 //! * `trace-analyze FILE [--stage NAME] [--json OUT] [--check]` — the
 //!   parallel-efficiency report (see [`trace_analyze`]): per-stage worker
 //!   utilization, critical-path ratio, and chunk-imbalance statistics,
@@ -62,7 +57,7 @@
 mod stage_diff;
 mod trace_analyze;
 
-use xtask::{expo_check, fixtures, lints, slo_check, trace_check, trace_read};
+use xtask::{fixtures, lints, slo_check, trace_check, trace_read};
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -82,13 +77,6 @@ fn main() -> ExitCode {
             Some(file) => check_trace(Path::new(file)),
             None => {
                 eprintln!("usage: cargo xtask check-trace <trace.json>");
-                ExitCode::from(2)
-            }
-        },
-        Some("expo-check") => match args.get(1) {
-            Some(file) => check_expo(Path::new(file)),
-            None => {
-                eprintln!("usage: cargo xtask expo-check <scrape.txt>");
                 ExitCode::from(2)
             }
         },
@@ -147,7 +135,7 @@ fn main() -> ExitCode {
         _ => {
             eprintln!(
                 "usage: cargo xtask lint [--skip-clippy] [--json OUT] [--inventory OUT] | \
-                 lint-fixtures | check-trace <trace.json> | expo-check <scrape.txt> | \
+                 lint-fixtures | check-trace <trace.json> | \
                  trace-analyze <trace.json> [--stage NAME] [--json OUT] [--check] \
                  [--min-util F] | \
                  stage-diff <base.json> <cur.json> [--threshold F] | bless-baseline | \
@@ -412,28 +400,6 @@ fn run_stage_diff(base: &Path, cur: &Path, threshold: f64) -> ExitCode {
         }
         Err(e) => {
             eprintln!("xtask stage-diff: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// Validates an admin-plane metrics scrape; exit 0 iff it is a well-formed,
-/// non-empty exposition document (see [`expo_check`]).
-fn check_expo(path: &Path) -> ExitCode {
-    let text = match trace_read::read_file("expo-check", path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match expo_check::check_expo_text(&text) {
-        Ok(n) => {
-            eprintln!("xtask expo-check: {} ok ({n} samples)", path.display());
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("xtask expo-check: {} invalid: {e}", path.display());
             ExitCode::FAILURE
         }
     }

@@ -15,7 +15,7 @@ OUT="results/${RUN_ID}"
 
 mkdir -p results
 echo "== building release binaries (obs feature: tracing + metrics + mem) =="
-cargo build --release -p parcsr-bench -p parcsr-cli --features parcsr-bench/obs,parcsr-cli/obs
+cargo build --release -p parcsr-bench --features obs
 
 # Every run records metrics and heap accounting; the stage summaries on
 # stderr (now including the `== mem ==` section) are archived next to the
@@ -52,24 +52,11 @@ cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
 # --p99-ns/--p99-queue-ns/...` to gate a run; compare two runs' overall
 # blocks for serving drift).
 echo "== closed-loop serving (qps + latency percentiles + SLO summary) =="
-# Each run exposes the admin plane on a per-client-count port; a mid-run
-# `parcsr watch --once` archives a live exposition scrape next to the SLO
-# summary, and the raw /history scrape (the rotated-window ring `watch`
-# renders as sparklines) lands beside it as *.scrape.txt.history
-# (validate either with `cargo xtask expo-check <scrape>`).
 for clients in 1 2 8; do
-  admin_port=$((9300 + clients))
   cargo run --release -q -p parcsr-bench --features obs --bin queries_closed_loop -- \
     --graph hub --clients "$clients" --duration-ms 2000 --window-ms 250 --json \
-    --admin-port "$admin_port" \
     2> >(tee "${OUT}.closed_loop.c${clients}.txt" >&2) \
-    > "${OUT}.closed_loop.c${clients}.slo.json" &
-  driver=$!
-  sleep 1
-  ./target/release/parcsr watch "127.0.0.1:${admin_port}" --once \
-    --out "${OUT}.closed_loop.c${clients}.scrape.txt" \
-    || echo "warning: mid-run scrape failed for clients=${clients}" >&2
-  wait "$driver"
+    > "${OUT}.closed_loop.c${clients}.slo.json"
 done
 
 # Worker-utilization / chunk-imbalance analysis of each Chrome trace
@@ -80,4 +67,4 @@ for trace in "${OUT}".*.trace.json; do
     > "${trace%.trace.json}.imbalance.txt"
 done
 
-echo "results written to results/ with prefix ${RUN_ID} (incl. *.trace.json Chrome traces, *.stages.* breakdowns with memory sections, *.imbalance.json analyzer output, *.slo.json serving summaries with phase/exemplar blocks, *.scrape.txt mid-run admin-plane expositions, and *.scrape.txt.history window-ring scrapes)"
+echo "results written to results/ with prefix ${RUN_ID} (incl. *.trace.json Chrome traces, *.stages.* breakdowns with memory sections, *.imbalance.json analyzer output and *.slo.json serving summaries with phase/exemplar blocks)"
