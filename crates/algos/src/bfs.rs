@@ -20,7 +20,6 @@ pub const UNREACHABLE: u32 = u32::MAX;
 pub fn bfs_sequential<S: NeighborSource>(graph: &S, source: NodeId) -> Vec<u32> {
     let n = graph.num_nodes();
     assert!((source as usize) < n, "source {source} out of range");
-    let q = parcsr_obs::serve::query_start();
     let mut dist = vec![UNREACHABLE; n];
     dist[source as usize] = 0;
     let mut frontier = vec![source];
@@ -41,9 +40,6 @@ pub fn bfs_sequential<S: NeighborSource>(graph: &S, source: NodeId) -> Vec<u32> 
         }
         frontier = next;
     }
-    q.finish(parcsr_obs::serve::QueryKind::Traversal, || {
-        graph.degree(source)
-    });
     dist
 }
 
@@ -55,7 +51,6 @@ pub fn bfs_sequential<S: NeighborSource>(graph: &S, source: NodeId) -> Vec<u32> 
 pub fn bfs_parallel<S: NeighborSource>(graph: &S, source: NodeId) -> Vec<u32> {
     let n = graph.num_nodes();
     assert!((source as usize) < n, "source {source} out of range");
-    let q = parcsr_obs::serve::query_start();
     let dist: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(UNREACHABLE)).collect();
     dist[source as usize].store(0, Relaxed);
     let mut frontier = vec![source];
@@ -88,9 +83,6 @@ pub fn bfs_parallel<S: NeighborSource>(graph: &S, source: NodeId) -> Vec<u32> {
         next.par_sort_unstable();
         frontier = next;
     }
-    q.finish(parcsr_obs::serve::QueryKind::Traversal, || {
-        graph.degree(source)
-    });
     dist.into_iter().map(AtomicU32::into_inner).collect()
 }
 

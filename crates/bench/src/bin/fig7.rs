@@ -26,5 +26,5 @@ fn main() {
     } else {
         print!("{}", print_fig7(&results));
     }
-    trace::finish(&opts, &spans);
+    trace::finish(&opts, &spans, &[]);
 }

@@ -9,12 +9,11 @@
 //! ```
 //!
 //! `--json` output lists every window and is consumed by `cargo xtask
-//! slo-check`. Built with `--features obs`, `--trace <file>` additionally
-//! exports the process-global history ring as `query.win.*`,
-//! `query.phase.*` and `query.exemplar.*` counter events for
-//! `chrome://tracing` / `cargo xtask check-trace`. The ring keeps the
-//! newest `HISTORY_WINDOWS` (64) windows, so a longer run's trace holds
-//! only those.
+//! slo-check`. `--trace <file>` exports the same windows, the driver's own
+//! client-side measurements, as `query.win.*`, `query.phase.*` and
+//! `query.exemplar.*` counter events for `chrome://tracing` / `cargo xtask
+//! check-trace`; built with `--features obs`, the trace also holds the
+//! run's spans and metrics.
 
 use parcsr_bench::closed_loop::{render_table, run, DriverOptions};
 use parcsr_bench::{trace, Options, ToJson};
@@ -45,7 +44,7 @@ fn main() {
     } else {
         print!("{}", render_table(&report));
     }
-    trace::finish(&obs_opts, &parcsr_obs::drain());
+    trace::finish(&obs_opts, &parcsr_obs::drain(), &report.history);
     if report.slo.met == Some(false) {
         std::process::exit(1);
     }

@@ -85,5 +85,5 @@ fn main() {
         });
         println!("| {p} | {nq:.1} | {eq:.1} | {sq:.2} |");
     }
-    trace::finish(&opts, &parcsr_obs::drain());
+    trace::finish(&opts, &parcsr_obs::drain(), &[]);
 }

@@ -47,5 +47,5 @@ fn main() {
             format_bytes(k2.packed_bytes()),
         );
     }
-    trace::finish(&opts, &parcsr_obs::drain());
+    trace::finish(&opts, &parcsr_obs::drain(), &[]);
 }

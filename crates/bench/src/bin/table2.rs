@@ -32,5 +32,5 @@ fn main() {
     } else {
         print!("{}", print_table2(&results));
     }
-    trace::finish(&opts, &spans);
+    trace::finish(&opts, &spans, &[]);
 }

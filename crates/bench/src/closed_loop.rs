@@ -15,18 +15,18 @@
 //! throughput at the observed latencies, the quantity an SLO is written
 //! against (`cargo xtask slo-check` consumes the JSON this module emits).
 //!
-//! Two measurement paths coexist on purpose:
-//!
-//! * the driver's own slabs time the full client-observed request with
-//!   `Instant` — always on, no feature needed — stamping the four phase
-//!   checkpoints (`queued` at query selection, `dispatched` before the
-//!   call, `executed` after it returns, `replied` after bookkeeping), so
-//!   queue-wait vs execute time is a first-class split and each window
-//!   keeps its slowest requests as tail exemplars;
-//! * built `--features obs`, the query internals *also* record into the
-//!   process-global serving slabs, and the reporter rotates those in step,
-//!   so `--trace` exports `query.win.*` counter events for `chrome://tracing`
-//!   and `cargo xtask check-trace`.
+//! The driver's slabs are the one measurement of a served query. Each
+//! client times the full client-observed request with `Instant`, with or
+//! without the obs feature, stamping four phase checkpoints (`queued` at
+//! query selection, `dispatched` before the call, `executed` after it
+//! returns, `replied` after bookkeeping), so queue-wait vs execute time is a
+//! first-class split and each window keeps its slowest requests as tail
+//! exemplars. At each rotation the reporter turns the completed window
+//! into one [`HistoryWindow`], its bounds stamped on the span clock
+//! ([`now_ns`]). That list is the report's window series, its exemplar
+//! block, and, under `--trace`, the `query.win.*` / `query.phase.*` /
+//! `query.exemplar.*` counter events that `cargo xtask check-trace`
+//! validates.
 //!
 //! Each client wraps its loop in [`with_processors`]`(1, ..)`: the rayon
 //! shim runs width-1 pools inline on the calling thread, so a length-1
@@ -50,8 +50,10 @@ use parcsr::{with_processors, BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::{EdgeList, NodeId};
 use parcsr_obs::metrics::HistogramSummary;
 use parcsr_obs::serve::{
-    DegreeClass, Exemplar, PhaseNanos, QueryKind, QueryPhase, QuerySlabs, EXEMPLARS_PER_SHARD,
+    DegreeClass, Exemplar, HistoryWindow, PhaseNanos, QueryKind, QueryPhase, QuerySlabs,
+    EXEMPLARS_PER_SHARD,
 };
+use parcsr_obs::span::now_ns;
 
 use crate::json::{Json, ToJson};
 
@@ -60,15 +62,6 @@ pub const SCHEMA: &str = "parcsr.closed_loop.v1";
 
 /// Schema tag of the tail-exemplar block inside the result JSON.
 pub const EXEMPLAR_SCHEMA: &str = "parcsr.exemplars.v1";
-
-/// Mix entries, in fixed order: neighbors (Alg 6), edge_scan (Alg 7),
-/// edge_binary (Alg 7 binary), split (Alg 8).
-pub const MIX_KINDS: [QueryKind; 4] = [
-    QueryKind::Neighbors,
-    QueryKind::EdgeScan,
-    QueryKind::EdgeBinary,
-    QueryKind::SplitSearch,
-];
 
 /// Which graph the driver serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +107,9 @@ pub struct DriverOptions {
     pub duration_ms: u64,
     /// Reporting window length in milliseconds.
     pub window_ms: u64,
-    /// Query-mix weights for [`MIX_KINDS`] (need not sum to 100).
+    /// Query-mix weights for [`QueryKind::ALL`], in that order: neighbors
+    /// (Alg 6), edge_scan (Alg 7), edge_binary (Alg 7 binary), split
+    /// (Alg 8). They need not sum to 100.
     pub mix: [u32; 4],
     /// Zipf exponent of the degree-rank skew (`0` = uniform).
     pub zipf_s: f64,
@@ -126,7 +121,8 @@ pub struct DriverOptions {
     pub p99_ns: Option<u64>,
     /// SLO target: sustained qps must be ≥ this.
     pub min_qps: Option<f64>,
-    /// Write a Chrome trace of the run (needs `--features obs`).
+    /// Write a Chrome trace of the run: its serving windows, plus spans and
+    /// metrics when built with `--features obs`.
     pub trace: Option<String>,
     /// Print the obs metrics summary to stderr (needs `--features obs`).
     pub metrics: bool,
@@ -296,7 +292,7 @@ Flags:
   --trace <file>      write a Chrome trace with query.win.* counter events
   --metrics           print the obs metrics summary to stderr
   --trace-sample <n>  record every nth same-name span per thread
-                      (observability flags need a build with --features obs)";
+                      (spans and metrics need a build with --features obs)";
 
 /// Hub-graph shape constants at scale 1.0: the graph of EXPERIMENTS.md's
 /// imbalance study, whose edge-skew bound `tests/skew_invariance.rs` holds
@@ -422,41 +418,31 @@ impl ToJson for ClassPhases {
     }
 }
 
-/// The tail exemplars one reporting window retained: the slowest requests
-/// with their full phase breakdown.
-#[derive(Debug, Clone)]
-pub struct WindowExemplars {
-    /// Window ordinal the exemplars were captured in.
-    pub window: u64,
-    /// Slowest-first exemplars (at most [`EXEMPLARS_PER_SHARD`]).
-    pub exemplars: Vec<Exemplar>,
-}
-
-impl ToJson for WindowExemplars {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("window".into(), Json::Int(self.window as i64)),
-            (
-                "exemplars".into(),
-                Json::Array(
-                    self.exemplars
-                        .iter()
-                        .map(|e| {
-                            Json::Object(vec![
-                                ("kind".into(), Json::Str(e.kind.name().into())),
-                                ("class".into(), Json::Str(e.class.name().into())),
-                                ("source".into(), Json::Int(e.source as i64)),
-                                ("total_ns".into(), Json::Int(e.ns.total_ns as i64)),
-                                ("queue_ns".into(), Json::Int(e.ns.queue_ns as i64)),
-                                ("exec_ns".into(), Json::Int(e.ns.exec_ns as i64)),
-                                ("reply_ns".into(), Json::Int(e.ns.reply_ns as i64)),
-                            ])
-                        })
-                        .collect(),
-                ),
+/// The exemplar block entry of one window: its ordinal and its tail
+/// exemplars, slowest first.
+fn window_exemplars_json(w: &HistoryWindow) -> Json {
+    Json::Object(vec![
+        ("window".into(), Json::Int(w.window as i64)),
+        (
+            "exemplars".into(),
+            Json::Array(
+                w.exemplars
+                    .iter()
+                    .map(|e| {
+                        Json::Object(vec![
+                            ("kind".into(), Json::Str(e.kind.name().into())),
+                            ("class".into(), Json::Str(e.class.name().into())),
+                            ("source".into(), Json::Int(e.source as i64)),
+                            ("total_ns".into(), Json::Int(e.ns.total_ns as i64)),
+                            ("queue_ns".into(), Json::Int(e.ns.queue_ns as i64)),
+                            ("exec_ns".into(), Json::Int(e.ns.exec_ns as i64)),
+                            ("reply_ns".into(), Json::Int(e.ns.reply_ns as i64)),
+                        ])
+                    })
+                    .collect(),
             ),
-        ])
-    }
+        ),
+    ])
 }
 
 /// One completed reporting window.
@@ -569,8 +555,10 @@ pub struct DriverReport {
     pub overall: WindowReport,
     /// Per-degree-class phase decomposition over the whole run.
     pub class_phases: Vec<ClassPhases>,
-    /// Per-window tail exemplars (windows that retained none are omitted).
-    pub exemplars: Vec<WindowExemplars>,
+    /// The record of each entry of `windows`, same order: its cells with
+    /// their phase split and its tail exemplars, on the span clock. The
+    /// JSON exemplar block and the trace's serving series render it.
+    pub history: Vec<HistoryWindow>,
     /// Achieved-vs-target verdict.
     pub slo: SloReport,
 }
@@ -601,7 +589,16 @@ impl ToJson for DriverReport {
                 Json::Object(vec![
                     ("schema".into(), Json::Str(EXEMPLAR_SCHEMA.into())),
                     ("per_shard".into(), Json::Int(EXEMPLARS_PER_SHARD as i64)),
-                    ("windows".into(), self.exemplars.as_slice().to_json()),
+                    (
+                        "windows".into(),
+                        Json::Array(
+                            self.history
+                                .iter()
+                                .filter(|w| !w.exemplars.is_empty())
+                                .map(window_exemplars_json)
+                                .collect(),
+                        ),
+                    ),
                 ]),
             ),
             ("slo".into(), self.slo.to_json()),
@@ -609,14 +606,24 @@ impl ToJson for DriverReport {
     }
 }
 
-/// Builds a [`WindowReport`] for window `epoch` of `slabs`.
-fn window_report(
-    slabs: &QuerySlabs,
-    epoch: u64,
-    ordinal: u64,
-    start_ms: f64,
-    dur_ms: f64,
-) -> WindowReport {
+/// Rotates `slabs` and returns the record of the completed window, open
+/// since `opened_ns` and closed now, on the span clock.
+fn close_window(slabs: &QuerySlabs, opened_ns: u64) -> HistoryWindow {
+    let completed = slabs.rotate();
+    HistoryWindow::new(
+        completed,
+        opened_ns,
+        now_ns(),
+        slabs.window_cells(completed),
+        slabs.completed_exemplars(),
+    )
+}
+
+/// Builds the [`WindowReport`] of `w`, a window just rotated out of
+/// `slabs`. Its bounds, request count and qps are `w`'s, so the JSON window
+/// and the trace's window agree.
+fn window_report(slabs: &QuerySlabs, w: &HistoryWindow, run_start_ns: u64) -> WindowReport {
+    let epoch = w.window;
     let all = slabs.window_summary(epoch, None, None);
     let kinds = QueryKind::ALL
         .iter()
@@ -640,15 +647,11 @@ fn window_report(
         })
         .collect();
     WindowReport {
-        window: ordinal,
-        start_ms,
-        dur_ms,
-        requests: all.count,
-        qps: if dur_ms > 0.0 {
-            all.count as f64 * 1_000.0 / dur_ms
-        } else {
-            0.0
-        },
+        window: epoch,
+        start_ms: w.start_ns.saturating_sub(run_start_ns) as f64 / 1e6,
+        dur_ms: w.dur_ns as f64 / 1e6,
+        requests: w.queries,
+        qps: w.qps,
         p50_ns: all.p50,
         p95_ns: all.p95,
         p99_ns: all.p99,
@@ -680,20 +683,18 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
     let hub_pool = ranks.len().min(HUB_ROWS as usize);
     let total_weight: u32 = opts.mix.iter().sum();
 
-    // Keep at most the global facade's retention so driver windows and the
-    // obs-side `query.win.*` trace series stay in step.
-    let slabs = QuerySlabs::new(opts.clients, 4);
+    // The reporter reads each window right after rotating it, so the live
+    // window and the one just completed are all the slabs need to keep.
+    let slabs = QuerySlabs::new(opts.clients, 2);
     let stop = AtomicBool::new(false);
-    let run_start = Instant::now();
+    let run_start_ns = now_ns();
     let windows_target = opts.duration_ms.div_ceil(opts.window_ms);
     let mut windows: Vec<WindowReport> = Vec::new();
-
-    let mut exemplars: Vec<WindowExemplars> = Vec::new();
+    let mut history: Vec<HistoryWindow> = Vec::new();
 
     std::thread::scope(|scope| {
         for client in 0..opts.clients {
             let (slabs, stop, packed, ranks, zipf) = (&slabs, &stop, &packed, &ranks, &zipf);
-            let run_start = &run_start;
             let opts = opts.clone();
             scope.spawn(move || {
                 let mut rng = SmallRng::seed_from_u64(
@@ -708,7 +709,7 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
                         // plane will do before dispatching to a worker).
                         let queued = Instant::now();
                         let mut pick = rng.gen_range(0..total_weight);
-                        let kind = MIX_KINDS
+                        let kind = QueryKind::ALL
                             .iter()
                             .zip(opts.mix)
                             .find_map(|(&k, w)| {
@@ -744,7 +745,7 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
                                     1,
                                 ));
                             }
-                            QueryKind::SplitSearch | QueryKind::Traversal => {
+                            QueryKind::SplitSearch => {
                                 let v = rng.gen_range(0..n as NodeId);
                                 std::hint::black_box(edge_exists_split(packed, u, v, 1));
                             }
@@ -755,9 +756,9 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
                         // phase once the data plane serializes responses).
                         let executed = Instant::now();
                         let replied = Instant::now();
-                        let at = |t: Instant| t.duration_since(*run_start).as_nanos() as u64;
+                        let at = |t: Instant| t.duration_since(queued).as_nanos() as u64;
                         let ns = PhaseNanos::from_checkpoints(
-                            at(queued),
+                            0,
                             at(dispatched),
                             at(executed),
                             at(replied),
@@ -776,60 +777,32 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
             });
         }
 
-        // Reporter: the single rotator for both the driver slabs and (when
-        // compiled in) the process-global serving slabs, so trace windows
-        // line up with report windows.
-        let mut prev_ms = 0.0_f64;
+        // Reporter: the single rotator. Window 0 opens at the run start;
+        // each later window opens where the previous one closed.
         for ordinal in 0..windows_target {
-            let deadline = (ordinal + 1) * opts.window_ms;
-            let now_ms = run_start.elapsed().as_secs_f64() * 1_000.0;
-            if (deadline as f64) > now_ms {
-                std::thread::sleep(Duration::from_millis(deadline - now_ms as u64));
+            let deadline_ns = opts
+                .window_ms
+                .saturating_mul(1_000_000)
+                .saturating_mul(ordinal + 1)
+                .saturating_add(run_start_ns);
+            let now = now_ns();
+            if deadline_ns > now {
+                std::thread::sleep(Duration::from_nanos(deadline_ns - now));
             }
-            let completed = slabs.rotate();
-            parcsr_obs::serve::rotate_window();
-            let exs = slabs.completed_exemplars();
-            if !exs.is_empty() {
-                exemplars.push(WindowExemplars {
-                    window: ordinal,
-                    exemplars: exs,
-                });
-            }
-            let now_ms = run_start.elapsed().as_secs_f64() * 1_000.0;
-            windows.push(window_report(
-                &slabs,
-                completed,
-                ordinal,
-                prev_ms,
-                now_ms - prev_ms,
-            ));
-            prev_ms = now_ms;
+            let w = close_window(&slabs, history.last().map_or(run_start_ns, |w| w.end_ns));
+            windows.push(window_report(&slabs, &w, run_start_ns));
+            history.push(w);
         }
         stop.store(true, Relaxed);
     });
 
     // Clients have joined; anything recorded after the last rotation forms
     // a short tail window (kept only if it saw traffic).
-    let elapsed_ms = run_start.elapsed().as_secs_f64() * 1_000.0;
-    let tail_epoch = slabs.rotate();
-    parcsr_obs::serve::rotate_window();
-    let tail_exs = slabs.completed_exemplars();
-    if !tail_exs.is_empty() {
-        exemplars.push(WindowExemplars {
-            window: windows.len() as u64,
-            exemplars: tail_exs,
-        });
-    }
-    let last_rotate_ms = windows.last().map_or(0.0, |w| w.start_ms + w.dur_ms);
-    let tail = window_report(
-        &slabs,
-        tail_epoch,
-        windows.len() as u64,
-        last_rotate_ms,
-        elapsed_ms - last_rotate_ms,
-    );
-    if tail.requests > 0 {
-        windows.push(tail);
+    let tail = close_window(&slabs, history.last().map_or(run_start_ns, |w| w.end_ns));
+    let elapsed_ms = tail.end_ns.saturating_sub(run_start_ns) as f64 / 1e6;
+    if tail.queries > 0 {
+        windows.push(window_report(&slabs, &tail, run_start_ns));
+        history.push(tail);
     }
 
     let all = slabs.overall_summary(None, None);
@@ -902,7 +875,7 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
         windows,
         overall,
         class_phases,
-        exemplars,
+        history,
         slo: SloReport {
             target_p99_ns: opts.p99_ns,
             target_min_qps: opts.min_qps,
@@ -986,7 +959,7 @@ pub fn render_table(report: &DriverReport) -> String {
         );
     }
     if let Some(slowest) = report
-        .exemplars
+        .history
         .iter()
         .flat_map(|w| &w.exemplars)
         .max_by_key(|e| e.ns.total_ns)
@@ -1022,6 +995,7 @@ pub fn render_table(report: &DriverReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parcsr_obs::metrics::MetricsSnapshot;
 
     fn parse(args: &[&str]) -> Result<DriverOptions, String> {
         DriverOptions::parse(args.iter().map(|s| s.to_string()))
@@ -1172,9 +1146,10 @@ mod tests {
         assert_eq!(report.class_phases.len(), report.overall.classes.len());
         // Exemplars: every rotated window that saw traffic kept its slowest
         // requests, each with an exact phase partition.
-        assert!(!report.exemplars.is_empty());
-        for we in &report.exemplars {
-            assert!(!we.exemplars.is_empty());
+        assert_eq!(report.history.len(), report.windows.len());
+        for (we, w) in report.history.iter().zip(&report.windows) {
+            assert_eq!(we.window, w.window);
+            assert_eq!(we.exemplars.is_empty(), w.requests == 0);
             for e in &we.exemplars {
                 assert_eq!(
                     e.ns.queue_ns + e.ns.exec_ns + e.ns.reply_ns,
@@ -1204,7 +1179,57 @@ mod tests {
             ex.get("schema").and_then(Json::as_str),
             Some(EXEMPLAR_SCHEMA)
         );
-        assert!(!ex.get("windows").unwrap().as_array().unwrap().is_empty());
+        let json_exemplars = ex.get("windows").unwrap().as_array().unwrap();
+        assert!(!json_exemplars.is_empty());
+
+        // The trace renders the same windows: one `query.win.qps` point per
+        // JSON window with traffic (same ordinal, same request count) and
+        // one `query.exemplar.*` point per JSON exemplar, in order.
+        let trace = parcsr_obs::export::chrome_trace_with_counters(
+            &[],
+            &MetricsSnapshot::default(),
+            None,
+            &report.history,
+        );
+        let events = trace.as_array().unwrap();
+        let arg = |e: &Json, key: &str| e.get("args").unwrap().get(key).unwrap().as_f64().unwrap();
+        let named = |prefix: &'static str| {
+            events
+                .iter()
+                .filter(move |e| e.get("name").unwrap().as_str().unwrap().starts_with(prefix))
+        };
+        let trace_windows: Vec<(u64, u64)> = named("query.win.qps")
+            .map(|e| (arg(e, "window") as u64, arg(e, "queries") as u64))
+            .collect();
+        let json_windows: Vec<(u64, u64)> = windows
+            .iter()
+            .map(|w| {
+                let field = |key| w.get(key).unwrap().as_f64().unwrap() as u64;
+                (field("window"), field("requests"))
+            })
+            .filter(|&(_, requests)| requests > 0)
+            .collect();
+        assert_eq!(trace_windows, json_windows);
+        let trace_exemplars: Vec<[u64; 3]> = named("query.exemplar.")
+            .map(|e| ["window", "source", "total"].map(|k| arg(e, k) as u64))
+            .collect();
+        let json_exemplars: Vec<[u64; 3]> = json_exemplars
+            .iter()
+            .flat_map(|w| {
+                let window = w.get("window").unwrap().as_f64().unwrap() as u64;
+                w.get("exemplars")
+                    .unwrap()
+                    .as_array()
+                    .unwrap()
+                    .iter()
+                    .map(move |e| {
+                        let field = |key| e.get(key).unwrap().as_f64().unwrap() as u64;
+                        [window, field("source"), field("total_ns")]
+                    })
+            })
+            .collect();
+        assert_eq!(trace_exemplars, json_exemplars);
+
         assert!(!parsed
             .get("class_phases")
             .unwrap()
@@ -1217,5 +1242,40 @@ mod tests {
         assert!(table.contains("phase"));
         assert!(table.contains("slowest query:"));
         assert!(table.contains("slo: MET"));
+    }
+
+    #[test]
+    fn trace_window_zero_opens_at_the_run_start() {
+        let opts = DriverOptions {
+            scale: 0.01,
+            clients: 2,
+            duration_ms: 120,
+            window_ms: 60,
+            ..DriverOptions::default()
+        };
+        // The span clock is already running; the graph build happens after
+        // this stamp and before the run starts.
+        let before = now_ns();
+        let report = run(&opts);
+        let (w0, j0) = (&report.history[0], &report.windows[0]);
+        assert!(
+            w0.start_ns > before,
+            "window 0 opens at the run start ({} ns), not at the clock epoch \
+             (before the run: {before} ns)",
+            w0.start_ns
+        );
+        assert_eq!(j0.start_ms, 0.0);
+        assert_eq!(w0.dur_ns as f64 / 1e6, j0.dur_ms);
+        // Query count and qps match JSON window 0 within the rotation-smear
+        // bound (one in-flight record per client).
+        assert!(w0.queries > 0);
+        assert!(w0.queries.abs_diff(j0.requests) <= opts.clients as u64);
+        let smear_qps = opts.clients as f64 * 1e9 / w0.dur_ns as f64;
+        assert!(
+            (w0.qps - j0.qps).abs() <= smear_qps,
+            "{} vs {}",
+            w0.qps,
+            j0.qps
+        );
     }
 }

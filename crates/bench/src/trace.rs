@@ -1,13 +1,16 @@
 //! `--trace` / `--metrics` / `--trace-sample` / `--mem-metrics` /
 //! `--mem-sample` / `--imbalance` wiring shared by the harness binaries.
 //!
-//! The flags are always parsed and compose in any order, but recording only
-//! happens when the binary was built with the `obs` feature (which turns on
-//! `parcsr-obs/enabled` and registers the counting allocator); without it
-//! [`setup`] warns and the run proceeds uninstrumented.
+//! The flags are always parsed and compose in any order, but spans, metrics
+//! and memory are only recorded when the binary was built with the `obs`
+//! feature (which turns on `parcsr-obs/enabled` and registers the counting
+//! allocator); without it [`setup`] warns and the run proceeds
+//! uninstrumented. The serving windows a run keeps (the closed-loop
+//! driver's) are its own data, so `--trace` writes them either way.
 
 use std::path::Path;
 
+use parcsr_obs::serve::HistoryWindow;
 use parcsr_obs::SpanRecord;
 
 use crate::options::Options;
@@ -56,9 +59,9 @@ pub fn setup(opts: &Options) {
     }
     if !parcsr_obs::compiled() {
         eprintln!(
-            "warning: --trace/--metrics/--mem-metrics/--mem-sample/--imbalance need a build \
-             with the obs feature (cargo run -p parcsr-bench --features obs ...); nothing \
-             will be recorded"
+            "warning: spans, metrics and memory need a build with the obs feature (cargo run \
+             -p parcsr-bench --features obs ...); none will be recorded, and a --trace file \
+             holds only the serving windows the run keeps"
         );
     }
     parcsr_obs::set_trace_sample(resolve_trace_sample(opts));
@@ -70,27 +73,20 @@ pub fn setup(opts: &Options) {
     parcsr_obs::set_enabled(true);
 }
 
-/// Writes the Chrome trace file (spans plus latency/memory counter events)
-/// and/or prints the metrics + memory summary, per the options. Call once,
-/// after the measured work, with the collected spans. Exits non-zero if a
-/// requested trace file cannot be written.
-pub fn finish(opts: &Options, spans: &[SpanRecord]) {
+/// Writes the Chrome trace file (spans, latency/memory counter events and
+/// the serving windows in `history`) and/or prints the metrics + memory
+/// summary, per the options. Call once, after the measured work, with the
+/// collected spans and the run's rotated serving windows (the closed-loop
+/// driver's [`DriverReport::history`](crate::closed_loop::DriverReport::history);
+/// `&[]` for the build-side binaries, which rotate none). Exits non-zero
+/// if a requested trace file cannot be written.
+pub fn finish(opts: &Options, spans: &[SpanRecord], history: &[HistoryWindow]) {
     parcsr_obs::mem::publish_gauges();
     let metrics = parcsr_obs::metrics::snapshot();
     let mem = parcsr_obs::mem::snapshot();
-    // Serving-telemetry windows (with their phase decomposition and tail
-    // exemplars) from the history ring, if any query-window rotation ran
-    // (the closed-loop driver's reporter); empty for the build-side
-    // binaries.
-    let history = parcsr_obs::serve::history_snapshot();
     if let Some(path) = &opts.trace {
-        match parcsr_obs::export::write_chrome_trace(
-            Path::new(path),
-            spans,
-            &metrics,
-            mem,
-            &history,
-        ) {
+        match parcsr_obs::export::write_chrome_trace(Path::new(path), spans, &metrics, mem, history)
+        {
             Ok(()) => eprintln!("trace: wrote {} spans to {path}", spans.len()),
             Err(e) => {
                 eprintln!("trace: failed to write {path}: {e}");

@@ -73,7 +73,7 @@ where
                 &spans,
                 &metrics,
                 mem,
-                &parcsr_obs::serve::history_snapshot(),
+                &[],
             ) {
                 Ok(()) => eprintln!("trace: wrote {} spans to {path}", spans.len()),
                 Err(e) => eprintln!("trace: failed to write {path}: {e}"),

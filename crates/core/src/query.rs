@@ -21,16 +21,11 @@
 //! [`parcsr_runtime::plan`] planner, so a run of hub queries does not land in
 //! one processor's chunk.
 //!
-//! Every individual query is additionally accounted into the serving
-//! telemetry slabs (`parcsr_obs::serve`): latency per [`QueryKind`] per
-//! degree class, feeding the sliding-window qps/percentile view the
-//! closed-loop load driver and the future query server report against an
-//! SLO. Like the spans, this compiles to nothing without the obs feature
-//! and allocates nothing on the query path when it is on.
+//! The kernels carry no per-query timer: a batch records one span and its
+//! chunk spans, and per-query serving latency is the caller's to measure
+//! (the closed-loop load driver times each request it issues).
 
 use rayon::prelude::*;
-
-use parcsr_obs::serve::QueryKind;
 
 use parcsr_bitpack::BLOCK_LEN;
 use parcsr_graph::NodeId;
@@ -187,14 +182,11 @@ fn run_inline<Q, R>(
     queries.iter().map(answer).collect()
 }
 
-/// One neighborhood query, accounted into the serving telemetry.
+/// One neighborhood query.
 fn neighbors_query<S: NeighborSource>(source: &S, u: NodeId) -> Vec<NodeId> {
-    let mut q = parcsr_obs::serve::query_start();
-    q.source(u as u64);
     // LINT: alloc-ok(the result row is the output; row_into sizes it exactly from the degree)
     let mut row = Vec::new();
     source.row_into(u, &mut row);
-    q.finish(QueryKind::Neighbors, || row.len());
     row
 }
 
@@ -246,23 +238,17 @@ pub fn edges_exist_batch<S: NeighborSource>(
     queries: &[(NodeId, NodeId)],
     processors: usize,
 ) -> Vec<bool> {
-    batch_edge_queries(
-        source,
-        queries,
-        processors,
-        QueryKind::EdgeScan,
-        |source, u, v| {
-            let mut found = false;
-            source.for_each_block_while(u, &mut |block| match block.iter().position(|&w| w >= v) {
-                Some(i) => {
-                    found = block[i] == v;
-                    false
-                }
-                None => true,
-            });
-            found
-        },
-    )
+    batch_edge_queries(source, queries, processors, |source, u, v| {
+        let mut found = false;
+        source.for_each_block_while(u, &mut |block| match block.iter().position(|&w| w >= v) {
+            Some(i) => {
+                found = block[i] == v;
+                false
+            }
+            None => true,
+        });
+        found
+    })
 }
 
 /// The binary-search refinement of Algorithm 7 ("this could also be extended
@@ -276,29 +262,18 @@ pub fn edges_exist_batch_binary<S: NeighborSource>(
     queries: &[(NodeId, NodeId)],
     processors: usize,
 ) -> Vec<bool> {
-    batch_edge_queries(
-        source,
-        queries,
-        processors,
-        QueryKind::EdgeBinary,
-        |source, u, v| source.has_edge(u, v),
-    )
+    batch_edge_queries(source, queries, processors, |source, u, v| {
+        source.has_edge(u, v)
+    })
 }
 
 fn batch_edge_queries<S: NeighborSource>(
     source: &S,
     queries: &[(NodeId, NodeId)],
     processors: usize,
-    kind: QueryKind,
     probe: impl Fn(&S, NodeId, NodeId) -> bool + Sync,
 ) -> Vec<bool> {
-    let edge_query = |&(u, v): &(NodeId, NodeId)| {
-        let mut q = parcsr_obs::serve::query_start();
-        q.source(u as u64);
-        let hit = probe(source, u, v);
-        q.finish(kind, || source.degree(u));
-        hit
-    };
+    let edge_query = |&(u, v): &(NodeId, NodeId)| probe(source, u, v);
     if one_chunk(processors, queries.len()) {
         return run_inline(
             "query.edges",
@@ -338,15 +313,11 @@ pub fn edge_exists_split<S: NeighborSource>(
     // Splitting one row across workers needs random access into it, so this
     // is the one query where materialization is unavoidable on a streaming
     // source; the buffer is sized exactly once from the degree.
-    let mut q = parcsr_obs::serve::query_start();
-    q.source(u as u64);
     // LINT: alloc-ok(row must be materialized for random-access splitting; sized exactly once from the degree)
     let mut row = Vec::with_capacity(source.degree(u));
     source.row_into(u, &mut row);
     let ranges = chunk_ranges(row.len(), processors);
-    let found = ranges.par_iter().any(|r| row[r.clone()].contains(&v));
-    q.finish(QueryKind::SplitSearch, || row.len());
-    found
+    ranges.par_iter().any(|r| row[r.clone()].contains(&v))
 }
 
 /// The binary-search variant of the single-edge query: each processor binary
@@ -357,17 +328,13 @@ pub fn edge_exists_split_binary<S: NeighborSource>(
     v: NodeId,
     processors: usize,
 ) -> bool {
-    let mut q = parcsr_obs::serve::query_start();
-    q.source(u as u64);
     // LINT: alloc-ok(row must be materialized for random-access splitting; sized exactly once from the degree)
     let mut row = Vec::with_capacity(source.degree(u));
     source.row_into(u, &mut row);
     let ranges = chunk_ranges(row.len(), processors);
-    let found = ranges
+    ranges
         .par_iter()
-        .any(|r| row[r.clone()].binary_search(&v).is_ok());
-    q.finish(QueryKind::SplitSearch, || row.len());
-    found
+        .any(|r| row[r.clone()].binary_search(&v).is_ok())
 }
 
 /// Convenience: run the three parallel query algorithms of Algorithm 9 in

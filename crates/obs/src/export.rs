@@ -14,13 +14,13 @@
 //! each top-level coordinator span (when memory accounting ran), a final
 //! `mem.peak_bytes` point, and one terminal point per metric — counters,
 //! gauges, and the query-latency histograms (`count`/`p50`/`p95`/`p99`) —
-//! so latency and memory land in the same timeline as the spans. When
-//! serving telemetry ran ([`crate::serve`]), every window retained by the
-//! history ring ([`crate::serve::history_snapshot`], the newest
-//! [`crate::serve::HISTORY_WINDOWS`]) adds, at its rotation timestamp, a
-//! `query.win.<kind>.<class>` point per non-empty cell (args: `window`,
-//! `count`, `sum`, `p50`, `p95`, `p99`), one `query.win.qps` point with the
-//! summed query count and achieved qps, a `query.phase.<phase>.<kind>.<class>`
+//! so latency and memory land in the same timeline as the spans. When the
+//! caller hands it serving windows ([`crate::serve::HistoryWindow`], as the
+//! closed-loop driver keeps them), every window adds, at its rotation
+//! timestamp, a `query.win.<kind>.<class>` point per non-empty cell (args:
+//! `window`, `count`, `sum`, `p50`, `p95`, `p99`), one `query.win.qps` point
+//! with the summed query count and achieved qps, a
+//! `query.phase.<phase>.<kind>.<class>`
 //! point per phase of each cell, and a `query.exemplar.<kind>.<class>` point
 //! per captured tail query. `cargo xtask check-trace` validates both event
 //! kinds.
@@ -120,7 +120,7 @@ fn counter_event(name: &str, ts_us: f64, args: Vec<(String, Json)>) -> Json {
 /// and the process peak) and for every metric in `metrics` — counters,
 /// gauges, and the query-latency histograms. Pass `mem = None` when memory
 /// accounting did not run; the memory series are then omitted. `history`
-/// (from [`crate::serve::history_snapshot`], oldest first) adds the
+/// (the closed-loop driver's rotated windows, oldest first) adds the
 /// per-window serving-telemetry series described in the module docs: the
 /// `query.win.*` cells and `query.win.qps` of every window, then every
 /// window's `query.phase.*` points (args as for `query.win.*`), then every
@@ -193,7 +193,7 @@ pub fn chrome_trace_with_counters(
 
     // Serving-telemetry windows: one point per (window, kind, class) cell at
     // the window's rotation timestamp, then one qps point per window that
-    // saw traffic. The ring is oldest first, so each counter name's series
+    // saw traffic. `history` is oldest first, so each counter name's series
     // is time-ordered (a property `check-trace` enforces).
     for w in history.iter().filter(|w| !w.cells.is_empty()) {
         let ts_us = w.end_ns as f64 / 1_000.0;
@@ -600,26 +600,14 @@ mod tests {
             .all(|e| e.get("name").unwrap().as_str() != Some("mem.live_bytes")));
     }
 
-    /// A history-ring window with no exemplars, its qps derived from
-    /// `cells` as `rotate_window` derives it.
+    /// A serving window with no exemplars.
     fn history_window(
         window: u64,
         start_ns: u64,
         end_ns: u64,
         cells: Vec<crate::serve::WindowCell>,
     ) -> HistoryWindow {
-        let queries: u64 = cells.iter().map(|c| c.summary.count).sum();
-        let dur_ns = end_ns - start_ns;
-        HistoryWindow {
-            window,
-            start_ns,
-            end_ns,
-            dur_ns,
-            queries,
-            qps: queries as f64 * 1e9 / dur_ns as f64,
-            cells,
-            exemplars: Vec::new(),
-        }
+        HistoryWindow::new(window, start_ns, end_ns, cells, Vec::new())
     }
 
     #[test]

@@ -28,17 +28,16 @@
 //! * **Serving telemetry** ([`serve`]): sharded per-worker latency slabs
 //!   and sliding-window histograms ([`serve::WindowedHistogram`]) with
 //!   per-query accounting by query kind and degree class — the qps /
-//!   percentile-per-window shape a query server reports against an SLO,
-//!   fed by the instrumented batch entry points in `parcsr` and
-//!   `parcsr-algos` (one timer per query) and consumed by the
-//!   `queries_closed_loop` load driver. Rotated windows are kept in one
-//!   bounded history ring, which only the trace exporter reads.
+//!   percentile-per-window shape a query server reports against an SLO.
+//!   Plain value types: the `queries_closed_loop` load driver owns the one
+//!   slab set, times each request once on the client side, and keeps one
+//!   [`serve::HistoryWindow`] per rotated window.
 //! * **Exporters** ([`export`]): a human-readable per-stage/per-thread
 //!   summary table (with a memory section) and a Chrome `chrome://tracing`
 //!   JSON trace writer — span events with `args` payloads plus counter
-//!   events for memory, the registry's metrics and the history ring's
-//!   serving windows — built on the hand-rolled [`json`] module (shared
-//!   with `parcsr-bench`).
+//!   events for memory, the registry's metrics and the serving windows it
+//!   is handed — built on the hand-rolled [`json`] module (shared with
+//!   `parcsr-bench`).
 //! * **Analysis** ([`analyze`]): pure arithmetic over collected spans —
 //!   per-stage worker-utilization/critical-path metrics and chunk-imbalance
 //!   statistics. Compiled unconditionally (it holds no recording state), so

@@ -488,7 +488,8 @@ pub fn histogram(name: &'static str) -> HistogramHandle {
 /// Point-in-time snapshot of every registered metric. Empty when the
 /// `enabled` feature is off. The Chrome-trace counter events and the
 /// summary table both consume this shape; the windowed serving grid
-/// reaches the trace through [`crate::serve::history_snapshot`] instead.
+/// reaches the trace as the closed-loop driver's
+/// [`crate::serve::HistoryWindow`] list instead.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsSnapshot {
     /// `(name, value)` for each counter, registration order.

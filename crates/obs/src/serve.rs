@@ -28,18 +28,15 @@
 //!   [`EXEMPLARS_PER_SHARD`] slowest queries of the live window with their
 //!   full phase breakdown, rotated with the window. Admission is gated on a
 //!   relaxed floor load, so the common (fast-query) path stays wait-free.
-//! * A **history ring** ([`HistoryRing`]): the last [`HISTORY_WINDOWS`]
-//!   rotated windows ([`HistoryWindow`]: open/close time, qps, per-cell
-//!   summaries with their phase split, and the window's tail exemplars).
-//!   It is the only record of a rotated window: the trace exporter's
-//!   `query.win.*` / `query.phase.*` / `query.exemplar.*` series read it.
-//! * A process-global facade ([`query_start`], [`rotate_window`],
-//!   [`history_snapshot`]) gated exactly like the
-//!   rest of the crate: ZST no-ops without the `enabled` feature, one
-//!   relaxed load when compiled in but runtime recording is off. Its guard
-//!   times each query once, start to finish, and records the whole time as
-//!   `exec` ([`PhaseNanos::all_exec`]): the in-process query path has no
-//!   queue and no reply to time.
+//! * [`HistoryWindow`]: one rotated window as its owner keeps it
+//!   (open/close time, qps, per-cell summaries with their phase split, and
+//!   the window's tail exemplars). The closed-loop driver builds one per
+//!   rotation from its own slabs, and the trace exporter writes the list as
+//!   the `query.win.*` / `query.phase.*` / `query.exemplar.*` series.
+//!
+//! Everything here is a plain value type, compiled with or without the
+//! `enabled` feature: the query kernels carry no serving hook, and the
+//! slabs' owner (the closed-loop driver) times each request itself.
 //!
 //! # Concurrency contract
 //!
@@ -55,7 +52,6 @@
 //! histograms of one query (total and phases may straddle a rotation), so
 //! consumers of per-window phase sums allow a small tolerance.
 
-use std::collections::VecDeque;
 // ORDERING: Relaxed throughout — slab cells are independent statistical
 // histogram buckets (see metrics.rs), and the window epoch is a coarse
 // phase indicator read at recording time; the boundary smear documented
@@ -63,8 +59,6 @@ use std::collections::VecDeque;
 // admission floor is likewise a monotone-per-window hint: a stale read only
 // costs one lock round or drops one borderline exemplar.
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
-#[cfg(feature = "enabled")]
-use std::sync::OnceLock;
 use std::sync::{Mutex, PoisonError};
 
 use crate::metrics::{Histogram, HistogramSummary};
@@ -83,12 +77,10 @@ pub enum QueryKind {
     EdgeBinary,
     /// Algorithm 8/9: split-row search (`edge_exists_split[_binary]`).
     SplitSearch,
-    /// Whole-graph traversal entry points in `parcsr-algos` (BFS, SSSP).
-    Traversal,
 }
 
 /// Number of [`QueryKind`] variants (slab cell dimension).
-pub const NUM_QUERY_KINDS: usize = 5;
+pub const NUM_QUERY_KINDS: usize = 4;
 
 impl QueryKind {
     /// All kinds, in slab-index order.
@@ -97,7 +89,6 @@ impl QueryKind {
         QueryKind::EdgeScan,
         QueryKind::EdgeBinary,
         QueryKind::SplitSearch,
-        QueryKind::Traversal,
     ];
 
     /// Stable slab index.
@@ -115,7 +106,6 @@ impl QueryKind {
             QueryKind::EdgeScan => "edge_scan",
             QueryKind::EdgeBinary => "edge_binary",
             QueryKind::SplitSearch => "split",
-            QueryKind::Traversal => "traversal",
         }
     }
 }
@@ -186,9 +176,7 @@ impl DegreeClass {
 /// ```
 ///
 /// The three phases partition the end-to-end time exactly. The
-/// closed-loop driver stamps all four checkpoints for its own slabs; the
-/// process-global [`QueryStart`] guard stamps only `queued` and `replied`,
-/// so it reports everything as `exec` ([`PhaseNanos::all_exec`]).
+/// closed-loop driver stamps all four checkpoints for every request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueryPhase {
     /// `queued → dispatched`: time spent waiting for a worker.
@@ -253,18 +241,6 @@ impl PhaseNanos {
             queue_ns: dispatched.saturating_sub(queued),
             exec_ns: executed.saturating_sub(dispatched),
             reply_ns: replied.saturating_sub(executed),
-        }
-    }
-
-    /// A sample with only a total (no checkpoints): everything counts as
-    /// `exec`, as the global guard documented on [`QueryPhase`] records.
-    #[must_use]
-    pub fn all_exec(total_ns: u64) -> Self {
-        Self {
-            total_ns,
-            queue_ns: 0,
-            exec_ns: total_ns,
-            reply_ns: 0,
         }
     }
 
@@ -550,10 +526,9 @@ pub struct WindowCell {
     pub phases: [HistogramSummary; NUM_QUERY_PHASES],
 }
 
-/// Sharded per-worker query-latency slabs. Value type — the closed-loop
-/// driver owns one per run (client-observed latencies work without any
-/// feature); the gated global facade below owns another for the
-/// instrumented query path.
+/// Sharded per-worker query-latency slabs. Value type: the closed-loop
+/// driver owns one per run and records every client-observed request into
+/// it, with or without the `enabled` feature.
 #[derive(Debug)]
 pub struct QuerySlabs {
     shards: Box<[ShardSlab]>,
@@ -798,15 +773,17 @@ pub fn exemplar_series_name(kind: QueryKind, class: DegreeClass) -> String {
     format!("query.exemplar.{}.{}", kind.name(), class.name())
 }
 
-/// One rotated window as retained by the history ring — the only record of
-/// it: the non-empty `(kind, class)` cells with their phase split, the
-/// window-level throughput, and the window's tail exemplars.
+/// One rotated window, the only record of it: the non-empty
+/// `(kind, class)` cells with their phase split, the window-level
+/// throughput, and the window's tail exemplars. The closed-loop driver
+/// builds one per rotation ([`HistoryWindow::new`]) and hands the list to
+/// the trace exporter.
 #[derive(Debug, Clone)]
 pub struct HistoryWindow {
     /// The completed epoch.
     pub window: u64,
-    /// Window open time, ns on the span clock: the previous rotation, or 0
-    /// (the process tracing epoch) for the first window.
+    /// Window open time, ns on the span clock: the previous rotation, or the
+    /// run start for the first window.
     pub start_ns: u64,
     /// Window close (rotation) time, ns on the span clock.
     pub end_ns: u64,
@@ -823,251 +800,35 @@ pub struct HistoryWindow {
     pub exemplars: Vec<Exemplar>,
 }
 
-/// Fixed-capacity ring of rotated window summaries: the time-series view
-/// the trace exporter writes. Pushing past capacity
-/// evicts oldest-first, and [`HistoryRing::window`] returns `None` for
-/// evicted (or never-pushed) epochs — the same retention semantics as
-/// [`WindowedHistogram`], which the property tests pin.
-#[derive(Debug)]
-pub struct HistoryRing {
-    cap: usize,
-    ring: Mutex<VecDeque<HistoryWindow>>,
-}
-
-impl HistoryRing {
-    /// A ring retaining the last `cap` windows (clamped to ≥ 1).
+impl HistoryWindow {
+    /// The record of window `window`, open over `start_ns..end_ns` on the
+    /// span clock, deriving its length, query count and qps from the
+    /// bounds and `cells`.
     #[must_use]
-    pub fn new(cap: usize) -> Self {
-        let cap = cap.max(1);
-        Self {
-            cap,
-            ring: Mutex::new(VecDeque::with_capacity(cap)),
-        }
-    }
-
-    /// Ring capacity (maximum retained windows).
-    #[must_use]
-    pub fn capacity(&self) -> usize {
-        self.cap
-    }
-
-    /// Number of currently retained windows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// True when nothing has been pushed yet.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Appends one rotated window, evicting the oldest when full.
-    pub fn push(&self, window: HistoryWindow) {
-        let mut ring = self.ring.lock().unwrap_or_else(PoisonError::into_inner);
-        if ring.len() == self.cap {
-            ring.pop_front();
-        }
-        ring.push_back(window);
-    }
-
-    /// The retained summary for `epoch`, or `None` once it has been
-    /// evicted (or was never pushed).
-    #[must_use]
-    pub fn window(&self, epoch: u64) -> Option<HistoryWindow> {
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .find(|w| w.window == epoch)
-            .cloned()
-    }
-
-    /// The newest retained window (`None` before the first push).
-    #[must_use]
-    pub fn newest(&self) -> Option<HistoryWindow> {
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .back()
-            .cloned()
-    }
-
-    /// Every retained window, oldest first.
-    #[must_use]
-    pub fn snapshot(&self) -> Vec<HistoryWindow> {
-        self.ring
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .iter()
-            .cloned()
-            .collect()
-    }
-}
-
-/// Shards in the process-global slab set. Worker `tid`s map to
-/// `1 + index`, reduced modulo this, and off-pool threads share shard 0 —
-/// good enough isolation for the shim pool's widths while bounding memory.
-#[cfg(feature = "enabled")]
-const GLOBAL_SHARDS: usize = 8;
-/// Retained epochs per cell in the process-global slab set.
-#[cfg(feature = "enabled")]
-const GLOBAL_WINDOWS: usize = 4;
-
-/// Windows the process-global history ring retains. At the closed-loop
-/// driver's default 250 ms windows that is the last ~16 s of a run, which
-/// a longer run's trace then holds.
-pub const HISTORY_WINDOWS: usize = 64;
-
-#[cfg(feature = "enabled")]
-static GLOBAL_SLABS: OnceLock<QuerySlabs> = OnceLock::new();
-
-#[cfg(feature = "enabled")]
-static GLOBAL_HISTORY: OnceLock<HistoryRing> = OnceLock::new();
-
-#[cfg(feature = "enabled")]
-fn global_slabs() -> &'static QuerySlabs {
-    GLOBAL_SLABS.get_or_init(|| QuerySlabs::new(GLOBAL_SHARDS, GLOBAL_WINDOWS))
-}
-
-/// In-flight query guard from [`query_start`]. Construction stamps the
-/// start; [`finish`](Self::finish) stamps the end and records the elapsed
-/// time as one `exec`-only sample ([`PhaseNanos::all_exec`]). Zero-sized
-/// when the `enabled` feature is off.
-pub struct QueryStart {
-    #[cfg(feature = "enabled")]
-    armed: Option<PhaseClock>,
-}
-
-/// The start stamp and source label of one armed [`QueryStart`].
-#[cfg(feature = "enabled")]
-#[derive(Clone, Copy)]
-struct PhaseClock {
-    queued_ns: u64,
-    source: u64,
-}
-
-impl QueryStart {
-    /// Labels the source vertex for tail-exemplar capture (0, the default,
-    /// when the caller never labels one).
-    #[inline(always)]
-    pub fn source(&mut self, vertex: u64) {
-        #[cfg(feature = "enabled")]
-        if let Some(clock) = self.armed.as_mut() {
-            clock.source = vertex;
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = vertex;
-        }
-    }
-
-    /// Completes the query: stamps the end, classifies `degree()` (only
-    /// evaluated when a sample will actually be recorded), and records the
-    /// sample — histograms plus the tail exemplar reservoir — into the
-    /// global slabs.
-    #[inline(always)]
-    pub fn finish(self, kind: QueryKind, degree: impl FnOnce() -> usize) {
-        #[cfg(feature = "enabled")]
-        if let Some(clock) = self.armed {
-            let total = crate::span::now_ns().saturating_sub(clock.queued_ns);
-            let shard = rayon::current_thread_index().map_or(0, |i| i + 1);
-            global_slabs().record_query(
-                shard,
-                Exemplar {
-                    kind,
-                    class: DegreeClass::classify(degree()),
-                    source: clock.source,
-                    ns: PhaseNanos::all_exec(total),
-                },
-            );
-        }
-        #[cfg(not(feature = "enabled"))]
-        {
-            let _ = (kind, degree);
-        }
-    }
-}
-
-/// Starts timing one query against the process-global slabs. Compiles to a
-/// ZST without the `enabled` feature; one relaxed load when compiled in but
-/// runtime recording is off.
-#[inline(always)]
-#[must_use]
-pub fn query_start() -> QueryStart {
-    #[cfg(feature = "enabled")]
-    {
-        QueryStart {
-            armed: crate::is_enabled().then(|| PhaseClock {
-                queued_ns: crate::span::now_ns(),
-                source: 0,
-            }),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        QueryStart {}
-    }
-}
-
-/// Rotates the process-global slabs (single-rotator) and pushes the
-/// completed window — its non-empty cells with their phase split, its qps
-/// and its tail exemplars — into the history ring. Returns the completed
-/// epoch, or `None` when nothing was ever recorded (or the feature is off).
-pub fn rotate_window() -> Option<u64> {
-    #[cfg(feature = "enabled")]
-    {
-        let slabs = GLOBAL_SLABS.get()?;
-        let history = GLOBAL_HISTORY.get_or_init(|| HistoryRing::new(HISTORY_WINDOWS));
-        let end_ns = crate::span::now_ns();
-        let start_ns = history.newest().map_or(0, |w| w.end_ns);
+    pub fn new(
+        window: u64,
+        start_ns: u64,
+        end_ns: u64,
+        cells: Vec<WindowCell>,
+        exemplars: Vec<Exemplar>,
+    ) -> Self {
         let dur_ns = end_ns.saturating_sub(start_ns);
-        let completed = slabs.rotate();
-        let cells = slabs.window_cells(completed);
         let queries: u64 = cells.iter().map(|c| c.summary.count).sum();
         let qps = if dur_ns > 0 {
             queries as f64 * 1e9 / dur_ns as f64
         } else {
             0.0
         };
-        history.push(HistoryWindow {
-            window: completed,
+        Self {
+            window,
             start_ns,
             end_ns,
             dur_ns,
             queries,
             qps,
             cells,
-            exemplars: slabs.completed_exemplars(),
-        });
-        Some(completed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        None
-    }
-}
-
-/// Every retained window of the process-global history ring, oldest
-/// first — the payload behind the trace exporter's windowed series.
-/// Read-only and safe from any thread, even while a reporter owns
-/// rotation. Empty when the feature is off or no window ever rotated.
-#[must_use]
-pub fn history_snapshot() -> Vec<HistoryWindow> {
-    #[cfg(feature = "enabled")]
-    {
-        GLOBAL_HISTORY
-            .get()
-            .map(HistoryRing::snapshot)
-            .unwrap_or_default()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        Vec::new()
+            exemplars,
+        }
     }
 }
 
@@ -1094,16 +855,7 @@ mod tests {
             assert_eq!(c.index(), i);
         }
         let names: Vec<_> = QueryKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(
-            names,
-            [
-                "neighbors",
-                "edge_scan",
-                "edge_binary",
-                "split",
-                "traversal"
-            ]
-        );
+        assert_eq!(names, ["neighbors", "edge_scan", "edge_binary", "split",]);
     }
 
     #[test]
@@ -1234,9 +986,6 @@ mod tests {
         // past the end-to-end time.
         let ns = PhaseNanos::from_checkpoints(100, 90, 2_000, 1_000);
         assert!(ns.queue_ns + ns.exec_ns + ns.reply_ns <= ns.total_ns);
-        // Degenerate guard: everything is exec.
-        let ns = PhaseNanos::all_exec(777);
-        assert_eq!((ns.queue_ns, ns.exec_ns, ns.reply_ns), (0, 777, 0));
     }
 
     #[test]
@@ -1301,7 +1050,7 @@ mod tests {
             kind: QueryKind::EdgeScan,
             class: DegreeClass::Mid,
             source,
-            ns: PhaseNanos::all_exec(total_ns),
+            ns: PhaseNanos::from_checkpoints(0, 0, total_ns, total_ns),
         }
     }
 
@@ -1344,39 +1093,5 @@ mod tests {
         assert_eq!(kept.len(), EXEMPLARS_PER_SHARD);
         // All survivors come from the slowest shard's range.
         assert!(kept.iter().all(|e| e.ns.total_ns >= 4_000));
-    }
-
-    fn history_window(epoch: u64) -> HistoryWindow {
-        HistoryWindow {
-            window: epoch,
-            start_ns: epoch * 1_000,
-            end_ns: (epoch + 1) * 1_000,
-            dur_ns: 1_000,
-            queries: 10,
-            qps: 10.0,
-            cells: Vec::new(),
-            exemplars: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn history_ring_evicts_oldest_first_like_the_windowed_histogram() {
-        let ring = HistoryRing::new(3);
-        assert!(ring.is_empty());
-        assert!(ring.window(0).is_none(), "never pushed");
-        assert!(ring.newest().is_none());
-        for epoch in 0..5 {
-            ring.push(history_window(epoch));
-        }
-        assert_eq!(ring.len(), 3);
-        assert_eq!(ring.capacity(), 3);
-        assert!(ring.window(0).is_none(), "evicted");
-        assert!(ring.window(1).is_none(), "evicted");
-        for epoch in 2..5 {
-            assert_eq!(ring.window(epoch).unwrap().window, epoch);
-        }
-        let ordinals: Vec<_> = ring.snapshot().iter().map(|w| w.window).collect();
-        assert_eq!(ordinals, [2, 3, 4], "oldest first");
-        assert_eq!(ring.newest().unwrap().window, 4);
     }
 }

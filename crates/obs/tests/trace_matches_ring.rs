@@ -1,49 +1,53 @@
-//! The Chrome trace's serving series are a rendering of the history ring:
-//! every `query.win.*`, `query.win.qps`, `query.phase.*` and
-//! `query.exemplar.*` event must match a `history_snapshot()` window cell
-//! for cell, with the same ordinal and timestamp, and once the ring wraps
-//! the trace holds exactly its newest `HISTORY_WINDOWS` windows.
-//!
-//! Needs the `enabled` feature (`cargo test -p parcsr-obs --features
-//! enabled`). The single test drives the process-global slabs and ring, so
-//! nothing else in this binary may touch them.
-#![cfg(feature = "enabled")]
+//! The Chrome trace's serving series are a rendering of the serving
+//! windows it is handed: every `query.win.*`, `query.win.qps`,
+//! `query.phase.*` and `query.exemplar.*` event must match a
+//! [`HistoryWindow`] built from a [`QuerySlabs`] at rotation, cell for cell,
+//! with the same ordinal and timestamp. The slabs are a plain value type,
+//! so this runs with or without the `enabled` feature.
 
 use parcsr_obs::export::write_chrome_trace;
 use parcsr_obs::json::Json;
 use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot};
 use parcsr_obs::serve::{
-    self, exemplar_series_name, phase_series_name, window_series_name, HistoryWindow, QueryKind,
-    QueryPhase, HISTORY_WINDOWS,
+    exemplar_series_name, phase_series_name, window_series_name, DegreeClass, Exemplar,
+    HistoryWindow, PhaseNanos, QueryKind, QueryPhase, QuerySlabs,
 };
 
-/// Records `1 + window % 9` queries through the global guard, with kinds,
-/// degree classes and sources varying so windows span several cells, then
-/// rotates one window.
-fn run_window(window: u64) {
-    const KINDS: [QueryKind; 4] = [
-        QueryKind::Neighbors,
-        QueryKind::EdgeScan,
-        QueryKind::EdgeBinary,
-        QueryKind::SplitSearch,
-    ];
+/// Records `1 + window % 9` queries into `slabs`, with kinds, degree
+/// classes, sources and phase splits varying so windows span several cells,
+/// then rotates one window and returns its record, open from `start_ns` for
+/// one simulated millisecond.
+fn run_window(slabs: &QuerySlabs, window: u64, start_ns: u64) -> HistoryWindow {
     for i in window * 16..=window * 16 + window % 9 {
-        let mut q = serve::query_start();
-        q.source(i);
-        std::hint::black_box((0..(i % 7) * 50).sum::<u64>());
-        q.finish(KINDS[(i % 4) as usize], || {
-            [5, 100, 5_000][(i % 3) as usize]
-        });
+        let queued = i * 1_000;
+        let dispatched = queued + (i % 5) * 30;
+        let executed = dispatched + 100 + (i % 7) * 50;
+        slabs.record_query(
+            i as usize,
+            Exemplar {
+                kind: QueryKind::ALL[(i % 4) as usize],
+                class: DegreeClass::ALL[(i % 3) as usize],
+                source: i,
+                ns: PhaseNanos::from_checkpoints(queued, dispatched, executed, executed + i % 3),
+            },
+        );
     }
-    serve::rotate_window().expect("a recorded query opens the global slabs");
+    let completed = slabs.rotate();
+    HistoryWindow::new(
+        completed,
+        start_ns,
+        start_ns + 1_000_000,
+        slabs.window_cells(completed),
+        slabs.completed_exemplars(),
+    )
 }
 
 type Event = (String, f64, Vec<(&'static str, f64)>);
 
 /// The serving events `history` must export, in order: every window's
 /// cells and qps point, then every window's phase points, then every
-/// window's exemplars. Every phase of every cell is expected: the guard
-/// records all three for each query.
+/// window's exemplars. Every phase of every cell is expected:
+/// `record_query` records all three for each query.
 fn expected(history: &[HistoryWindow]) -> Vec<Event> {
     let stats = |w: u64, s: &HistogramSummary| {
         let v = [w, s.count, s.sum, s.p50, s.p95, s.p99].map(|x| x as f64);
@@ -127,38 +131,29 @@ fn assert_trace_matches_ring(history: &[HistoryWindow]) {
 
 #[test]
 fn trace_serving_series_match_the_history_ring() {
-    parcsr_obs::set_enabled(true);
-    for window in 0..6 {
-        run_window(window);
+    // Two retained epochs suffice: each window is read right after its
+    // rotation, as the closed-loop driver reads it.
+    let slabs = QuerySlabs::new(3, 2);
+    let mut history: Vec<HistoryWindow> = Vec::new();
+    for window in 0..12 {
+        let start_ns = history.last().map_or(5_000_000, |w| w.end_ns);
+        history.push(run_window(&slabs, window, start_ns));
     }
-    let history = serve::history_snapshot();
-    assert_eq!(history.len(), 6);
-    let mut prev_end = 0;
+    let mut prev_end = 5_000_000;
     for (i, w) in history.iter().enumerate() {
         assert_eq!(w.window, i as u64);
-        // Windows tile the span clock: each opens where the last closed.
+        // Windows tile the clock: each opens where the last closed.
         assert_eq!((w.start_ns, w.dur_ns), (prev_end, w.end_ns - prev_end));
         prev_end = w.end_ns;
-        assert_eq!(w.queries, 1 + i as u64);
+        assert_eq!(w.queries, 1 + i as u64 % 9);
+        assert_eq!(w.qps, w.queries as f64 * 1e9 / w.dur_ns as f64);
         assert!(!w.exemplars.is_empty());
         for cell in &w.cells {
-            // The global guard records every query as exec only.
-            let [queue, exec, reply] = &cell.phases;
-            assert_eq!(exec, &cell.summary);
-            assert_eq!((queue.count, queue.sum), (cell.summary.count, 0));
-            assert_eq!((reply.count, reply.sum), (cell.summary.count, 0));
+            // The phases partition every request's end-to-end time.
+            let phase_sum: u64 = cell.phases.iter().map(|p| p.sum).sum();
+            assert_eq!(phase_sum, cell.summary.sum);
+            assert!(cell.phases.iter().all(|p| p.count == cell.summary.count));
         }
     }
-    assert_trace_matches_ring(&history);
-
-    // Wrap the ring: only the newest HISTORY_WINDOWS windows survive, in
-    // the ring and therefore in the trace.
-    let total = HISTORY_WINDOWS as u64 + 3;
-    for window in 6..total {
-        run_window(window);
-    }
-    let history = serve::history_snapshot();
-    let ordinals: Vec<u64> = history.iter().map(|w| w.window).collect();
-    assert_eq!(ordinals, (3..total).collect::<Vec<_>>());
     assert_trace_matches_ring(&history);
 }

@@ -2,21 +2,23 @@
 //! must be indistinguishable from a single slab after the snapshot merge,
 //! window rotation must never lose an in-window sample, and percentile
 //! summaries must stay internally ordered under arbitrary merges. Like the
-//! histogram props, these run without the `enabled` feature — the slab and
-//! windowed-histogram value types are always compiled; only the global
-//! facade is gated.
+//! histogram props, these run without the `enabled` feature: the slab and
+//! windowed-histogram value types are always compiled.
 
 use parcsr_obs::metrics::Histogram;
-use parcsr_obs::serve::{
-    DegreeClass, HistoryRing, HistoryWindow, QueryKind, QuerySlabs, WindowedHistogram,
-};
+use parcsr_obs::serve::{DegreeClass, QueryKind, QuerySlabs, WindowedHistogram, NUM_QUERY_KINDS};
 use proptest::prelude::*;
 
 /// One recorded observation: shard picked by the caller, a `(kind, class)`
 /// cell, a latency value.
 fn arb_samples(max: usize) -> impl Strategy<Value = Vec<(usize, usize, usize, u64)>> {
     prop::collection::vec(
-        (0usize..64, 0usize..5, 0usize..3, 0u64..10_000_000_000),
+        (
+            0usize..64,
+            0..NUM_QUERY_KINDS,
+            0usize..3,
+            0u64..10_000_000_000,
+        ),
         1..max,
     )
 }
@@ -155,46 +157,6 @@ proptest! {
         }
         // Epochs that never happened are not retained either.
         prop_assert!(h.window(live + 1).is_none());
-    }
-
-    /// The history ring mirrors the windowed histogram's retention
-    /// semantics at the summary level: the newest `cap` pushes survive in
-    /// push order, everything older is gone, and lookup by epoch agrees
-    /// with the snapshot.
-    #[test]
-    fn history_ring_keeps_the_newest_cap_windows(
-        pushes in 1usize..40,
-        cap in 1usize..8,
-    ) {
-        let ring = HistoryRing::new(cap);
-        for i in 0..pushes {
-            ring.push(HistoryWindow {
-                window: i as u64,
-                start_ns: i as u64 * 1_000_000,
-                end_ns: (i as u64 + 1) * 1_000_000,
-                dur_ns: 1_000_000,
-                queries: i as u64 * 10,
-                qps: i as f64,
-                cells: Vec::new(),
-                exemplars: Vec::new(),
-            });
-        }
-        prop_assert_eq!(ring.len(), pushes.min(cap));
-
-        let snap = ring.snapshot();
-        let oldest_retained = pushes - pushes.min(cap);
-        for (slot, w) in snap.iter().enumerate() {
-            // Oldest-first, dense, ending at the newest push.
-            prop_assert_eq!(w.window, (oldest_retained + slot) as u64);
-        }
-        for i in 0..pushes as u64 {
-            let hit = ring.window(i);
-            if i >= oldest_retained as u64 {
-                prop_assert_eq!(hit.map(|w| w.queries), Some(i * 10));
-            } else {
-                prop_assert!(hit.is_none(), "window {i} should have been evicted");
-            }
-        }
     }
 
     /// Percentile extraction stays internally ordered no matter how many
