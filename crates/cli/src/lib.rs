@@ -28,6 +28,8 @@ pub use parse::{Command, ObsOptions, ParseError};
 /// `--mem-metrics` / `--mem-sample N` switches (valid anywhere on the
 /// command line, in any order) wrap the run in observability collection;
 /// they need a binary built with the `obs` feature to record anything.
+/// A `--trace` file that cannot be written fails the run, even when the
+/// command itself succeeded.
 pub fn run<I>(args: I) -> Result<String, String>
 where
     I: IntoIterator<Item = String>,
@@ -60,7 +62,7 @@ where
         parcsr_obs::set_enabled(true);
     }
     let command = Command::parse(rest).map_err(|e| e.to_string())?;
-    let result = execute(&command).map_err(|e| e.to_string());
+    let mut result = execute(&command).map_err(|e| e.to_string());
     if obs.active() {
         parcsr_obs::mem::publish_gauges();
         parcsr_obs::set_enabled(false);
@@ -76,7 +78,13 @@ where
                 &[],
             ) {
                 Ok(()) => eprintln!("trace: wrote {} spans to {path}", spans.len()),
-                Err(e) => eprintln!("trace: failed to write {path}: {e}"),
+                Err(e) => {
+                    let message = format!("trace: failed to write {path}: {e}");
+                    match result {
+                        Ok(_) => result = Err(message),
+                        Err(_) => eprintln!("{message}"),
+                    }
+                }
             }
         }
         if obs.metrics || obs.mem_metrics {
@@ -87,4 +95,38 @@ where
         }
     }
     result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::run;
+
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn unwritable_trace_file_fails_a_successful_command() {
+        let dir = std::env::temp_dir().join(format!("parcsr-cli-trace-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let graph = dir.join("g.txt").to_string_lossy().into_owned();
+        run(args(&[
+            "generate", "--nodes", "16", "--edges", "32", "--out", &graph,
+        ]))
+        .unwrap();
+
+        let missing = dir.join("missing").join("t.json");
+        let trace = missing.to_string_lossy().into_owned();
+        let err = run(args(&["--trace", &trace, "stats", &graph])).unwrap_err();
+        assert!(err.starts_with("trace: failed to write"), "{err}");
+        assert!(err.contains(&trace), "{err}");
+
+        // The same command with a writable trace path succeeds and writes it.
+        let written = dir.join("t.json");
+        let trace = written.to_string_lossy().into_owned();
+        let report = run(args(&["--trace", &trace, "stats", &graph])).unwrap();
+        assert!(report.contains("gini"), "{report}");
+        assert!(written.exists());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
 }

@@ -19,10 +19,8 @@
 //! closed-loop driver keeps them), every window adds, at its rotation
 //! timestamp, a `query.win.<kind>.<class>` point per non-empty cell (args:
 //! `window`, `count`, `sum`, `p50`, `p95`, `p99`), one `query.win.qps` point
-//! with the summed query count and achieved qps, a
-//! `query.phase.<phase>.<kind>.<class>`
-//! point per phase of each cell, and a `query.exemplar.<kind>.<class>` point
-//! per captured tail query. `cargo xtask check-trace` validates both event
+//! with the summed query count and achieved qps, and a
+//! `query.exemplar.<kind>.<class>` point per captured tail query. `cargo xtask check-trace` validates both event
 //! kinds.
 //!
 //! The summary exporter renders per-stage and per-(stage, worker) wall-clock
@@ -37,9 +35,7 @@ use std::path::Path;
 use crate::json::Json;
 use crate::mem::MemSnapshot;
 use crate::metrics::{HistogramSummary, MetricsSnapshot};
-use crate::serve::{
-    exemplar_series_name, phase_series_name, window_series_name, HistoryWindow, QueryPhase,
-};
+use crate::serve::{exemplar_series_name, window_series_name, HistoryWindow};
 use crate::span::SpanRecord;
 
 fn span_args_json(r: &SpanRecord) -> Json {
@@ -123,9 +119,8 @@ fn counter_event(name: &str, ts_us: f64, args: Vec<(String, Json)>) -> Json {
 /// (the closed-loop driver's rotated windows, oldest first) adds the
 /// per-window serving-telemetry series described in the module docs: the
 /// `query.win.*` cells and `query.win.qps` of every window, then every
-/// window's `query.phase.*` points (args as for `query.win.*`), then every
 /// window's `query.exemplar.*` points (args: `window`, `source`, `total`,
-/// `queue`, `exec`, `reply`). Pass `&[]` when no window rotated.
+/// the query's latency in ns). Pass `&[]` when no window rotated.
 #[must_use]
 pub fn chrome_trace_with_counters(
     spans: &[SpanRecord],
@@ -215,28 +210,8 @@ pub fn chrome_trace_with_counters(
         ));
     }
 
-    // Per-phase window series: the queue/exec/reply decomposition of each
-    // `query.win.*` cell, same window order, so each phase series is
-    // time-ordered and its window ordinals are monotone. `check-trace`
-    // additionally verifies that for each (window, cell) the three phase
-    // sums stay within tolerance of the end-to-end `sum` above.
-    for w in history {
-        for cell in &w.cells {
-            for phase in QueryPhase::ALL {
-                let summary = &cell.phases[phase.index()];
-                if summary.count > 0 {
-                    events.push(counter_event(
-                        &phase_series_name(phase, cell.kind, cell.class),
-                        w.end_ns as f64 / 1_000.0,
-                        summary_args(w.window, summary),
-                    ));
-                }
-            }
-        }
-    }
-
     // Tail exemplars: one point per captured slow query at its window's
-    // rotation timestamp, carrying the full phase breakdown.
+    // rotation timestamp.
     for w in history {
         for e in &w.exemplars {
             events.push(counter_event(
@@ -245,10 +220,7 @@ pub fn chrome_trace_with_counters(
                 vec![
                     ("window".into(), Json::Int(w.window as i64)),
                     ("source".into(), Json::Int(e.source as i64)),
-                    ("total".into(), Json::Int(e.ns.total_ns as i64)),
-                    ("queue".into(), Json::Int(e.ns.queue_ns as i64)),
-                    ("exec".into(), Json::Int(e.ns.exec_ns as i64)),
-                    ("reply".into(), Json::Int(e.ns.reply_ns as i64)),
+                    ("total".into(), Json::Int(e.ns as i64)),
                 ],
             ));
         }
@@ -621,12 +593,10 @@ mod tests {
             p95: p99,
             p99,
         };
-        // Cells fed only end-to-end: no phase points.
         let cell = |kind, class, summary| WindowCell {
             kind,
             class,
             summary,
-            phases: [HistogramSummary::default(); 3],
         };
         let windows = vec![
             history_window(
@@ -695,7 +665,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_phase_and_exemplar_events() {
-        use crate::serve::{DegreeClass, Exemplar, PhaseNanos, QueryKind, WindowCell};
+        use crate::serve::{DegreeClass, Exemplar, QueryKind, WindowCell};
         let summary = |count: u64, sum: u64| HistogramSummary {
             count,
             sum,
@@ -712,19 +682,13 @@ mod tests {
                 kind: QueryKind::SplitSearch,
                 class: DegreeClass::Hub,
                 summary: summary(10, 95_000),
-                phases: [summary(10, 4_000), summary(10, 90_000), summary(10, 1_000)],
             }],
         );
         window.exemplars = vec![Exemplar {
             kind: QueryKind::SplitSearch,
             class: DegreeClass::Hub,
             source: 42,
-            ns: PhaseNanos {
-                total_ns: 95_000,
-                queue_ns: 4_000,
-                exec_ns: 90_000,
-                reply_ns: 1_000,
-            },
+            ns: 95_000,
         }];
         let json = chrome_trace_with_counters(
             &[span("serve", 0, 1_000_000_000, 0, 0)],
@@ -733,9 +697,9 @@ mod tests {
             &[window],
         );
         let events = json.as_array().unwrap();
-        // 1 span + 1 window cell + 1 qps point + 3 phase points + 1
-        // exemplar point, in that order.
-        assert_eq!(events.len(), 7);
+        // 1 span + 1 window cell + 1 qps point + 1 exemplar point, in that
+        // order.
+        assert_eq!(events.len(), 4);
         let names: Vec<_> = events
             .iter()
             .map(|e| e.get("name").unwrap().as_str().unwrap())
@@ -745,30 +709,18 @@ mod tests {
             [
                 "query.win.split.hub",
                 "query.win.qps",
-                "query.phase.queue.split.hub",
-                "query.phase.exec.split.hub",
-                "query.phase.reply.split.hub",
                 "query.exemplar.split.hub",
             ]
         );
-        let queue = events
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("query.phase.queue.split.hub"))
-            .unwrap();
-        let args = queue.get("args").unwrap();
-        assert_eq!(args.get("window").unwrap().as_i64(), Some(0));
-        assert_eq!(args.get("count").unwrap().as_i64(), Some(10));
-        assert_eq!(args.get("sum").unwrap().as_i64(), Some(4_000));
         let ex = events
             .iter()
             .find(|e| e.get("name").unwrap().as_str() == Some("query.exemplar.split.hub"))
             .unwrap();
         let args = ex.get("args").unwrap();
         assert_eq!(args.get("source").unwrap().as_i64(), Some(42));
+        assert_eq!(args.get("window").unwrap().as_i64(), Some(0));
         assert_eq!(args.get("total").unwrap().as_i64(), Some(95_000));
-        assert_eq!(args.get("queue").unwrap().as_i64(), Some(4_000));
-        assert_eq!(args.get("exec").unwrap().as_i64(), Some(90_000));
-        assert_eq!(args.get("reply").unwrap().as_i64(), Some(1_000));
+        assert_eq!(args.as_object().unwrap().len(), 3);
     }
 
     #[test]

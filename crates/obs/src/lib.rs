@@ -30,7 +30,7 @@
 //!   per-query accounting by query kind and degree class — the qps /
 //!   percentile-per-window shape a query server reports against an SLO.
 //!   Plain value types: the `queries_closed_loop` load driver owns the one
-//!   slab set, times each request once on the client side, and keeps one
+//!   slab set, times each query call once, and keeps one
 //!   [`serve::HistoryWindow`] per rotated window.
 //! * **Exporters** ([`export`]): a human-readable per-stage/per-thread
 //!   summary table (with a memory section) and a Chrome `chrome://tracing`

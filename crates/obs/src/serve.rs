@@ -14,25 +14,19 @@
 //!   stay readable for `windows - 1` further rotations.
 //! * [`QuerySlabs`] — cache-line-padded per-worker shards, each holding one
 //!   `(overall, windowed)` histogram pair per `(QueryKind, DegreeClass)`
-//!   cell. Workers record into their own shard with no sharing; readers
-//!   merge shards on demand ([`Histogram::merge_into`] — deterministic
-//!   bucketing makes a sharded merge bit-identical to single-slab
-//!   recording).
-//! * Per-cell **phase decomposition** ([`QueryPhase`]): each cell carries a
-//!   `queue`/`exec`/`reply` triple of `(overall, windowed)` histogram pairs
-//!   next to the end-to-end pair, fed by [`QuerySlabs::record_query`] with
-//!   a [`PhaseNanos`] cut from four checkpoints. The phases partition the
-//!   end-to-end time exactly, so per-window phase sums never exceed the
-//!   end-to-end sum (`check-trace` enforces this on the exported events).
+//!   cell. Workers record into their own shard with no sharing
+//!   ([`QuerySlabs::record_query`]: one latency per query); readers merge
+//!   shards on demand ([`Histogram::merge_into`] — deterministic bucketing
+//!   makes a sharded merge bit-identical to single-slab recording).
 //! * A per-shard **tail-exemplar reservoir** ([`Exemplar`]): the
-//!   [`EXEMPLARS_PER_SHARD`] slowest queries of the live window with their
-//!   full phase breakdown, rotated with the window. Admission is gated on a
-//!   relaxed floor load, so the common (fast-query) path stays wait-free.
+//!   [`EXEMPLARS_PER_SHARD`] slowest queries of the live window, rotated
+//!   with the window. Admission is gated on a relaxed floor load, so the
+//!   common (fast-query) path stays wait-free.
 //! * [`HistoryWindow`]: one rotated window as its owner keeps it
-//!   (open/close time, qps, per-cell summaries with their phase split, and
-//!   the window's tail exemplars). The closed-loop driver builds one per
-//!   rotation from its own slabs, and the trace exporter writes the list as
-//!   the `query.win.*` / `query.phase.*` / `query.exemplar.*` series.
+//!   (open/close time, qps, per-cell summaries, and the window's tail
+//!   exemplars). The closed-loop driver builds one per rotation from its
+//!   own slabs, and the trace exporter writes the list as the
+//!   `query.win.*` / `query.exemplar.*` series.
 //!
 //! Everything here is a plain value type, compiled with or without the
 //! `enabled` feature: the query kernels carry no serving hook, and the
@@ -48,9 +42,7 @@
 //! boundary may land its sample in the just-completed window (or, if
 //! descheduled for a full ring cycle, in a cleared one) — a one-sample
 //! boundary smear that is acceptable for a statistical latency view and
-//! never corrupts bucket counts. The same smear applies across the phase
-//! histograms of one query (total and phases may straddle a rotation), so
-//! consumers of per-window phase sums allow a small tolerance.
+//! never corrupts bucket counts.
 
 // ORDERING: Relaxed throughout — slab cells are independent statistical
 // histogram buckets (see metrics.rs), and the window epoch is a coarse
@@ -167,94 +159,6 @@ impl DegreeClass {
     }
 }
 
-/// One phase of a request's lifecycle, as cut by the
-/// `queued → dispatched → executed → replied` checkpoints
-/// ([`PhaseNanos::from_checkpoints`]):
-///
-/// ```text
-/// queued ──queue──▶ dispatched ──exec──▶ executed ──reply──▶ replied
-/// ```
-///
-/// The three phases partition the end-to-end time exactly. The
-/// closed-loop driver stamps all four checkpoints for every request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryPhase {
-    /// `queued → dispatched`: time spent waiting for a worker.
-    Queue,
-    /// `dispatched → executed`: time spent executing the query.
-    Exec,
-    /// `executed → replied`: time spent delivering the result.
-    Reply,
-}
-
-/// Number of [`QueryPhase`] variants (phase-slot dimension).
-pub const NUM_QUERY_PHASES: usize = 3;
-
-impl QueryPhase {
-    /// All phases, in lifecycle (and slot-index) order.
-    pub const ALL: [QueryPhase; NUM_QUERY_PHASES] =
-        [QueryPhase::Queue, QueryPhase::Exec, QueryPhase::Reply];
-
-    /// Stable slot index.
-    #[inline]
-    #[must_use]
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Stable lowercase name used in event/JSON schemas.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            QueryPhase::Queue => "queue",
-            QueryPhase::Exec => "exec",
-            QueryPhase::Reply => "reply",
-        }
-    }
-}
-
-/// One query's phase-decomposed timing, nanoseconds. The phases partition
-/// `total_ns` (up to clock-saturation rounding), so
-/// `queue_ns + exec_ns + reply_ns ≤ total_ns` always holds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct PhaseNanos {
-    /// End-to-end `queued → replied` time.
-    pub total_ns: u64,
-    /// `queued → dispatched` wait.
-    pub queue_ns: u64,
-    /// `dispatched → executed` service time.
-    pub exec_ns: u64,
-    /// `executed → replied` delivery time.
-    pub reply_ns: u64,
-}
-
-impl PhaseNanos {
-    /// Phase decomposition from the four checkpoint timestamps (span-clock
-    /// ns). Checkpoints are clamped monotone, so a descheduled guard never
-    /// produces phases that sum past the end-to-end time.
-    #[must_use]
-    pub fn from_checkpoints(queued: u64, dispatched: u64, executed: u64, replied: u64) -> Self {
-        let dispatched = dispatched.clamp(queued, replied);
-        let executed = executed.clamp(dispatched, replied);
-        Self {
-            total_ns: replied.saturating_sub(queued),
-            queue_ns: dispatched.saturating_sub(queued),
-            exec_ns: executed.saturating_sub(dispatched),
-            reply_ns: replied.saturating_sub(executed),
-        }
-    }
-
-    /// The named phase's nanoseconds.
-    #[must_use]
-    pub fn phase(self, phase: QueryPhase) -> u64 {
-        match phase {
-            QueryPhase::Queue => self.queue_ns,
-            QueryPhase::Exec => self.exec_ns,
-            QueryPhase::Reply => self.reply_ns,
-        }
-    }
-}
-
 /// Ring of [`Histogram`]s with epoch rotation: the sliding-window latency
 /// view. Always compiled (plain atomics, unit-testable without features).
 #[derive(Debug)]
@@ -333,23 +237,12 @@ impl WindowedHistogram {
     }
 }
 
-/// One phase's `(overall, windowed)` histogram pair inside a cell. Boxed
-/// behind [`SlabCell::phases`] so the 15 KiB overall histogram stays off
-/// the `ShardSlab` inline footprint.
-#[derive(Debug)]
-struct PhaseSlot {
-    overall: Histogram,
-    windowed: WindowedHistogram,
-}
-
-/// One `(overall, windowed)` histogram pair for the end-to-end latency,
-/// plus one pair per [`QueryPhase`]: lifetime totals and the
-/// sliding-window view of the same observations, phase-decomposed.
+/// One `(overall, windowed)` histogram pair: lifetime totals and the
+/// sliding-window view of the same observations.
 #[derive(Debug)]
 struct SlabCell {
     overall: Histogram,
     windowed: WindowedHistogram,
-    phases: Box<[PhaseSlot]>,
 }
 
 impl SlabCell {
@@ -357,35 +250,13 @@ impl SlabCell {
         Self {
             overall: Histogram::new(),
             windowed: WindowedHistogram::new(windows),
-            phases: (0..NUM_QUERY_PHASES)
-                .map(|_| PhaseSlot {
-                    overall: Histogram::new(),
-                    windowed: WindowedHistogram::new(windows),
-                })
-                .collect(),
         }
     }
 
-    /// Records an end-to-end observation only; the phase slots are left
-    /// untouched (phase counts are then ≤ the end-to-end count, which the
-    /// phase-sum invariant tolerates).
     #[inline]
     fn record(&self, v: u64) {
         self.overall.record(v);
         self.windowed.record(v);
-    }
-
-    /// Records one phase-decomposed observation: the total into the
-    /// end-to-end pair and each phase into its slot.
-    #[inline]
-    fn record_phases(&self, ns: PhaseNanos) {
-        self.record(ns.total_ns);
-        for phase in QueryPhase::ALL {
-            let slot = &self.phases[phase.index()];
-            let v = ns.phase(phase);
-            slot.overall.record(v);
-            slot.windowed.record(v);
-        }
     }
 }
 
@@ -394,9 +265,9 @@ impl SlabCell {
 /// so the per-process bound is `shards × K` live + as many completed.
 pub const EXEMPLARS_PER_SHARD: usize = 8;
 
-/// One captured tail query: the full phase breakdown of one of the window's
-/// slowest requests, with enough identity (kind, class, source vertex) to
-/// re-run it.
+/// One captured tail query: the latency of one of the window's slowest
+/// requests, with enough identity (kind, class, source vertex) to re-run
+/// it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exemplar {
     /// Query kind.
@@ -405,8 +276,8 @@ pub struct Exemplar {
     pub class: DegreeClass,
     /// Source vertex the query addressed.
     pub source: u64,
-    /// Phase-decomposed timing.
-    pub ns: PhaseNanos,
+    /// Latency of the query call, ns.
+    pub ns: u64,
 }
 
 /// Bounded per-shard reservoir of the live window's slowest queries.
@@ -419,7 +290,7 @@ pub struct Exemplar {
 #[derive(Debug)]
 struct ExemplarReservoir {
     /// Admission floor: 0 while the live set is not full, else the smallest
-    /// retained `total_ns`. A stale read only costs one lock round or drops
+    /// retained `ns`. A stale read only costs one lock round or drops
     /// one borderline exemplar (the boundary smear the module header
     /// documents).
     floor_ns: AtomicU64,
@@ -438,14 +309,14 @@ impl ExemplarReservoir {
 
     #[inline]
     fn offer(&self, ex: Exemplar) {
-        if ex.ns.total_ns < self.floor_ns.load(Relaxed) {
+        if ex.ns < self.floor_ns.load(Relaxed) {
             return;
         }
         let mut live = self.live.lock().unwrap_or_else(PoisonError::into_inner);
         if live.len() < EXEMPLARS_PER_SHARD {
             live.push(ex);
             if live.len() == EXEMPLARS_PER_SHARD {
-                let min = live.iter().map(|e| e.ns.total_ns).min().unwrap_or(0);
+                let min = live.iter().map(|e| e.ns).min().unwrap_or(0);
                 self.floor_ns.store(min, Relaxed);
             }
             return;
@@ -454,12 +325,12 @@ impl ExemplarReservoir {
         let (slot, min) = live
             .iter()
             .enumerate()
-            .min_by_key(|(_, e)| e.ns.total_ns)
-            .map(|(i, e)| (i, e.ns.total_ns))
+            .min_by_key(|(_, e)| e.ns)
+            .map(|(i, e)| (i, e.ns))
             .unwrap_or((0, 0));
-        if ex.ns.total_ns > min {
+        if ex.ns > min {
             live[slot] = ex;
-            let new_min = live.iter().map(|e| e.ns.total_ns).min().unwrap_or(0);
+            let new_min = live.iter().map(|e| e.ns).min().unwrap_or(0);
             self.floor_ns.store(new_min, Relaxed);
         }
     }
@@ -485,7 +356,7 @@ impl ExemplarReservoir {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
-        out.sort_by_key(|b| std::cmp::Reverse(b.ns.total_ns));
+        out.sort_by_key(|b| std::cmp::Reverse(b.ns));
         out
     }
 }
@@ -518,12 +389,8 @@ pub struct WindowCell {
     pub kind: QueryKind,
     /// Degree class.
     pub class: DegreeClass,
-    /// Merged-across-shards end-to-end summary for the window.
+    /// Merged-across-shards latency summary for the window.
     pub summary: HistogramSummary,
-    /// The same window's per-phase summaries, indexed by
-    /// [`QueryPhase::index`]. A phase's count is 0 when the cell was fed
-    /// only through [`QuerySlabs::record`].
-    pub phases: [HistogramSummary; NUM_QUERY_PHASES],
 }
 
 /// Sharded per-worker query-latency slabs. Value type: the closed-loop
@@ -558,37 +425,26 @@ impl QuerySlabs {
         self.shards[0].cells[0][0].windowed.epoch()
     }
 
-    /// Records one latency observation from `shard` (reduced modulo the
-    /// shard count, so callers can pass a raw worker/client index). The
-    /// end-to-end view only — see [`Self::record_query`] for the
-    /// phase-decomposed, exemplar-capturing path.
-    #[inline]
-    pub fn record(&self, shard: usize, kind: QueryKind, class: DegreeClass, ns: u64) {
-        self.shards[shard % self.shards.len()].cells[kind.index()][class.index()].record(ns);
-    }
-
-    /// Records one phase-decomposed query from `shard`: the total into the
-    /// end-to-end histograms, each phase into its phase slot, and the whole
-    /// exemplar into the shard's tail reservoir.
+    /// Records one query from `shard` (reduced modulo the shard count, so
+    /// callers can pass a raw worker/client index): its latency into the
+    /// `(kind, class)` cell's histograms and the whole exemplar into the
+    /// shard's tail reservoir.
     #[inline]
     pub fn record_query(&self, shard: usize, ex: Exemplar) {
         let slab = &self.shards[shard % self.shards.len()];
-        slab.cells[ex.kind.index()][ex.class.index()].record_phases(ex.ns);
+        slab.cells[ex.kind.index()][ex.class.index()].record(ex.ns);
         slab.exemplars.offer(ex);
     }
 
-    /// Rotates every cell's window (end-to-end and phase slots) and every
-    /// shard's exemplar reservoir in lockstep; returns the completed
-    /// epoch. Single-rotator, like [`WindowedHistogram::rotate`].
+    /// Rotates every cell's window and every shard's exemplar reservoir in
+    /// lockstep; returns the completed epoch. Single-rotator, like
+    /// [`WindowedHistogram::rotate`].
     pub fn rotate(&self) -> u64 {
         let mut completed = 0;
         for shard in self.shards.iter() {
             for row in &shard.cells {
                 for cell in row {
                     completed = cell.windowed.rotate();
-                    for slot in cell.phases.iter() {
-                        slot.windowed.rotate();
-                    }
                 }
             }
             shard.exemplars.rotate();
@@ -605,7 +461,7 @@ impl QuerySlabs {
             .iter()
             .flat_map(|s| s.exemplars.completed())
             .collect();
-        out.sort_by_key(|b| std::cmp::Reverse(b.ns.total_ns));
+        out.sort_by_key(|b| std::cmp::Reverse(b.ns));
         out.truncate(EXEMPLARS_PER_SHARD);
         out
     }
@@ -684,43 +540,8 @@ impl QuerySlabs {
         scratch.summary()
     }
 
-    /// Merged-across-shards summary of one phase of window `epoch` for the
-    /// selected cells.
-    #[must_use]
-    pub fn window_phase_summary(
-        &self,
-        epoch: u64,
-        phase: QueryPhase,
-        kind: Option<QueryKind>,
-        class: Option<DegreeClass>,
-    ) -> HistogramSummary {
-        let scratch = Histogram::new();
-        self.for_cells(kind, class, |cell| {
-            if let Some(h) = cell.phases[phase.index()].windowed.window(epoch) {
-                h.merge_into(&scratch);
-            }
-        });
-        scratch.summary()
-    }
-
-    /// Merged-across-shards lifetime summary of one phase for the selected
-    /// cells.
-    #[must_use]
-    pub fn overall_phase_summary(
-        &self,
-        phase: QueryPhase,
-        kind: Option<QueryKind>,
-        class: Option<DegreeClass>,
-    ) -> HistogramSummary {
-        let scratch = Histogram::new();
-        self.for_cells(kind, class, |cell| {
-            cell.phases[phase.index()].overall.merge_into(&scratch);
-        });
-        scratch.summary()
-    }
-
     /// Every non-empty `(kind, class)` cell of window `epoch`, merged across
-    /// shards, with its phase split, in slab-index order.
+    /// shards, in slab-index order.
     #[must_use]
     pub fn window_cells(&self, epoch: u64) -> Vec<WindowCell> {
         let mut out = Vec::new();
@@ -732,9 +553,6 @@ impl QuerySlabs {
                         kind,
                         class,
                         summary,
-                        phases: QueryPhase::ALL.map(|phase| {
-                            self.window_phase_summary(epoch, phase, Some(kind), Some(class))
-                        }),
                     });
                 }
             }
@@ -752,19 +570,6 @@ pub fn window_series_name(kind: QueryKind, class: DegreeClass) -> String {
     format!("query.win.{}.{}", kind.name(), class.name())
 }
 
-/// The canonical series name for one phase of one `(kind, class)` cell:
-/// `query.phase.<phase>.<kind>.<class>`. Single definition, like
-/// [`window_series_name`].
-#[must_use]
-pub fn phase_series_name(phase: QueryPhase, kind: QueryKind, class: DegreeClass) -> String {
-    format!(
-        "query.phase.{}.{}.{}",
-        phase.name(),
-        kind.name(),
-        class.name()
-    )
-}
-
 /// The canonical series name for a tail exemplar of one `(kind, class)`
 /// cell: `query.exemplar.<kind>.<class>`. Single definition, like
 /// [`window_series_name`].
@@ -774,10 +579,9 @@ pub fn exemplar_series_name(kind: QueryKind, class: DegreeClass) -> String {
 }
 
 /// One rotated window, the only record of it: the non-empty
-/// `(kind, class)` cells with their phase split, the window-level
-/// throughput, and the window's tail exemplars. The closed-loop driver
-/// builds one per rotation ([`HistoryWindow::new`]) and hands the list to
-/// the trace exporter.
+/// `(kind, class)` cells, the window-level throughput, and the window's
+/// tail exemplars. The closed-loop driver builds one per rotation
+/// ([`HistoryWindow::new`]) and hands the list to the trace exporter.
 #[derive(Debug, Clone)]
 pub struct HistoryWindow {
     /// The completed epoch.
@@ -892,6 +696,16 @@ mod tests {
         assert_eq!(dst.max(), 200);
     }
 
+    /// One query of `kind` on a `class` source, `ns` long.
+    fn query(kind: QueryKind, class: DegreeClass, ns: u64) -> Exemplar {
+        Exemplar {
+            kind,
+            class,
+            source: 0,
+            ns,
+        }
+    }
+
     #[test]
     fn slabs_merge_across_shards_matches_single_slab() {
         let sharded = QuerySlabs::new(4, 2);
@@ -903,8 +717,8 @@ mod tests {
             (7, QueryKind::Neighbors, DegreeClass::Low, 70), // 7 % 4 == 3
         ];
         for &(shard, kind, class, ns) in &samples {
-            sharded.record(shard, kind, class, ns);
-            single.record(0, kind, class, ns);
+            sharded.record_query(shard, query(kind, class, ns));
+            single.record_query(0, query(kind, class, ns));
         }
         let a = sharded.window_summary(0, Some(QueryKind::Neighbors), Some(DegreeClass::Low));
         let b = single.window_summary(0, Some(QueryKind::Neighbors), Some(DegreeClass::Low));
@@ -921,9 +735,13 @@ mod tests {
             window_series_name(QueryKind::EdgeBinary, DegreeClass::Hub),
             "query.win.edge_binary.hub"
         );
+        assert_eq!(
+            exemplar_series_name(QueryKind::Neighbors, DegreeClass::Low),
+            "query.exemplar.neighbors.low"
+        );
         let slabs = QuerySlabs::new(2, 3);
-        slabs.record(0, QueryKind::Neighbors, DegreeClass::Low, 100);
-        slabs.record(1, QueryKind::SplitSearch, DegreeClass::Hub, 9_000);
+        slabs.record_query(0, query(QueryKind::Neighbors, DegreeClass::Low, 100));
+        slabs.record_query(1, query(QueryKind::SplitSearch, DegreeClass::Hub, 9_000));
         let completed = slabs.rotate();
         let names: Vec<_> = slabs
             .window_cells(completed)
@@ -940,8 +758,8 @@ mod tests {
     #[test]
     fn slab_rotation_is_lockstep_and_window_cells_skip_empty() {
         let slabs = QuerySlabs::new(2, 3);
-        slabs.record(0, QueryKind::Neighbors, DegreeClass::Low, 10);
-        slabs.record(1, QueryKind::SplitSearch, DegreeClass::Hub, 10_000);
+        slabs.record_query(0, query(QueryKind::Neighbors, DegreeClass::Low, 10));
+        slabs.record_query(1, query(QueryKind::SplitSearch, DegreeClass::Hub, 10_000));
         let completed = slabs.rotate();
         assert_eq!(completed, 0);
         assert_eq!(slabs.epoch(), 1);
@@ -957,107 +775,17 @@ mod tests {
         assert!(slabs.window_cells(slabs.epoch()).is_empty());
     }
 
-    #[test]
-    fn phase_indices_and_names_are_dense_and_stable() {
-        for (i, p) in QueryPhase::ALL.iter().enumerate() {
-            assert_eq!(p.index(), i);
-        }
-        let names: Vec<_> = QueryPhase::ALL.iter().map(|p| p.name()).collect();
-        assert_eq!(names, ["queue", "exec", "reply"]);
-        assert_eq!(
-            phase_series_name(QueryPhase::Queue, QueryKind::SplitSearch, DegreeClass::Hub),
-            "query.phase.queue.split.hub"
-        );
-        assert_eq!(
-            exemplar_series_name(QueryKind::Neighbors, DegreeClass::Low),
-            "query.exemplar.neighbors.low"
-        );
-    }
-
-    #[test]
-    fn phase_nanos_partition_the_end_to_end_time() {
-        let ns = PhaseNanos::from_checkpoints(100, 150, 900, 1_000);
-        assert_eq!(ns.total_ns, 900);
-        assert_eq!(ns.queue_ns, 50);
-        assert_eq!(ns.exec_ns, 750);
-        assert_eq!(ns.reply_ns, 100);
-        assert_eq!(ns.queue_ns + ns.exec_ns + ns.reply_ns, ns.total_ns);
-        // Non-monotone checkpoints (clock smear) are clamped, never summing
-        // past the end-to-end time.
-        let ns = PhaseNanos::from_checkpoints(100, 90, 2_000, 1_000);
-        assert!(ns.queue_ns + ns.exec_ns + ns.reply_ns <= ns.total_ns);
-    }
-
-    #[test]
-    fn record_query_feeds_phase_histograms_in_the_same_grid() {
-        let slabs = QuerySlabs::new(2, 3);
-        for (shard, source, queue, exec) in [(0usize, 7u64, 100u64, 900u64), (1, 9, 300, 1_700)] {
-            slabs.record_query(
-                shard,
-                Exemplar {
-                    kind: QueryKind::Neighbors,
-                    class: DegreeClass::Hub,
-                    source,
-                    ns: PhaseNanos {
-                        total_ns: queue + exec,
-                        queue_ns: queue,
-                        exec_ns: exec,
-                        reply_ns: 0,
-                    },
-                },
-            );
-        }
-        let epoch = slabs.epoch();
-        let total = slabs.window_summary(epoch, Some(QueryKind::Neighbors), Some(DegreeClass::Hub));
-        assert_eq!(total.count, 2);
-        let queue = slabs.window_phase_summary(epoch, QueryPhase::Queue, None, None);
-        let exec = slabs.window_phase_summary(epoch, QueryPhase::Exec, None, None);
-        let reply = slabs.window_phase_summary(epoch, QueryPhase::Reply, None, None);
-        assert_eq!(queue.count, 2);
-        assert_eq!(exec.count, 2);
-        assert_eq!(reply.count, 2);
-        // The phase sums partition the end-to-end sum exactly.
-        assert_eq!(queue.sum + exec.sum + reply.sum, total.sum);
-        assert_eq!(queue.sum, 400);
-        // Overall phase view matches while the window is live; both survive
-        // rotation on the overall side only.
-        assert_eq!(
-            slabs
-                .overall_phase_summary(QueryPhase::Exec, Some(QueryKind::Neighbors), None)
-                .sum,
-            2_600
-        );
-        slabs.rotate();
-        slabs.rotate();
-        slabs.rotate();
-        assert_eq!(
-            slabs
-                .window_phase_summary(epoch, QueryPhase::Queue, None, None)
-                .count,
-            0,
-            "phase windows rotate in lockstep with the end-to-end windows"
-        );
-        assert_eq!(
-            slabs
-                .overall_phase_summary(QueryPhase::Queue, None, None)
-                .sum,
-            400
-        );
-    }
-
-    fn exemplar(total_ns: u64, source: u64) -> Exemplar {
+    fn exemplar(ns: u64, source: u64) -> Exemplar {
         Exemplar {
-            kind: QueryKind::EdgeScan,
-            class: DegreeClass::Mid,
             source,
-            ns: PhaseNanos::from_checkpoints(0, 0, total_ns, total_ns),
+            ..query(QueryKind::EdgeScan, DegreeClass::Mid, ns)
         }
     }
 
     #[test]
     fn exemplar_reservoir_keeps_the_k_slowest_per_window() {
         let slabs = QuerySlabs::new(1, 2);
-        // 2×K queries with distinct totals: only the slowest K survive.
+        // 2×K queries with distinct latencies: only the slowest K survive.
         let n = 2 * EXEMPLARS_PER_SHARD as u64;
         for i in 0..n {
             slabs.record_query(0, exemplar(1_000 + i, i));
@@ -1069,12 +797,12 @@ mod tests {
         slabs.rotate();
         let kept = slabs.completed_exemplars();
         assert_eq!(kept.len(), EXEMPLARS_PER_SHARD);
-        // Slowest first, and exactly the top half by total.
-        let totals: Vec<_> = kept.iter().map(|e| e.ns.total_ns).collect();
+        // Slowest first, and exactly the top half by latency.
+        let kept_ns: Vec<_> = kept.iter().map(|e| e.ns).collect();
         let want: Vec<_> = (0..EXEMPLARS_PER_SHARD as u64)
             .map(|i| 1_000 + n - 1 - i)
             .collect();
-        assert_eq!(totals, want);
+        assert_eq!(kept_ns, want);
         // The next rotation replaces the completed set (empty this time).
         slabs.rotate();
         assert!(slabs.completed_exemplars().is_empty());
@@ -1092,6 +820,6 @@ mod tests {
         let kept = slabs.completed_exemplars();
         assert_eq!(kept.len(), EXEMPLARS_PER_SHARD);
         // All survivors come from the slowest shard's range.
-        assert!(kept.iter().all(|e| e.ns.total_ns >= 4_000));
+        assert!(kept.iter().all(|e| e.ns >= 4_000));
     }
 }

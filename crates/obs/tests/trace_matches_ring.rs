@@ -1,6 +1,6 @@
 //! The Chrome trace's serving series are a rendering of the serving
-//! windows it is handed: every `query.win.*`, `query.win.qps`,
-//! `query.phase.*` and `query.exemplar.*` event must match a
+//! windows it is handed: every `query.win.*`, `query.win.qps` and
+//! `query.exemplar.*` event must match a
 //! [`HistoryWindow`] built from a [`QuerySlabs`] at rotation, cell for cell,
 //! with the same ordinal and timestamp. The slabs are a plain value type,
 //! so this runs with or without the `enabled` feature.
@@ -9,26 +9,23 @@ use parcsr_obs::export::write_chrome_trace;
 use parcsr_obs::json::Json;
 use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot};
 use parcsr_obs::serve::{
-    exemplar_series_name, phase_series_name, window_series_name, DegreeClass, Exemplar,
-    HistoryWindow, PhaseNanos, QueryKind, QueryPhase, QuerySlabs,
+    exemplar_series_name, window_series_name, DegreeClass, Exemplar, HistoryWindow, QueryKind,
+    QuerySlabs,
 };
 
 /// Records `1 + window % 9` queries into `slabs`, with kinds, degree
-/// classes, sources and phase splits varying so windows span several cells,
+/// classes, sources and latencies varying so windows span several cells,
 /// then rotates one window and returns its record, open from `start_ns` for
 /// one simulated millisecond.
 fn run_window(slabs: &QuerySlabs, window: u64, start_ns: u64) -> HistoryWindow {
     for i in window * 16..=window * 16 + window % 9 {
-        let queued = i * 1_000;
-        let dispatched = queued + (i % 5) * 30;
-        let executed = dispatched + 100 + (i % 7) * 50;
         slabs.record_query(
             i as usize,
             Exemplar {
                 kind: QueryKind::ALL[(i % 4) as usize],
                 class: DegreeClass::ALL[(i % 3) as usize],
                 source: i,
-                ns: PhaseNanos::from_checkpoints(queued, dispatched, executed, executed + i % 3),
+                ns: 100 + (i % 7) * 50 + (i % 5) * 30,
             },
         );
     }
@@ -45,9 +42,7 @@ fn run_window(slabs: &QuerySlabs, window: u64, start_ns: u64) -> HistoryWindow {
 type Event = (String, f64, Vec<(&'static str, f64)>);
 
 /// The serving events `history` must export, in order: every window's
-/// cells and qps point, then every window's phase points, then every
-/// window's exemplars. Every phase of every cell is expected:
-/// `record_query` records all three for each query.
+/// cells and qps point, then every window's exemplars.
 fn expected(history: &[HistoryWindow]) -> Vec<Event> {
     let stats = |w: u64, s: &HistogramSummary| {
         let v = [w, s.count, s.sum, s.p50, s.p95, s.p99].map(|x| x as f64);
@@ -71,24 +66,9 @@ fn expected(history: &[HistoryWindow]) -> Vec<Event> {
         out.push(("query.win.qps".into(), ts(w), args));
     }
     for w in history {
-        for c in &w.cells {
-            for p in QueryPhase::ALL {
-                let name = phase_series_name(p, c.kind, c.class);
-                out.push((name, ts(w), stats(w.window, &c.phases[p.index()])));
-            }
-        }
-    }
-    for w in history {
         for e in &w.exemplars {
-            let v = [
-                w.window,
-                e.source,
-                e.ns.total_ns,
-                e.ns.queue_ns,
-                e.ns.exec_ns,
-                e.ns.reply_ns,
-            ];
-            let keys = ["window", "source", "total", "queue", "exec", "reply"];
+            let v = [w.window, e.source, e.ns];
+            let keys = ["window", "source", "total"];
             let args = keys.into_iter().zip(v.map(|x| x as f64)).collect();
             out.push((exemplar_series_name(e.kind, e.class), ts(w), args));
         }
@@ -109,7 +89,7 @@ fn assert_trace_matches_ring(history: &[HistoryWindow]) {
         .iter()
         .filter(|e| {
             let name = e.get("name").and_then(Json::as_str).unwrap();
-            ["query.win.", "query.phase.", "query.exemplar."]
+            ["query.win.", "query.exemplar."]
                 .iter()
                 .any(|p| name.starts_with(p))
         })
@@ -148,12 +128,6 @@ fn trace_serving_series_match_the_history_ring() {
         assert_eq!(w.queries, 1 + i as u64 % 9);
         assert_eq!(w.qps, w.queries as f64 * 1e9 / w.dur_ns as f64);
         assert!(!w.exemplars.is_empty());
-        for cell in &w.cells {
-            // The phases partition every request's end-to-end time.
-            let phase_sum: u64 = cell.phases.iter().map(|p| p.sum).sum();
-            assert_eq!(phase_sum, cell.summary.sum);
-            assert!(cell.phases.iter().all(|p| p.count == cell.summary.count));
-        }
     }
     assert_trace_matches_ring(&history);
 }

@@ -6,7 +6,9 @@
 //! windowed-histogram value types are always compiled.
 
 use parcsr_obs::metrics::Histogram;
-use parcsr_obs::serve::{DegreeClass, QueryKind, QuerySlabs, WindowedHistogram, NUM_QUERY_KINDS};
+use parcsr_obs::serve::{
+    DegreeClass, Exemplar, QueryKind, QuerySlabs, WindowedHistogram, NUM_QUERY_KINDS,
+};
 use proptest::prelude::*;
 
 /// One recorded observation: shard picked by the caller, a `(kind, class)`
@@ -26,7 +28,13 @@ fn arb_samples(max: usize) -> impl Strategy<Value = Vec<(usize, usize, usize, u6
 fn record_all(slabs: &QuerySlabs, samples: &[(usize, usize, usize, u64)], spread: bool) {
     for &(shard, k, c, ns) in samples {
         let shard = if spread { shard } else { 0 };
-        slabs.record(shard, QueryKind::ALL[k], DegreeClass::ALL[c], ns);
+        let ex = Exemplar {
+            kind: QueryKind::ALL[k],
+            class: DegreeClass::ALL[c],
+            source: shard as u64,
+            ns,
+        };
+        slabs.record_query(shard, ex);
     }
 }
 

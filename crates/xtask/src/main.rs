@@ -18,14 +18,13 @@
 //!   time *shares* and peak heap bytes must stay within the threshold
 //!   (default 0.10) of the baseline. CI diffs the smoke run against a
 //!   committed baseline so a stage silently ballooning fails the build.
-//! * `slo-check RESULT.json [--p99-ns N] [--min-qps F] [--p99-queue-ns N]
-//!   [--p99-exec-ns N] [--baseline FILE] [--slack F]` — gates a
-//!   `queries_closed_loop --json` artifact (see [`xtask::slo_check`]): the
-//!   overall p99 latency must stay under the ceiling, the sustained qps
-//!   above the floor, and the queue/exec phase p99s under their own
-//!   ceilings, with thresholds given explicitly and/or derived from a
-//!   committed baseline result ± slack. CI runs it on a serving smoke so a
-//!   latency-tail, throughput, or queueing regression fails the build.
+//! * `slo-check RESULT.json [--p99-ns N] [--min-qps F] [--baseline FILE]
+//!   [--slack F]` — gates a `queries_closed_loop --json` artifact (see
+//!   [`xtask::slo_check`]): the overall p99 of the per-query call latency
+//!   must stay under the ceiling and the sustained qps above the floor,
+//!   with thresholds given explicitly and/or derived from a committed
+//!   baseline result ± slack. CI runs it on a serving smoke so a
+//!   latency-tail or throughput regression fails the build.
 //! * `bless-baseline` — reruns the CI obs smoke (same binary, same flags,
 //!   reps 5) and rewrites `results/baselines/table2_smoke.stages.json`
 //!   with the fresh output, after validating that it parses and
@@ -117,7 +116,7 @@ fn main() -> ExitCode {
         },
         Some("bless-baseline") => bless_baseline(),
         Some("slo-check") => match args.get(1) {
-            Some(file) => match parse_slo_args(&args[2..]) {
+            Some(file) => match slo_check::parse_args(&args[2..]) {
                 Ok(opts) => run_slo_check(Path::new(file), &opts),
                 Err(e) => {
                     eprintln!("xtask slo-check: {e}");
@@ -127,7 +126,7 @@ fn main() -> ExitCode {
             None => {
                 eprintln!(
                     "usage: cargo xtask slo-check <result.json> [--p99-ns N] [--min-qps F] \
-                     [--p99-queue-ns N] [--p99-exec-ns N] [--baseline FILE] [--slack F]"
+                     [--baseline FILE] [--slack F]"
                 );
                 ExitCode::from(2)
             }
@@ -139,84 +138,17 @@ fn main() -> ExitCode {
                  trace-analyze <trace.json> [--stage NAME] [--json OUT] [--check] \
                  [--min-util F] | \
                  stage-diff <base.json> <cur.json> [--threshold F] | bless-baseline | \
-                 slo-check <result.json> [--p99-ns N] [--min-qps F] [--p99-queue-ns N] \
-                 [--p99-exec-ns N] [--baseline FILE] [--slack F]"
+                 slo-check <result.json> [--p99-ns N] [--min-qps F] [--baseline FILE] \
+                 [--slack F]"
             );
             ExitCode::from(2)
         }
     }
 }
 
-/// Options for `slo-check` after the result-file argument.
-#[derive(Default)]
-struct SloArgs {
-    p99_ns: Option<u64>,
-    min_qps: Option<f64>,
-    p99_queue_ns: Option<u64>,
-    p99_exec_ns: Option<u64>,
-    baseline: Option<PathBuf>,
-    slack: Option<f64>,
-}
-
-fn parse_slo_args(rest: &[String]) -> Result<SloArgs, String> {
-    let mut opts = SloArgs::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--p99-ns" => {
-                let value = it.next().ok_or("--p99-ns needs a value")?;
-                opts.p99_ns = Some(
-                    value
-                        .parse()
-                        .map_err(|e| format!("--p99-ns: {e} (got `{value}`)"))?,
-                );
-            }
-            "--min-qps" => {
-                let value = it.next().ok_or("--min-qps needs a value")?;
-                opts.min_qps = match value.parse::<f64>() {
-                    Ok(f) if f.is_finite() && f >= 0.0 => Some(f),
-                    _ => return Err(format!("--min-qps must be non-negative, got `{value}`")),
-                };
-            }
-            "--p99-queue-ns" => {
-                let value = it.next().ok_or("--p99-queue-ns needs a value")?;
-                opts.p99_queue_ns = Some(
-                    value
-                        .parse()
-                        .map_err(|e| format!("--p99-queue-ns: {e} (got `{value}`)"))?,
-                );
-            }
-            "--p99-exec-ns" => {
-                let value = it.next().ok_or("--p99-exec-ns needs a value")?;
-                opts.p99_exec_ns = Some(
-                    value
-                        .parse()
-                        .map_err(|e| format!("--p99-exec-ns: {e} (got `{value}`)"))?,
-                );
-            }
-            "--baseline" => {
-                let path = it.next().ok_or("--baseline needs a file path")?;
-                opts.baseline = Some(PathBuf::from(path));
-            }
-            "--slack" => {
-                let value = it.next().ok_or("--slack needs a value")?;
-                opts.slack = match value.parse::<f64>() {
-                    Ok(f) if f.is_finite() && f >= 0.0 => Some(f),
-                    _ => return Err(format!("--slack must be non-negative, got `{value}`")),
-                };
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    if opts.slack.is_some() && opts.baseline.is_none() {
-        return Err("--slack only makes sense with --baseline".into());
-    }
-    Ok(opts)
-}
-
 /// Gates a closed-loop result file on SLO thresholds (explicit flags,
 /// baseline-derived, or both — explicit wins per dimension).
-fn run_slo_check(path: &Path, args: &SloArgs) -> ExitCode {
+fn run_slo_check(path: &Path, args: &slo_check::SloArgs) -> ExitCode {
     let text = match trace_read::read_file("slo-check", path) {
         Ok(t) => t,
         Err(e) => {
@@ -243,10 +175,8 @@ fn run_slo_check(path: &Path, args: &SloArgs) -> ExitCode {
     }
     // Explicit flags override the baseline-derived value for their
     // dimension.
-    thresholds.p99_ns = args.p99_ns.or(thresholds.p99_ns);
-    thresholds.min_qps = args.min_qps.or(thresholds.min_qps);
-    thresholds.p99_queue_ns = args.p99_queue_ns.or(thresholds.p99_queue_ns);
-    thresholds.p99_exec_ns = args.p99_exec_ns.or(thresholds.p99_exec_ns);
+    thresholds.p99_ns = args.explicit.p99_ns.or(thresholds.p99_ns);
+    thresholds.min_qps = args.explicit.min_qps.or(thresholds.min_qps);
     match slo_check::check_slo_text(&text, &thresholds) {
         Ok(out) => {
             eprint!("{}", out.report);
@@ -518,8 +448,8 @@ fn bless_baseline() -> ExitCode {
 fn bless_closed_loop_baseline(root: &Path) -> ExitCode {
     let baseline = root.join("results/baselines/closed_loop_smoke.json");
     eprintln!("xtask bless-baseline: running the CI serving smoke (queries_closed_loop)...");
-    // Mirror of the `slo` CI job's smoke step; keep the two in sync or the
-    // blessed baseline will not match what CI measures.
+    // The `slo` CI job's smoke step runs the same flags (a serving_gates
+    // test holds the two equal).
     let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
         .current_dir(root)
         .args([
@@ -533,20 +463,8 @@ fn bless_closed_loop_baseline(root: &Path) -> ExitCode {
             "--bin",
             "queries_closed_loop",
             "--",
-            "--graph",
-            "hub",
-            "--scale",
-            "0.02",
-            "--clients",
-            "2",
-            "--duration-ms",
-            "600",
-            "--window-ms",
-            "150",
-            "--seed",
-            "42",
-            "--json",
         ])
+        .args(slo_check::CLOSED_LOOP_SMOKE_ARGS)
         .output();
     let output = match output {
         Ok(o) => o,

@@ -7,17 +7,13 @@
 //! regression (latency tail blowing past the SLO, throughput collapsing)
 //! fails the build the same way a construction-stage drift does.
 //!
-//! Two threshold sources compose:
+//! The p99 graded is the driver's one latency per query: the kernel call,
+//! timed as perfbench times it. Two threshold sources compose:
 //!
-//! * explicit — `--p99-ns N` (overall p99 must be ≤ N ns), `--min-qps Q`
-//!   (sustained throughput must be ≥ Q queries/s), and the per-phase
-//!   ceilings `--p99-queue-ns N` / `--p99-exec-ns N` grading the phase
-//!   rollups the v1 schema carries in `overall.phases` (a phase ceiling
-//!   against a result without phase rollups is an error — a driver that
-//!   stopped decomposing must not look healthy);
+//! * explicit — `--p99-ns N` (overall p99 must be ≤ N ns) and `--min-qps Q`
+//!   (sustained throughput must be ≥ Q queries/s);
 //! * baseline — `--baseline FILE [--slack F]` derives thresholds from
-//!   a committed earlier result: p99 (overall and per-phase, when the
-//!   baseline carries phases) may grow by at most the slack factor
+//!   a committed earlier result: p99 may grow by at most the slack factor
 //!   (default 0.50 — latency tails are noisy on shared CI runners) and qps
 //!   may shrink by at most the same factor. Explicit flags override the
 //!   derived value for their dimension.
@@ -26,6 +22,8 @@
 //! is empty, non-dense, or missing its percentile fields fails even if the
 //! numbers would pass — a driver that silently stopped reporting windows
 //! must not look healthy.
+
+use std::path::PathBuf;
 
 use parcsr_obs::json::Json;
 
@@ -39,6 +37,28 @@ pub const SCHEMA: &str = "parcsr.closed_loop.v1";
 /// are noisy; absolute targets should use the explicit flags.
 pub const DEFAULT_SLACK: f64 = 0.50;
 
+/// The `queries_closed_loop` flags of the CI serving smoke: the `slo`
+/// job's "Closed-loop serving smoke" step passes them, and `cargo xtask
+/// bless-baseline` reruns them to refresh
+/// `results/baselines/closed_loop_smoke.json` (the baseline gate only
+/// matches this configuration). `tests/serving_gates.rs` checks the CI
+/// step against this list.
+pub const CLOSED_LOOP_SMOKE_ARGS: &[&str] = &[
+    "--graph",
+    "hub",
+    "--scale",
+    "0.02",
+    "--clients",
+    "2",
+    "--duration-ms",
+    "600",
+    "--window-ms",
+    "150",
+    "--seed",
+    "42",
+    "--json",
+];
+
 /// Thresholds to enforce (at least one must be set).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SloThresholds {
@@ -46,32 +66,58 @@ pub struct SloThresholds {
     pub p99_ns: Option<u64>,
     /// Sustained throughput floor, queries/s.
     pub min_qps: Option<f64>,
-    /// Queue-phase p99 ceiling, ns (`--p99-queue-ns`).
-    pub p99_queue_ns: Option<u64>,
-    /// Execute-phase p99 ceiling, ns (`--p99-exec-ns`).
-    pub p99_exec_ns: Option<u64>,
 }
 
-impl SloThresholds {
-    fn any_set(&self) -> bool {
-        self.p99_ns.is_some()
-            || self.min_qps.is_some()
-            || self.p99_queue_ns.is_some()
-            || self.p99_exec_ns.is_some()
+/// `slo-check`'s options after the result-file argument.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct SloArgs {
+    /// The explicit `--p99-ns` / `--min-qps` thresholds.
+    pub explicit: SloThresholds,
+    /// `--baseline FILE`: derive thresholds from this committed result.
+    pub baseline: Option<PathBuf>,
+    /// `--slack F`: the baseline's slack factor (needs `--baseline`).
+    pub slack: Option<f64>,
+}
+
+/// Parses `slo-check`'s options after the result-file argument.
+pub fn parse_args(rest: &[String]) -> Result<SloArgs, String> {
+    let mut opts = SloArgs::default();
+    let mut it = rest.iter();
+    while let Some(flag) = it.next() {
+        match flag.as_str() {
+            "--p99-ns" => {
+                let value = it.next().ok_or("--p99-ns needs a value")?;
+                opts.explicit.p99_ns = Some(
+                    value
+                        .parse()
+                        .map_err(|e| format!("--p99-ns: {e} (got `{value}`)"))?,
+                );
+            }
+            "--min-qps" => {
+                let value = it.next().ok_or("--min-qps needs a value")?;
+                opts.explicit.min_qps = match value.parse::<f64>() {
+                    Ok(f) if f.is_finite() && f >= 0.0 => Some(f),
+                    _ => return Err(format!("--min-qps must be non-negative, got `{value}`")),
+                };
+            }
+            "--baseline" => {
+                let path = it.next().ok_or("--baseline needs a file path")?;
+                opts.baseline = Some(PathBuf::from(path));
+            }
+            "--slack" => {
+                let value = it.next().ok_or("--slack needs a value")?;
+                opts.slack = match value.parse::<f64>() {
+                    Ok(f) if f.is_finite() && f >= 0.0 => Some(f),
+                    _ => return Err(format!("--slack must be non-negative, got `{value}`")),
+                };
+            }
+            other => return Err(format!("unexpected argument `{other}`")),
+        }
     }
-}
-
-/// One lifetime phase rollup row (`queue` / `exec` / `reply`).
-#[derive(Debug, Clone)]
-pub struct PhaseRow {
-    /// Phase name.
-    pub name: String,
-    /// Observations in the phase histogram.
-    pub count: u64,
-    /// Total time attributed to the phase, ns.
-    pub sum_ns: u64,
-    /// Phase p99 latency, ns.
-    pub p99_ns: u64,
+    if opts.slack.is_some() && opts.baseline.is_none() {
+        return Err("--slack only makes sense with --baseline".into());
+    }
+    Ok(opts)
 }
 
 /// One window row of a parsed result (the fields the gate prints).
@@ -102,18 +148,6 @@ pub struct ClosedLoopResult {
     pub qps: f64,
     /// Lifetime p99 latency, ns.
     pub p99_ns: u64,
-    /// Lifetime per-phase rollups (`overall.phases`). Empty for results
-    /// written before the driver decomposed phases — grading a phase
-    /// ceiling against such a result is an error, not a silent pass.
-    pub phases: Vec<PhaseRow>,
-}
-
-impl ClosedLoopResult {
-    /// Looks up a lifetime phase rollup by name.
-    #[must_use]
-    pub fn phase(&self, name: &str) -> Option<&PhaseRow> {
-        self.phases.iter().find(|p| p.name == name)
-    }
 }
 
 fn field<'a>(obj: &'a Json, key: &str, ctx: &str) -> Result<&'a Json, String> {
@@ -184,26 +218,6 @@ pub fn parse_result(which: &str, text: &str) -> Result<ClosedLoopResult, String>
             "{ctx}: zero requests — the driver measured nothing"
         ));
     }
-    // `overall.phases` arrived with the phase-decomposed driver; older
-    // artifacts legitimately lack it. When present it must be well formed.
-    let mut phases = Vec::new();
-    if let Some(phases_json) = overall.get("phases") {
-        let rows = phases_json
-            .as_array()
-            .ok_or_else(|| format!("{ctx}: field `phases` must be an array"))?;
-        for (i, p) in rows.iter().enumerate() {
-            let pctx = format!("{ctx}: phases[{i}]");
-            phases.push(PhaseRow {
-                name: field(p, "name", &pctx)?
-                    .as_str()
-                    .ok_or_else(|| format!("{pctx}: field `name` must be a string"))?
-                    .to_string(),
-                count: u64_field(p, "count", &pctx)?,
-                sum_ns: u64_field(p, "sum_ns", &pctx)?,
-                p99_ns: u64_field(p, "p99_ns", &pctx)?,
-            });
-        }
-    }
     Ok(ClosedLoopResult {
         graph,
         clients,
@@ -211,35 +225,16 @@ pub fn parse_result(which: &str, text: &str) -> Result<ClosedLoopResult, String>
         requests,
         qps: f64_field(overall, "qps", &ctx)?,
         p99_ns: u64_field(overall, "p99_ns", &ctx)?,
-        phases,
     })
 }
 
 /// Derives thresholds from a baseline result: p99 ceiling = baseline p99
 /// scaled up by `slack`, qps floor = baseline qps scaled down by `slack`.
-/// Floor for baseline-derived phase ceilings, ns. A healthy queue phase
-/// p99 sits in the hundreds of nanoseconds, where multiplicative slack
-/// still leaves a ceiling inside scheduler-jitter range on a shared
-/// runner; a real queueing regression is microseconds-to-milliseconds, so
-/// clamping the derived ceiling up to 1 µs keeps the gate meaningful
-/// without tripping on noise.
-pub const MIN_PHASE_CEILING_NS: u64 = 1_000;
-
-/// When the baseline carries phase rollups, queue/exec p99 ceilings are
-/// derived with the same slack (clamped up to [`MIN_PHASE_CEILING_NS`]);
-/// a pre-phase baseline derives none.
 #[must_use]
 pub fn baseline_thresholds(baseline: &ClosedLoopResult, slack: f64) -> SloThresholds {
-    let phase_ceiling = |name: &str| {
-        baseline
-            .phase(name)
-            .map(|p| ((p.p99_ns as f64 * (1.0 + slack)).ceil() as u64).max(MIN_PHASE_CEILING_NS))
-    };
     SloThresholds {
         p99_ns: Some((baseline.p99_ns as f64 * (1.0 + slack)).ceil() as u64),
         min_qps: Some(baseline.qps * (1.0 - slack)),
-        p99_queue_ns: phase_ceiling("queue"),
-        p99_exec_ns: phase_ceiling("exec"),
     }
 }
 
@@ -256,12 +251,8 @@ pub struct SloOutcome {
 /// parse/validate (also a gate failure, but a different exit message);
 /// `Ok(out)` with `out.failed` means a threshold was violated.
 pub fn check_slo_text(text: &str, thresholds: &SloThresholds) -> Result<SloOutcome, String> {
-    if !thresholds.any_set() {
-        return Err(
-            "no thresholds given (need --p99-ns, --min-qps, --p99-queue-ns, \
-             --p99-exec-ns, or --baseline)"
-                .into(),
-        );
+    if thresholds.p99_ns.is_none() && thresholds.min_qps.is_none() {
+        return Err("no thresholds given (need --p99-ns, --min-qps, or --baseline)".into());
     }
     let result = parse_result("result", text)?;
     use std::fmt::Write;
@@ -308,27 +299,6 @@ pub fn check_slo_text(text: &str, thresholds: &SloThresholds) -> Result<SloOutco
             if ok { "ok" } else { "VIOLATED" }
         );
     }
-    for (phase, ceiling) in [
-        ("queue", thresholds.p99_queue_ns),
-        ("exec", thresholds.p99_exec_ns),
-    ] {
-        let Some(ceiling) = ceiling else { continue };
-        let Some(row) = result.phase(phase) else {
-            return Err(format!(
-                "result: a `{phase}` p99 ceiling is set but the result carries \
-                 no `{phase}` phase rollup — re-run with a phase-aware driver"
-            ));
-        };
-        let ok = row.p99_ns <= ceiling;
-        failed |= !ok;
-        let _ = writeln!(
-            report,
-            "{phase} p99: {:.1} µs vs ceiling {:.1} µs — {}",
-            row.p99_ns as f64 / 1_000.0,
-            ceiling as f64 / 1_000.0,
-            if ok { "ok" } else { "VIOLATED" }
-        );
-    }
     Ok(SloOutcome { report, failed })
 }
 
@@ -336,28 +306,7 @@ pub fn check_slo_text(text: &str, thresholds: &SloThresholds) -> Result<SloOutco
 mod tests {
     use super::*;
 
-    /// A minimal well-formed v1 result with the given overall numbers and
-    /// phase p99s (queue/exec rollups as the phase-aware driver emits them).
-    fn result_json_with_phases(p99_ns: u64, qps: f64, queue_p99: u64, exec_p99: u64) -> String {
-        format!(
-            r#"{{
-  "schema": "parcsr.closed_loop.v1",
-  "graph": "hub@0.02",
-  "clients": 2,
-  "windows": [
-    {{"window": 0, "requests": 1000, "qps": {qps}, "p99_ns": {p99_ns}}},
-    {{"window": 1, "requests": 1100, "qps": {qps}, "p99_ns": {p99_ns}}}
-  ],
-  "overall": {{"requests": 2100, "qps": {qps}, "p99_ns": {p99_ns}, "phases": [
-    {{"name": "queue", "count": 2100, "sum_ns": 100000, "p99_ns": {queue_p99}}},
-    {{"name": "exec", "count": 2100, "sum_ns": 900000, "p99_ns": {exec_p99}}},
-    {{"name": "reply", "count": 2100, "sum_ns": 1000, "p99_ns": 10}}
-  ]}}
-}}"#
-        )
-    }
-
-    /// A well-formed v1 result without phase rollups (pre-phase artifact).
+    /// A minimal well-formed v1 result with the given overall numbers.
     fn result_json(p99_ns: u64, qps: f64) -> String {
         format!(
             r#"{{
@@ -381,7 +330,6 @@ mod tests {
             &SloThresholds {
                 p99_ns: Some(10_000),
                 min_qps: Some(100_000.0),
-                ..SloThresholds::default()
             },
         )
         .unwrap();
@@ -451,69 +399,11 @@ mod tests {
     }
 
     #[test]
-    fn phase_ceilings_grade_the_phase_rollups() {
-        let text = result_json_with_phases(2_500, 800_000.0, 400, 2_400);
-        let within = SloThresholds {
-            p99_queue_ns: Some(1_000),
-            p99_exec_ns: Some(5_000),
-            ..SloThresholds::default()
-        };
-        let out = check_slo_text(&text, &within).unwrap();
-        assert!(!out.failed, "{}", out.report);
-        assert!(out.report.contains("queue p99: 0.4 µs"), "{}", out.report);
-        assert!(out.report.contains("exec p99: 2.4 µs"), "{}", out.report);
-
-        // A queue tail past its ceiling trips the gate even when the
-        // end-to-end p99 is healthy.
-        let queued = SloThresholds {
-            p99_ns: Some(10_000),
-            p99_queue_ns: Some(100),
-            ..SloThresholds::default()
-        };
-        let out = check_slo_text(&text, &queued).unwrap();
-        assert!(out.failed);
-        assert!(out.report.contains("queue p99"), "{}", out.report);
-        assert!(out.report.contains("VIOLATED"), "{}", out.report);
-
-        let exec = SloThresholds {
-            p99_exec_ns: Some(1_000),
-            ..SloThresholds::default()
-        };
-        assert!(check_slo_text(&text, &exec).unwrap().failed);
-    }
-
-    #[test]
-    fn phase_ceiling_against_a_pre_phase_result_is_an_error() {
-        let text = result_json(2_500, 800_000.0);
-        let t = SloThresholds {
-            p99_queue_ns: Some(1_000),
-            ..SloThresholds::default()
-        };
-        let err = check_slo_text(&text, &t).unwrap_err();
-        assert!(err.contains("no `queue` phase rollup"), "{err}");
-    }
-
-    #[test]
-    fn rejects_malformed_phase_rollups() {
-        // Phases present but a row is missing its percentile field.
-        let text = r#"{"schema":"parcsr.closed_loop.v1","graph":"g","clients":1,
-                       "windows":[{"window":0,"requests":1,"qps":1.0,"p99_ns":1}],
-                       "overall":{"requests":1,"qps":1.0,"p99_ns":1,
-                                  "phases":[{"name":"queue","count":1,"sum_ns":1}]}}"#;
-        let err = parse_result("result", text).unwrap_err();
-        assert!(err.contains("phases[0]"), "{err}");
-        assert!(err.contains("p99_ns"), "{err}");
-    }
-
-    #[test]
     fn baseline_thresholds_apply_slack_both_ways() {
         let base = parse_result("baseline", &result_json(2_000, 100_000.0)).unwrap();
         let t = baseline_thresholds(&base, 0.5);
         assert_eq!(t.p99_ns, Some(3_000));
         assert!((t.min_qps.unwrap() - 50_000.0).abs() < 1e-6);
-        // A pre-phase baseline derives no phase ceilings.
-        assert_eq!(t.p99_queue_ns, None);
-        assert_eq!(t.p99_exec_ns, None);
 
         // A result within the slack passes; one past it fails.
         let ok = check_slo_text(&result_json(2_900, 60_000.0), &t).unwrap();
@@ -525,23 +415,25 @@ mod tests {
     }
 
     #[test]
-    fn baseline_with_phases_derives_phase_ceilings() {
-        let base = parse_result(
-            "baseline",
-            &result_json_with_phases(4_000, 100_000.0, 400, 1_800),
-        )
-        .unwrap();
-        let t = baseline_thresholds(&base, 0.5);
-        // The queue ceiling (400 × 1.5 = 600) clamps up to the 1 µs floor —
-        // sub-µs ceilings would gate scheduler jitter, not regressions.
-        assert_eq!(t.p99_queue_ns, Some(MIN_PHASE_CEILING_NS));
-        assert_eq!(t.p99_exec_ns, Some(2_700));
-
-        // A result whose queue share regressed past the floor fails even
-        // with the end-to-end p99 inside its own ceiling.
-        let regressed = result_json_with_phases(4_100, 90_000.0, 1_500, 1_700);
-        let out = check_slo_text(&regressed, &t).unwrap();
-        assert!(out.failed, "{}", out.report);
-        assert!(out.report.contains("queue p99"), "{}", out.report);
+    fn parse_args_reads_thresholds_and_rejects_the_phase_ceilings() {
+        let args =
+            |list: &[&str]| parse_args(&list.iter().map(|s| s.to_string()).collect::<Vec<_>>());
+        let parsed = args(&["--p99-ns", "1000000", "--min-qps", "10000"]).unwrap();
+        assert_eq!(
+            parsed.explicit,
+            SloThresholds {
+                p99_ns: Some(1_000_000),
+                min_qps: Some(10_000.0),
+            }
+        );
+        assert!(
+            args(&["--slack", "0.5"]).is_err(),
+            "--slack needs --baseline"
+        );
+        // The queue/exec split is gone, and so are its ceilings.
+        for flag in ["--p99-queue-ns", "--p99-exec-ns"] {
+            let err = args(&[flag, "1"]).unwrap_err();
+            assert!(err.contains("unexpected argument"), "{flag}: {err}");
+        }
     }
 }

@@ -20,25 +20,11 @@
 //!   metric namespace (`mem.`, `query.`, `pool.`), be time-ordered per
 //!   counter name, and hold a non-empty `args` object of non-negative
 //!   numbers.
-//! * serving-window counters (`query.win.*`, `query.phase.*`, and
-//!   `query.exemplar.*` — the windowed series the closed-loop driver's
-//!   reporter rotates) must additionally carry a non-negative integer
-//!   `window` arg that never decreases within a counter name: a window
-//!   ordinal going backwards means the rotation epoch and the export order
-//!   disagree.
-//! * exemplar counters (`query.exemplar.<kind>.<class>`, one per captured
-//!   tail query) must carry the full phase breakdown (`total`, `queue`,
-//!   `exec`, `reply`), and the phases must partition the total:
-//!   queue + exec + reply may exceed `total` by at most 10% (clock
-//!   checkpoints are clamped monotone at capture, so a larger excess means
-//!   the exporter mixed up fields).
-//! * phase sums must reconcile with their cell: for each
-//!   `(window, kind, class)`, the summed `sum` args of the
-//!   `query.phase.<phase>.<kind>.<class>` points may exceed the matching
-//!   `query.win.<kind>.<class>` point's `sum` by at most 10% (window
-//!   boundary smear is bounded by one in-flight record per client). Cells
-//!   whose `query.win` point lacks a `sum` arg (pre-phase traces) are
-//!   skipped.
+//! * serving-window counters (`query.win.*` and `query.exemplar.*` — the
+//!   windowed series the closed-loop driver's reporter rotates) must
+//!   additionally carry a non-negative integer `window` arg that never
+//!   decreases within a counter name: a window ordinal going backwards
+//!   means the rotation epoch and the export order disagree.
 
 use crate::trace_read::{parse_trace, Phase, TraceEvent};
 
@@ -124,7 +110,7 @@ fn check_counter(i: usize, ev: &TraceEvent) -> Result<(), String> {
 
 /// Counter namespaces whose every point belongs to a rotated serving
 /// window and must therefore carry a monotone `window` ordinal.
-const WINDOWED_PREFIXES: &[&str] = &["query.win.", "query.phase.", "query.exemplar."];
+const WINDOWED_PREFIXES: &[&str] = &["query.win.", "query.exemplar."];
 
 /// The serving-window ordinal of a windowed serving counter, enforced
 /// present and integer; `None` for any other counter.
@@ -142,35 +128,6 @@ fn check_window_arg(i: usize, ev: &TraceEvent) -> Result<Option<i64>, String> {
     }
 }
 
-/// Validates a `query.exemplar.*` point: full phase breakdown present and
-/// the phases partition the total within 10%.
-fn check_exemplar(i: usize, ev: &TraceEvent) -> Result<(), String> {
-    let name = &ev.name;
-    let mut parts = [0u64; 4];
-    for (slot, key) in parts.iter_mut().zip(["total", "queue", "exec", "reply"]) {
-        *slot = match ev.arg_i64(key) {
-            Some(v) if v >= 0 => v as u64,
-            _ => {
-                return Err(format!(
-                    "event {i}: exemplar `{name}` must carry a non-negative \
-                     integer `{key}` arg"
-                ));
-            }
-        };
-    }
-    let [total, queue, exec, reply] = parts;
-    let phase_sum = queue + exec + reply;
-    // Integer form of phase_sum <= total * 1.10.
-    if phase_sum * 10 > total * 11 {
-        return Err(format!(
-            "event {i}: exemplar `{name}` phases do not partition the total: \
-             queue {queue} + exec {exec} + reply {reply} = {phase_sum} \
-             exceeds total {total} by more than 10%"
-        ));
-    }
-    Ok(())
-}
-
 /// Validates trace text; returns the event count on success.
 pub fn check_trace_text(text: &str) -> Result<usize, String> {
     let events = parse_trace(text)?;
@@ -180,11 +137,6 @@ pub fn check_trace_text(text: &str) -> Result<usize, String> {
     let mut span_last_ts: Vec<(i64, f64)> = Vec::new();
     let mut counter_last_ts: Vec<(String, f64)> = Vec::new();
     let mut window_last: Vec<(String, i64)> = Vec::new();
-    // Phase-sum reconciliation state, keyed by (window ordinal, cell name
-    // `<kind>.<class>`): the summed phase `sum` args and the end-to-end
-    // `query.win` cell `sum`. Tiny (cells × windows), linear scan is fine.
-    let mut phase_sums: Vec<((i64, String), u64)> = Vec::new();
-    let mut win_sums: Vec<((i64, String), u64)> = Vec::new();
     let mut saw_span = false;
     for (i, ev) in events.iter().enumerate() {
         match ev.ph {
@@ -234,63 +186,12 @@ pub fn check_trace_text(text: &str) -> Result<usize, String> {
                         }
                         None => window_last.push((ev.name.clone(), w)),
                     }
-                    if ev.name.starts_with("query.exemplar.") {
-                        check_exemplar(i, ev)?;
-                    } else if let Some(rest) = ev.name.strip_prefix("query.phase.") {
-                        let Some((_, cell)) = rest.split_once('.') else {
-                            return Err(format!(
-                                "event {i}: phase counter `{}` is missing its \
-                                 `<kind>.<class>` cell suffix",
-                                ev.name
-                            ));
-                        };
-                        let sum = match ev.arg_i64("sum") {
-                            Some(s) if s >= 0 => s as u64,
-                            _ => {
-                                return Err(format!(
-                                    "event {i}: phase counter `{}` must carry a \
-                                     non-negative integer `sum` arg",
-                                    ev.name
-                                ));
-                            }
-                        };
-                        let key = (w, cell.to_string());
-                        match phase_sums.iter_mut().find(|(k, _)| *k == key) {
-                            Some((_, acc)) => *acc += sum,
-                            None => phase_sums.push((key, sum)),
-                        }
-                    } else if let Some(cell) = ev.name.strip_prefix("query.win.") {
-                        // `query.win.qps` is the per-window rollup, not a
-                        // cell; cells without a `sum` (pre-phase traces)
-                        // simply don't participate in reconciliation.
-                        if cell != "qps" {
-                            if let Some(sum) = ev.arg_i64("sum").filter(|s| *s >= 0) {
-                                win_sums.push(((w, cell.to_string()), sum as u64));
-                            }
-                        }
-                    }
                 }
             }
         }
     }
     if !saw_span {
         return Err("trace has counter events but no span events".into());
-    }
-    // Phase sums must reconcile with their end-to-end cell: within a
-    // (window, cell), queue + exec + reply time may exceed the measured
-    // end-to-end time by at most 10% (boundary smear is bounded).
-    for ((window, cell), phase_sum) in &phase_sums {
-        let Some((_, win_sum)) = win_sums.iter().find(|((w, c), _)| w == window && c == cell)
-        else {
-            continue;
-        };
-        if phase_sum * 10 > win_sum * 11 {
-            return Err(format!(
-                "window {window} cell `{cell}`: phase sums total {phase_sum} ns \
-                 but the end-to-end `query.win.{cell}` sum is {win_sum} ns — \
-                 phases exceed the cell by more than 10%"
-            ));
-        }
     }
     Ok(events.len())
 }
@@ -498,136 +399,30 @@ mod tests {
     #[test]
     fn phase_and_exemplar_counters_are_windowed_series() {
         let span = event("degree", 0, 10);
+        let ex = |ts: i64, args: &str| counter("query.exemplar.neighbors.hub", ts, args);
 
-        // Both namespaces require the window arg...
-        for name in [
-            "query.phase.exec.neighbors.hub",
-            "query.exemplar.neighbors.hub",
-        ] {
-            let text = format!("[{},{}]", span, counter(name, 20, r#"{"count":1}"#));
-            let err = check_trace_text(&text).unwrap_err();
-            assert!(err.contains("`window` arg"), "{name}: {err}");
-        }
+        // Exemplars are a windowed series: they require the window arg...
+        let text = format!("[{},{}]", span, ex(20, r#"{"source":7,"total":1000}"#));
+        let err = check_trace_text(&text).unwrap_err();
+        assert!(err.contains("`window` arg"), "{err}");
 
-        // ...and a backwards ordinal within a series trips the gate.
+        // ...a backwards ordinal within the series trips the gate...
         let text = format!(
             "[{},{},{}]",
             span,
-            counter(
-                "query.phase.exec.neighbors.hub",
-                20,
-                r#"{"window":2,"count":1,"sum":10}"#
-            ),
-            counter(
-                "query.phase.exec.neighbors.hub",
-                30,
-                r#"{"window":1,"count":1,"sum":10}"#
-            ),
+            ex(20, r#"{"window":2,"source":7,"total":1000}"#),
+            ex(30, r#"{"window":1,"source":9,"total":900}"#),
         );
         let err = check_trace_text(&text).unwrap_err();
         assert!(err.contains("window ordinal goes backwards"), "{err}");
 
-        // A phase point without its `sum` cannot reconcile.
+        // ...and a well-formed point carries one latency, `total`.
         let text = format!(
             "[{},{}]",
             span,
-            counter(
-                "query.phase.queue.neighbors.hub",
-                20,
-                r#"{"window":0,"count":1}"#
-            )
-        );
-        let err = check_trace_text(&text).unwrap_err();
-        assert!(err.contains("`sum` arg"), "{err}");
-    }
-
-    #[test]
-    fn exemplars_must_carry_a_partitioned_phase_breakdown() {
-        let span = event("degree", 0, 10);
-        let ex = |args: &str| counter("query.exemplar.neighbors.hub", 20, args);
-
-        // Well-formed exemplar: phases partition the total exactly.
-        let text = format!(
-            "[{},{}]",
-            span,
-            ex(r#"{"window":0,"source":7,"total":1000,"queue":100,"exec":890,"reply":10}"#)
+            ex(20, r#"{"window":0,"source":7,"total":1000}"#)
         );
         assert_eq!(check_trace_text(&text), Ok(2));
-
-        // Missing a phase field.
-        let text = format!(
-            "[{},{}]",
-            span,
-            ex(r#"{"window":0,"source":7,"total":1000,"queue":100,"exec":890}"#)
-        );
-        let err = check_trace_text(&text).unwrap_err();
-        assert!(err.contains("`reply` arg"), "{err}");
-
-        // Phases exceeding the total past the 10% tolerance.
-        let text = format!(
-            "[{},{}]",
-            span,
-            ex(r#"{"window":0,"source":7,"total":1000,"queue":600,"exec":600,"reply":0}"#)
-        );
-        let err = check_trace_text(&text).unwrap_err();
-        assert!(err.contains("partition"), "{err}");
-    }
-
-    #[test]
-    fn phase_sums_must_reconcile_with_their_cell() {
-        let span = event("degree", 0, 10);
-        let win = |sum: u64| {
-            counter(
-                "query.win.neighbors.hub",
-                20,
-                &format!(r#"{{"window":0,"count":10,"sum":{sum},"p50":90,"p95":180,"p99":199}}"#),
-            )
-        };
-        let phase = |name: &str, sum: u64| {
-            counter(
-                &format!("query.phase.{name}.neighbors.hub"),
-                25,
-                &format!(r#"{{"window":0,"count":10,"sum":{sum},"p50":30,"p95":60,"p99":66}}"#),
-            )
-        };
-
-        // Phases summing to the cell reconcile.
-        let text = format!(
-            "[{},{},{},{},{}]",
-            span,
-            win(1_000),
-            phase("queue", 100),
-            phase("exec", 890),
-            phase("reply", 10),
-        );
-        assert_eq!(check_trace_text(&text), Ok(5));
-
-        // Phases blowing past the cell's sum by more than 10% fail.
-        let text = format!(
-            "[{},{},{},{}]",
-            span,
-            win(1_000),
-            phase("queue", 600),
-            phase("exec", 600),
-        );
-        let err = check_trace_text(&text).unwrap_err();
-        assert!(err.contains("more than 10%"), "{err}");
-
-        // A cell whose `query.win` point has no `sum` (pre-phase trace) is
-        // skipped, not failed.
-        let old_win = counter(
-            "query.win.neighbors.hub",
-            20,
-            r#"{"window":0,"count":10,"p50":90,"p95":180,"p99":199}"#,
-        );
-        let text = format!(
-            "[{},{},{},{}]",
-            span,
-            old_win,
-            phase("queue", 600),
-            phase("exec", 600),
-        );
-        assert_eq!(check_trace_text(&text), Ok(4));
     }
 
     #[test]

@@ -45,12 +45,11 @@ echo "== Table II (JSON, per-stage breakdown + memory + imbalance) =="
 cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
   --json --metrics --mem-metrics --imbalance "$@" > "${OUT}.table2.stages.json"
 
-# Closed-loop serving run: sustained qps + latency percentiles per window,
-# per query kind, and per degree class on the 2M-edge hub graph — plus the
-# queue/exec/reply phase decomposition and per-window tail exemplars —
-# archived as a *.slo.json summary (`cargo xtask slo-check <file>
-# --p99-ns/--p99-queue-ns/...` to gate a run; compare two runs' overall
-# blocks for serving drift).
+# Closed-loop serving run: sustained qps + per-query call latency
+# percentiles per window, per query kind, and per degree class on the
+# 2M-edge hub graph — plus per-window tail exemplars — archived as a
+# *.slo.json summary (`cargo xtask slo-check <file> --p99-ns N --min-qps Q`
+# to gate a run; compare two runs' overall blocks for serving drift).
 echo "== closed-loop serving (qps + latency percentiles + SLO summary) =="
 for clients in 1 2 8; do
   cargo run --release -q -p parcsr-bench --features obs --bin queries_closed_loop -- \
@@ -67,4 +66,4 @@ for trace in "${OUT}".*.trace.json; do
     > "${trace%.trace.json}.imbalance.txt"
 done
 
-echo "results written to results/ with prefix ${RUN_ID} (incl. *.trace.json Chrome traces, *.stages.* breakdowns with memory sections, *.imbalance.json analyzer output and *.slo.json serving summaries with phase/exemplar blocks)"
+echo "results written to results/ with prefix ${RUN_ID} (incl. *.trace.json Chrome traces, *.stages.* breakdowns with memory sections, *.imbalance.json analyzer output and *.slo.json serving summaries with exemplar blocks)"
