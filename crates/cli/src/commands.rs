@@ -168,10 +168,29 @@ fn ms_since(t: Instant) -> f64 {
     t.elapsed().as_secs_f64() * 1e3
 }
 
-/// Reads a SNAP edge-list file, parsing on `procs` threads.
+/// Node ids a graph may span per edge, on top of [`FREE_NODES`].
+const NODES_PER_EDGE: usize = 8;
+
+/// Node ids any graph may span, whatever its edge count.
+const FREE_NODES: usize = 1 << 20;
+
+/// Reads a SNAP edge-list file, parsing on `procs` threads. `compress` and
+/// `stats` build arrays indexed by node, so a graph whose largest id exceeds
+/// `8 × edges + 2^20` is rejected: those arrays stay proportional to the
+/// input, and a one-line file cannot ask for gigabytes.
 fn read_edges(input: &str, procs: usize) -> Result<EdgeList, CliError> {
-    parcsr::with_processors(procs, || gio::read_edge_list_file(input))
-        .map_err(|e| err(format!("reading {input}: {e}")))
+    let graph = parcsr::with_processors(procs, || gio::read_edge_list_file(input))
+        .map_err(|e| err(format!("reading {input}: {e}")))?;
+    let cap = NODES_PER_EDGE * graph.num_edges() + FREE_NODES;
+    if graph.num_nodes() > cap {
+        return Err(err(format!(
+            "reading {input}: node id {} is too sparse for {} edges: ids must be below \
+             {cap} ({NODES_PER_EDGE} per edge + {FREE_NODES})",
+            graph.num_nodes() - 1,
+            graph.num_edges()
+        )));
+    }
+    Ok(graph)
 }
 
 fn compress(input: &str, out: &str, procs: usize) -> Result<String, CliError> {
@@ -383,6 +402,48 @@ mod tests {
             .collect();
         assert_eq!(written[0], written[1]);
         assert_eq!(written[0], written[2]);
+    }
+
+    #[test]
+    fn sparse_ids_past_the_cap_are_rejected() {
+        let txt = tmp("huge-id.txt");
+        std::fs::write(&txt, "0 4000000000\n").unwrap();
+        // Checked on its own first: were the cap gone, the commands below
+        // would ask for 16 GB of node-indexed arrays.
+        let e = read_edges(&txt, 1).unwrap_err().to_string();
+        assert!(
+            e.contains("node id 4000000000 is too sparse for 1 edges"),
+            "{e}"
+        );
+        let compress = execute(&Command::Compress {
+            input: txt.clone(),
+            out: tmp("huge-id.pcsr"),
+            procs: 1,
+        });
+        let stats = execute(&Command::Stats { input: txt });
+        for result in [compress, stats] {
+            assert_eq!(result.unwrap_err().to_string(), e);
+        }
+    }
+
+    #[test]
+    fn sparse_ids_under_the_cap_still_compress() {
+        let txt = tmp("sparse.txt");
+        std::fs::write(&txt, "5 6\n").unwrap();
+        let report = execute(&Command::Compress {
+            input: txt.clone(),
+            out: tmp("sparse.pcsr"),
+            procs: 1,
+        })
+        .unwrap();
+        assert!(report.contains("compressed 7 nodes / 1 edges"), "{report}");
+        let report = execute(&Command::Stats { input: txt.clone() }).unwrap();
+        assert!(report.contains("7 nodes, 1 edges"), "{report}");
+        // The cap's edge: 8 ids per edge plus 2^20.
+        std::fs::write(&txt, format!("0 {}\n", 8 + (1 << 20) - 1)).unwrap();
+        assert_eq!(read_edges(&txt, 1).unwrap().num_nodes(), 8 + (1 << 20));
+        std::fs::write(&txt, format!("0 {}\n", 8 + (1 << 20))).unwrap();
+        assert!(read_edges(&txt, 1).is_err());
     }
 
     #[test]

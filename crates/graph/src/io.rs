@@ -115,41 +115,93 @@ fn is_space(b: u8) -> bool {
     matches!(b, b' ' | b'\t' | 0x0B | 0x0C | b'\r')
 }
 
-/// The fast path for the line starting at `piece[i]`: exactly `N` ASCII
-/// decimal fields, each at most `u32::MAX`, separated by ASCII whitespace.
-/// Returns the fields and the index after the line's `\n`, or `None` for any
-/// line it does not fully accept (comments, blanks, signs, non-ASCII bytes,
-/// overflow, garbage, the wrong field count).
+/// Skips the ASCII whitespace (bar `\n`) from `piece[i]` on.
 #[inline]
-fn fast_line<const N: usize>(piece: &[u8], mut i: usize) -> Option<([u32; N], usize)> {
-    let skip_spaces = |mut i: usize| {
-        while i < piece.len() && is_space(piece[i]) {
-            i += 1;
-        }
-        i
-    };
-    let mut fields = [0u32; N];
-    for field in &mut fields {
-        i = skip_spaces(i);
-        let first = i;
-        let mut value = 0u64;
-        while i < piece.len() {
-            let d = piece[i].wrapping_sub(b'0');
-            if d > 9 {
-                break;
-            }
-            value = value * 10 + u64::from(d);
-            if value > u64::from(u32::MAX) {
-                return None;
-            }
-            i += 1;
-        }
-        if i == first {
+fn skip_spaces(piece: &[u8], mut i: usize) -> usize {
+    while piece.get(i).is_some_and(|&b| is_space(b)) {
+        i += 1;
+    }
+    i
+}
+
+/// The byte `b` in each of a word's eight lanes.
+const fn lanes(b: u8) -> u64 {
+    u64::from_le_bytes([b; 8])
+}
+
+/// The eight bytes from `piece[i]` on, `i <= piece.len()`, as a
+/// little-endian word, with zero bytes past the end of the piece (a zero
+/// byte is not a digit).
+#[inline]
+fn load(piece: &[u8], i: usize) -> u64 {
+    let tail = &piece[i..];
+    if let Some(word) = tail.first_chunk::<8>() {
+        return u64::from_le_bytes(*word);
+    }
+    let mut word = [0u8; 8];
+    word[..tail.len()].copy_from_slice(tail);
+    u64::from_le_bytes(word)
+}
+
+/// The value of eight decimal digits, one per byte lane, the most
+/// significant in the lowest lane: pairs, then quads, then the whole, in
+/// three multiplies.
+#[inline]
+fn eight_digits(digits: u64) -> u32 {
+    const PAIR: u64 = 0x0000_00FF_0000_00FF;
+    // Lanes 0, 2, 4, 6 now hold two-digit values; odd lanes are junk.
+    let pairs = digits.wrapping_mul(10).wrapping_add(digits >> 8);
+    let high = (pairs & PAIR).wrapping_mul(100 + (1_000_000 << 32));
+    let low = ((pairs >> 16) & PAIR).wrapping_mul(1 + (10_000 << 32));
+    (high.wrapping_add(low) >> 32) as u32
+}
+
+/// The decimal field starting at `piece[i]`: its value and the index after
+/// its last digit. `None` if `piece[i]` is not a digit, or the field has
+/// more than ten digits or exceeds `u32::MAX`.
+#[inline]
+fn word_field(piece: &[u8], i: usize) -> Option<(u32, usize)> {
+    // Digits become their values, every other byte a lane that is > 9.
+    let digits = load(piece, i) ^ lanes(b'0');
+    // A lane's top bit is set iff it is not a digit. Carries only run up
+    // from a non-digit lane, so the lowest set bit is exact.
+    let non_digit = (digits.wrapping_add(lanes(0x76)) | digits) & lanes(0x80);
+    let len = non_digit.trailing_zeros() as usize / 8;
+    if len == 0 {
+        return None;
+    }
+    // The field's digits move to the top lanes; the zero lanes shifted in
+    // below read as leading zeros.
+    let value = eight_digits(digits << (64 - 8 * len));
+    if len < 8 {
+        return Some((value, i + len));
+    }
+    // Eight digits and maybe more: at most two more fit in a `u32`.
+    let mut value = u64::from(value);
+    let mut end = i + 8;
+    while let Some(&b) = piece.get(end).filter(|b| b.is_ascii_digit()) {
+        if end == i + 10 {
             return None;
         }
-        *field = value as u32;
+        value = value * 10 + u64::from(b - b'0');
+        end += 1;
     }
-    i = skip_spaces(i);
+    Some((u32::try_from(value).ok()?, end))
+}
+
+/// The fast path for the line starting at `piece[i]`: exactly `N` ASCII
+/// decimal fields of at most ten digits, each at most `u32::MAX`, separated
+/// by ASCII whitespace, read a word at a time. Returns the fields and the
+/// index after the line's `\n`, or `None` for any line it does not fully
+/// accept (comments, blanks, signs, non-ASCII bytes, longer fields,
+/// overflow, garbage, the wrong field count).
+#[inline]
+fn word_line<const N: usize>(piece: &[u8], mut i: usize) -> Option<([u32; N], usize)> {
+    let mut fields = [0u32; N];
+    for field in &mut fields {
+        (*field, i) = word_field(piece, skip_spaces(piece, i))?;
+    }
+    i = skip_spaces(piece, i);
     match piece.get(i) {
         None => Some((fields, i)),
         Some(b'\n') => Some((fields, i + 1)),
@@ -167,31 +219,36 @@ fn invalid_utf8() -> ParseError {
 
 /// The slow path: one line (without its line terminator) through
 /// [`parse_fields`] and `finish`, exactly as a line-at-a-time reader sees it.
+/// A record comes with the larger of its first two fields.
 fn slow_line<T, const N: usize>(
     line: &[u8],
     lineno: usize,
     finish: &impl Fn([u64; N], usize, &str) -> Result<T, ParseError>,
-) -> Result<Option<T>, ParseError> {
+) -> Result<Option<(T, u64)>, ParseError> {
     let line = std::str::from_utf8(line).map_err(|_| invalid_utf8())?;
     parse_fields::<N>(line, lineno)?
-        .map(|fields| finish(fields, lineno, line))
+        .map(|fields| Ok((finish(fields, lineno, line)?, fields[0].max(fields[1]))))
         .transpose()
 }
 
 /// Parses a newline-aligned piece, appending its records to `out`. Returns
-/// the number of lines in the piece; an error's line number counts from 1
-/// at the start of the piece.
+/// the number of lines in the piece and the largest of its records' first
+/// two fields (0 without records); an error's line number counts from 1 at
+/// the start of the piece.
 fn parse_piece<T, const N: usize>(
     piece: &[u8],
     out: &mut Vec<T>,
     fast: &impl Fn([u32; N]) -> T,
     finish: &impl Fn([u64; N], usize, &str) -> Result<T, ParseError>,
-) -> Result<usize, ParseError> {
+) -> Result<(usize, u64), ParseError> {
+    const { assert!(N >= 2, "the first two fields are node ids") };
     let mut lines = 0;
+    let mut top = 0;
     let mut i = 0;
     while i < piece.len() {
         lines += 1;
-        if let Some((fields, next)) = fast_line::<N>(piece, i) {
+        if let Some((fields, next)) = word_line::<N>(piece, i) {
+            top = top.max(u64::from(fields[0].max(fields[1])));
             out.push(fast(fields));
             i = next;
             continue;
@@ -205,12 +262,13 @@ fn parse_piece<T, const N: usize>(
         if end < piece.len() {
             line = line.strip_suffix(b"\r").unwrap_or(line);
         }
-        if let Some(record) = slow_line(line, lines, finish)? {
+        if let Some((record, ids)) = slow_line(line, lines, finish)? {
+            top = top.max(ids);
             out.push(record);
         }
         i = end + 1;
     }
-    Ok(lines)
+    Ok((lines, top))
 }
 
 /// Shifts a piece-relative line number past the `before` lines ahead of it.
@@ -232,8 +290,9 @@ fn renumber(e: ParseError, before: usize) -> ParseError {
 /// Parses a block of whole lines in `spill.len() + 1` newline-aligned pieces
 /// in parallel. Piece 0 appends straight to `out`; the others fill the
 /// `spill` vectors, which are then appended in order. `before` is the number
-/// of lines ahead of the block. Returns the number of lines in the block, or
-/// the first failing line's error in file order.
+/// of lines ahead of the block. Returns the number of lines in the block and
+/// the largest of its records' first two fields, or the first failing line's
+/// error in file order.
 fn parse_block<T: Send, const N: usize>(
     block: &[u8],
     before: usize,
@@ -241,7 +300,7 @@ fn parse_block<T: Send, const N: usize>(
     spill: &mut [Vec<T>],
     fast: &(impl Fn([u32; N]) -> T + Sync),
     finish: &(impl Fn([u64; N], usize, &str) -> Result<T, ParseError> + Sync),
-) -> Result<usize, ParseError> {
+) -> Result<(usize, u64), ParseError> {
     let pieces = spill.len() + 1;
     let mut start = 0;
     let mut jobs = Vec::with_capacity(pieces);
@@ -266,18 +325,21 @@ fn parse_block<T: Send, const N: usize>(
         jobs.push((piece, sink));
         start = end;
     }
-    let results: Vec<Result<usize, ParseError>> = jobs
+    let results: Vec<Result<(usize, u64), ParseError>> = jobs
         .into_par_iter()
         .map(|(piece, sink)| parse_piece(piece, sink, fast, finish))
         .collect();
     let mut lines = before;
+    let mut top = 0;
     for r in results {
-        lines += r.map_err(|e| renumber(e, lines))?;
+        let (piece_lines, piece_top) = r.map_err(|e| renumber(e, lines))?;
+        lines += piece_lines;
+        top = top.max(piece_top);
     }
     for s in spill {
         out.append(s);
     }
-    Ok(lines - before)
+    Ok((lines - before, top))
 }
 
 /// Reads until `buf` is full or the reader is exhausted, returning true at
@@ -294,17 +356,22 @@ fn fill(reader: &mut impl Read, buf: &mut [u8], len: &mut usize) -> io::Result<b
     Ok(false)
 }
 
-/// The block parser both readers share: `N` unsigned fields per line.
-/// Lines the ASCII fast path accepts become `fast(fields)`; every other line
-/// goes through [`slow_line`] and `finish`, so accepted input and every
-/// error are those of a line-at-a-time reader. Blocks start at `block` bytes;
-/// a line that does not fit grows the buffer, up to [`MAX_LINE`].
+/// The block parser both readers share: `N >= 2` unsigned fields per line,
+/// the first two node ids. Lines the word-at-a-time fast path accepts become
+/// `fast(fields)`; every other line goes through [`slow_line`] and `finish`,
+/// so accepted input and every error are those of a line-at-a-time reader.
+/// Blocks start at `block` bytes; a line that does not fit grows the buffer,
+/// up to [`MAX_LINE`].
+///
+/// Returns the records and the node count: the largest id in the first two
+/// fields plus one, or 0 without records. `finish` must reject node ids past
+/// `u32::MAX`.
 fn read_records<T: Send, const N: usize>(
     mut reader: impl Read,
     block: usize,
     fast: impl Fn([u32; N]) -> T + Sync,
     finish: impl Fn([u64; N], usize, &str) -> Result<T, ParseError> + Sync,
-) -> Result<Vec<T>, ParseError> {
+) -> Result<(Vec<T>, usize), ParseError> {
     let mut out = Vec::new();
     let mut spill: Vec<Vec<T>> = (1..rayon::current_num_threads())
         .map(|_| Vec::new())
@@ -312,6 +379,7 @@ fn read_records<T: Send, const N: usize>(
     let mut buf = vec![0u8; block.clamp(1, MAX_LINE)];
     let mut len = 0;
     let mut lines = 0;
+    let mut top = 0;
     loop {
         let eof = fill(&mut reader, &mut buf, &mut len)?;
         let cut = if eof {
@@ -332,9 +400,13 @@ fn read_records<T: Send, const N: usize>(
                 }
             }
         };
-        lines += parse_block(&buf[..cut], lines, &mut out, &mut spill, &fast, &finish)?;
+        let (block_lines, block_top) =
+            parse_block(&buf[..cut], lines, &mut out, &mut spill, &fast, &finish)?;
+        lines += block_lines;
+        top = top.max(block_top);
         if eof {
-            return Ok(out);
+            let num_nodes = if out.is_empty() { 0 } else { top as usize + 1 };
+            return Ok((out, num_nodes));
         }
         buf.copy_within(cut..len, 0);
         len -= cut;
@@ -342,7 +414,8 @@ fn read_records<T: Send, const N: usize>(
 }
 
 /// Parses SNAP edge-list text (`u v` per line, `#`/`%` comments, blank lines
-/// allowed) from any reader. Node count is inferred from the maximum id.
+/// allowed) from any reader. Node count is the largest id plus one, taken
+/// during the parse.
 ///
 /// The text is parsed in blocks of about 1 MiB, each split into one piece
 /// per thread of the current rayon pool. A line of 1 MiB or more is
@@ -356,13 +429,13 @@ pub fn read_edge_list<R: BufRead>(reader: R) -> Result<EdgeList, ParseError> {
 /// land block and piece cuts inside small inputs.
 #[doc(hidden)]
 pub fn read_edge_list_in_blocks<R: Read>(reader: R, block: usize) -> Result<EdgeList, ParseError> {
-    let edges = read_records::<_, 2>(
+    let (edges, num_nodes) = read_records::<_, 2>(
         reader,
         block,
         |[u, v]| (u, v),
         |[u, v], line, content| Ok((check_node(u, line, content)?, check_node(v, line, content)?)),
     )?;
-    Ok(EdgeList::from_pairs(edges))
+    Ok(EdgeList::from_parsed(num_nodes, edges))
 }
 
 /// Reads a SNAP edge-list file.
@@ -425,7 +498,7 @@ pub fn read_temporal_edge_list_in_blocks<R: Read>(
     reader: R,
     block: usize,
 ) -> Result<TemporalEdgeList, ParseError> {
-    let events = read_records::<_, 3>(
+    let (events, num_nodes) = read_records::<_, 3>(
         reader,
         block,
         |[u, v, t]| TemporalEdge::new(u, v, t),
@@ -442,11 +515,6 @@ pub fn read_temporal_edge_list_in_blocks<R: Read>(
             ))
         },
     )?;
-    let num_nodes = events
-        .iter()
-        .map(|e| e.u.max(e.v) as usize + 1)
-        .max()
-        .unwrap_or(0);
     Ok(TemporalEdgeList::new(num_nodes, events))
 }
 
@@ -661,6 +729,121 @@ mod tests {
         text.extend_from_slice(b"\n2 3\n");
         let g = read_edge_list(Cursor::new(&text)).unwrap();
         assert_eq!(g.edges(), [(0, 1), (2, 3)]);
+    }
+
+    /// The word kernel's verdict on one line: its fields, or `None` when the
+    /// line goes to the slow path.
+    fn kernel(line: &str) -> Option<[u32; 2]> {
+        word_line::<2>(line.as_bytes(), 0).map(|(fields, end)| {
+            assert_eq!(end, line.len(), "{line:?}");
+            fields
+        })
+    }
+
+    #[test]
+    fn word_kernel_reads_seven_to_ten_digit_fields() {
+        for field in [
+            "1234567",
+            "12345678",
+            "123456789",
+            "1234567890",
+            "0000000042",
+        ] {
+            let value = field.parse().unwrap();
+            assert_eq!(kernel(&format!("{field} 3\n")), Some([value, 3]), "{field}");
+            assert_eq!(
+                kernel(&format!("3\t{field}\n")),
+                Some([3, value]),
+                "{field}"
+            );
+        }
+        assert_eq!(kernel("4294967295 0\n"), Some([u32::MAX, 0]));
+        assert_eq!(kernel("0 4294967295"), Some([0, u32::MAX]));
+        // Eleven digits, and `u32::MAX + 1`, are the slow path's.
+        assert_eq!(kernel("12345678901 0\n"), None);
+        assert_eq!(kernel("00000000042 0\n"), None);
+        assert_eq!(kernel("4294967296 0\n"), None);
+        assert_eq!(kernel("0 9999999999\n"), None);
+        // Which reads a long zero-padded field and rejects the overflow.
+        let g = read_edge_list(Cursor::new("00000000042 12345678901\n"));
+        assert_eq!(malformed(g.unwrap_err()).2, "node id exceeds u32");
+        let g = read_edge_list(Cursor::new("00000000042 000000000007\n")).unwrap();
+        assert_eq!(g.edges(), [(42, 7)]);
+        let err = read_edge_list(Cursor::new("0 4294967296\n")).unwrap_err();
+        assert_eq!(malformed(err).2, "node id exceeds u32");
+    }
+
+    #[test]
+    fn word_kernel_stops_at_the_bytes_beside_the_digits() {
+        // `/` and `:` sit just below `'0'` and just above `'9'`.
+        for bad in ["12/ 3\n", "12: 3\n", "1 3/\n", "1 3:\n", "/1 3\n", "1 :3\n"] {
+            assert_eq!(kernel(bad), None, "{bad:?}");
+            let err = read_edge_list(Cursor::new(bad)).unwrap_err();
+            assert_eq!(malformed(err).2, "field is not an unsigned integer");
+        }
+        for bad in ["1234567/ 3\n", "12345678: 3\n", "123456789/ 3\n"] {
+            assert_eq!(kernel(bad), None, "{bad:?}");
+        }
+        assert_eq!(kernel("1234567 8\x00"), None);
+        assert_eq!(kernel("\r 5\x0B\x0C6 \r\n"), Some([5, 6]));
+    }
+
+    #[test]
+    fn word_kernel_pads_the_end_of_a_piece() {
+        // Each last field ends inside the piece's final eight bytes, so its
+        // word runs past the end and is padded with zero bytes.
+        for text in [
+            "7 1",
+            "7 12345678",
+            "7 1234567890",
+            "7 123456 \r",
+            "0 1\n7 12",
+        ] {
+            let bytes = text.as_bytes();
+            let start = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |k| k + 1);
+            let (fields, end) = word_line::<2>(bytes, start).unwrap();
+            assert_eq!(end, bytes.len(), "{text:?}");
+            let last = text[start..].split_whitespace().nth(1).unwrap();
+            assert_eq!(fields, [7, last.parse().unwrap()], "{text:?}");
+        }
+        // A piece cut right after the digits, without its `\n`.
+        let text = "1 2\n3 4\n";
+        assert_eq!(word_line::<2>(&text.as_bytes()[..7], 4), Some(([3, 4], 7)));
+    }
+
+    #[test]
+    fn parsed_node_count_matches_from_pairs() {
+        // The largest id sits on a slow-path line (a `+` sign), in a later
+        // block and piece than the fast lines.
+        let text = "3 1\n0 2\n5 6\n+900 7\n8 9\n% c\n";
+        for (block, threads) in [(4, 1), (8, 2), (BLOCK, 3)] {
+            let g = with_threads(threads, || {
+                read_edge_list_in_blocks(Cursor::new(text), block)
+            })
+            .unwrap();
+            let pairs = EdgeList::from_pairs(g.edges().to_vec());
+            assert_eq!(g.num_nodes(), 901);
+            assert_eq!(g.num_nodes(), pairs.num_nodes());
+            let t = read_temporal_edge_list_in_blocks(
+                Cursor::new("1 2 0\n 00000000000040 3 1\n"),
+                block,
+            )
+            .unwrap();
+            assert_eq!(t.num_nodes(), 41);
+        }
+    }
+
+    #[test]
+    fn eight_digit_reduction_is_exact() {
+        let mut x = 1u32;
+        while x < 100_000_000 {
+            for v in [x - 1, x, x + 7, x * 3 / 2, 99_999_999] {
+                let digits = format!("{v:08}");
+                let lanes = u64::from_le_bytes(digits.as_bytes().try_into().unwrap());
+                assert_eq!(eight_digits(lanes ^ super::lanes(b'0')), v);
+            }
+            x *= 10;
+        }
     }
 
     #[test]

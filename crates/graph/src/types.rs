@@ -50,6 +50,14 @@ impl EdgeList {
         EdgeList { num_nodes, edges }
     }
 
+    /// Builds an edge list whose node count the SNAP parser took while
+    /// reading the edges, so no pass checks or scans them again. Debug
+    /// builds check the invariant.
+    pub(crate) fn from_parsed(num_nodes: usize, edges: Vec<Edge>) -> Self {
+        debug_assert!(edges.iter().all(|&(u, v)| (u.max(v) as usize) < num_nodes));
+        EdgeList { num_nodes, edges }
+    }
+
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
         self.num_nodes

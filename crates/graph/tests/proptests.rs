@@ -161,14 +161,27 @@ fn arb_token_text(max_len: usize) -> impl Strategy<Value = Vec<u8>> {
 /// signs, overflow, garbage, invalid UTF-8), so errors land anywhere in the
 /// file and not only on its first line.
 fn arb_snap_text(fields: usize, max_lines: usize) -> impl Strategy<Value = Vec<u8>> {
-    // One field in 32 is just past `u32::MAX`.
-    let number = (0u32..32, 0u64..1000, any::<u32>()).prop_map(|(k, small, big)| match k {
-        0 => (u64::from(u32::MAX) + 1).to_string(),
-        1 => u32::MAX.to_string(),
-        2..=4 => format!("00{small}"),
-        5..=12 => big.to_string(),
-        _ => small.to_string(),
-    });
+    // One field in 40 is just past `u32::MAX`. Fields of 6 to 12 digits,
+    // zero-padded ones included, end on either side of the parser's 8-byte
+    // word.
+    let number =
+        (0u32..40, 0u64..1000, any::<u32>(), 0u32..5).prop_map(|(k, small, big, w)| match k {
+            0 => (u64::from(u32::MAX) + 1).to_string(),
+            1 => u32::MAX.to_string(),
+            2..=4 => format!("00{small}"),
+            5..=12 => big.to_string(),
+            13..=18 => {
+                // Exactly 6, 7, 8 or 9 digits.
+                let low = 10u64.pow(5 + w % 4);
+                (low + u64::from(big) % (9 * low)).to_string()
+            }
+            19..=22 => {
+                // Zero-padded to 8 to 12 digits.
+                let width = 8 + w as usize;
+                format!("{:0width$}", u64::from(big) % 1_000_000)
+            }
+            _ => small.to_string(),
+        });
     let sep = prop_oneof![Just(" "), Just("\t"), Just("  "), Just(" \x0B\x0C")];
     let good = (
         prop::collection::vec((number, sep), fields..fields + 1),
