@@ -11,7 +11,7 @@
 //! `--trace <file>` exports the same windows, the driver's own timings of
 //! each query call, as `query.win.*` and `query.exemplar.*` counter events
 //! for `chrome://tracing` / `cargo xtask check-trace`; built with
-//! `--features obs`, the trace also holds the run's spans and metrics.
+//! `--features obs`, the trace also holds the run's spans.
 
 use parcsr_bench::closed_loop::{render_table, run, DriverOptions};
 use parcsr_bench::{trace, Options, ToJson};
@@ -25,12 +25,12 @@ static ALLOC: parcsr_obs::mem::CountingAlloc = parcsr_obs::mem::CountingAlloc::n
 
 fn main() {
     let opts = DriverOptions::from_env();
-    // The shared obs wiring (sampling periods, runtime switch, trace file)
-    // reads the harness Options shape; mirror the relevant flags into one.
+    // The shared obs wiring (memory sampling period, runtime switch, trace
+    // file) reads the harness Options shape; mirror the relevant flags into
+    // one.
     let obs_opts = Options {
         trace: opts.trace.clone(),
         metrics: opts.metrics,
-        trace_sample: opts.trace_sample,
         ..Options::default()
     };
     trace::setup(&obs_opts);

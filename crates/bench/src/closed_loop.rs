@@ -115,13 +115,11 @@ pub struct DriverOptions {
     pub seed: u64,
     /// Emit the result as JSON on stdout (the human table moves to stderr).
     pub json: bool,
-    /// Write a Chrome trace of the run: its serving windows, plus spans and
-    /// metrics when built with `--features obs`.
+    /// Write a Chrome trace of the run: its serving windows, plus spans
+    /// when built with `--features obs`.
     pub trace: Option<String>,
-    /// Print the obs metrics summary to stderr (needs `--features obs`).
+    /// Print the obs stage summary to stderr (needs `--features obs`).
     pub metrics: bool,
-    /// Span sampling period for the trace.
-    pub trace_sample: Option<u32>,
 }
 
 impl Default for DriverOptions {
@@ -138,7 +136,6 @@ impl Default for DriverOptions {
             json: false,
             trace: None,
             metrics: false,
-            trace_sample: None,
         }
     }
 }
@@ -219,15 +216,6 @@ impl DriverOptions {
                 "--json" => opts.json = true,
                 "--trace" => opts.trace = Some(value("--trace")?),
                 "--metrics" => opts.metrics = true,
-                "--trace-sample" => {
-                    let n: u32 = value("--trace-sample")?
-                        .parse()
-                        .map_err(|e| format!("--trace-sample: {e}"))?;
-                    if n == 0 {
-                        return Err("--trace-sample must be at least 1".into());
-                    }
-                    opts.trace_sample = Some(n);
-                }
                 "--help" | "-h" => return Err(HELP.to_string()),
                 other => return Err(format!("unknown flag {other} (try --help)")),
             }
@@ -264,9 +252,8 @@ Flags:
   --seed <n>          RNG seed (default 42)
   --json              emit the result JSON on stdout (table moves to stderr)
   --trace <file>      write a Chrome trace with query.win.* counter events
-  --metrics           print the obs metrics summary to stderr
-  --trace-sample <n>  record every nth same-name span per thread
-                      (spans and metrics need a build with --features obs)
+  --metrics           print the obs stage summary to stderr
+                      (spans need a build with --features obs)
 
 Grade a run with `cargo xtask slo-check` on its --json output. Memory
 accounting has no flag: in an obs build, set PARCSR_MEM_SAMPLE=<n> together
@@ -809,7 +796,6 @@ pub fn render_table(report: &DriverReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parcsr_obs::metrics::MetricsSnapshot;
 
     fn parse(args: &[&str]) -> Result<DriverOptions, String> {
         DriverOptions::parse(args.iter().map(|s| s.to_string()))
@@ -873,6 +859,11 @@ mod tests {
         for flag in ["--p99-ns", "--min-qps"] {
             let err = parse(&[flag, "1"]).unwrap_err();
             assert!(err.starts_with("unknown flag"), "{flag}: {err}");
+        }
+        // Spans are not sampled: the trace holds every span that ran.
+        for args in [&["--trace-sample", "64"][..], &["--trace-sample"]] {
+            let err = parse(args).unwrap_err();
+            assert!(err.starts_with("unknown flag --trace-sample "), "{err}");
         }
     }
 
@@ -959,12 +950,7 @@ mod tests {
         // The trace renders the same windows: one `query.win.qps` point per
         // JSON window with traffic (same ordinal, same request count) and
         // one `query.exemplar.*` point per JSON exemplar, in order.
-        let trace = parcsr_obs::export::chrome_trace_with_counters(
-            &[],
-            &MetricsSnapshot::default(),
-            None,
-            &report.history,
-        );
+        let trace = parcsr_obs::export::chrome_trace_with_counters(&[], None, &report.history);
         let events = trace.as_array().unwrap();
         let arg = |e: &Json, key: &str| e.get("args").unwrap().get(key).unwrap().as_f64().unwrap();
         let named = |prefix: &'static str| {

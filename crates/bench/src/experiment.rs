@@ -229,7 +229,6 @@ mod tests {
             json: false,
             trace: None,
             metrics: false,
-            trace_sample: None,
             mem_metrics: false,
             mem_sample: None,
             imbalance: false,

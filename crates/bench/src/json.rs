@@ -26,7 +26,6 @@ impl ToJson for StageAgg {
         Json::Object(vec![
             ("name".into(), Json::Str(self.name.to_string())),
             ("calls".into(), Json::Int(self.calls as i64)),
-            ("kept".into(), Json::Int(self.kept as i64)),
             ("total_ms".into(), Json::Float(self.total_ms)),
             ("workers".into(), Json::Int(self.workers as i64)),
             (
@@ -165,7 +164,6 @@ mod tests {
             stages: vec![StageAgg {
                 name: "degree",
                 calls: 1,
-                kept: 1,
                 total_ms: 0.7,
                 workers: 1,
                 mem_peak_bytes: 2048,
@@ -181,7 +179,7 @@ mod tests {
         assert!(text.contains("\"paper_speedup_percent\": 61.0"));
         assert!(text.contains("\"stages\""));
         assert!(text.contains("\"name\": \"degree\""));
-        assert!(text.contains("\"kept\": 1"));
+        assert!(text.contains("\"calls\": 1"));
         assert!(text.contains("\"mem_peak_bytes\": 2048"));
         assert!(text.contains("\"peak_bytes\": 2048"));
     }
@@ -191,7 +189,6 @@ mod tests {
         let stage = |name: &'static str| StageAgg {
             name,
             calls: 1,
-            kept: 1,
             total_ms: 0.5,
             workers: 2,
             mem_peak_bytes: 0,

@@ -24,12 +24,9 @@ pub struct Options {
     /// Write a Chrome trace-event JSON of the run to this path (requires
     /// the `obs` build feature to record anything).
     pub trace: Option<String>,
-    /// Print the per-stage/metrics summary to stderr after the run
-    /// (requires the `obs` build feature).
+    /// Print the per-stage summary to stderr after the run (requires the
+    /// `obs` build feature).
     pub metrics: bool,
-    /// Span sampling period: record every Nth same-name span per thread
-    /// (default: the `PARCSR_TRACE_SAMPLE` env var, else 1 = record all).
-    pub trace_sample: Option<u32>,
     /// Enable memory accounting (live/peak heap bytes, per-stage peaks);
     /// requires the `obs` build feature, which registers the counting
     /// allocator.
@@ -57,7 +54,6 @@ impl Default for Options {
             json: false,
             trace: None,
             metrics: false,
-            trace_sample: None,
             mem_metrics: false,
             mem_sample: None,
             imbalance: false,
@@ -112,15 +108,6 @@ impl Options {
                 "--json" => opts.json = true,
                 "--trace" => opts.trace = Some(value("--trace")?),
                 "--metrics" => opts.metrics = true,
-                "--trace-sample" => {
-                    let n: u32 = value("--trace-sample")?
-                        .parse()
-                        .map_err(|e| format!("--trace-sample: {e}"))?;
-                    if n == 0 {
-                        return Err("--trace-sample must be at least 1".into());
-                    }
-                    opts.trace_sample = Some(n);
-                }
                 "--mem-metrics" => opts.mem_metrics = true,
                 "--mem-sample" => {
                     let n: u64 = value("--mem-sample")?
@@ -166,9 +153,7 @@ Flags:
   --only <name>   run only datasets whose name contains <name>
   --json          emit JSON
   --trace <file>  write a Chrome trace (chrome://tracing JSON) of the run
-  --metrics       print the per-stage/metrics summary to stderr
-  --trace-sample <n>  record every nth same-name span per thread
-                  (default: $PARCSR_TRACE_SAMPLE, else 1 = record all)
+  --metrics       print the per-stage summary to stderr
   --mem-metrics   track live/peak heap bytes and per-stage memory peaks
   --mem-sample <n>  sample the live-heap high-water mark every nth allocation,
                   so nested/worker spans report intra-span peaks
@@ -255,15 +240,18 @@ mod tests {
 
     #[test]
     fn trace_sample_and_mem_metrics() {
-        let o = parse(&["--trace-sample", "8", "--mem-metrics"]).unwrap();
-        assert_eq!(o.trace_sample, Some(8));
-        assert!(o.mem_metrics);
-        assert!(parse(&["--trace-sample", "0"]).is_err());
-        assert!(parse(&["--trace-sample", "x"]).is_err());
-        assert!(parse(&["--trace-sample"]).is_err());
-        let d = parse(&[]).unwrap();
-        assert_eq!(d.trace_sample, None);
-        assert!(!d.mem_metrics);
+        // Spans are not sampled: `--trace-sample` is an unknown flag, with
+        // or without a value.
+        for args in [
+            &["--trace-sample", "8", "--mem-metrics"][..],
+            &["--mem-metrics", "--trace-sample", "1"],
+            &["--trace-sample"],
+        ] {
+            let e = parse(args).unwrap_err();
+            assert!(e.starts_with("unknown flag --trace-sample "), "{e}");
+        }
+        assert!(parse(&["--mem-metrics"]).unwrap().mem_metrics);
+        assert!(!parse(&[]).unwrap().mem_metrics);
     }
 
     #[test]
@@ -281,31 +269,20 @@ mod tests {
 
     #[test]
     fn obs_flags_compose_in_any_order() {
-        // The four observability flags must parse identically regardless of
-        // their relative order and interleaving with other flags.
+        // The three observability flags must parse identically regardless
+        // of their relative order and interleaving with other flags.
         let orders: [&[&str]; 3] = [
-            &[
-                "--trace-sample",
-                "8",
-                "--metrics",
-                "--mem-metrics",
-                "--trace",
-                "t.json",
-            ],
+            &["--metrics", "--mem-metrics", "--trace", "t.json"],
             &[
                 "--trace",
                 "t.json",
                 "--mem-metrics",
                 "--seed",
                 "7",
-                "--trace-sample",
-                "8",
                 "--metrics",
             ],
             &[
                 "--metrics",
-                "--trace-sample",
-                "8",
                 "--trace",
                 "t.json",
                 "--seed",
@@ -316,7 +293,6 @@ mod tests {
         for args in orders {
             let o = parse(args).unwrap();
             assert_eq!(o.trace.as_deref(), Some("t.json"), "{args:?}");
-            assert_eq!(o.trace_sample, Some(8), "{args:?}");
             assert!(o.metrics && o.mem_metrics, "{args:?}");
         }
     }

@@ -1,8 +1,8 @@
-//! `--trace` / `--metrics` / `--trace-sample` / `--mem-metrics` /
-//! `--mem-sample` / `--imbalance` wiring shared by the harness binaries.
+//! `--trace` / `--metrics` / `--mem-metrics` / `--mem-sample` /
+//! `--imbalance` wiring shared by the harness binaries.
 //!
-//! The flags are always parsed and compose in any order, but spans, metrics
-//! and memory are only recorded when the binary was built with the `obs`
+//! The flags are always parsed and compose in any order, but spans and
+//! memory are only recorded when the binary was built with the `obs`
 //! feature (which turns on `parcsr-obs/enabled` and registers the counting
 //! allocator); without it [`setup`] warns and the run proceeds
 //! uninstrumented. The serving windows a run keeps (the closed-loop
@@ -14,21 +14,6 @@ use parcsr_obs::serve::HistoryWindow;
 use parcsr_obs::SpanRecord;
 
 use crate::options::Options;
-
-/// The span sampling period a run will use: the `--trace-sample` flag wins,
-/// then the `PARCSR_TRACE_SAMPLE` environment variable, then 1 (record
-/// everything). Invalid env values are ignored.
-#[must_use]
-pub fn resolve_trace_sample(opts: &Options) -> u32 {
-    opts.trace_sample
-        .or_else(|| {
-            std::env::var("PARCSR_TRACE_SAMPLE")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-        })
-        .unwrap_or(1)
-        .max(1)
-}
 
 /// The mid-span memory sampling period a run will use: the `--mem-sample`
 /// flag wins, then the `PARCSR_MEM_SAMPLE` environment variable, then 0
@@ -45,8 +30,8 @@ pub fn resolve_mem_sample(opts: &Options) -> u64 {
         .unwrap_or(0)
 }
 
-/// Switches runtime span/metric/memory recording on when the options ask
-/// for it and applies the sampling periods. Call once, before the measured
+/// Switches runtime span/memory recording on when the options ask for it
+/// and applies the memory sampling period. Call once, before the measured
 /// work.
 pub fn setup(opts: &Options) {
     if opts.trace.is_none()
@@ -59,12 +44,11 @@ pub fn setup(opts: &Options) {
     }
     if !parcsr_obs::compiled() {
         eprintln!(
-            "warning: spans, metrics and memory need a build with the obs feature (cargo run \
-             -p parcsr-bench --features obs ...); none will be recorded, and a --trace file \
+            "warning: spans and memory need a build with the obs feature (cargo run -p \
+             parcsr-bench --features obs ...); neither will be recorded, and a --trace file \
              holds only the serving windows the run keeps"
         );
     }
-    parcsr_obs::set_trace_sample(resolve_trace_sample(opts));
     // Intra-span peak sampling observes the live-byte counter, so it
     // implies memory accounting even without --mem-metrics.
     let mem_sample = resolve_mem_sample(opts);
@@ -73,20 +57,17 @@ pub fn setup(opts: &Options) {
     parcsr_obs::set_enabled(true);
 }
 
-/// Writes the Chrome trace file (spans, latency/memory counter events and
-/// the serving windows in `history`) and/or prints the metrics + memory
-/// summary, per the options. Call once, after the measured work, with the
+/// Writes the Chrome trace file (spans, memory counter events and the
+/// serving windows in `history`) and/or prints the stage + memory summary,
+/// per the options. Call once, after the measured work, with the
 /// collected spans and the run's rotated serving windows (the closed-loop
 /// driver's [`DriverReport::history`](crate::closed_loop::DriverReport::history);
 /// `&[]` for the build-side binaries, which rotate none). Exits non-zero
 /// if a requested trace file cannot be written.
 pub fn finish(opts: &Options, spans: &[SpanRecord], history: &[HistoryWindow]) {
-    parcsr_obs::mem::publish_gauges();
-    let metrics = parcsr_obs::metrics::snapshot();
     let mem = parcsr_obs::mem::snapshot();
     if let Some(path) = &opts.trace {
-        match parcsr_obs::export::write_chrome_trace(Path::new(path), spans, &metrics, mem, history)
-        {
+        match parcsr_obs::export::write_chrome_trace(Path::new(path), spans, mem, history) {
             Ok(()) => eprintln!("trace: wrote {} spans to {path}", spans.len()),
             Err(e) => {
                 eprintln!("trace: failed to write {path}: {e}");
@@ -95,9 +76,6 @@ pub fn finish(opts: &Options, spans: &[SpanRecord], history: &[HistoryWindow]) {
         }
     }
     if opts.metrics || opts.mem_metrics {
-        eprint!(
-            "{}",
-            parcsr_obs::export::summary_table(spans, &metrics, mem)
-        );
+        eprint!("{}", parcsr_obs::export::summary_table(spans, mem));
     }
 }

@@ -24,8 +24,8 @@ pub use parse::{Command, ObsOptions, ParseError};
 
 /// Parses and executes an argument list, returning the report to print.
 ///
-/// The global `--trace FILE` / `--metrics` / `--trace-sample N` /
-/// `--mem-metrics` / `--mem-sample N` switches (valid anywhere on the
+/// The global `--trace FILE` / `--metrics` / `--mem-metrics` /
+/// `--mem-sample N` switches (valid anywhere on the
 /// command line, in any order) wrap the run in observability collection;
 /// they need a binary built with the `obs` feature to record anything.
 /// A `--trace` file that cannot be written fails the run, even when the
@@ -43,12 +43,6 @@ where
                  recorded"
             );
         }
-        let sample = obs.trace_sample.or_else(|| {
-            std::env::var("PARCSR_TRACE_SAMPLE")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-        });
-        parcsr_obs::set_trace_sample(sample.unwrap_or(1));
         let mem_sample = obs.mem_sample.or_else(|| {
             std::env::var("PARCSR_MEM_SAMPLE")
                 .ok()
@@ -64,16 +58,13 @@ where
     let command = Command::parse(rest).map_err(|e| e.to_string())?;
     let mut result = execute(&command).map_err(|e| e.to_string());
     if obs.active() {
-        parcsr_obs::mem::publish_gauges();
         parcsr_obs::set_enabled(false);
         let spans = parcsr_obs::drain();
-        let metrics = parcsr_obs::metrics::snapshot();
         let mem = parcsr_obs::mem::snapshot();
         if let Some(path) = &obs.trace {
             match parcsr_obs::export::write_chrome_trace(
                 std::path::Path::new(path),
                 &spans,
-                &metrics,
                 mem,
                 &[],
             ) {
@@ -88,10 +79,7 @@ where
             }
         }
         if obs.metrics || obs.mem_metrics {
-            eprint!(
-                "{}",
-                parcsr_obs::export::summary_table(&spans, &metrics, mem)
-            );
+            eprint!("{}", parcsr_obs::export::summary_table(&spans, mem));
         }
     }
     result

@@ -92,10 +92,8 @@ pub enum Command {
 pub struct ObsOptions {
     /// Write a Chrome trace-event JSON of the run to this path.
     pub trace: Option<String>,
-    /// Print the per-stage/metrics summary to stderr after the run.
+    /// Print the per-stage summary to stderr after the run.
     pub metrics: bool,
-    /// Span sampling period (record every Nth same-name span per thread).
-    pub trace_sample: Option<u32>,
     /// Track live/peak heap bytes and per-stage memory peaks.
     pub mem_metrics: bool,
     /// Mid-span memory sampling period: every Nth allocation updates the
@@ -104,10 +102,9 @@ pub struct ObsOptions {
 }
 
 impl ObsOptions {
-    /// Extracts `--trace FILE` / `--metrics` / `--trace-sample N` /
-    /// `--mem-metrics` / `--mem-sample N` from `args` (valid in any
-    /// position and order), returning the switches and the remaining
-    /// arguments in order.
+    /// Extracts `--trace FILE` / `--metrics` / `--mem-metrics` /
+    /// `--mem-sample N` from `args` (valid in any position and order),
+    /// returning the switches and the remaining arguments in order.
     pub fn extract<I>(args: I) -> Result<(ObsOptions, Vec<String>), ParseError>
     where
         I: IntoIterator<Item = String>,
@@ -124,17 +121,6 @@ impl ObsOptions {
                     );
                 }
                 "--metrics" => obs.metrics = true,
-                "--trace-sample" => {
-                    let n: u32 = it
-                        .next()
-                        .ok_or_else(|| invalid("--trace-sample requires a value"))?
-                        .parse()
-                        .map_err(|e| invalid(format!("--trace-sample: {e}")))?;
-                    if n == 0 {
-                        return Err(invalid("--trace-sample must be at least 1"));
-                    }
-                    obs.trace_sample = Some(n);
-                }
                 "--mem-metrics" => obs.mem_metrics = true,
                 "--mem-sample" => {
                     let n: u64 = it
@@ -193,9 +179,7 @@ commands:
 
 global flags (any command):
   --trace FILE    write a Chrome trace (chrome://tracing JSON) of the run
-  --metrics       print the per-stage/metrics summary to stderr
-  --trace-sample N  record every Nth same-name span per thread
-                  (default: $PARCSR_TRACE_SAMPLE, else 1 = record all)
+  --metrics       print the per-stage summary to stderr
   --mem-metrics   track live/peak heap bytes and per-stage memory peaks
   --mem-sample N  sample the live-heap high-water mark every Nth allocation
                   (default: $PARCSR_MEM_SAMPLE, else off; implies accounting)
@@ -594,8 +578,6 @@ mod tests {
         let args = [
             "--metrics",
             "compress",
-            "--trace-sample",
-            "8",
             "in.txt",
             "--trace",
             "/tmp/t.json",
@@ -606,7 +588,6 @@ mod tests {
         let (obs, rest) = ObsOptions::extract(args.iter().map(|s| s.to_string())).unwrap();
         assert_eq!(obs.trace.as_deref(), Some("/tmp/t.json"));
         assert!(obs.metrics);
-        assert_eq!(obs.trace_sample, Some(8));
         assert!(obs.mem_metrics);
         assert!(obs.active());
         let c = Command::parse(rest).unwrap();
@@ -617,10 +598,16 @@ mod tests {
         assert_eq!(rest, ["stats", "g.txt"]);
 
         assert!(ObsOptions::extract(["--trace".to_string()]).is_err());
-        assert!(ObsOptions::extract(["--trace-sample".to_string()]).is_err());
-        assert!(
-            ObsOptions::extract(["--trace-sample".to_string(), "0".to_string()]).is_err(),
-            "period 0 is invalid"
+
+        // Spans are not sampled: `--trace-sample` is not an obs switch, so
+        // it stays in the arguments and the command rejects it.
+        let args = ["compress", "in.txt", "--out", "o", "--trace-sample", "8"];
+        let (obs, rest) = ObsOptions::extract(args.iter().map(|s| s.to_string())).unwrap();
+        assert!(!obs.active());
+        assert_eq!(rest, args);
+        assert_eq!(
+            Command::parse(rest),
+            Err(ParseError::Invalid("unknown flag --trace-sample".into()))
         );
     }
 
@@ -650,12 +637,8 @@ mod tests {
                 "--edge",
                 "1,2",
                 "--metrics",
-                "--trace-sample",
-                "4",
             ],
             &[
-                "--trace-sample",
-                "4",
                 "--metrics",
                 "query",
                 "g.pcsr",
@@ -669,7 +652,6 @@ mod tests {
         for args in orders {
             let (obs, rest) = ObsOptions::extract(args.iter().map(|s| s.to_string())).unwrap();
             assert_eq!(obs.trace.as_deref(), Some("t.json"), "{args:?}");
-            assert_eq!(obs.trace_sample, Some(4), "{args:?}");
             assert!(obs.metrics && obs.mem_metrics, "{args:?}");
             let c = Command::parse(rest).unwrap();
             assert!(matches!(c, Command::Query { .. }), "{args:?}");

@@ -21,9 +21,11 @@
 //! [`parcsr_runtime::plan`] planner, so a run of hub queries does not land in
 //! one processor's chunk.
 //!
-//! The kernels carry no per-query timer: a batch records one span and its
-//! chunk spans, and per-query serving latency is the caller's to measure
-//! (the closed-loop load driver times each request it issues).
+//! The kernels carry no per-query timer: a batch split across processors
+//! records one span, its `plan` span and its chunk spans; a one-chunk batch
+//! (one processor or one query) records none. Per-query serving latency is
+//! the caller's to measure (the closed-loop load driver times each request
+//! it issues).
 
 use rayon::prelude::*;
 
@@ -146,40 +148,11 @@ fn degree_prefix<S: NeighborSource>(
     prefix
 }
 
-/// True when a batch runs as one chunk, inline on the calling thread.
+/// True when a batch runs as one chunk, inline on the calling thread: the
+/// queries are answered in order and collected straight into the result,
+/// with no degree prefix, plan, work vector, flatten or span.
 fn one_chunk(processors: usize, queries: usize) -> bool {
     processors <= 1 || queries <= 1
-}
-
-/// The one-chunk batch: answers every query inline and collects straight
-/// into the result, with no degree prefix, plan, work vector or flatten. It
-/// records the same `span` / `chunk_span` pair a one-chunk plan records;
-/// their edge totals (the sum of `degree` over the queries) are taken only
-/// while recording is on.
-fn run_inline<Q, R>(
-    span: &'static str,
-    chunk_span: &'static str,
-    queries: &[Q],
-    degree: impl Fn(&Q) -> usize,
-    answer: impl FnMut(&Q) -> R,
-) -> Vec<R> {
-    let edges = if parcsr_obs::is_enabled() {
-        queries.iter().map(|q| degree(q) as u64).sum()
-    } else {
-        0
-    };
-    let _span = parcsr_obs::enter_with_args(span, parcsr_obs::SpanArgs::new().edges(edges));
-    let _chunk = (!queries.is_empty()).then(|| {
-        parcsr_obs::enter_with_args(
-            chunk_span,
-            parcsr_obs::SpanArgs::new()
-                .chunk(0)
-                .chunk_len(queries.len() as u64)
-                .edges(edges),
-        )
-    });
-    // LINT: alloc-ok(the single exactly-sized result vector the API returns)
-    queries.iter().map(answer).collect()
 }
 
 /// One neighborhood query.
@@ -201,13 +174,11 @@ pub fn neighbors_batch<S: NeighborSource>(
     processors: usize,
 ) -> Vec<Vec<NodeId>> {
     if one_chunk(processors, queries.len()) {
-        return run_inline(
-            "query.neighbors",
-            "query.neighbors.chunk",
-            queries,
-            |&u| source.degree(u),
-            |&u| neighbors_query(source, u),
-        );
+        return queries
+            .iter()
+            .map(|&u| neighbors_query(source, u))
+            // LINT: alloc-ok(the single exactly-sized result vector the API returns)
+            .collect();
     }
     let prefix = degree_prefix(source, queries.iter().copied(), queries.len());
     let _span = parcsr_obs::enter_with_args(
@@ -275,13 +246,8 @@ fn batch_edge_queries<S: NeighborSource>(
 ) -> Vec<bool> {
     let edge_query = |&(u, v): &(NodeId, NodeId)| probe(source, u, v);
     if one_chunk(processors, queries.len()) {
-        return run_inline(
-            "query.edges",
-            "query.edges.chunk",
-            queries,
-            |&(u, _)| source.degree(u),
-            edge_query,
-        );
+        // LINT: alloc-ok(the single exactly-sized result vector the API returns)
+        return queries.iter().map(edge_query).collect();
     }
     let prefix = degree_prefix(source, queries.iter().map(|&(u, _)| u), queries.len());
     let _span = parcsr_obs::enter_with_args(

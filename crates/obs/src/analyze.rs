@@ -14,10 +14,7 @@
 //! instance's `[start, end)` interval the analyzer attributes **work spans**:
 //! the outermost spans of each thread fully contained in the interval
 //! (worker spans at depth 0, coordinator sub-spans at depth 1 — deeper
-//! nesting would double-count time already attributed to its parent). Each
-//! span's duration is scaled by its sampling period (Horvitz–Thompson, as in
-//! [`aggregate_stages`](crate::export::aggregate_stages)) so sampled traces
-//! produce unbiased busy-time estimates.
+//! nesting would double-count time already attributed to its parent).
 //!
 //! Per instance:
 //!
@@ -35,8 +32,7 @@
 //!   chunk)`, and the Pearson correlation of duration against the
 //!   `chunk_len` / `edges` payloads (a high correlation says the imbalance
 //!   is *size*-driven and a size-aware splitter would fix it; a low one says
-//!   it is content-driven). Per-chunk durations are used unscaled — sampling
-//!   thins the observations but does not bias an individual duration.
+//!   it is content-driven).
 //!
 //! This module is plain arithmetic over already-collected records, so it is
 //! compiled unconditionally — `cargo xtask trace-analyze` links it without
@@ -61,9 +57,6 @@ pub struct AnalyzedSpan {
     pub tid: u32,
     /// Nesting depth at entry (0 = top level on its thread).
     pub depth: u16,
-    /// Sampling period the record was kept under (`1` = unsampled); busy
-    /// time is scaled by this factor.
-    pub sample: u32,
     /// Chunk index payload, when the span carried one.
     pub chunk: Option<u64>,
     /// Chunk length payload (elements), when carried.
@@ -88,7 +81,6 @@ impl From<&SpanRecord> for AnalyzedSpan {
             dur_ns: r.dur_ns,
             tid: r.tid,
             depth: r.depth,
-            sample: r.sample.max(1),
             chunk: r.args.chunk,
             chunk_len: r.args.chunk_len,
             edges: r.args.edges,
@@ -101,9 +93,9 @@ impl From<&SpanRecord> for AnalyzedSpan {
 pub struct WorkerBusy {
     /// Worker id (`0` = coordinator).
     pub tid: u32,
-    /// Sample-scaled busy nanoseconds attributed to this lane.
+    /// Busy nanoseconds attributed to this lane.
     pub busy_ns: u64,
-    /// Work spans actually recorded on this lane (unscaled).
+    /// Work spans recorded on this lane.
     pub spans: u64,
     /// Merged busy intervals `(start_ns, end_ns)`, ascending and disjoint;
     /// drives the [`timeline`](Self::timeline) bar.
@@ -144,10 +136,8 @@ pub struct ChunkObs {
     pub tid: u32,
     /// Chunk index payload.
     pub chunk: u64,
-    /// Observed (unscaled) duration in nanoseconds.
+    /// Observed duration in nanoseconds.
     pub dur_ns: u64,
-    /// Sampling period the observation was kept under.
-    pub sample: u32,
     /// `chunk_len` payload, when carried.
     pub chunk_len: Option<u64>,
     /// `edges` payload, when carried.
@@ -157,10 +147,8 @@ pub struct ChunkObs {
 /// Imbalance statistics over a set of chunk observations.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChunkStats {
-    /// Chunk spans actually observed (after sampling).
+    /// Chunk spans observed.
     pub observed: usize,
-    /// Estimated true chunk count (`Σ sample` over observations).
-    pub estimated: u64,
     /// Mean observed chunk duration in nanoseconds.
     pub mean_ns: f64,
     /// Maximum observed chunk duration in nanoseconds.
@@ -207,7 +195,6 @@ pub fn chunk_stats(obs: &[ChunkObs]) -> Option<ChunkStats> {
     };
     Some(ChunkStats {
         observed: obs.len(),
-        estimated: obs.iter().map(|o| u64::from(o.sample)).sum(),
         mean_ns: mean,
         max_ns: straggler.dur_ns,
         cv,
@@ -251,7 +238,7 @@ pub struct StageInstance {
     pub dur_ns: u64,
     /// Per-lane busy accounting, ascending by `tid`.
     pub workers: Vec<WorkerBusy>,
-    /// Total sample-scaled busy nanoseconds over all lanes.
+    /// Total busy nanoseconds over all lanes.
     pub busy_ns: u64,
     /// Busy nanoseconds of the busiest lane.
     pub critical_path_ns: u64,
@@ -337,7 +324,6 @@ impl ChunkStats {
     pub fn to_json(&self) -> Json {
         Json::Object(vec![
             ("observed".into(), Json::Int(self.observed as i64)),
-            ("estimated".into(), Json::Int(self.estimated as i64)),
             ("mean_ms".into(), Json::Float(self.mean_ns / 1e6)),
             ("max_ms".into(), ms(self.max_ns)),
             ("cv".into(), Json::Float(self.cv)),
@@ -469,7 +455,6 @@ fn analyze_instance(top: &AnalyzedSpan, spans: &[AnalyzedSpan]) -> StageInstance
                 tid: r.tid,
                 chunk,
                 dur_ns: r.dur_ns,
-                sample: r.sample.max(1),
                 chunk_len: r.chunk_len,
                 edges: r.edges,
             });
@@ -496,7 +481,7 @@ fn analyze_instance(top: &AnalyzedSpan, spans: &[AnalyzedSpan]) -> StageInstance
                 workers.last_mut().expect("just pushed")
             }
         };
-        w.busy_ns += r.dur_ns * u64::from(r.sample.max(1));
+        w.busy_ns += r.dur_ns;
         w.spans += 1;
         w.intervals.push((r.start_ns, r.end_ns()));
     }
@@ -613,7 +598,6 @@ mod tests {
             dur_ns: dur,
             tid,
             depth,
-            sample: 1,
             chunk: None,
             chunk_len: None,
             edges: None,
@@ -702,16 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn sampling_scales_busy_time_up() {
-        let mut w = span("w", 1, 0, 0, 10);
-        w.sample = 4; // stands for 4 same-name spans
-        let spans = vec![span("pack", 0, 0, 0, 80), w];
-        let i = &analyze(&spans).instances[0];
-        assert_eq!(i.busy_ns, 40);
-        assert!((i.utilization - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn nested_spans_do_not_double_count() {
         let spans = vec![
             span("pack", 0, 0, 0, 100),
@@ -747,7 +721,6 @@ mod tests {
                 tid: 1,
                 chunk: 0,
                 dur_ns: 10,
-                sample: 1,
                 chunk_len: Some(1),
                 edges: Some(3),
             },
@@ -756,7 +729,6 @@ mod tests {
                 tid: 2,
                 chunk: 1,
                 dur_ns: 20,
-                sample: 1,
                 chunk_len: Some(2),
                 edges: Some(2),
             },
@@ -765,14 +737,12 @@ mod tests {
                 tid: 3,
                 chunk: 2,
                 dur_ns: 30,
-                sample: 1,
                 chunk_len: Some(3),
                 edges: Some(1),
             },
         ];
         let st = chunk_stats(&obs).unwrap();
         assert_eq!(st.observed, 3);
-        assert_eq!(st.estimated, 3);
         assert!((st.mean_ns - 20.0).abs() < 1e-12);
         assert_eq!(st.max_ns, 30);
         // Population std-dev of {10,20,30} is sqrt(200/3) ≈ 8.165.
@@ -791,12 +761,11 @@ mod tests {
             tid: 1,
             chunk: 0,
             dur_ns: 5,
-            sample: 2,
             chunk_len: None,
             edges: None,
         }];
         let st = chunk_stats(&one).unwrap();
-        assert_eq!(st.estimated, 2);
+        assert_eq!(st.observed, 1);
         assert_eq!(st.cv, 0.0);
         assert!(st.corr_chunk_len.is_none() && st.corr_edges.is_none());
         // Zero variance on one side: correlation undefined, not NaN.

@@ -7,15 +7,14 @@
 //! Span events are sorted by `(tid, ts, depth)`, so each thread's events
 //! appear in chronological order with parents before the children they
 //! enclose, and carry the typed [`SpanArgs`](crate::SpanArgs) payload (plus
-//! `depth` and, when sampled, the `sample` period) in their `args` object.
+//! `depth`) in their `args` object.
 //!
 //! After the span events come counter (`"ph": "C"`) events: a
 //! `mem.live_bytes` / `mem.stage_peak_bytes` series sampled at the end of
-//! each top-level coordinator span (when memory accounting ran), a final
-//! `mem.peak_bytes` point, and one terminal point per metric — counters,
-//! gauges, and the query-latency histograms (`count`/`p50`/`p95`/`p99`) —
-//! so latency and memory land in the same timeline as the spans. When the
-//! caller hands it serving windows ([`crate::serve::HistoryWindow`], as the
+//! each top-level coordinator span (when memory accounting ran) and one
+//! final `mem.peak_bytes` point, so memory lands in the same timeline as the
+//! spans. Each memory series keeps one arg key. When the caller hands it
+//! serving windows ([`crate::serve::HistoryWindow`], as the
 //! closed-loop driver keeps them), every window adds, at its rotation
 //! timestamp, a `query.win.<kind>.<class>` point per non-empty cell (args:
 //! `window`, `count`, `sum`, `p50`, `p95`, `p99`), one `query.win.qps` point
@@ -24,8 +23,7 @@
 //! kinds.
 //!
 //! The summary exporter renders per-stage and per-(stage, worker) wall-clock
-//! aggregates, a memory section when accounting ran, and the metrics
-//! snapshot (counters, gauges, histogram percentiles) as fixed-width text
+//! aggregates and a memory section when accounting ran, as fixed-width text
 //! for terminals and log files.
 
 use std::collections::BTreeMap;
@@ -34,15 +32,12 @@ use std::path::Path;
 
 use crate::json::Json;
 use crate::mem::MemSnapshot;
-use crate::metrics::{HistogramSummary, MetricsSnapshot};
+use crate::metrics::HistogramSummary;
 use crate::serve::{exemplar_series_name, window_series_name, HistoryWindow};
 use crate::span::SpanRecord;
 
 fn span_args_json(r: &SpanRecord) -> Json {
     let mut args = vec![("depth".into(), Json::Int(i64::from(r.depth)))];
-    if r.sample > 1 {
-        args.push(("sample".into(), Json::Int(i64::from(r.sample))));
-    }
     if let Some(edges) = r.args.edges {
         args.push(("edges".into(), Json::Int(edges as i64)));
     }
@@ -113,9 +108,8 @@ fn counter_event(name: &str, ts_us: f64, args: Vec<(String, Json)>) -> Json {
 /// Builds the full Chrome trace: the span events of [`chrome_trace_json`]
 /// followed by counter (`"C"`) events for memory (a live-bytes series
 /// sampled at each top-level coordinator span end, a per-stage peak series,
-/// and the process peak) and for every metric in `metrics` — counters,
-/// gauges, and the query-latency histograms. Pass `mem = None` when memory
-/// accounting did not run; the memory series are then omitted. `history`
+/// and the process peak). Pass `mem = None` when memory accounting did not
+/// run; the memory series are then omitted. `history`
 /// (the closed-loop driver's rotated windows, oldest first) adds the
 /// per-window serving-telemetry series described in the module docs: the
 /// `query.win.*` cells and `query.win.qps` of every window, then every
@@ -124,7 +118,6 @@ fn counter_event(name: &str, ts_us: f64, args: Vec<(String, Json)>) -> Json {
 #[must_use]
 pub fn chrome_trace_with_counters(
     spans: &[SpanRecord],
-    metrics: &MetricsSnapshot,
     mem: Option<MemSnapshot>,
     history: &[HistoryWindow],
 ) -> Json {
@@ -156,33 +149,6 @@ pub fn chrome_trace_with_counters(
             "mem.peak_bytes",
             end_us,
             vec![("peak_bytes".into(), Json::Int(snap.peak_bytes as i64))],
-        ));
-    }
-
-    for (name, v) in &metrics.counters {
-        events.push(counter_event(
-            name,
-            end_us,
-            vec![("value".into(), Json::Int(*v as i64))],
-        ));
-    }
-    for (name, v) in &metrics.gauges {
-        events.push(counter_event(
-            name,
-            end_us,
-            vec![("value".into(), Json::Int(*v))],
-        ));
-    }
-    for (name, h) in &metrics.histograms {
-        events.push(counter_event(
-            name,
-            end_us,
-            vec![
-                ("count".into(), Json::Int(h.count as i64)),
-                ("p50".into(), Json::Int(h.p50 as i64)),
-                ("p95".into(), Json::Int(h.p95 as i64)),
-                ("p99".into(), Json::Int(h.p99 as i64)),
-            ],
         ));
     }
 
@@ -233,13 +199,12 @@ pub fn chrome_trace_with_counters(
 pub fn write_chrome_trace(
     path: &Path,
     spans: &[SpanRecord],
-    metrics: &MetricsSnapshot,
     mem: Option<MemSnapshot>,
     history: &[HistoryWindow],
 ) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
     file.write_all(
-        chrome_trace_with_counters(spans, metrics, mem, history)
+        chrome_trace_with_counters(spans, mem, history)
             .pretty()
             .as_bytes(),
     )?;
@@ -247,23 +212,15 @@ pub fn write_chrome_trace(
 }
 
 /// Per-stage wall-clock aggregate used by the summary table and the bench
-/// JSON breakdown. When spans were sampled (period `N > 1`), `calls` and
-/// `total_ms` are scaled back up by each record's period — unbiased
-/// estimates of the unsampled values — while `kept` counts the records
-/// actually present.
+/// JSON breakdown.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageAgg {
     /// Span name.
     pub name: &'static str,
-    /// Estimated number of spans with this name (kept records weighted by
-    /// their sampling period).
+    /// Number of spans with this name.
     pub calls: u64,
-    /// Estimated summed duration, milliseconds (durations weighted by the
-    /// sampling period).
+    /// Summed duration, milliseconds.
     pub total_ms: f64,
-    /// Number of records actually kept by the sampler (`== calls` when
-    /// unsampled).
-    pub kept: u64,
     /// Distinct worker ids that ran this stage.
     pub workers: usize,
     /// Largest per-span peak of live heap bytes observed in this stage; `0`
@@ -274,16 +231,12 @@ pub struct StageAgg {
 /// Aggregates spans by name, insertion-ordered by first appearance (which
 /// for a pipeline run is pipeline order). Pass `top_level_only = true` to
 /// keep only `depth == 0` coordinator spans — the per-stage breakdown whose
-/// durations sum to the end-to-end construction time. Sampled records
-/// (`sample = N`) each stand for `N` same-name spans on their thread and are
-/// scaled accordingly (Horvitz–Thompson estimate), so stage shares stay
-/// unbiased under sampling.
+/// durations sum to the end-to-end construction time.
 #[must_use]
 pub fn aggregate_stages(spans: &[SpanRecord], top_level_only: bool) -> Vec<StageAgg> {
     struct Acc {
         calls: u64,
         total_ns: u64,
-        kept: u64,
         mem_peak: u64,
         tids: Vec<u32>,
     }
@@ -293,20 +246,17 @@ pub fn aggregate_stages(spans: &[SpanRecord], top_level_only: bool) -> Vec<Stage
         if top_level_only && !(r.depth == 0 && r.tid == 0) {
             continue;
         }
-        let weight = u64::from(r.sample.max(1));
         let entry = by_name.entry(r.name).or_insert_with(|| {
             order.push(r.name);
             Acc {
                 calls: 0,
                 total_ns: 0,
-                kept: 0,
                 mem_peak: 0,
                 tids: Vec::new(),
             }
         });
-        entry.calls += weight;
-        entry.total_ns += r.dur_ns * weight;
-        entry.kept += 1;
+        entry.calls += 1;
+        entry.total_ns += r.dur_ns;
         entry.mem_peak = entry.mem_peak.max(r.mem_peak);
         if !entry.tids.contains(&r.tid) {
             entry.tids.push(r.tid);
@@ -320,7 +270,6 @@ pub fn aggregate_stages(spans: &[SpanRecord], top_level_only: bool) -> Vec<Stage
                 name,
                 calls: acc.calls,
                 total_ms: acc.total_ns as f64 / 1e6,
-                kept: acc.kept,
                 workers: acc.tids.len(),
                 mem_peak_bytes: acc.mem_peak,
             }
@@ -338,17 +287,13 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Renders the per-stage / per-worker summary table, the memory section
-/// (when accounting ran), and the metrics snapshot as fixed-width text.
-/// Returns a note instead of tables when nothing was recorded.
+/// Renders the per-stage / per-worker summary table and the memory section
+/// (when accounting ran) as fixed-width text. Returns a note instead of
+/// tables when nothing was recorded.
 #[must_use]
-pub fn summary_table(
-    spans: &[SpanRecord],
-    metrics: &MetricsSnapshot,
-    mem: Option<MemSnapshot>,
-) -> String {
+pub fn summary_table(spans: &[SpanRecord], mem: Option<MemSnapshot>) -> String {
     let mut out = String::new();
-    if spans.is_empty() && metrics.is_empty() && mem.is_none() {
+    if spans.is_empty() && mem.is_none() {
         out.push_str("obs: nothing recorded");
         if !crate::compiled() {
             out.push_str(" (parcsr-obs compiled without the `enabled` feature)");
@@ -358,21 +303,17 @@ pub fn summary_table(
     }
 
     if !spans.is_empty() {
-        let sampled = spans.iter().any(|r| r.sample > 1);
         out.push_str("== stages (all spans, by name) ==\n");
         out.push_str(&format!(
-            "{:<24} {:>8} {:>8} {:>12} {:>12} {:>8}\n",
-            "stage", "calls", "kept", "total_ms", "mean_us", "workers"
+            "{:<24} {:>8} {:>12} {:>12} {:>8}\n",
+            "stage", "calls", "total_ms", "mean_us", "workers"
         ));
         for agg in aggregate_stages(spans, false) {
             let mean_us = agg.total_ms * 1e3 / agg.calls as f64;
             out.push_str(&format!(
-                "{:<24} {:>8} {:>8} {:>12.3} {:>12.2} {:>8}\n",
-                agg.name, agg.calls, agg.kept, agg.total_ms, mean_us, agg.workers
+                "{:<24} {:>8} {:>12.3} {:>12.2} {:>8}\n",
+                agg.name, agg.calls, agg.total_ms, mean_us, agg.workers
             ));
-        }
-        if sampled {
-            out.push_str("(sampled trace: calls and total_ms are scaled-up estimates)\n");
         }
 
         out.push_str("\n== per worker (stage x tid) ==\n");
@@ -383,14 +324,13 @@ pub fn summary_table(
         let mut per_worker: BTreeMap<(&'static str, u32), (u64, u64)> = BTreeMap::new();
         let mut order: Vec<(&'static str, u32)> = Vec::new();
         for r in spans {
-            let weight = u64::from(r.sample.max(1));
             let key = (r.name, r.tid);
             let entry = per_worker.entry(key).or_insert_with(|| {
                 order.push(key);
                 (0, 0)
             });
-            entry.0 += weight;
-            entry.1 += r.dur_ns * weight;
+            entry.0 += 1;
+            entry.1 += r.dur_ns;
         }
         for key in order {
             let (calls, total_ns) = per_worker[&key];
@@ -424,21 +364,6 @@ pub fn summary_table(
         }
     }
 
-    if !metrics.is_empty() {
-        out.push_str("\n== metrics ==\n");
-        for (name, v) in &metrics.counters {
-            out.push_str(&format!("counter   {name:<28} {v}\n"));
-        }
-        for (name, v) in &metrics.gauges {
-            out.push_str(&format!("gauge     {name:<28} {v}\n"));
-        }
-        for (name, h) in &metrics.histograms {
-            out.push_str(&format!(
-                "histogram {name:<28} count={} p50={} p95={} p99={} max={}\n",
-                h.count, h.p50, h.p95, h.p99, h.max
-            ));
-        }
-    }
     out
 }
 
@@ -454,7 +379,6 @@ mod tests {
             dur_ns: dur,
             tid,
             depth,
-            sample: 1,
             args: SpanArgs::new(),
             mem_peak: 0,
             mem_live: 0,
@@ -486,19 +410,17 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_emits_span_args_and_sample() {
+    fn chrome_trace_emits_span_args() {
         let mut packed = span("pack.chunk", 0, 1_000, 1, 0);
         packed.args = SpanArgs::new().edges(512).chunk(3).chunk_len(128).bits(7);
-        packed.sample = 8;
         let plain = span("scan", 2_000, 1_000, 0, 0);
         let json = chrome_trace_json(&[packed, plain]);
         let events = json.as_array().unwrap();
         let args0 = events[0].get("args").unwrap();
+        assert_eq!(args0.as_object().unwrap().len(), 1);
         assert_eq!(args0.get("depth").unwrap().as_i64(), Some(0));
-        assert!(args0.get("sample").is_none());
-        assert!(args0.get("edges").is_none());
         let args1 = events[1].get("args").unwrap();
-        assert_eq!(args1.get("sample").unwrap().as_i64(), Some(8));
+        assert_eq!(args1.as_object().unwrap().len(), 5);
         assert_eq!(args1.get("edges").unwrap().as_i64(), Some(512));
         assert_eq!(args1.get("chunk").unwrap().as_i64(), Some(3));
         assert_eq!(args1.get("chunk_len").unwrap().as_i64(), Some(128));
@@ -513,32 +435,19 @@ mod tests {
         let mut b = span("scan", 4_000, 2_000, 0, 0);
         b.mem_live = 200;
         b.mem_peak = 700;
-        let mut metrics = MetricsSnapshot::default();
-        metrics.counters.push(("pool.installs".into(), 3));
-        metrics.histograms.push((
-            "query.has_edge_ns".into(),
-            crate::metrics::HistogramSummary {
-                count: 10,
-                sum: 1000,
-                max: 200,
-                p50: 90,
-                p95: 180,
-                p99: 199,
-            },
-        ));
         let mem = Some(MemSnapshot {
             live_bytes: 150,
             peak_bytes: 1000,
         });
-        let json = chrome_trace_with_counters(&[a, b], &metrics, mem, &[]);
+        let json = chrome_trace_with_counters(&[a, b], mem, &[]);
         let events = json.as_array().unwrap();
-        // 2 spans + 2×(live,stage_peak) + peak + counter + histogram = 9.
-        assert_eq!(events.len(), 9);
+        // 2 spans + 2×(live,stage_peak) + peak = 7.
+        assert_eq!(events.len(), 7);
         let counters: Vec<_> = events
             .iter()
             .filter(|e| e.get("ph").unwrap().as_str() == Some("C"))
             .collect();
-        assert_eq!(counters.len(), 7);
+        assert_eq!(counters.len(), 5);
         // The live-bytes series is time-ordered and carries the span values.
         let live: Vec<_> = counters
             .iter()
@@ -555,21 +464,24 @@ mod tests {
             Some(100)
         );
         assert!(live[0].get("ts").unwrap().as_f64() <= live[1].get("ts").unwrap().as_f64());
-        // Histogram point carries the percentiles.
-        let hist = counters
+        // One process-peak point, carrying the snapshot's peak.
+        let peak: Vec<_> = counters
             .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("query.has_edge_ns"))
-            .unwrap();
+            .filter(|e| e.get("name").unwrap().as_str() == Some("mem.peak_bytes"))
+            .collect();
+        assert_eq!(peak.len(), 1);
         assert_eq!(
-            hist.get("args").unwrap().get("p95").unwrap().as_i64(),
-            Some(180)
+            peak[0]
+                .get("args")
+                .unwrap()
+                .get("peak_bytes")
+                .unwrap()
+                .as_i64(),
+            Some(1000)
         );
-        // No mem snapshot → no mem series at all.
-        let json = chrome_trace_with_counters(&[span("degree", 0, 1, 0, 0)], &metrics, None, &[]);
-        let events = json.as_array().unwrap();
-        assert!(events
-            .iter()
-            .all(|e| e.get("name").unwrap().as_str() != Some("mem.live_bytes")));
+        // No mem snapshot → no counter events at all.
+        let json = chrome_trace_with_counters(&[span("degree", 0, 1, 0, 0)], None, &[]);
+        assert_eq!(json.as_array().unwrap().len(), 1);
     }
 
     /// A serving window with no exemplars.
@@ -621,12 +533,8 @@ mod tests {
             // A window without traffic adds no points at all.
             history_window(2, 2_000_000_000, 3_000_000_000, Vec::new()),
         ];
-        let json = chrome_trace_with_counters(
-            &[span("serve", 0, 2_000_000_000, 0, 0)],
-            &MetricsSnapshot::default(),
-            None,
-            &windows,
-        );
+        let json =
+            chrome_trace_with_counters(&[span("serve", 0, 2_000_000_000, 0, 0)], None, &windows);
         let events = json.as_array().unwrap();
         // 1 span + 3 window cells + 2 qps points.
         assert_eq!(events.len(), 6);
@@ -690,12 +598,8 @@ mod tests {
             source: 42,
             ns: 95_000,
         }];
-        let json = chrome_trace_with_counters(
-            &[span("serve", 0, 1_000_000_000, 0, 0)],
-            &MetricsSnapshot::default(),
-            None,
-            &[window],
-        );
+        let json =
+            chrome_trace_with_counters(&[span("serve", 0, 1_000_000_000, 0, 0)], None, &[window]);
         let events = json.as_array().unwrap();
         // 1 span + 1 window cell + 1 qps point + 1 exemplar point, in that
         // order.
@@ -742,23 +646,18 @@ mod tests {
     }
 
     #[test]
-    fn aggregate_scales_sampled_records_back_up() {
-        // 3 kept records at period 4 stand for 12 calls; durations scale too.
+    fn aggregate_sums_calls_and_durations_and_keeps_the_largest_peak() {
         let mut spans = vec![
             span("bitpack.chunk", 0, 1_000, 1, 0),
             span("bitpack.chunk", 2_000, 3_000, 1, 0),
             span("bitpack.chunk", 6_000, 2_000, 2, 0),
         ];
-        for s in &mut spans {
-            s.sample = 4;
-        }
         spans[0].mem_peak = 500;
         spans[2].mem_peak = 900;
         let agg = aggregate_stages(&spans, false);
         assert_eq!(agg.len(), 1);
-        assert_eq!(agg[0].calls, 12);
-        assert_eq!(agg[0].kept, 3);
-        assert!((agg[0].total_ms - 0.024).abs() < 1e-9); // (1+3+2)µs × 4
+        assert_eq!(agg[0].calls, 3);
+        assert!((agg[0].total_ms - 0.006).abs() < 1e-9); // 1 + 3 + 2 µs
         assert_eq!(agg[0].workers, 2);
         assert_eq!(agg[0].mem_peak_bytes, 900);
     }
@@ -768,19 +667,16 @@ mod tests {
         let mut s = span("degree", 0, 1_500_000, 0, 0);
         s.mem_peak = 4096;
         let spans = vec![s];
-        let mut metrics = MetricsSnapshot::default();
-        metrics.counters.push(("pool.installs".into(), 3));
         let mem = Some(MemSnapshot {
             live_bytes: 2048,
             peak_bytes: 4096,
         });
-        let text = summary_table(&spans, &metrics, mem);
+        let text = summary_table(&spans, mem);
         assert!(text.contains("degree"));
-        assert!(text.contains("pool.installs"));
         assert!(text.contains("== per worker"));
         assert!(text.contains("== mem =="));
         assert!(text.contains("4.0 KiB"));
-        let empty = summary_table(&[], &MetricsSnapshot::default(), None);
+        let empty = summary_table(&[], None);
         assert!(empty.contains("nothing recorded"));
     }
 }

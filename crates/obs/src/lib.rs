@@ -1,7 +1,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
-//! Zero-dependency observability for the parcsr pipeline (tracing, metrics,
-//! memory accounting, per-stage profiling).
+//! Zero-dependency observability for the parcsr pipeline (tracing, latency
+//! histograms, memory accounting, per-stage profiling).
 //!
 //! The paper's whole evaluation is per-stage wall-clock attribution — degree
 //! count, prefix sum, scatter, bit packing, TCSR merge — so the reproduction
@@ -15,13 +15,12 @@
 //!   chunk index/size, bit width), recorded into per-thread buffers that
 //!   merge into a global sink when worker threads exit (the rayon shim's
 //!   scoped workers exit at join, so merge-at-join is automatic). Each span
-//!   carries the worker id it ran on. A deterministic per-thread 1-in-N
-//!   sampler ([`set_trace_sample`]) keeps tracing affordable in long runs;
-//!   kept records carry the period so aggregation stays unbiased.
-//! * **Metrics** ([`metrics`]): atomic counters and gauges plus log-bucketed
-//!   (HDR-style) latency histograms with p50/p95/p99 extraction, behind a
-//!   name registry. The serving slabs below are built from the same
-//!   histograms.
+//!   carries the worker id it ran on. Every span is recorded; the
+//!   instrumented code opens spans only around parallel regions and
+//!   pipeline stages, so a trace grows with the regions that ran.
+//! * **Histograms** ([`metrics`]): log-bucketed (HDR-style) latency
+//!   histograms with p50/p95/p99 extraction, the value type the serving
+//!   slabs below are built from.
 //! * **Memory** ([`mem`]): a counting global allocator (registered only by
 //!   the bench/CLI binaries) tracking live/peak heap bytes, with per-stage
 //!   peak attribution threaded through the span records.
@@ -35,9 +34,8 @@
 //! * **Exporters** ([`export`]): a human-readable per-stage/per-thread
 //!   summary table (with a memory section) and a Chrome `chrome://tracing`
 //!   JSON trace writer — span events with `args` payloads plus counter
-//!   events for memory, the registry's metrics and the serving windows it
-//!   is handed — built on the hand-rolled [`json`] module (shared with
-//!   `parcsr-bench`).
+//!   events for memory and the serving windows it is handed — built on the
+//!   hand-rolled [`json`] module (shared with `parcsr-bench`).
 //! * **Analysis** ([`analyze`]): pure arithmetic over collected spans —
 //!   per-stage worker-utilization/critical-path metrics and chunk-imbalance
 //!   statistics. Compiled unconditionally (it holds no recording state), so
@@ -53,8 +51,7 @@
 //! on the hot query path or anywhere else. With the feature compiled in,
 //! recording is additionally gated behind a runtime [`set_enabled`] switch
 //! (one relaxed atomic load when off) so `--trace` / `--metrics` /
-//! `--mem-metrics` flags decide whether anything is collected, and the
-//! [`set_trace_sample`] period bounds the recording cost of what is.
+//! `--mem-metrics` flags decide whether anything is collected.
 
 pub mod analyze;
 pub mod export;
@@ -64,22 +61,18 @@ pub mod metrics;
 pub mod serve;
 pub mod span;
 
-pub use metrics::{counter, gauge, Counter, Gauge, Histogram};
+pub use metrics::Histogram;
 pub use span::{
     drain, enter, enter_with_args, with_span, with_span_args, Span, SpanArgs, SpanRecord,
 };
 
 #[cfg(feature = "enabled")]
-// ORDERING: Relaxed throughout — ENABLED and TRACE_SAMPLE are independent
-// on/off knobs; readers need eventual visibility only, and no other
-// memory is published through them.
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering::Relaxed};
+// ORDERING: Relaxed — ENABLED is an on/off knob; readers need eventual
+// visibility only, and no other memory is published through it.
+use std::sync::atomic::{AtomicBool, Ordering::Relaxed};
 
 #[cfg(feature = "enabled")]
 static ENABLED: AtomicBool = AtomicBool::new(false);
-
-#[cfg(feature = "enabled")]
-static TRACE_SAMPLE: AtomicU32 = AtomicU32::new(1);
 
 /// Whether instrumentation was compiled in (the `enabled` cargo feature).
 #[must_use]
@@ -107,33 +100,6 @@ pub fn is_enabled() -> bool {
     #[cfg(not(feature = "enabled"))]
     {
         false
-    }
-}
-
-/// Sets the span sampling period: each thread records every `n`-th
-/// same-name span (deterministically, first occurrence always kept) and
-/// tags records with the period so aggregation can scale back up. `n <= 1`
-/// records everything (the default). A no-op unless the `enabled` feature
-/// was compiled in. Wired to `--trace-sample N` / `PARCSR_TRACE_SAMPLE` on
-/// the binaries.
-pub fn set_trace_sample(n: u32) {
-    #[cfg(feature = "enabled")]
-    TRACE_SAMPLE.store(n.max(1), Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    let _ = n;
-}
-
-/// The current span sampling period (`1` = record everything).
-#[inline(always)]
-#[must_use]
-pub fn trace_sample() -> u32 {
-    #[cfg(feature = "enabled")]
-    {
-        TRACE_SAMPLE.load(Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        1
     }
 }
 

@@ -190,7 +190,7 @@ pub fn sample_period() -> u64 {
 /// Opens a sampled-peak bracket for a span on the current thread: resets the
 /// thread's high-water mark to the current live size and returns the
 /// previous mark for [`span_mark_restore`]. Called by the span layer at the
-/// start of each kept nested/worker span when sampling is armed. Returns `0`
+/// start of each nested/worker span when sampling is armed. Returns `0`
 /// without the feature.
 #[must_use]
 pub fn span_mark_save() -> u64 {
@@ -218,16 +218,6 @@ pub fn span_mark_restore(saved: u64) -> u64 {
     {
         let _ = saved;
         0
-    }
-}
-
-/// Publishes the current accounting as `mem.live_bytes` / `mem.peak_bytes`
-/// gauges so the metrics snapshot (and its exporters) carry the memory view
-/// without a special case. A no-op when accounting is not [`active`].
-pub fn publish_gauges() {
-    if let Some(snap) = snapshot() {
-        crate::metrics::gauge("mem.live_bytes").set(snap.live_bytes as i64);
-        crate::metrics::gauge("mem.peak_bytes").set(snap.peak_bytes as i64);
     }
 }
 

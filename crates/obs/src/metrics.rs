@@ -1,13 +1,8 @@
-//! Metrics: atomic counters, gauges, and log-bucketed latency histograms.
+//! Log-bucketed latency histograms: the value type the serving slabs in
+//! [`crate::serve`] are built from.
 //!
-//! The value types ([`Counter`], [`Gauge`], [`Histogram`]) are always
-//! compiled and fully functional — they are plain atomics, `const`
-//! constructible, and unit-testable without any feature. What the `enabled`
-//! cargo feature gates is the *facade* instrumented crates use: the
-//! name-registry handles ([`counter`], [`gauge`], [`histogram`]) become
-//! zero-sized no-ops when the feature is off, so disabled builds pay
-//! nothing at the call sites. Per-query latency lives in
-//! [`crate::serve`], not here.
+//! [`Histogram`] is always compiled and fully functional — plain relaxed
+//! atomics, `const` constructible, and unit-testable without any feature.
 //!
 //! The histogram is HDR-style log-bucketed: values `< 32` get exact
 //! single-value buckets; above that each power-of-two octave is split into
@@ -15,89 +10,10 @@
 //! `1/32` (~3.1%) while covering the full `u64` range in 1920 buckets
 //! (15 KiB of relaxed atomics per histogram).
 
-// ORDERING: Relaxed throughout — counters, gauges, and histogram buckets
-// are independent statistical cells, snapshotted after the workload's
-// join; no reader depends on cross-cell ordering.
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering::Relaxed};
-
-/// Monotonically increasing event count.
-#[derive(Debug)]
-pub struct Counter {
-    v: AtomicU64,
-}
-
-impl Counter {
-    /// A zeroed counter (usable in `static` position).
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            v: AtomicU64::new(0),
-        }
-    }
-
-    /// Adds `n`.
-    #[inline]
-    pub fn add(&self, n: u64) {
-        self.v.fetch_add(n, Relaxed);
-    }
-
-    /// Adds 1.
-    #[inline]
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> u64 {
-        self.v.load(Relaxed)
-    }
-
-    /// Resets to zero (tests and per-run collection).
-    pub fn reset(&self) {
-        self.v.store(0, Relaxed);
-    }
-}
-
-impl Default for Counter {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Last-write-wins instantaneous value (e.g. current pool width).
-#[derive(Debug)]
-pub struct Gauge {
-    v: AtomicI64,
-}
-
-impl Gauge {
-    /// A zeroed gauge (usable in `static` position).
-    #[must_use]
-    pub const fn new() -> Self {
-        Self {
-            v: AtomicI64::new(0),
-        }
-    }
-
-    /// Sets the value.
-    #[inline]
-    pub fn set(&self, v: i64) {
-        self.v.store(v, Relaxed);
-    }
-
-    /// Current value.
-    #[must_use]
-    pub fn get(&self) -> i64 {
-        self.v.load(Relaxed)
-    }
-}
-
-impl Default for Gauge {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+// ORDERING: Relaxed throughout — histogram buckets are independent
+// statistical cells, snapshotted after the workload's join; no reader
+// depends on cross-cell ordering.
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 /// Sub-bucket precision: each power-of-two octave splits into `2^SUB_BITS`
 /// linear buckets.
@@ -281,245 +197,4 @@ pub struct HistogramSummary {
     pub p95: u64,
     /// 99th percentile (bucket upper bound).
     pub p99: u64,
-}
-
-#[cfg(feature = "enabled")]
-mod registry {
-    use super::{Counter, Gauge, Histogram};
-    use std::sync::{Mutex, PoisonError};
-
-    pub(super) enum Metric {
-        Counter(&'static Counter),
-        Gauge(&'static Gauge),
-        Histogram(&'static Histogram),
-    }
-
-    static REGISTRY: Mutex<Vec<(&'static str, Metric)>> = Mutex::new(Vec::new());
-
-    fn lookup<T>(
-        name: &'static str,
-        pick: impl Fn(&Metric) -> Option<&'static T>,
-        make: impl FnOnce() -> Metric,
-    ) -> &'static T {
-        let mut reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(found) = reg
-            .iter()
-            .find(|(n, _)| *n == name)
-            .and_then(|(_, m)| pick(m))
-        {
-            return found;
-        }
-        reg.push((name, make()));
-        match pick(&reg[reg.len() - 1].1) {
-            Some(found) => found,
-            // Unreachable: `make` produced the variant `pick` accepts.
-            None => unreachable!("freshly registered metric has the requested kind"),
-        }
-    }
-
-    pub(super) fn counter(name: &'static str) -> &'static Counter {
-        lookup(
-            name,
-            |m| match m {
-                Metric::Counter(c) => Some(*c),
-                _ => None,
-            },
-            || Metric::Counter(Box::leak(Box::new(Counter::new()))),
-        )
-    }
-
-    pub(super) fn gauge(name: &'static str) -> &'static Gauge {
-        lookup(
-            name,
-            |m| match m {
-                Metric::Gauge(g) => Some(*g),
-                _ => None,
-            },
-            || Metric::Gauge(Box::leak(Box::new(Gauge::new()))),
-        )
-    }
-
-    pub(super) fn histogram(name: &'static str) -> &'static Histogram {
-        lookup(
-            name,
-            |m| match m {
-                Metric::Histogram(h) => Some(*h),
-                _ => None,
-            },
-            || Metric::Histogram(Box::leak(Box::new(Histogram::new()))),
-        )
-    }
-
-    pub(super) fn visit(
-        mut on_counter: impl FnMut(&'static str, u64),
-        mut on_gauge: impl FnMut(&'static str, i64),
-        mut on_histogram: impl FnMut(&'static str, &'static Histogram),
-    ) {
-        let reg = REGISTRY.lock().unwrap_or_else(PoisonError::into_inner);
-        for (name, metric) in reg.iter() {
-            match metric {
-                Metric::Counter(c) => on_counter(name, c.get()),
-                Metric::Gauge(g) => on_gauge(name, g.get()),
-                Metric::Histogram(h) => on_histogram(name, h),
-            }
-        }
-    }
-}
-
-/// Handle to a named counter. Zero-sized no-op when the `enabled` feature is
-/// off; otherwise a pointer into the global registry.
-#[derive(Clone, Copy)]
-pub struct CounterHandle {
-    #[cfg(feature = "enabled")]
-    inner: &'static Counter,
-}
-
-impl CounterHandle {
-    /// Adds `n` if recording is on.
-    #[inline(always)]
-    pub fn add(self, n: u64) {
-        #[cfg(feature = "enabled")]
-        if crate::is_enabled() {
-            self.inner.add(n);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = n;
-    }
-
-    /// Adds 1 if recording is on.
-    #[inline(always)]
-    pub fn inc(self) {
-        self.add(1);
-    }
-}
-
-/// Handle to a named gauge; see [`CounterHandle`].
-#[derive(Clone, Copy)]
-pub struct GaugeHandle {
-    #[cfg(feature = "enabled")]
-    inner: &'static Gauge,
-}
-
-impl GaugeHandle {
-    /// Sets the value if recording is on.
-    #[inline(always)]
-    pub fn set(self, v: i64) {
-        #[cfg(feature = "enabled")]
-        if crate::is_enabled() {
-            self.inner.set(v);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
-    }
-}
-
-/// Handle to a named histogram; see [`CounterHandle`].
-#[derive(Clone, Copy)]
-pub struct HistogramHandle {
-    #[cfg(feature = "enabled")]
-    inner: &'static Histogram,
-}
-
-impl HistogramHandle {
-    /// Records `v` if recording is on.
-    #[inline(always)]
-    pub fn record(self, v: u64) {
-        #[cfg(feature = "enabled")]
-        if crate::is_enabled() {
-            self.inner.record(v);
-        }
-        #[cfg(not(feature = "enabled"))]
-        let _ = v;
-    }
-}
-
-/// Looks up (registering on first use) the counter named `name`. The lookup
-/// takes a lock — cache the handle or call from cold paths only.
-#[inline(always)]
-#[must_use]
-pub fn counter(name: &'static str) -> CounterHandle {
-    #[cfg(feature = "enabled")]
-    {
-        CounterHandle {
-            inner: registry::counter(name),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        CounterHandle {}
-    }
-}
-
-/// Looks up (registering on first use) the gauge named `name`.
-#[inline(always)]
-#[must_use]
-pub fn gauge(name: &'static str) -> GaugeHandle {
-    #[cfg(feature = "enabled")]
-    {
-        GaugeHandle {
-            inner: registry::gauge(name),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        GaugeHandle {}
-    }
-}
-
-/// Looks up (registering on first use) the histogram named `name`.
-#[inline(always)]
-#[must_use]
-pub fn histogram(name: &'static str) -> HistogramHandle {
-    #[cfg(feature = "enabled")]
-    {
-        HistogramHandle {
-            inner: registry::histogram(name),
-        }
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = name;
-        HistogramHandle {}
-    }
-}
-
-/// Point-in-time snapshot of every registered metric. Empty when the
-/// `enabled` feature is off. The Chrome-trace counter events and the
-/// summary table both consume this shape; the windowed serving grid
-/// reaches the trace as the closed-loop driver's
-/// [`crate::serve::HistoryWindow`] list instead.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsSnapshot {
-    /// `(name, value)` for each counter, registration order.
-    pub counters: Vec<(String, u64)>,
-    /// `(name, value)` for each gauge, registration order.
-    pub gauges: Vec<(String, i64)>,
-    /// `(name, summary)` for each histogram, registration order.
-    pub histograms: Vec<(String, HistogramSummary)>,
-}
-
-impl MetricsSnapshot {
-    /// True when nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-}
-
-/// Takes a [`MetricsSnapshot`] of the registry.
-#[must_use]
-pub fn snapshot() -> MetricsSnapshot {
-    #[cfg_attr(not(feature = "enabled"), allow(unused_mut))]
-    let mut snap = MetricsSnapshot::default();
-    #[cfg(feature = "enabled")]
-    {
-        registry::visit(
-            |name, v| snap.counters.push((name.to_string(), v)),
-            |name, v| snap.gauges.push((name.to_string(), v)),
-            |name, h| snap.histograms.push((name.to_string(), h.summary())),
-        );
-    }
-    snap
 }

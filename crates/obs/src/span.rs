@@ -1,5 +1,5 @@
-//! Span-based tracing: RAII guards, per-thread buffers, sampling, payloads,
-//! merge at join.
+//! Span-based tracing: RAII guards, per-thread buffers, payloads, merge at
+//! join.
 //!
 //! A span is opened with [`enter`] (or the [`span!`](crate::span!) macro) and
 //! closed when its guard drops. Open spans nest: each thread tracks a depth
@@ -13,22 +13,6 @@
 //! Worker attribution: the record's `tid` is `0` for the coordinator (any
 //! thread outside a pool worker) and `1 + rayon::current_thread_index()` for
 //! pool workers, so a trace at width `p` shows tids `0..=p`.
-//!
-//! # Sampling
-//!
-//! With a sampling period `N` set via [`set_trace_sample`](crate::set_trace_sample)
-//! (`--trace-sample N` / `PARCSR_TRACE_SAMPLE` on the binaries), each thread
-//! keeps one deterministic counter **per span name** and records only every
-//! `N`-th same-name span — the 1st, `N+1`-th, `2N+1`-th, … — so `k` same-name
-//! spans on one thread yield exactly `⌈k/N⌉` records. The first occurrence is
-//! always kept, which means low-frequency top-level pipeline stages survive
-//! any `N` while high-frequency per-chunk spans thin out. Every kept record
-//! carries the period in [`SpanRecord::sample`] so
-//! [`aggregate_stages`](crate::export::aggregate_stages) can scale durations
-//! and call counts back up to unbiased estimates. Skipped spans still
-//! maintain the nesting depth. [`drain`] resets the calling thread's
-//! counters (worker threads reset naturally by exiting at region join), so
-//! per-rep draining keeps sampling phase-aligned across repetitions.
 //!
 //! # Memory attribution
 //!
@@ -142,10 +126,6 @@ pub struct SpanRecord {
     pub tid: u32,
     /// Nesting depth at entry (0 = top level on its thread).
     pub depth: u16,
-    /// Sampling period in effect when this span was recorded (`1` =
-    /// unsampled). A record with `sample = N` stands for `N` same-name spans
-    /// on its thread; aggregation scales by this factor.
-    pub sample: u32,
     /// Typed payload arguments (empty unless the call site attached any).
     pub args: SpanArgs,
     /// Peak live heap bytes observed during the span; `0` when memory
@@ -182,9 +162,6 @@ mod collect {
         name: &'static str,
         start_ns: u64,
         depth: u16,
-        /// Sampling period at entry; `None` = this span was sampled out and
-        /// only maintains the depth counter.
-        sample: Option<u32>,
         args: SpanArgs,
         /// Memory accounting at entry; `None` when accounting was off.
         mem: Option<MemTrack>,
@@ -213,10 +190,6 @@ mod collect {
     struct ThreadBuf {
         records: Vec<SpanRecord>,
         depth: u16,
-        /// Per-name occurrence counters driving the 1-in-N sampler. A small
-        /// linear map: the workspace has a few dozen distinct stage names,
-        /// and names are `&'static str`s compared by content.
-        sample_counts: Vec<(&'static str, u64)>,
     }
 
     impl Drop for ThreadBuf {
@@ -247,61 +220,35 @@ mod collect {
         if !crate::is_enabled() {
             return None;
         }
-        let period = crate::trace_sample();
-        BUF.with(|b| {
+        let depth = BUF.with(|b| {
             let mut b = b.borrow_mut();
             let depth = b.depth;
             b.depth = b.depth.saturating_add(1);
-            let keep = if period <= 1 {
-                true
-            } else {
-                let idx = match b.sample_counts.iter().position(|(n, _)| *n == name) {
-                    Some(i) => i,
-                    None => {
-                        b.sample_counts.push((name, 0));
-                        b.sample_counts.len() - 1
-                    }
-                };
-                let count = &mut b.sample_counts[idx].1;
-                let keep = *count % u64::from(period) == 0;
-                *count += 1;
-                keep
-            };
-            if !keep {
-                return Some(ActiveSpan {
-                    name,
-                    start_ns: 0,
-                    depth,
-                    sample: None,
-                    args,
-                    mem: None,
-                });
+            depth
+        });
+        let mem = crate::mem::active().then(|| {
+            // Top-level coordinator spans (the sequential pipeline stages)
+            // own the resettable watermark; everything else uses the
+            // endpoint approximation, sharpened by the sampled per-thread
+            // mark when `--mem-sample` armed it.
+            let top = depth == 0 && rayon::current_thread_index().is_none();
+            if top {
+                crate::mem::reset_watermark();
             }
-            let mem = crate::mem::active().then(|| {
-                // Top-level coordinator spans (the sequential pipeline
-                // stages) own the resettable watermark; everything else uses
-                // the endpoint approximation, sharpened by the sampled
-                // per-thread mark when `--mem-sample` armed it.
-                let top = depth == 0 && rayon::current_thread_index().is_none();
-                if top {
-                    crate::mem::reset_watermark();
-                }
-                let saved_mark =
-                    (!top && crate::mem::sample_period() > 0).then(crate::mem::span_mark_save);
-                MemTrack {
-                    live_at_begin: crate::mem::live_bytes(),
-                    top,
-                    saved_mark,
-                }
-            });
-            Some(ActiveSpan {
-                name,
-                start_ns: now_ns(),
-                depth,
-                sample: Some(period),
-                args,
-                mem,
-            })
+            let saved_mark =
+                (!top && crate::mem::sample_period() > 0).then(crate::mem::span_mark_save);
+            MemTrack {
+                live_at_begin: crate::mem::live_bytes(),
+                top,
+                saved_mark,
+            }
+        });
+        Some(ActiveSpan {
+            name,
+            start_ns: now_ns(),
+            depth,
+            args,
+            mem,
         })
     }
 
@@ -311,9 +258,6 @@ mod collect {
         BUF.with(|b| {
             let mut b = b.borrow_mut();
             b.depth = b.depth.saturating_sub(1);
-            let Some(sample) = active.sample else {
-                return; // sampled out: depth bookkeeping only
-            };
             let (mem_peak, mem_live) = match active.mem {
                 Some(track) => {
                     let live_now = crate::mem::live_bytes();
@@ -333,7 +277,6 @@ mod collect {
                 dur_ns: end_ns.saturating_sub(active.start_ns),
                 tid,
                 depth: active.depth,
-                sample,
                 args: active.args,
                 mem_peak,
                 mem_live,
@@ -342,14 +285,7 @@ mod collect {
     }
 
     pub(super) fn drain() -> Vec<SpanRecord> {
-        BUF.with(|b| {
-            let mut b = b.borrow_mut();
-            let records = std::mem::take(&mut b.records);
-            // Re-align the sampler: the next drained window starts its
-            // 1-in-N phase fresh, so per-rep drains sample reproducibly.
-            b.sample_counts.clear();
-            flush_records(records);
-        });
+        BUF.with(|b| flush_records(std::mem::take(&mut b.borrow_mut().records)));
         let mut all = std::mem::take(&mut *SINK.lock().unwrap_or_else(PoisonError::into_inner));
         all.sort_by_key(|r| (r.tid, r.start_ns, r.depth));
         all
@@ -366,7 +302,7 @@ pub struct Span {
 impl Span {
     /// Replaces the span's payload after entry — for arguments only known
     /// once the span's work has run (a planner's output size, a computed
-    /// width). A no-op when recording is off or this span was sampled out.
+    /// width). A no-op when recording is off.
     pub fn set_args(&mut self, args: SpanArgs) {
         #[cfg(feature = "enabled")]
         if let Some(active) = self.active.as_mut() {
@@ -431,8 +367,7 @@ pub fn with_span_args<R>(name: &'static str, args: SpanArgs, f: impl FnOnce() ->
 }
 
 /// Takes all completed spans recorded so far (flushing the calling thread's
-/// buffer first) and resets the sink plus the calling thread's sampling
-/// counters. Spans still open, or buffered on other live threads, are not
+/// buffer first) and resets the sink. Spans still open, or buffered on other live threads, are not
 /// included — drain after joining workers. Returns records sorted by
 /// `(tid, start_ns, depth)`; always empty when the `enabled` feature is off.
 #[must_use]

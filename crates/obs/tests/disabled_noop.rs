@@ -3,7 +3,7 @@
 //! configuration every production crate builds in.
 #![cfg(not(feature = "enabled"))]
 
-use parcsr_obs::{self as obs, export, metrics};
+use parcsr_obs::{self as obs, export};
 
 #[test]
 fn facade_is_inert_without_the_feature() {
@@ -26,16 +26,13 @@ fn facade_is_inert_without_the_feature() {
     }
     assert!(obs::drain().is_empty());
 
-    // Sampling and memory knobs are inert too.
-    obs::set_trace_sample(8);
-    assert_eq!(obs::trace_sample(), 1);
+    // Memory knobs are inert too.
     obs::mem::set_enabled(true);
     assert!(!obs::mem::active());
     assert_eq!(obs::mem::snapshot(), None);
     assert_eq!(obs::mem::live_bytes(), 0);
     assert_eq!(obs::mem::peak_bytes(), 0);
     obs::mem::reset_watermark();
-    obs::mem::publish_gauges();
     obs::mem::set_sample_period(4);
     assert_eq!(obs::mem::sample_period(), 0);
     assert_eq!(obs::mem::span_mark_save(), 0);
@@ -46,13 +43,7 @@ fn facade_is_inert_without_the_feature() {
     let analysis = parcsr_obs::analyze::analyze_records(&obs::drain());
     assert!(analysis.instances.is_empty() && analysis.stages.is_empty());
 
-    metrics::counter("c").inc();
-    metrics::gauge("g").set(9);
-    metrics::histogram("h").record(100);
-    let snap = metrics::snapshot();
-    assert!(snap.is_empty());
-
-    let note = export::summary_table(&obs::drain(), &snap, obs::mem::snapshot());
+    let note = export::summary_table(&obs::drain(), obs::mem::snapshot());
     assert!(note.contains("nothing recorded"));
     assert!(note.contains("without the `enabled` feature"));
 }
@@ -62,10 +53,4 @@ fn guards_are_zero_sized_when_disabled() {
     // The zero-overhead claim, checked structurally: disabled guards carry
     // no state at all.
     assert_eq!(std::mem::size_of::<parcsr_obs::Span>(), 0);
-    assert_eq!(std::mem::size_of::<parcsr_obs::metrics::CounterHandle>(), 0);
-    assert_eq!(std::mem::size_of::<parcsr_obs::metrics::GaugeHandle>(), 0);
-    assert_eq!(
-        std::mem::size_of::<parcsr_obs::metrics::HistogramHandle>(),
-        0
-    );
 }

@@ -24,7 +24,6 @@ fn depth_of(records: &[SpanRecord], name: &str) -> u16 {
 #[test]
 fn span_macro_forms_record_the_documented_depths() {
     obs::set_enabled(true);
-    obs::set_trace_sample(1);
     let _ = obs::drain();
 
     // Block form: sequential stages are siblings.

@@ -7,7 +7,7 @@
 
 use parcsr_obs::export::write_chrome_trace;
 use parcsr_obs::json::Json;
-use parcsr_obs::metrics::{HistogramSummary, MetricsSnapshot};
+use parcsr_obs::metrics::HistogramSummary;
 use parcsr_obs::serve::{
     exemplar_series_name, window_series_name, DegreeClass, Exemplar, HistoryWindow, QueryKind,
     QuerySlabs,
@@ -80,7 +80,7 @@ fn expected(history: &[HistoryWindow]) -> Vec<Event> {
 /// checks its serving events against [`expected`], one for one.
 fn assert_trace_matches_ring(history: &[HistoryWindow]) {
     let path = std::env::temp_dir().join(format!("parcsr_ring_{}.json", std::process::id()));
-    write_chrome_trace(&path, &[], &MetricsSnapshot::default(), None, history).unwrap();
+    write_chrome_trace(&path, &[], None, history).unwrap();
     let trace = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
     std::fs::remove_file(&path).unwrap();
     let serving: Vec<&Json> = trace

@@ -11,10 +11,7 @@
 //! Pools are built once per width and cached for the life of the process:
 //! the sweep calls `with_processors` once per (dataset, p, rep) sample, and
 //! rebuilding the pool on every call would charge pool construction to the
-//! first measurement taken on it. The cache also feeds the observability
-//! layer — `pool.width` (gauge), `pool.installs` and `pool.builds`
-//! (counters) record how wide the current region is and how often the cache
-//! hit.
+//! first measurement taken on it.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -28,7 +25,6 @@ fn cached_pool(processors: usize) -> Arc<rayon::ThreadPool> {
         .lock()
         .unwrap_or_else(PoisonError::into_inner);
     Arc::clone(pools.entry(processors).or_insert_with(|| {
-        parcsr_obs::counter("pool.builds").inc();
         Arc::new(
             rayon::ThreadPoolBuilder::new()
                 .num_threads(processors)
@@ -46,8 +42,6 @@ fn cached_pool(processors: usize) -> Arc<rayon::ThreadPool> {
 /// Panics if `processors == 0`, or if the pool cannot be built.
 pub fn with_processors<R: Send>(processors: usize, f: impl FnOnce() -> R + Send) -> R {
     assert!(processors > 0, "need at least one processor");
-    parcsr_obs::counter("pool.installs").inc();
-    parcsr_obs::gauge("pool.width").set(processors as i64);
     cached_pool(processors).install(f)
 }
 

@@ -365,8 +365,8 @@ fn bless_baseline() -> ExitCode {
     let baseline = root.join("results/baselines/table2_smoke.stages.json");
     let trace_tmp = root.join("target/bless-baseline.trace.json");
     eprintln!("xtask bless-baseline: running the CI obs smoke (reps 5, all obs flags)...");
-    // Mirror of the "Bench smoke with all obs flags" CI step; keep the two
-    // in sync or the blessed baseline will not match what CI measures.
+    // The "Bench smoke with all obs flags" CI step runs the same flags (a
+    // serving_gates test holds the two equal).
     let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
         .current_dir(&root)
         .args([
@@ -380,20 +380,10 @@ fn bless_baseline() -> ExitCode {
             "--bin",
             "table2",
             "--",
-            "--scale",
-            "0.02",
-            "--reps",
-            "5",
-            "--procs",
-            "1,2",
-            "--trace-sample",
-            "8",
-            "--metrics",
-            "--mem-metrics",
-            "--trace",
         ])
+        .args(slo_check::TABLE2_SMOKE_ARGS)
+        .arg("--trace")
         .arg(&trace_tmp)
-        .arg("--json")
         .output();
     let output = match output {
         Ok(o) => o,

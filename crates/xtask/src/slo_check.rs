@@ -22,6 +22,10 @@
 //! is empty, non-dense, or missing its percentile fields fails even if the
 //! numbers would pass — a driver that silently stopped reporting windows
 //! must not look healthy.
+//!
+//! The module also holds the flag lists of the two CI smokes that `cargo
+//! xtask bless-baseline` reruns to refresh `results/baselines/`
+//! ([`CLOSED_LOOP_SMOKE_ARGS`], [`TABLE2_SMOKE_ARGS`]).
 
 use std::path::PathBuf;
 
@@ -56,6 +60,24 @@ pub const CLOSED_LOOP_SMOKE_ARGS: &[&str] = &[
     "150",
     "--seed",
     "42",
+    "--json",
+];
+
+/// The `table2` flags of the CI stage smoke, before its `--trace FILE`: the
+/// `obs` job's "Bench smoke with all obs flags" step passes them, and
+/// `cargo xtask bless-baseline` reruns them to refresh
+/// `results/baselines/table2_smoke.stages.json` (the baseline `stage-diff`
+/// compares CI's stage shares against). `tests/serving_gates.rs` checks the
+/// CI step against this list.
+pub const TABLE2_SMOKE_ARGS: &[&str] = &[
+    "--scale",
+    "0.02",
+    "--reps",
+    "5",
+    "--procs",
+    "1,2",
+    "--metrics",
+    "--mem-metrics",
     "--json",
 ];
 

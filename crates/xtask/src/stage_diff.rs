@@ -230,7 +230,7 @@ mod tests {
             .iter()
             .map(|(n, ms, mem)| {
                 format!(
-                    r#"{{"name":"{n}","calls":1,"kept":1,"total_ms":{ms},"workers":1,"mem_peak_bytes":{mem}}}"#
+                    r#"{{"name":"{n}","calls":1,"total_ms":{ms},"workers":1,"mem_peak_bytes":{mem}}}"#
                 )
             })
             .collect();

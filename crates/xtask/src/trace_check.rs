@@ -12,12 +12,12 @@
 //!
 //! * complete (`"X"`) span events must be time-ordered per thread, and
 //!   their `args` payload (when present) must hold only non-negative
-//!   integers for the typed keys (`depth`, `sample`, `edges`, `chunk`,
-//!   `chunk_len`, `bits`, `chunks`). Per-chunk spans (names ending `.chunk` or
+//!   integers for the typed keys (`depth`, `edges`, `chunk`, `chunk_len`,
+//!   `bits`, `chunks`). Per-chunk spans (names ending `.chunk` or
 //!   `_chunk`) must carry a `chunk` index — a chunk span without its index
 //!   means the instrumentation site lost its payload.
-//! * counter (`"C"`) events — the memory / metric series. Must use a known
-//!   metric namespace (`mem.`, `query.`, `pool.`), be time-ordered per
+//! * counter (`"C"`) events — the memory and serving series. Must use a
+//!   known namespace (`mem.`, `query.`), be time-ordered per
 //!   counter name, and hold a non-empty `args` object of non-negative
 //!   numbers.
 //! * serving-window counters (`query.win.*` and `query.exemplar.*` — the
@@ -30,20 +30,12 @@ use crate::trace_read::{parse_trace, Phase, TraceEvent};
 
 /// Span-arg keys the exporter may emit; every one is a non-negative count
 /// or width, so anything negative (or non-integer) is a recorder bug.
-const SPAN_ARG_KEYS: &[&str] = &[
-    "depth",
-    "sample",
-    "edges",
-    "chunk",
-    "chunk_len",
-    "bits",
-    "chunks",
-];
+const SPAN_ARG_KEYS: &[&str] = &["depth", "edges", "chunk", "chunk_len", "bits", "chunks"];
 
-/// Metric namespaces counter events may use. A counter outside these was
-/// registered ad hoc and would silently vanish from dashboards keyed on
-/// the known prefixes.
-const COUNTER_PREFIXES: &[&str] = &["mem.", "query.", "pool."];
+/// Namespaces counter events may use. A counter outside these was added
+/// ad hoc and would silently vanish from dashboards keyed on the known
+/// prefixes.
+const COUNTER_PREFIXES: &[&str] = &["mem.", "query."];
 
 fn check_span_args(i: usize, ev: &TraceEvent) -> Result<(), String> {
     let name = &ev.name;
@@ -79,7 +71,7 @@ fn check_counter(i: usize, ev: &TraceEvent) -> Result<(), String> {
     if !COUNTER_PREFIXES.iter().any(|p| name.starts_with(p)) {
         return Err(format!(
             "event {i}: counter `{name}` is outside the known namespaces \
-             (mem.*, query.*, pool.*)"
+             (mem.*, query.*)"
         ));
     }
     let args = ev
@@ -220,7 +212,7 @@ mod tests {
             event("scan", 0, 20),
             event("degree.chunk", 1, 12).replace(
                 r#""args":{"depth":0}"#,
-                r#""args":{"depth":0,"sample":8,"chunk":3,"chunk_len":128}"#
+                r#""args":{"depth":0,"chunk":3,"chunk_len":128}"#
             )
         );
         assert_eq!(check_trace_text(&text), Ok(3));
@@ -296,12 +288,8 @@ mod tests {
             event("degree", 0, 10),
             counter("mem.live_bytes", 15, r#"{"live_bytes":1024}"#),
             counter("mem.live_bytes", 25, r#"{"live_bytes":512}"#),
-            counter(
-                "query.has_edge_ns",
-                30,
-                r#"{"count":10,"p50":90,"p95":180,"p99":199}"#
-            ),
-            counter("pool.width", 30, r#"{"value":4}"#),
+            counter("mem.stage_peak_bytes", 25, r#"{"peak_bytes":2048}"#),
+            counter("mem.peak_bytes", 30, r#"{"peak_bytes":2048}"#),
         );
         assert_eq!(check_trace_text(&text), Ok(5));
     }
@@ -310,14 +298,12 @@ mod tests {
     fn rejects_bad_counters() {
         let span = event("degree", 0, 10);
 
-        // Unknown namespace.
-        let text = format!(
-            "[{},{}]",
-            span,
-            counter("rogue.metric", 20, r#"{"value":1}"#)
-        );
-        let err = check_trace_text(&text).unwrap_err();
-        assert!(err.contains("known namespaces"), "{err}");
+        // Unknown namespaces.
+        for name in ["rogue.metric", "pool.width"] {
+            let text = format!("[{},{}]", span, counter(name, 20, r#"{"value":1}"#));
+            let err = check_trace_text(&text).unwrap_err();
+            assert!(err.contains("known namespaces"), "{name}: {err}");
+        }
 
         // Counter series going backwards in time.
         let text = format!(
@@ -336,7 +322,7 @@ mod tests {
         let text = format!(
             "[{},{}]",
             span,
-            counter("pool.width", 20, r#"{"value":-4}"#)
+            counter("mem.live_bytes", 20, r#"{"live_bytes":-4}"#)
         );
         let err = check_trace_text(&text).unwrap_err();
         assert!(err.contains("non-negative"), "{err}");

@@ -1,8 +1,8 @@
 //! Integration tests for the serving-telemetry gates: `slo-check` against
 //! seeded good/bad closed-loop results, `check-trace`'s `query.win.*`
 //! windowed-counter rules against accept/reject trace fixtures, and the
-//! CI workflow's `slo` job against the thresholds and driver flags
-//! defined here and in the xtask lib. The fixtures live in
+//! CI workflow's `slo` job and `obs` stage smoke against the thresholds
+//! and smoke flags defined here and in the xtask lib. The fixtures live in
 //! `tests/serving_fixtures/` and pin the artifact shapes CI consumes, so a
 //! schema drift in either producer or gate shows up here first.
 
@@ -154,9 +154,7 @@ fn ci_step_tokens(ci: &str, step: &str) -> Vec<String> {
 
 #[test]
 fn ci_slo_job_matches_the_thresholds_and_the_bless_flags() {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../.github/workflows/ci.yml");
-    let ci =
-        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let ci = ci_workflow();
 
     // The absolute gate passes exactly CI_THRESHOLDS, through the real
     // argument parser.
@@ -179,4 +177,26 @@ fn ci_slo_job_matches_the_thresholds_and_the_bless_flags() {
         .position(|t| t == ">")
         .expect("stdout redirect");
     assert_eq!(smoke[start..end], *slo_check::CLOSED_LOOP_SMOKE_ARGS);
+}
+
+/// The workflow text.
+fn ci_workflow() -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../.github/workflows/ci.yml");
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
+
+#[test]
+fn ci_stage_smoke_matches_the_bless_flags() {
+    // The obs job's stage smoke runs `table2` with the flags
+    // `bless-baseline` reruns, so `stage-diff` compares CI against a
+    // baseline measured the same way; only the trace path differs.
+    let ci = ci_workflow();
+    let smoke = ci_step_tokens(&ci, "Bench smoke with all obs flags");
+    let start = smoke.iter().position(|t| t == "--").expect("table2 flags") + 1;
+    let trace = smoke
+        .iter()
+        .position(|t| t == "--trace")
+        .expect("the smoke writes a trace");
+    assert_eq!(smoke[start..trace], *slo_check::TABLE2_SMOKE_ARGS);
+    assert_eq!(smoke[trace + 2], ">", "one trace path, then the redirect");
 }
