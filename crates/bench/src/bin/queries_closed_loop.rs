@@ -14,10 +14,10 @@
 //! `--features obs`, the trace also holds the run's spans.
 
 use parcsr_bench::closed_loop::{render_table, run, DriverOptions};
-use parcsr_bench::{trace, Options, ToJson};
+use parcsr_bench::{trace, ToJson};
 
-// Counting allocator behind `PARCSR_MEM_SAMPLE` (with `--metrics`);
-// registered only in obs builds, so default builds keep the plain system
+// Counting allocator: heap accounting while --trace/--metrics record.
+// Registered only in obs builds, so default builds keep the plain system
 // allocator.
 #[cfg(feature = "obs")]
 #[global_allocator]
@@ -25,15 +25,7 @@ static ALLOC: parcsr_obs::mem::CountingAlloc = parcsr_obs::mem::CountingAlloc::n
 
 fn main() {
     let opts = DriverOptions::from_env();
-    // The shared obs wiring (memory sampling period, runtime switch, trace
-    // file) reads the harness Options shape; mirror the relevant flags into
-    // one.
-    let obs_opts = Options {
-        trace: opts.trace.clone(),
-        metrics: opts.metrics,
-        ..Options::default()
-    };
-    trace::setup(&obs_opts);
+    trace::setup(opts.trace.as_deref(), opts.metrics);
 
     let report = run(&opts);
 
@@ -43,5 +35,10 @@ fn main() {
     } else {
         print!("{}", render_table(&report));
     }
-    trace::finish(&obs_opts, &parcsr_obs::drain(), &report.history);
+    trace::finish(
+        opts.trace.as_deref(),
+        opts.metrics,
+        &parcsr_obs::drain(),
+        &report.history,
+    );
 }

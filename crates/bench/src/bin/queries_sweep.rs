@@ -15,8 +15,9 @@ use parcsr::{with_processors, BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_bench::{trace, Options};
 use parcsr_graph::NodeId;
 
-// Counting allocator behind --mem-metrics; registered only in obs builds,
-// so default builds keep the plain system allocator.
+// Counting allocator: heap accounting while --trace/--metrics record.
+// Registered only in obs builds, so default builds keep the plain system
+// allocator.
 #[cfg(feature = "obs")]
 #[global_allocator]
 static ALLOC: parcsr_obs::mem::CountingAlloc = parcsr_obs::mem::CountingAlloc::new();
@@ -25,7 +26,7 @@ const BATCH: usize = 1 << 14;
 
 fn main() {
     let opts = Options::from_env();
-    trace::setup(&opts);
+    trace::setup(opts.trace.as_deref(), opts.metrics);
     let profile = &parcsr_graph::paper_datasets()[3]; // WebNotreDame profile
     let graph = profile.synthesize(opts.scale.min(0.5), opts.seed);
     let csr = CsrBuilder::new().build(&graph);
@@ -85,5 +86,10 @@ fn main() {
         });
         println!("| {p} | {nq:.1} | {eq:.1} | {sq:.2} |");
     }
-    trace::finish(&opts, &parcsr_obs::drain(), &[]);
+    trace::finish(
+        opts.trace.as_deref(),
+        opts.metrics,
+        &parcsr_obs::drain(),
+        &[],
+    );
 }

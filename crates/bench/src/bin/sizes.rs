@@ -11,8 +11,9 @@ use parcsr_baseline::{AdjacencyList, EdgeListStore, GraphStore};
 use parcsr_bench::{format_bytes, trace, Options};
 use parcsr_succinct::K2Tree;
 
-// Counting allocator behind --mem-metrics; registered only in obs builds,
-// so default builds keep the plain system allocator.
+// Counting allocator: heap accounting while --trace/--metrics record.
+// Registered only in obs builds, so default builds keep the plain system
+// allocator.
 #[cfg(feature = "obs")]
 #[global_allocator]
 static ALLOC: parcsr_obs::mem::CountingAlloc = parcsr_obs::mem::CountingAlloc::new();
@@ -20,7 +21,7 @@ static ALLOC: parcsr_obs::mem::CountingAlloc = parcsr_obs::mem::CountingAlloc::n
 fn main() {
     let opts = Options::from_env();
     eprintln!("sizes: scale={} seed={}", opts.scale, opts.seed);
-    trace::setup(&opts);
+    trace::setup(opts.trace.as_deref(), opts.metrics);
     println!("| Graph | Edges | EdgeList text | EdgeList bin | AdjList | CSR | Packed | k2-tree |");
     println!("|---|---:|---:|---:|---:|---:|---:|---:|");
     for profile in parcsr_graph::paper_datasets() {
@@ -47,5 +48,10 @@ fn main() {
             format_bytes(k2.packed_bytes()),
         );
     }
-    trace::finish(&opts, &parcsr_obs::drain(), &[]);
+    trace::finish(
+        opts.trace.as_deref(),
+        opts.metrics,
+        &parcsr_obs::drain(),
+        &[],
+    );
 }

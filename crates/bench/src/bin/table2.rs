@@ -7,8 +7,9 @@
 
 use parcsr_bench::{print_table2, run_experiment_traced, trace, Options};
 
-// Counting allocator behind --mem-metrics; registered only in obs builds,
-// so default builds keep the plain system allocator.
+// Counting allocator: heap accounting while --trace/--metrics record.
+// Registered only in obs builds, so default builds keep the plain system
+// allocator.
 #[cfg(feature = "obs")]
 #[global_allocator]
 static ALLOC: parcsr_obs::mem::CountingAlloc = parcsr_obs::mem::CountingAlloc::new();
@@ -25,12 +26,12 @@ fn main() {
             .map(|n| n.get())
             .unwrap_or(1)
     );
-    trace::setup(&opts);
+    trace::setup(opts.trace.as_deref(), opts.metrics);
     let (results, spans) = run_experiment_traced(&opts);
     if opts.json {
         println!("{}", parcsr_bench::results_to_json_pretty(&results));
     } else {
         print!("{}", print_table2(&results));
     }
-    trace::finish(&opts, &spans, &[]);
+    trace::finish(opts.trace.as_deref(), opts.metrics, &spans, &[]);
 }

@@ -118,7 +118,8 @@ pub struct DriverOptions {
     /// Write a Chrome trace of the run: its serving windows, plus spans
     /// when built with `--features obs`.
     pub trace: Option<String>,
-    /// Print the obs stage summary to stderr (needs `--features obs`).
+    /// Print the obs stage and heap summary to stderr (needs
+    /// `--features obs`).
     pub metrics: bool,
 }
 
@@ -252,12 +253,10 @@ Flags:
   --seed <n>          RNG seed (default 42)
   --json              emit the result JSON on stdout (table moves to stderr)
   --trace <file>      write a Chrome trace with query.win.* counter events
-  --metrics           print the obs stage summary to stderr
-                      (spans need a build with --features obs)
+  --metrics           print the obs stage and heap summary to stderr
+                      (spans and heap need a build with --features obs)
 
-Grade a run with `cargo xtask slo-check` on its --json output. Memory
-accounting has no flag: in an obs build, set PARCSR_MEM_SAMPLE=<n> together
-with --metrics and the summary reports the heap peak.";
+Grade a run with `cargo xtask slo-check` on its --json output.";
 
 /// Hub-graph shape constants at scale 1.0: the graph of EXPERIMENTS.md's
 /// imbalance study, whose edge-skew bound `tests/skew_invariance.rs` holds
@@ -860,10 +859,18 @@ mod tests {
             let err = parse(&[flag, "1"]).unwrap_err();
             assert!(err.starts_with("unknown flag"), "{flag}: {err}");
         }
-        // Spans are not sampled: the trace holds every span that ran.
-        for args in [&["--trace-sample", "64"][..], &["--trace-sample"]] {
+        // `--trace` and `--metrics` are the only obs switches: spans are not
+        // sampled, and heap accounting follows recording.
+        for args in [
+            &["--trace-sample", "64"][..],
+            &["--trace-sample"],
+            &["--mem-metrics"],
+            &["--mem-sample", "4"],
+            &["--imbalance"],
+        ] {
             let err = parse(args).unwrap_err();
-            assert!(err.starts_with("unknown flag --trace-sample "), "{err}");
+            let prefix = format!("unknown flag {} ", args[0]);
+            assert!(err.starts_with(&prefix), "{err}");
         }
     }
 

@@ -23,22 +23,6 @@ use parcsr_obs::SpanRecord;
 
 use crate::options::Options;
 
-/// Parallel-efficiency statistics of one top-level stage of the reported
-/// rep, computed by [`parcsr_obs::analyze`] from the rep's spans when
-/// `--imbalance` is set.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageImbalance {
-    /// Stage name (matches the `stages` entry it annotates).
-    pub name: String,
-    /// Worker utilization, `Σ busy / (wall × lanes)` in `(0, 1]`.
-    pub utilization: f64,
-    /// Coefficient of variation of per-chunk durations; `None` when the
-    /// stage recorded no chunk spans.
-    pub cv: Option<f64>,
-    /// Share of total work on the slowest lane (`1/lanes` = balanced).
-    pub critical_path_ratio: f64,
-}
-
 /// One processor-count measurement.
 #[derive(Debug, Clone)]
 pub struct ProcessorSample {
@@ -57,11 +41,9 @@ pub struct ProcessorSample {
     /// obs recording is compiled in and switched on.
     pub stages: Vec<StageAgg>,
     /// Peak live heap bytes over the reported rep's top-level stages. `None`
-    /// unless memory accounting ran (`--mem-metrics` on an obs build).
+    /// unless memory accounting ran (`--trace` or `--metrics` on an obs
+    /// build).
     pub mem_peak_bytes: Option<u64>,
-    /// Per-stage imbalance statistics of the reported rep. Empty unless
-    /// `--imbalance` was set on an obs build.
-    pub imbalance: Vec<StageImbalance>,
 }
 
 /// One dataset's full Table II row group.
@@ -125,20 +107,6 @@ fn load_graph(profile: &DatasetProfile, opts: &Options) -> (EdgeList, bool) {
     (profile.synthesize(opts.scale, opts.seed), false)
 }
 
-/// Per-stage imbalance statistics of one rep's spans.
-fn stage_imbalance(spans: &[SpanRecord]) -> Vec<StageImbalance> {
-    parcsr_obs::analyze::analyze_records(spans)
-        .stages
-        .iter()
-        .map(|s| StageImbalance {
-            name: s.name.clone(),
-            utilization: s.utilization,
-            cv: s.chunks.as_ref().map(|c| c.cv),
-            critical_path_ratio: s.critical_path_ratio,
-        })
-        .collect()
-}
-
 fn run_dataset(
     profile: &DatasetProfile,
     opts: &Options,
@@ -183,11 +151,6 @@ fn run_dataset(
             .map(|s| s.mem_peak_bytes)
             .max()
             .filter(|&m| m > 0);
-        let imbalance = if opts.imbalance {
-            stage_imbalance(&best_spans)
-        } else {
-            Vec::new()
-        };
         trace.extend(best_spans);
         samples.push(ProcessorSample {
             processors: p,
@@ -197,7 +160,6 @@ fn run_dataset(
             paper_speedup_percent: profile.paper_speedup_percent(p),
             stages,
             mem_peak_bytes,
-            imbalance,
         });
     }
 
@@ -229,9 +191,6 @@ mod tests {
             json: false,
             trace: None,
             metrics: false,
-            mem_metrics: false,
-            mem_sample: None,
-            imbalance: false,
         }
     }
 
@@ -280,10 +239,8 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn traced_experiment_reports_pipeline_stages() {
-        let mut opts = tiny_options();
-        opts.imbalance = true;
         parcsr_obs::set_enabled(true);
-        let (results, spans) = run_experiment_traced(&opts);
+        let (results, spans) = run_experiment_traced(&tiny_options());
         parcsr_obs::set_enabled(false);
         assert!(!spans.is_empty());
         for sample in &results[0].samples {
@@ -293,20 +250,6 @@ mod tests {
             for want in ["degree", "scan", "scatter", "pack"] {
                 assert!(names.contains(&want), "missing {want} in {names:?}");
             }
-            // --imbalance annotates every recorded stage with positive
-            // utilization and a sane critical-path share.
-            assert!(!sample.imbalance.is_empty());
-            for imb in &sample.imbalance {
-                assert!(
-                    imb.utilization > 0.0 && imb.utilization <= 1.0,
-                    "{}: {}",
-                    imb.name,
-                    imb.utilization
-                );
-                assert!(imb.critical_path_ratio <= 1.0 + 1e-9, "{}", imb.name);
-            }
-            let with_chunks = sample.imbalance.iter().filter(|i| i.cv.is_some()).count();
-            assert!(with_chunks > 0, "no stage reported chunk statistics");
         }
     }
 

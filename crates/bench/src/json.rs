@@ -11,7 +11,7 @@
 
 use parcsr_obs::export::StageAgg;
 
-use crate::experiment::{DatasetResult, ProcessorSample, StageImbalance};
+use crate::experiment::{DatasetResult, ProcessorSample};
 
 pub use parcsr_obs::json::Json;
 
@@ -36,37 +36,9 @@ impl ToJson for StageAgg {
     }
 }
 
-impl ToJson for StageImbalance {
-    fn to_json(&self) -> Json {
-        Json::Object(vec![
-            ("utilization".into(), Json::Float(self.utilization)),
-            ("cv".into(), self.cv.map_or(Json::Null, Json::Float)),
-            (
-                "critical_path_ratio".into(),
-                Json::Float(self.critical_path_ratio),
-            ),
-        ])
-    }
-}
-
 impl ToJson for ProcessorSample {
     fn to_json(&self) -> Json {
         let opt = |v: Option<f64>| v.map_or(Json::Null, Json::Float);
-        // `--imbalance` annotates each stage entry in place, keyed by stage
-        // name, so baseline-diff tooling keeps parsing the same tree shape.
-        let stages = self
-            .stages
-            .iter()
-            .map(|st| match st.to_json() {
-                Json::Object(mut fields) => {
-                    if let Some(imb) = self.imbalance.iter().find(|i| i.name == st.name) {
-                        fields.push(("imbalance".into(), imb.to_json()));
-                    }
-                    Json::Object(fields)
-                }
-                other => other,
-            })
-            .collect();
         Json::Object(vec![
             ("processors".into(), Json::Int(self.processors as i64)),
             ("time_ms".into(), Json::Float(self.time_ms)),
@@ -76,7 +48,10 @@ impl ToJson for ProcessorSample {
                 "paper_speedup_percent".into(),
                 opt(self.paper_speedup_percent),
             ),
-            ("stages".into(), Json::Array(stages)),
+            (
+                "stages".into(),
+                Json::Array(self.stages.iter().map(ToJson::to_json).collect()),
+            ),
             (
                 "mem".into(),
                 self.mem_peak_bytes.map_or(Json::Null, |peak| {
@@ -169,7 +144,6 @@ mod tests {
                 mem_peak_bytes: 2048,
             }],
             mem_peak_bytes: Some(2048),
-            imbalance: Vec::new(),
         };
         let text = s.to_json().pretty();
         let procs_at = text.find("processors").unwrap();
@@ -185,40 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn imbalance_annotates_its_stage_entry_by_name() {
-        let stage = |name: &'static str| StageAgg {
-            name,
-            calls: 1,
-            total_ms: 0.5,
-            workers: 2,
-            mem_peak_bytes: 0,
-        };
-        let s = ProcessorSample {
-            processors: 2,
-            time_ms: 1.0,
-            speedup_percent: 0.0,
-            paper_time_ms: None,
-            paper_speedup_percent: None,
-            stages: vec![stage("degree"), stage("scan")],
-            mem_peak_bytes: None,
-            imbalance: vec![StageImbalance {
-                name: "degree".into(),
-                utilization: 0.75,
-                cv: Some(0.4),
-                critical_path_ratio: 0.6,
-            }],
-        };
-        let parsed = Json::parse(&s.to_json().pretty()).unwrap();
-        let stages = parsed.get("stages").unwrap().as_array().unwrap();
-        let imb = stages[0].get("imbalance").unwrap();
-        assert_eq!(imb.get("utilization").unwrap().as_f64(), Some(0.75));
-        assert_eq!(imb.get("cv").unwrap().as_f64(), Some(0.4));
-        assert_eq!(imb.get("critical_path_ratio").unwrap().as_f64(), Some(0.6));
-        // The stage without statistics stays untouched (no null noise).
-        assert_eq!(stages[1].get("imbalance"), None);
-    }
-
-    #[test]
     fn emitted_results_parse_back() {
         let s = ProcessorSample {
             processors: 2,
@@ -228,7 +168,6 @@ mod tests {
             paper_speedup_percent: None,
             stages: Vec::new(),
             mem_peak_bytes: None,
-            imbalance: Vec::new(),
         };
         let parsed = Json::parse(&s.to_json().pretty()).unwrap();
         assert_eq!(parsed.get("processors").unwrap().as_i64(), Some(2));

@@ -30,9 +30,7 @@ pub mod options;
 pub mod report;
 pub mod trace;
 
-pub use experiment::{
-    run_experiment, run_experiment_traced, DatasetResult, ProcessorSample, StageImbalance,
-};
+pub use experiment::{run_experiment, run_experiment_traced, DatasetResult, ProcessorSample};
 pub use json::{results_to_json_pretty, Json, ToJson};
 pub use options::Options;
 pub use report::{format_bytes, print_fig6, print_fig7, print_table2};

@@ -24,22 +24,9 @@ pub struct Options {
     /// Write a Chrome trace-event JSON of the run to this path (requires
     /// the `obs` build feature to record anything).
     pub trace: Option<String>,
-    /// Print the per-stage summary to stderr after the run (requires the
-    /// `obs` build feature).
+    /// Print the per-stage and heap summary to stderr after the run
+    /// (requires the `obs` build feature).
     pub metrics: bool,
-    /// Enable memory accounting (live/peak heap bytes, per-stage peaks);
-    /// requires the `obs` build feature, which registers the counting
-    /// allocator.
-    pub mem_metrics: bool,
-    /// Mid-span memory sampling period: every Nth allocation updates the
-    /// per-span high-water mark, so nested/worker spans report true
-    /// intra-span peaks (default: the `PARCSR_MEM_SAMPLE` env var, else
-    /// off). Implies memory accounting.
-    pub mem_sample: Option<u64>,
-    /// Append a per-stage `imbalance` object (worker utilization, chunk CV,
-    /// critical-path ratio) to each `stages` entry of the JSON output;
-    /// requires the `obs` build feature to measure anything.
-    pub imbalance: bool,
 }
 
 impl Default for Options {
@@ -54,9 +41,6 @@ impl Default for Options {
             json: false,
             trace: None,
             metrics: false,
-            mem_metrics: false,
-            mem_sample: None,
-            imbalance: false,
         }
     }
 }
@@ -108,17 +92,6 @@ impl Options {
                 "--json" => opts.json = true,
                 "--trace" => opts.trace = Some(value("--trace")?),
                 "--metrics" => opts.metrics = true,
-                "--mem-metrics" => opts.mem_metrics = true,
-                "--mem-sample" => {
-                    let n: u64 = value("--mem-sample")?
-                        .parse()
-                        .map_err(|e| format!("--mem-sample: {e}"))?;
-                    if n == 0 {
-                        return Err("--mem-sample must be at least 1".into());
-                    }
-                    opts.mem_sample = Some(n);
-                }
-                "--imbalance" => opts.imbalance = true,
                 "--help" | "-h" => {
                     return Err(HELP.to_string());
                 }
@@ -153,14 +126,9 @@ Flags:
   --only <name>   run only datasets whose name contains <name>
   --json          emit JSON
   --trace <file>  write a Chrome trace (chrome://tracing JSON) of the run
-  --metrics       print the per-stage summary to stderr
-  --mem-metrics   track live/peak heap bytes and per-stage memory peaks
-  --mem-sample <n>  sample the live-heap high-water mark every nth allocation,
-                  so nested/worker spans report intra-span peaks
-                  (default: $PARCSR_MEM_SAMPLE, else off; implies accounting)
-  --imbalance     append per-stage worker-utilization / chunk-imbalance stats
-                  to the JSON output
-                  (observability flags need a build with --features obs)";
+  --metrics       print the per-stage and heap summary to stderr
+                  (--trace/--metrics record spans and heap in a build with
+                  --features obs)";
 
 #[cfg(test)]
 mod tests {
@@ -239,61 +207,35 @@ mod tests {
     }
 
     #[test]
-    fn trace_sample_and_mem_metrics() {
-        // Spans are not sampled: `--trace-sample` is an unknown flag, with
-        // or without a value.
+    fn removed_obs_flags_are_unknown() {
+        // `--trace` and `--metrics` are the only obs switches: spans are not
+        // sampled, heap accounting follows recording, and the per-stage
+        // analysis is `cargo xtask trace-analyze`'s.
         for args in [
-            &["--trace-sample", "8", "--mem-metrics"][..],
-            &["--mem-metrics", "--trace-sample", "1"],
+            &["--trace-sample", "8"][..],
             &["--trace-sample"],
+            &["--mem-metrics"],
+            &["--mem-sample", "4"],
+            &["--imbalance"],
         ] {
             let e = parse(args).unwrap_err();
-            assert!(e.starts_with("unknown flag --trace-sample "), "{e}");
+            assert!(e.starts_with(&format!("unknown flag {} ", args[0])), "{e}");
         }
-        assert!(parse(&["--mem-metrics"]).unwrap().mem_metrics);
-        assert!(!parse(&[]).unwrap().mem_metrics);
-    }
-
-    #[test]
-    fn mem_sample_and_imbalance() {
-        let o = parse(&["--mem-sample", "64", "--imbalance"]).unwrap();
-        assert_eq!(o.mem_sample, Some(64));
-        assert!(o.imbalance);
-        assert!(parse(&["--mem-sample", "0"]).is_err());
-        assert!(parse(&["--mem-sample", "x"]).is_err());
-        assert!(parse(&["--mem-sample"]).is_err());
-        let d = parse(&[]).unwrap();
-        assert_eq!(d.mem_sample, None);
-        assert!(!d.imbalance);
     }
 
     #[test]
     fn obs_flags_compose_in_any_order() {
-        // The three observability flags must parse identically regardless
-        // of their relative order and interleaving with other flags.
+        // The observability flags must parse identically regardless of
+        // their relative order and interleaving with other flags.
         let orders: [&[&str]; 3] = [
-            &["--metrics", "--mem-metrics", "--trace", "t.json"],
-            &[
-                "--trace",
-                "t.json",
-                "--mem-metrics",
-                "--seed",
-                "7",
-                "--metrics",
-            ],
-            &[
-                "--metrics",
-                "--trace",
-                "t.json",
-                "--seed",
-                "7",
-                "--mem-metrics",
-            ],
+            &["--metrics", "--trace", "t.json"],
+            &["--trace", "t.json", "--seed", "7", "--metrics"],
+            &["--metrics", "--seed", "7", "--trace", "t.json"],
         ];
         for args in orders {
             let o = parse(args).unwrap();
             assert_eq!(o.trace.as_deref(), Some("t.json"), "{args:?}");
-            assert!(o.metrics && o.mem_metrics, "{args:?}");
+            assert!(o.metrics, "{args:?}");
         }
     }
 

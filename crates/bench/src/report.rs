@@ -191,7 +191,6 @@ mod tests {
                     paper_speedup_percent: None,
                     stages: Vec::new(),
                     mem_peak_bytes: None,
-                    imbalance: Vec::new(),
                 },
                 ProcessorSample {
                     processors: 4,
@@ -201,7 +200,6 @@ mod tests {
                     paper_speedup_percent: Some(64.83),
                     stages: Vec::new(),
                     mem_peak_bytes: None,
-                    imbalance: Vec::new(),
                 },
             ],
         }

@@ -24,12 +24,11 @@ pub use parse::{Command, ObsOptions, ParseError};
 
 /// Parses and executes an argument list, returning the report to print.
 ///
-/// The global `--trace FILE` / `--metrics` / `--mem-metrics` /
-/// `--mem-sample N` switches (valid anywhere on the
-/// command line, in any order) wrap the run in observability collection;
-/// they need a binary built with the `obs` feature to record anything.
-/// A `--trace` file that cannot be written fails the run, even when the
-/// command itself succeeded.
+/// The global `--trace FILE` / `--metrics` switches (valid anywhere on the
+/// command line, in any order) wrap the run in observability collection,
+/// heap accounting included; they need a binary built with the `obs`
+/// feature to record anything. A `--trace` file that cannot be written
+/// fails the run, even when the command itself succeeded.
 pub fn run<I>(args: I) -> Result<String, String>
 where
     I: IntoIterator<Item = String>,
@@ -38,29 +37,19 @@ where
     if obs.active() {
         if !parcsr_obs::compiled() {
             eprintln!(
-                "warning: --trace/--metrics/--mem-metrics/--mem-sample need a build with the \
-                 obs feature (cargo run -p parcsr-cli --features obs ...); nothing will be \
-                 recorded"
+                "warning: --trace/--metrics need a build with the obs feature \
+                 (cargo run -p parcsr-cli --features obs ...); nothing will be recorded"
             );
         }
-        let mem_sample = obs.mem_sample.or_else(|| {
-            std::env::var("PARCSR_MEM_SAMPLE")
-                .ok()
-                .and_then(|s| s.trim().parse().ok())
-                .filter(|&n| n > 0)
-        });
-        parcsr_obs::mem::set_sample_period(mem_sample.unwrap_or(0));
-        // Intra-span peak sampling observes the live-byte counter, so it
-        // implies memory accounting even without --mem-metrics.
-        parcsr_obs::mem::set_enabled(obs.mem_metrics || mem_sample.is_some());
         parcsr_obs::set_enabled(true);
     }
     let command = Command::parse(rest).map_err(|e| e.to_string())?;
     let mut result = execute(&command).map_err(|e| e.to_string());
     if obs.active() {
+        // Memory is accounted only while recording is on: snapshot first.
+        let mem = parcsr_obs::mem::snapshot();
         parcsr_obs::set_enabled(false);
         let spans = parcsr_obs::drain();
-        let mem = parcsr_obs::mem::snapshot();
         if let Some(path) = &obs.trace {
             match parcsr_obs::export::write_chrome_trace(
                 std::path::Path::new(path),
@@ -78,7 +67,7 @@ where
                 }
             }
         }
-        if obs.metrics || obs.mem_metrics {
+        if obs.metrics {
             eprint!("{}", parcsr_obs::export::summary_table(&spans, mem));
         }
     }

@@ -1,7 +1,8 @@
 //! `parcsr` binary entry point: parse, execute, print.
 
-// Counting allocator behind --mem-metrics; registered only in obs builds,
-// so default builds keep the plain system allocator.
+// Counting allocator: heap accounting while --trace/--metrics record.
+// Registered only in obs builds, so default builds keep the plain system
+// allocator.
 #[cfg(feature = "obs")]
 #[global_allocator]
 static ALLOC: parcsr_obs::mem::CountingAlloc = parcsr_obs::mem::CountingAlloc::new();

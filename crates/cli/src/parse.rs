@@ -94,17 +94,11 @@ pub struct ObsOptions {
     pub trace: Option<String>,
     /// Print the per-stage summary to stderr after the run.
     pub metrics: bool,
-    /// Track live/peak heap bytes and per-stage memory peaks.
-    pub mem_metrics: bool,
-    /// Mid-span memory sampling period: every Nth allocation updates the
-    /// per-span high-water mark (implies memory accounting).
-    pub mem_sample: Option<u64>,
 }
 
 impl ObsOptions {
-    /// Extracts `--trace FILE` / `--metrics` / `--mem-metrics` /
-    /// `--mem-sample N` from `args` (valid in any position and order),
-    /// returning the switches and the remaining arguments in order.
+    /// Extracts `--trace FILE` / `--metrics` from `args` (valid in any
+    /// position and order), returning the switches and the remaining arguments in order.
     pub fn extract<I>(args: I) -> Result<(ObsOptions, Vec<String>), ParseError>
     where
         I: IntoIterator<Item = String>,
@@ -121,18 +115,6 @@ impl ObsOptions {
                     );
                 }
                 "--metrics" => obs.metrics = true,
-                "--mem-metrics" => obs.mem_metrics = true,
-                "--mem-sample" => {
-                    let n: u64 = it
-                        .next()
-                        .ok_or_else(|| invalid("--mem-sample requires a value"))?
-                        .parse()
-                        .map_err(|e| invalid(format!("--mem-sample: {e}")))?;
-                    if n == 0 {
-                        return Err(invalid("--mem-sample must be at least 1"));
-                    }
-                    obs.mem_sample = Some(n);
-                }
                 _ => rest.push(arg),
             }
         }
@@ -141,7 +123,7 @@ impl ObsOptions {
 
     /// True when any switch that turns on collection was given.
     pub fn active(&self) -> bool {
-        self.trace.is_some() || self.metrics || self.mem_metrics || self.mem_sample.is_some()
+        self.trace.is_some() || self.metrics
     }
 }
 
@@ -179,11 +161,8 @@ commands:
 
 global flags (any command):
   --trace FILE    write a Chrome trace (chrome://tracing JSON) of the run
-  --metrics       print the per-stage summary to stderr
-  --mem-metrics   track live/peak heap bytes and per-stage memory peaks
-  --mem-sample N  sample the live-heap high-water mark every Nth allocation
-                  (default: $PARCSR_MEM_SAMPLE, else off; implies accounting)
-                  (all need a binary built with --features obs)";
+  --metrics       print the per-stage and heap summary to stderr
+                  (both need a binary built with --features obs)";
 
 fn invalid(msg: impl Into<String>) -> ParseError {
     ParseError::Invalid(msg.into())
@@ -583,12 +562,10 @@ mod tests {
             "/tmp/t.json",
             "--out",
             "o",
-            "--mem-metrics",
         ];
         let (obs, rest) = ObsOptions::extract(args.iter().map(|s| s.to_string())).unwrap();
         assert_eq!(obs.trace.as_deref(), Some("/tmp/t.json"));
         assert!(obs.metrics);
-        assert!(obs.mem_metrics);
         assert!(obs.active());
         let c = Command::parse(rest).unwrap();
         assert!(matches!(c, Command::Compress { .. }));
@@ -599,37 +576,32 @@ mod tests {
 
         assert!(ObsOptions::extract(["--trace".to_string()]).is_err());
 
-        // Spans are not sampled: `--trace-sample` is not an obs switch, so
-        // it stays in the arguments and the command rejects it.
-        let args = ["compress", "in.txt", "--out", "o", "--trace-sample", "8"];
-        let (obs, rest) = ObsOptions::extract(args.iter().map(|s| s.to_string())).unwrap();
-        assert!(!obs.active());
-        assert_eq!(rest, args);
-        assert_eq!(
-            Command::parse(rest),
-            Err(ParseError::Invalid("unknown flag --trace-sample".into()))
-        );
-    }
-
-    #[test]
-    fn mem_sample_flag_strips_and_activates() {
-        let args = ["stats", "--mem-sample", "64", "g.txt"];
-        let (obs, rest) = ObsOptions::extract(args.iter().map(|s| s.to_string())).unwrap();
-        assert_eq!(obs.mem_sample, Some(64));
-        assert!(obs.active(), "--mem-sample alone turns collection on");
-        assert_eq!(rest, ["stats", "g.txt"]);
-        assert!(ObsOptions::extract(["--mem-sample".to_string()]).is_err());
-        assert!(
-            ObsOptions::extract(["--mem-sample".to_string(), "0".to_string()]).is_err(),
-            "period 0 is invalid"
-        );
+        // `--trace` and `--metrics` are the only obs switches: spans are not
+        // sampled, heap accounting follows recording, and the analysis is
+        // `cargo xtask trace-analyze`'s. Every other flag stays in the
+        // arguments and the command rejects it.
+        for flag in [
+            &["--trace-sample", "8"][..],
+            &["--mem-metrics"],
+            &["--mem-sample", "4"],
+            &["--imbalance"],
+        ] {
+            let mut args = vec!["compress", "in.txt", "--out", "o"];
+            args.extend_from_slice(flag);
+            let (obs, rest) = ObsOptions::extract(args.iter().map(|s| s.to_string())).unwrap();
+            assert!(!obs.active(), "{flag:?}");
+            assert_eq!(rest, args);
+            assert_eq!(
+                Command::parse(rest),
+                Err(ParseError::Invalid(format!("unknown flag {}", flag[0])))
+            );
+        }
     }
 
     #[test]
     fn obs_flags_compose_in_any_order() {
         let orders: [&[&str]; 2] = [
             &[
-                "--mem-metrics",
                 "query",
                 "--trace",
                 "t.json",
@@ -642,7 +614,6 @@ mod tests {
                 "--metrics",
                 "query",
                 "g.pcsr",
-                "--mem-metrics",
                 "--edge",
                 "1,2",
                 "--trace",
@@ -652,7 +623,7 @@ mod tests {
         for args in orders {
             let (obs, rest) = ObsOptions::extract(args.iter().map(|s| s.to_string())).unwrap();
             assert_eq!(obs.trace.as_deref(), Some("t.json"), "{args:?}");
-            assert!(obs.metrics && obs.mem_metrics, "{args:?}");
+            assert!(obs.metrics, "{args:?}");
             let c = Command::parse(rest).unwrap();
             assert!(matches!(c, Command::Query { .. }), "{args:?}");
         }

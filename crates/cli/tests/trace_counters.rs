@@ -1,7 +1,7 @@
-//! A traced `parcsr compress --mem-metrics` run writes every counter series
-//! with one set of arg keys, and the process heap peak as one point. Needs
-//! the `obs` feature: only then does the binary register the counting
-//! allocator and record anything.
+//! A traced `parcsr compress` run writes every memory counter series with
+//! one set of arg keys, and the process heap peak as one point, with no
+//! switch beyond `--trace`. Needs the `obs` feature: only then does the
+//! binary register the counting allocator and record anything.
 #![cfg(feature = "obs")]
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -39,15 +39,7 @@ fn each_memory_counter_appears_once_in_the_trace() {
         "generate", "--nodes", "4096", "--edges", "65536", "--out", &graph,
     ]);
     parcsr(&[
-        "--trace",
-        &trace,
-        "--mem-metrics",
-        "compress",
-        &graph,
-        "--out",
-        &packed,
-        "--procs",
-        "2",
+        "--trace", &trace, "compress", &graph, "--out", &packed, "--procs", "2",
     ]);
     let text = std::fs::read_to_string(&trace).unwrap();
     std::fs::remove_dir_all(&dir).unwrap();

@@ -36,15 +36,13 @@
 //!
 //! This module is plain arithmetic over already-collected records, so it is
 //! compiled unconditionally — `cargo xtask trace-analyze` links it without
-//! the `enabled` feature. With the feature off, [`crate::drain`] returns no
-//! records and [`analyze`] of the empty slice is an empty analysis.
+//! the `enabled` feature and feeds it the spans of a written Chrome trace.
 
 use crate::json::Json;
-use crate::span::SpanRecord;
 
 /// One span in analyzer form: owned name plus the payload fields the
-/// analyzer consumes. Built from live [`SpanRecord`]s via `From`, or from a
-/// parsed Chrome trace by external readers (`cargo xtask trace-analyze`).
+/// analyzer consumes, read back from a Chrome trace by
+/// `cargo xtask trace-analyze`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AnalyzedSpan {
     /// Span name (`"degree"`, `"degree.chunk"`, …).
@@ -70,21 +68,6 @@ impl AnalyzedSpan {
     #[must_use]
     pub fn end_ns(&self) -> u64 {
         self.start_ns + self.dur_ns
-    }
-}
-
-impl From<&SpanRecord> for AnalyzedSpan {
-    fn from(r: &SpanRecord) -> Self {
-        AnalyzedSpan {
-            name: r.name.to_string(),
-            start_ns: r.start_ns,
-            dur_ns: r.dur_ns,
-            tid: r.tid,
-            depth: r.depth,
-            chunk: r.args.chunk,
-            chunk_len: r.args.chunk_len,
-            edges: r.args.edges,
-        }
     }
 }
 
@@ -397,13 +380,6 @@ impl StageInstance {
             ),
         ])
     }
-}
-
-/// Analyzes live span records (see [`analyze`]).
-#[must_use]
-pub fn analyze_records(records: &[SpanRecord]) -> TraceAnalysis {
-    let spans: Vec<AnalyzedSpan> = records.iter().map(AnalyzedSpan::from).collect();
-    analyze(&spans)
 }
 
 /// Analyzes a set of spans: finds every top-level stage instance, attributes

@@ -50,8 +50,9 @@
 //! disabled builds — the default everywhere in the workspace — pay nothing,
 //! on the hot query path or anywhere else. With the feature compiled in,
 //! recording is additionally gated behind a runtime [`set_enabled`] switch
-//! (one relaxed atomic load when off) so `--trace` / `--metrics` /
-//! `--mem-metrics` flags decide whether anything is collected.
+//! (one relaxed atomic load when off) so the `--trace` / `--metrics` flags
+//! decide whether anything is collected; memory is accounted whenever
+//! recording is on and a counting allocator is registered.
 
 pub mod analyze;
 pub mod export;

@@ -16,29 +16,19 @@
 //! with their `obs` feature — library users and default builds keep the
 //! plain system allocator and pay zero. When registered, every
 //! alloc/dealloc pays three relaxed atomic RMW operations (a few ns,
-//! invisible next to the allocator call itself); whether the numbers are
-//! *reported* is a separate runtime switch ([`set_enabled`], wired to
-//! `--mem-metrics`). Accounting tracks requested layout sizes, not
-//! allocator-internal overhead, so the numbers are deterministic across
-//! machines for a deterministic run.
+//! invisible next to the allocator call itself). The numbers are reported
+//! whenever recording is on ([`crate::set_enabled`], wired to `--trace` /
+//! `--metrics`): there is no separate memory switch. Accounting tracks
+//! requested layout sizes, not allocator-internal overhead, so the numbers
+//! are deterministic across machines for a deterministic run.
 //!
-//! # Mid-span sampling
+//! # Attribution
 //!
-//! The process-wide watermark gives *top-level coordinator* spans exact
-//! peaks, but nested and worker spans fall back to `max(live at entry, live
-//! at exit)` — an allocate-and-free spike inside such a span is invisible.
-//! [`set_sample_period`] (`--mem-sample N` on the binaries) arms an
-//! allocation-count trigger: every `N`-th allocation *on each thread* folds
-//! the current live size into a per-thread high-water mark. The span layer
-//! brackets each nested/worker span with [`span_mark_save`] /
-//! [`span_mark_restore`], so the span's recorded peak becomes
-//! `max(entry, exit, sampled mark)` and intra-span spikes are caught to
-//! within the sampling resolution. Marks propagate outward on restore, so
-//! an inner span's spike also raises every enclosing span's peak. The
-//! trigger only observes allocations made by the span's own thread —
-//! cross-thread attribution stays the watermark's job. With `N = 0` (the
-//! default) the trigger is disarmed and costs one relaxed load per
-//! allocation.
+//! Top-level coordinator spans reset the watermark at entry and read it at
+//! exit, so their peak is exact, spikes made by worker threads inside the
+//! stage included. Nested and worker spans report `max(live at entry, live
+//! at exit)`: an allocate-and-free spike inside such a span shows only in
+//! its enclosing top-level stage.
 //!
 //! Without the `enabled` cargo feature the whole module collapses to inert
 //! stubs and the allocator type does not exist, so the default workspace
@@ -54,29 +44,17 @@ pub struct MemSnapshot {
     pub peak_bytes: u64,
 }
 
-/// Turns memory reporting on or off. A no-op unless the `enabled` feature
-/// is compiled in; reporting additionally requires a registered
-/// `CountingAlloc` to have observed an allocation.
-pub fn set_enabled(on: bool) {
-    // ORDERING: Relaxed — an independent on/off flag; readers need eventual
-    // visibility only, and no other memory is published through it.
-    #[cfg(feature = "enabled")]
-    imp::MEM_ON.store(on, std::sync::atomic::Ordering::Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    let _ = on;
-}
-
-/// True when memory accounting is compiled in, switched on, and a counting
-/// allocator is actually registered in this process.
+/// True when memory accounting is compiled in, recording is on
+/// ([`crate::is_enabled`]), and a counting allocator is actually registered
+/// in this process.
 #[inline(always)]
 #[must_use]
 pub fn active() -> bool {
     #[cfg(feature = "enabled")]
     {
-        // ORDERING: Relaxed — advisory flag and monotone peak counter;
-        // eventual visibility is enough for a reporting gate.
-        use std::sync::atomic::Ordering::Relaxed;
-        imp::MEM_ON.load(Relaxed) && imp::PEAK.load(Relaxed) > 0
+        // ORDERING: Relaxed — monotone peak counter; eventual visibility is
+        // enough for a reporting gate.
+        crate::is_enabled() && imp::PEAK.load(std::sync::atomic::Ordering::Relaxed) > 0
     }
     #[cfg(not(feature = "enabled"))]
     {
@@ -157,85 +135,18 @@ pub fn reset_watermark() {
     }
 }
 
-/// Sets the mid-span sampling period: every `n`-th allocation on a thread
-/// updates that thread's high-water mark, so nested/worker spans report
-/// true intra-span peaks instead of `max(entry, exit)`. `0` (the default)
-/// disarms the trigger. Wired to `--mem-sample N` / `PARCSR_MEM_SAMPLE` on
-/// the binaries; a no-op unless the `enabled` feature is compiled in.
-pub fn set_sample_period(n: u64) {
-    // ORDERING: Relaxed — sampling knob; eventual visibility is enough and
-    // exact period boundaries do not matter.
-    #[cfg(feature = "enabled")]
-    imp::SAMPLE_EVERY.store(n, std::sync::atomic::Ordering::Relaxed);
-    #[cfg(not(feature = "enabled"))]
-    let _ = n;
-}
-
-/// The current mid-span sampling period (`0` = disarmed; always `0` without
-/// the feature).
-#[must_use]
-pub fn sample_period() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        // ORDERING: Relaxed — sampling knob read; a racy period change only
-        // shifts which allocation trips the next sample.
-        imp::SAMPLE_EVERY.load(std::sync::atomic::Ordering::Relaxed)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
-}
-
-/// Opens a sampled-peak bracket for a span on the current thread: resets the
-/// thread's high-water mark to the current live size and returns the
-/// previous mark for [`span_mark_restore`]. Called by the span layer at the
-/// start of each nested/worker span when sampling is armed. Returns `0`
-/// without the feature.
-#[must_use]
-pub fn span_mark_save() -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        imp::mark_save()
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        0
-    }
-}
-
-/// Closes a sampled-peak bracket: returns the high-water mark observed since
-/// the matching [`span_mark_save`] and folds it into `saved` (the enclosing
-/// span's mark) so spikes propagate outward. Returns `0` without the
-/// feature.
-#[must_use]
-pub fn span_mark_restore(saved: u64) -> u64 {
-    #[cfg(feature = "enabled")]
-    {
-        imp::mark_restore(saved)
-    }
-    #[cfg(not(feature = "enabled"))]
-    {
-        let _ = saved;
-        0
-    }
-}
-
 #[cfg(feature = "enabled")]
 pub use imp::CountingAlloc;
 
 #[cfg(feature = "enabled")]
 mod imp {
     use std::alloc::{GlobalAlloc, Layout, System};
-    use std::cell::Cell;
     // ORDERING: Relaxed throughout — allocator counters are per-cell
     // monotone or commutative updates (fetch_add/fetch_sub/fetch_max) read
     // for reporting; nothing synchronizes through them, and the watermark
     // race is documented at `reset_watermark`.
-    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
+    use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
-    /// Runtime reporting switch (`--mem-metrics`).
-    pub(super) static MEM_ON: AtomicBool = AtomicBool::new(false);
     /// Live heap bytes: allocated minus freed, requested layout sizes.
     pub(super) static LIVE: AtomicU64 = AtomicU64::new(0);
     /// Monotone process-wide peak of `LIVE`. Non-zero iff a counting
@@ -243,53 +154,12 @@ mod imp {
     pub(super) static PEAK: AtomicU64 = AtomicU64::new(0);
     /// Resettable per-stage watermark of `LIVE`.
     pub(super) static WATER: AtomicU64 = AtomicU64::new(0);
-    /// Mid-span sampling period (`--mem-sample N`); `0` = disarmed.
-    pub(super) static SAMPLE_EVERY: AtomicU64 = AtomicU64::new(0);
-
-    thread_local! {
-        // Both cells are const-initialized: TLS touched from inside the
-        // global allocator must not itself allocate.
-        /// Allocation countdown driving the 1-in-N sampling trigger.
-        static TICK: Cell<u64> = const { Cell::new(0) };
-        /// Per-thread sampled high-water mark of `LIVE`, bracketed per span
-        /// by `mark_save` / `mark_restore`.
-        static MARK: Cell<u64> = const { Cell::new(0) };
-    }
-
-    pub(super) fn mark_save() -> u64 {
-        // try_with: TLS may already be torn down during thread exit.
-        MARK.try_with(|m| m.replace(LIVE.load(Relaxed)))
-            .unwrap_or(0)
-    }
-
-    pub(super) fn mark_restore(saved: u64) -> u64 {
-        MARK.try_with(|m| {
-            let observed = m.get();
-            m.set(observed.max(saved));
-            observed
-        })
-        .unwrap_or(0)
-    }
 
     #[inline]
     fn on_alloc(bytes: u64) {
         let live = LIVE.fetch_add(bytes, Relaxed) + bytes;
         PEAK.fetch_max(live, Relaxed);
         WATER.fetch_max(live, Relaxed);
-        let period = SAMPLE_EVERY.load(Relaxed);
-        if period != 0 {
-            // try_with (not with): this runs inside the allocator, and TLS
-            // destructors may already have run on an exiting thread.
-            let _ = TICK.try_with(|t| {
-                let n = t.get() + 1;
-                if n >= period {
-                    t.set(0);
-                    let _ = MARK.try_with(|m| m.set(m.get().max(live)));
-                } else {
-                    t.set(n);
-                }
-            });
-        }
     }
 
     #[inline]

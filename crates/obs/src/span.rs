@@ -16,19 +16,14 @@
 //!
 //! # Memory attribution
 //!
-//! When the counting allocator is registered and switched on (see
+//! When recording is on and the counting allocator is registered (see
 //! [`crate::mem`]), each recorded span carries the live heap bytes at its end
 //! ([`SpanRecord::mem_live`]) and the peak live bytes observed during it
 //! ([`SpanRecord::mem_peak`]). Top-level coordinator spans — the sequential
 //! pipeline stages — use a resettable allocator watermark, so their peak is
 //! exact even for allocations made by worker threads inside the stage;
 //! nested and worker spans fall back to `max(live at entry, live at exit)`,
-//! which misses intra-span spikes but costs nothing extra per allocation —
-//! unless mid-span sampling is armed ([`crate::mem::set_sample_period`],
-//! `--mem-sample N`), in which case every `N`-th allocation on the span's
-//! thread feeds a per-thread high-water mark and the recorded peak becomes
-//! `max(entry, exit, sampled mark)`, with inner spikes propagating to
-//! enclosing spans.
+//! which misses intra-span spikes but costs nothing extra per allocation.
 
 use std::sync::OnceLock;
 use std::time::Instant;
@@ -163,7 +158,7 @@ mod collect {
         start_ns: u64,
         depth: u16,
         args: SpanArgs,
-        /// Memory accounting at entry; `None` when accounting was off.
+        /// Memory accounting at entry; `None` when accounting was inactive.
         mem: Option<MemTrack>,
     }
 
@@ -180,10 +175,6 @@ mod collect {
         /// True for top-level coordinator spans, which own the exact
         /// resettable watermark.
         top: bool,
-        /// The enclosing span's sampled high-water mark, to restore at
-        /// finish; `None` when mid-span sampling was disarmed at entry
-        /// (or the span is top-level and uses the watermark instead).
-        saved_mark: Option<u64>,
     }
 
     #[derive(Default)]
@@ -229,18 +220,14 @@ mod collect {
         let mem = crate::mem::active().then(|| {
             // Top-level coordinator spans (the sequential pipeline stages)
             // own the resettable watermark; everything else uses the
-            // endpoint approximation, sharpened by the sampled per-thread
-            // mark when `--mem-sample` armed it.
+            // endpoint approximation.
             let top = depth == 0 && rayon::current_thread_index().is_none();
             if top {
                 crate::mem::reset_watermark();
             }
-            let saved_mark =
-                (!top && crate::mem::sample_period() > 0).then(crate::mem::span_mark_save);
             MemTrack {
                 live_at_begin: crate::mem::live_bytes(),
                 top,
-                saved_mark,
             }
         });
         Some(ActiveSpan {
@@ -261,11 +248,10 @@ mod collect {
             let (mem_peak, mem_live) = match active.mem {
                 Some(track) => {
                     let live_now = crate::mem::live_bytes();
-                    let sampled = track.saved_mark.map_or(0, crate::mem::span_mark_restore);
                     let peak = if track.top {
                         crate::mem::watermark_bytes()
                     } else {
-                        track.live_at_begin.max(live_now).max(sampled)
+                        live_now
                     };
                     (peak.max(track.live_at_begin), live_now)
                 }

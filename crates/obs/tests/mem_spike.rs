@@ -1,7 +1,6 @@
-//! Regression test for mid-span memory sampling: an allocate-and-free spike
-//! inside a *nested* span is invisible to the endpoint approximation
-//! (`max(live at entry, live at exit)`) but must be caught once
-//! `mem::set_sample_period` arms the allocation-count trigger.
+//! Per-span memory peaks: a top-level stage's peak is the exact allocator
+//! watermark, spikes made by pool workers inside it included; a nested span
+//! reports `max(live at entry, live at exit)`.
 //!
 //! Runs in its own integration-test binary because it registers the
 //! counting global allocator and asserts on process-wide accounting — other
@@ -9,94 +8,123 @@
 //! so this file holds exactly one `#[test]`.
 #![cfg(feature = "enabled")]
 
-use parcsr_obs::{self as obs, mem};
+use parcsr_obs::{self as obs, mem, SpanRecord};
 
 #[global_allocator]
 static ALLOC: mem::CountingAlloc = mem::CountingAlloc::new();
 
-/// Allocates `bytes`, touches it, frees it, all inside the current span.
-fn spike(bytes: usize) {
-    let v = vec![1u8; bytes];
-    std::hint::black_box(&v[bytes / 2]);
-    drop(v);
+/// Far above the test harness's own heap.
+const SPIKE: u64 = 32 << 20;
+/// A block a nested span allocates and its sibling frees.
+const HELD: u64 = 8 << 20;
+/// Room for the harness's own allocations between two readings.
+const SLACK: u64 = 1 << 20;
+
+/// Allocates [`SPIKE`] bytes, touches them and frees them.
+fn spike() {
+    let v = vec![1u8; SPIKE as usize];
+    std::hint::black_box(&v[v.len() / 2]);
 }
 
-/// Runs `outer` (top-level) → `mid` → `inner`, with the spike inside
-/// `inner`, and returns the recorded `(inner, mid)` peaks.
-fn run_nested_spike(bytes: usize) -> (u64, u64) {
-    {
-        let _outer = obs::enter("spike.outer");
-        let _mid = obs::enter("spike.mid");
-        obs::span!("spike.inner", {
-            spike(bytes);
-        });
-    }
-    let records = obs::drain();
-    let peak_of = |name: &str| {
-        records
-            .iter()
-            .find(|r| r.name == name)
-            .unwrap_or_else(|| panic!("span `{name}` missing from {records:?}"))
-            .mem_peak
-    };
-    (peak_of("spike.inner"), peak_of("spike.mid"))
+fn find<'a>(records: &'a [SpanRecord], name: &str) -> &'a SpanRecord {
+    records
+        .iter()
+        .find(|r| r.name == name)
+        .unwrap_or_else(|| panic!("span `{name}` missing from {records:?}"))
 }
 
 #[test]
-fn sampled_mark_catches_intra_span_spike() {
+fn top_level_peaks_are_exact_and_nested_peaks_are_endpoints() {
     obs::set_enabled(true);
-    mem::set_enabled(true);
     let _ = obs::drain();
-    assert!(mem::active(), "counting allocator should be registered");
-
-    const SPIKE: usize = 32 << 20; // far above the test harness baseline
-
-    // Without sampling, the endpoint approximation misses the freed spike.
-    mem::set_sample_period(0);
-    let baseline = mem::live_bytes();
-    let (inner, mid) = run_nested_spike(SPIKE);
     assert!(
-        inner < baseline + (SPIKE / 2) as u64,
-        "endpoint approximation should miss the spike: peak {inner}, baseline {baseline}"
-    );
-    assert!(mid < baseline + (SPIKE / 2) as u64);
-
-    // With a period of 1 every allocation updates the mark: both the inner
-    // span and (via mark propagation on restore) the enclosing nested span
-    // must report a peak that includes the spike.
-    mem::set_sample_period(1);
-    let (inner, mid) = run_nested_spike(SPIKE);
-    mem::set_sample_period(0);
-    assert!(
-        inner >= SPIKE as u64,
-        "sampled peak should catch the spike: got {inner}"
-    );
-    assert!(
-        mid >= SPIKE as u64,
-        "spike should propagate to the enclosing span: got {mid}"
+        mem::active(),
+        "recording is on and the allocator registered"
     );
 
-    // A coarse period still catches a spike made of many allocations: 64
-    // one-MB allocations held together, sampled every 16th.
-    mem::set_sample_period(16);
+    // A spike on the coordinator, inside a top-level stage.
     let before = mem::live_bytes();
+    obs::span!("stage.coordinator", {
+        spike();
+    });
+    let records = obs::drain();
+    let stage = find(&records, "stage.coordinator");
+    assert!(
+        stage.mem_peak + SLACK >= before + SPIKE,
+        "coordinator spike missed: peak {}, before {before}",
+        stage.mem_peak
+    );
+
+    // The same spike made by a worker of a two-wide pool (the pool
+    // `with_processors(2, …)` installs): the watermark is process-wide, so
+    // the stage sees it although no span of the worker's recorded it.
+    let pool = rayon::ThreadPoolBuilder::new()
+        .num_threads(2)
+        .build()
+        .unwrap();
+    let before = mem::live_bytes();
+    obs::span!("stage.workers", {
+        pool.install(|| {
+            let (_, worker) = rayon::join(
+                || (),
+                || {
+                    spike();
+                    rayon::current_thread_index()
+                },
+            );
+            assert_eq!(worker, Some(1), "the spike ran on a pool worker");
+        });
+    });
+    let records = obs::drain();
+    let stage = find(&records, "stage.workers");
+    assert!(
+        stage.mem_peak + SLACK >= before + SPIKE,
+        "worker spike missed: peak {}, before {before}",
+        stage.mem_peak
+    );
+
+    // Nested spans keep only their endpoints: a freed spike does not show,
+    // and the peak is the larger of the live sizes at entry and at exit.
+    let at_shrink_entry;
     {
-        let _outer = obs::enter("spike.outer");
-        obs::span!("spike.inner", {
-            let held: Vec<Vec<u8>> = (0..64).map(|_| vec![1u8; 1 << 20]).collect();
-            std::hint::black_box(&held);
+        let _stage = obs::enter("stage.nested");
+        let held = obs::span!("grow", {
+            spike();
+            vec![1u8; HELD as usize]
+        });
+        at_shrink_entry = mem::live_bytes();
+        obs::span!("shrink", {
+            spike();
+            drop(held);
         });
     }
-    mem::set_sample_period(0);
     let records = obs::drain();
-    let inner = records
-        .iter()
-        .find(|r| r.name == "spike.inner")
-        .expect("inner span recorded")
-        .mem_peak;
-    // At worst the trigger lags 15 allocations (15 MB) behind the true peak.
+    let stage = find(&records, "stage.nested");
+    let grow = find(&records, "grow");
+    let shrink = find(&records, "shrink");
+    assert_eq!((grow.depth, shrink.depth), (1, 1));
+    // Exit above entry: the peak is the live size at exit.
+    assert_eq!(grow.mem_peak, grow.mem_live, "{grow:?}");
+    // Entry above exit: the peak is the live size at entry.
     assert!(
-        inner >= before + (48 << 20),
-        "coarse sampling should still see most of the ramp: got {inner}, before {before}"
+        shrink.mem_peak + SLACK >= shrink.mem_live + HELD,
+        "{shrink:?}"
+    );
+    assert!(
+        shrink.mem_peak.abs_diff(at_shrink_entry) < SLACK,
+        "peak {} against {at_shrink_entry} live at entry",
+        shrink.mem_peak
+    );
+    for span in [grow, shrink] {
+        assert!(
+            span.mem_peak < at_shrink_entry + SPIKE / 2,
+            "`{}` saw the freed spike: {span:?}",
+            span.name
+        );
+    }
+    // The enclosing top-level stage saw both spikes.
+    assert!(
+        stage.mem_peak + SLACK >= grow.mem_live - HELD + SPIKE,
+        "{stage:?}"
     );
 }

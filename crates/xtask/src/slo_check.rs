@@ -77,7 +77,6 @@ pub const TABLE2_SMOKE_ARGS: &[&str] = &[
     "--procs",
     "1,2",
     "--metrics",
-    "--mem-metrics",
     "--json",
 ];
 

@@ -10,8 +10,9 @@
 //!   the machine's absolute speed changed between runs, which makes the
 //!   check robust to CI hosts of different speeds;
 //! * peak memory is compared relatively (`|cur - base| / base`), and only
-//!   when both runs recorded it (a baseline captured without
-//!   `--mem-metrics` reports 0 and is skipped, not failed).
+//!   when both runs recorded it (a stage whose run kept no memory account
+//!   reports 0 and is skipped, not failed). Every stage must carry the
+//!   `mem_peak_bytes` field; a missing one is a parse error.
 //!
 //! Either drift above the threshold (default 0.10) fails the diff with a
 //! per-stage table naming the offenders. Samples or stages present on only
@@ -71,16 +72,17 @@ fn parse_samples(which: &str, text: &str) -> Result<Vec<Sample>, String> {
                     .get("total_ms")
                     .and_then(Json::as_f64)
                     .ok_or_else(|| format!("{which}: stage `{sname}` is missing `total_ms`"))?;
-                // Baselines written before memory accounting lack the field.
-                let mem = st
+                let mem_peak_bytes = st
                     .get("mem_peak_bytes")
                     .and_then(Json::as_i64)
-                    .unwrap_or(0)
-                    .max(0) as u64;
+                    .and_then(|b| u64::try_from(b).ok())
+                    .ok_or_else(|| {
+                        format!("{which}: stage `{sname}` is missing `mem_peak_bytes`")
+                    })?;
                 parsed.push(Stage {
                     name: sname.to_string(),
                     total_ms,
-                    mem_peak_bytes: mem,
+                    mem_peak_bytes,
                 });
             }
             out.push(Sample {
@@ -313,5 +315,14 @@ mod tests {
         assert!(diff_stage_text(bad, "[]", 0.1)
             .unwrap_err()
             .contains("`name`"));
+        // A stage without its peak heap is an error naming the stage, on
+        // either side.
+        let no_mem = r#"[{"name":"toy","samples":[{"processors":4,"stages":[
+            {"name":"scatter","total_ms":1.0}]}]}]"#;
+        let err = diff_stage_text(no_mem, &doc(&[("scatter", 1.0, 0)]), 0.1).unwrap_err();
+        assert!(err.starts_with("baseline: stage `scatter`"), "{err}");
+        assert!(err.contains("`mem_peak_bytes`"), "{err}");
+        let err = diff_stage_text(&doc(&[("scatter", 1.0, 0)]), no_mem, 0.1).unwrap_err();
+        assert!(err.starts_with("current: stage `scatter`"), "{err}");
     }
 }

@@ -17,33 +17,33 @@ mkdir -p results
 echo "== building release binaries (obs feature: tracing + metrics + mem) =="
 cargo build --release -p parcsr-bench --features obs
 
-# Every run records metrics and heap accounting; the stage summaries on
-# stderr (now including the `== mem ==` section) are archived next to the
-# tables so memory regressions are diffable across runs.
+# Every run records metrics, and with them heap accounting; the stage
+# summaries on stderr (including the `== mem ==` section) are archived next
+# to the tables so memory regressions are diffable across runs.
 echo "== Table II (run ${RUN_ID}) =="
 cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
-  --metrics --mem-metrics --trace "${OUT}.table2.trace.json" "$@" \
+  --metrics --trace "${OUT}.table2.trace.json" "$@" \
   2> >(tee "${OUT}.table2.stages.txt" >&2) \
   | tee "${OUT}.table2.md"
 echo "== Figure 6 =="
 cargo run --release -q -p parcsr-bench --features obs --bin fig6 -- \
-  --metrics --mem-metrics --trace "${OUT}.fig6.trace.json" "$@" \
+  --metrics --trace "${OUT}.fig6.trace.json" "$@" \
   2> >(tee "${OUT}.fig6.stages.txt" >&2) \
   | tee "${OUT}.fig6.txt"
 echo "== Figure 7 =="
 cargo run --release -q -p parcsr-bench --features obs --bin fig7 -- \
-  --metrics --mem-metrics --trace "${OUT}.fig7.trace.json" "$@" \
+  --metrics --trace "${OUT}.fig7.trace.json" "$@" \
   2> >(tee "${OUT}.fig7.stages.txt" >&2) \
   | tee "${OUT}.fig7.txt"
 
 # Machine-readable per-stage breakdown per (dataset, p): the bench JSON
-# schema carries a `stages` array (with `mem_peak_bytes`, and with
-# `--imbalance` a per-stage utilization/cv/critical-path object) and a
-# `mem` object on every processor sample. Compare two of these with
-# `cargo xtask stage-diff <baseline> <current>`.
-echo "== Table II (JSON, per-stage breakdown + memory + imbalance) =="
+# schema carries a `stages` array (with `mem_peak_bytes`) and a `mem`
+# object on every processor sample. Compare two of these with
+# `cargo xtask stage-diff <baseline> <current>`; the per-stage utilization
+# and chunk statistics are the trace analysis below.
+echo "== Table II (JSON, per-stage breakdown + memory) =="
 cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
-  --json --metrics --mem-metrics --imbalance "$@" > "${OUT}.table2.stages.json"
+  --json --metrics "$@" > "${OUT}.table2.stages.json"
 
 # Closed-loop serving run: sustained qps + per-query call latency
 # percentiles per window, per query kind, and per degree class on the
