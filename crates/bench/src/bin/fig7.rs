@@ -27,5 +27,5 @@ fn main() {
     } else {
         print!("{}", print_fig7(&results));
     }
-    trace::finish(opts.trace.as_deref(), opts.metrics, &spans, &[]);
+    trace::finish(opts.trace.as_deref(), opts.metrics, &spans);
 }

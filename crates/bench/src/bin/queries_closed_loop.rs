@@ -7,11 +7,11 @@
 //!     --graph hub --clients 8 --duration-ms 2000 --window-ms 250 --json
 //! ```
 //!
-//! `--json` output lists every window; `cargo xtask slo-check` grades it.
-//! `--trace <file>` exports the same windows, the driver's own timings of
-//! each query call, as `query.win.*` and `query.exemplar.*` counter events
-//! for `chrome://tracing` / `cargo xtask check-trace`; built with
-//! `--features obs`, the trace also holds the run's spans.
+//! `--json` output lists every window and its tail exemplars; `cargo xtask
+//! slo-check` grades it. Built with `--features obs`, `--trace <file>`
+//! writes the run's spans and `mem.*` counters like every other binary
+//! (served one-query batches record no span, so the spans are the graph
+//! build's), and `--metrics` prints the stage and heap summary.
 
 use parcsr_bench::closed_loop::{render_table, run, DriverOptions};
 use parcsr_bench::{trace, ToJson};
@@ -35,10 +35,5 @@ fn main() {
     } else {
         print!("{}", render_table(&report));
     }
-    trace::finish(
-        opts.trace.as_deref(),
-        opts.metrics,
-        &parcsr_obs::drain(),
-        &report.history,
-    );
+    trace::finish(opts.trace.as_deref(), opts.metrics, &parcsr_obs::drain());
 }

@@ -86,10 +86,5 @@ fn main() {
         });
         println!("| {p} | {nq:.1} | {eq:.1} | {sq:.2} |");
     }
-    trace::finish(
-        opts.trace.as_deref(),
-        opts.metrics,
-        &parcsr_obs::drain(),
-        &[],
-    );
+    trace::finish(opts.trace.as_deref(), opts.metrics, &parcsr_obs::drain());
 }

@@ -48,10 +48,5 @@ fn main() {
             format_bytes(k2.packed_bytes()),
         );
     }
-    trace::finish(
-        opts.trace.as_deref(),
-        opts.metrics,
-        &parcsr_obs::drain(),
-        &[],
-    );
+    trace::finish(opts.trace.as_deref(), opts.metrics, &parcsr_obs::drain());
 }

@@ -33,5 +33,5 @@ fn main() {
     } else {
         print!("{}", print_table2(&results));
     }
-    trace::finish(opts.trace.as_deref(), opts.metrics, &spans, &[]);
+    trace::finish(opts.trace.as_deref(), opts.metrics, &spans);
 }

@@ -22,10 +22,9 @@
 //! the first stamp; dropping the answer and recording happen after the
 //! second. Each window keeps its slowest queries as tail exemplars. At
 //! each rotation the reporter turns the completed window into one
-//! [`HistoryWindow`], its bounds stamped on the span clock ([`now_ns`]).
-//! That list is the report's window series, its exemplar block, and, under
-//! `--trace`, the `query.win.*` / `query.exemplar.*` counter events that
-//! `cargo xtask check-trace` validates.
+//! [`WindowReport`], exemplars included. That list is the one record of
+//! the run's windows: the JSON `windows` series, the JSON exemplar block
+//! and the table's slowest query all render from it.
 //!
 //! Each client wraps its loop in [`with_processors`]`(1, ..)`: the rayon
 //! shim runs width-1 pools inline on the calling thread, so a length-1
@@ -48,10 +47,7 @@ use parcsr::query::{
 use parcsr::{with_processors, BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::{EdgeList, NodeId};
 use parcsr_obs::metrics::HistogramSummary;
-use parcsr_obs::serve::{
-    DegreeClass, Exemplar, HistoryWindow, QueryKind, QuerySlabs, EXEMPLARS_PER_SHARD,
-};
-use parcsr_obs::span::now_ns;
+use parcsr_obs::serve::{DegreeClass, Exemplar, QueryKind, QuerySlabs, EXEMPLARS_PER_SHARD};
 
 use crate::json::{Json, ToJson};
 
@@ -115,8 +111,8 @@ pub struct DriverOptions {
     pub seed: u64,
     /// Emit the result as JSON on stdout (the human table moves to stderr).
     pub json: bool,
-    /// Write a Chrome trace of the run: its serving windows, plus spans
-    /// when built with `--features obs`.
+    /// Write a Chrome trace of the run's spans and heap (needs
+    /// `--features obs`).
     pub trace: Option<String>,
     /// Print the obs stage and heap summary to stderr (needs
     /// `--features obs`).
@@ -252,9 +248,9 @@ Flags:
   --zipf-s <f>        Zipf exponent of the degree-rank skew (default 1.0; 0 = uniform)
   --seed <n>          RNG seed (default 42)
   --json              emit the result JSON on stdout (table moves to stderr)
-  --trace <file>      write a Chrome trace with query.win.* counter events
+  --trace <file>      write a Chrome trace of the spans and heap
   --metrics           print the obs stage and heap summary to stderr
-                      (spans and heap need a build with --features obs)
+                      (both need a build with --features obs)
 
 Grade a run with `cargo xtask slo-check` on its --json output.";
 
@@ -365,7 +361,7 @@ impl ToJson for CellReport {
 
 /// The exemplar block entry of one window: its ordinal and its tail
 /// exemplars, slowest first.
-fn window_exemplars_json(w: &HistoryWindow) -> Json {
+fn window_exemplars_json(w: &WindowReport) -> Json {
     Json::Object(vec![
         ("window".into(), Json::Int(w.window as i64)),
         (
@@ -411,6 +407,10 @@ pub struct WindowReport {
     pub kinds: Vec<CellReport>,
     /// Non-empty per-degree-class rollups.
     pub classes: Vec<CellReport>,
+    /// The window's tail exemplars, slowest first
+    /// ([`QuerySlabs::completed_exemplars`]); empty for the lifetime
+    /// rollup. The JSON renders them in the report's exemplar block.
+    pub exemplars: Vec<Exemplar>,
 }
 
 impl ToJson for WindowReport {
@@ -447,16 +447,11 @@ pub struct DriverReport {
     pub zipf_s: f64,
     /// Seed as configured.
     pub seed: u64,
-    /// Measured run length, ms.
-    pub elapsed_ms: f64,
     /// Completed reporting windows (last entry may be a partial tail).
     pub windows: Vec<WindowReport>,
-    /// Lifetime rollup across all windows.
+    /// Lifetime rollup across all windows; its `dur_ms` is the measured
+    /// run length (the JSON's `elapsed_ms`).
     pub overall: WindowReport,
-    /// The record of each entry of `windows`, same order: its cells and its
-    /// tail exemplars, on the span clock. The JSON exemplar block and the
-    /// trace's serving series render it.
-    pub history: Vec<HistoryWindow>,
 }
 
 impl ToJson for DriverReport {
@@ -473,7 +468,7 @@ impl ToJson for DriverReport {
             ),
             ("zipf_s".into(), Json::Float(self.zipf_s)),
             ("seed".into(), Json::Int(self.seed as i64)),
-            ("elapsed_ms".into(), Json::Float(self.elapsed_ms)),
+            ("elapsed_ms".into(), Json::Float(self.overall.dur_ms)),
             ("windows".into(), self.windows.as_slice().to_json()),
             ("overall".into(), self.overall.to_json()),
             (
@@ -484,7 +479,7 @@ impl ToJson for DriverReport {
                     (
                         "windows".into(),
                         Json::Array(
-                            self.history
+                            self.windows
                                 .iter()
                                 .filter(|w| !w.exemplars.is_empty())
                                 .map(window_exemplars_json)
@@ -497,51 +492,65 @@ impl ToJson for DriverReport {
     }
 }
 
-/// Rotates `slabs` and returns the record of the completed window, open
-/// since `opened_ns` and closed now, on the span clock.
-fn close_window(slabs: &QuerySlabs, opened_ns: u64) -> HistoryWindow {
-    let completed = slabs.rotate();
-    HistoryWindow::new(
-        completed,
-        opened_ns,
-        now_ns(),
-        slabs.window_cells(completed),
-        slabs.completed_exemplars(),
-    )
-}
-
-/// Builds the [`WindowReport`] of `w`, a window just rotated out of
-/// `slabs`. Its bounds, request count and qps are `w`'s, so the JSON window
-/// and the trace's window agree.
-fn window_report(slabs: &QuerySlabs, w: &HistoryWindow, run_start_ns: u64) -> WindowReport {
-    let epoch = w.window;
-    let all = slabs.window_summary(epoch, None, None);
+/// The rollup of one stretch of the run, `dur_ns` long from `start_ns`
+/// (ns since the run start): `summary(kind, class)` merges the slab cells
+/// it covers, `None` meaning the whole dimension.
+fn rollup(
+    window: u64,
+    start_ns: u64,
+    dur_ns: u64,
+    summary: impl Fn(Option<QueryKind>, Option<DegreeClass>) -> HistogramSummary,
+    exemplars: Vec<Exemplar>,
+) -> WindowReport {
+    let all = summary(None, None);
     let kinds = QueryKind::ALL
         .iter()
         .filter_map(|&k| {
-            let s = slabs.window_summary(epoch, Some(k), None);
+            let s = summary(Some(k), None);
             (s.count > 0).then(|| CellReport::from_summary(k.name(), &s))
         })
         .collect();
     let classes = DegreeClass::ALL
         .iter()
         .filter_map(|&c| {
-            let s = slabs.window_summary(epoch, None, Some(c));
+            let s = summary(None, Some(c));
             (s.count > 0).then(|| CellReport::from_summary(c.name(), &s))
         })
         .collect();
+    let qps = if dur_ns > 0 {
+        all.count as f64 * 1e9 / dur_ns as f64
+    } else {
+        0.0
+    };
     WindowReport {
-        window: epoch,
-        start_ms: w.start_ns.saturating_sub(run_start_ns) as f64 / 1e6,
-        dur_ms: w.dur_ns as f64 / 1e6,
-        requests: w.queries,
-        qps: w.qps,
+        window,
+        start_ms: start_ns as f64 / 1e6,
+        dur_ms: dur_ns as f64 / 1e6,
+        requests: all.count,
+        qps,
         p50_ns: all.p50,
         p95_ns: all.p95,
         p99_ns: all.p99,
         kinds,
         classes,
+        exemplars,
     }
+}
+
+/// Rotates `slabs` and returns the report of the completed window, open
+/// from `*opened_ns` until now (ns since `run_start`); advances
+/// `*opened_ns` to the close, where the next window opens.
+fn close_window(slabs: &QuerySlabs, run_start: Instant, opened_ns: &mut u64) -> WindowReport {
+    let epoch = slabs.rotate();
+    let closed_ns = run_start.elapsed().as_nanos() as u64;
+    let start_ns = std::mem::replace(opened_ns, closed_ns);
+    rollup(
+        epoch,
+        start_ns,
+        closed_ns.saturating_sub(start_ns),
+        |kind, class| slabs.window_summary(epoch, kind, class),
+        slabs.completed_exemplars(),
+    )
 }
 
 /// Runs the closed loop: builds the graph and packed CSR, drives it for
@@ -567,13 +576,13 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
     let total_weight: u32 = opts.mix.iter().sum();
 
     // The reporter reads each window right after rotating it, so the live
-    // window and the one just completed are all the slabs need to keep.
-    let slabs = QuerySlabs::new(opts.clients, 2);
+    // window and the one just completed are all the slabs keep.
+    let slabs = QuerySlabs::new(opts.clients);
     let stop = AtomicBool::new(false);
-    let run_start_ns = now_ns();
+    let run_start = Instant::now();
+    let mut opened_ns = 0;
     let windows_target = opts.duration_ms.div_ceil(opts.window_ms);
     let mut windows: Vec<WindowReport> = Vec::new();
-    let mut history: Vec<HistoryWindow> = Vec::new();
 
     std::thread::scope(|scope| {
         for client in 0..opts.clients {
@@ -637,63 +646,28 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
         // Reporter: the single rotator. Window 0 opens at the run start;
         // each later window opens where the previous one closed.
         for ordinal in 0..windows_target {
-            let deadline_ns = opts
-                .window_ms
-                .saturating_mul(1_000_000)
-                .saturating_mul(ordinal + 1)
-                .saturating_add(run_start_ns);
-            let now = now_ns();
-            if deadline_ns > now {
-                std::thread::sleep(Duration::from_nanos(deadline_ns - now));
+            let deadline = Duration::from_millis(opts.window_ms.saturating_mul(ordinal + 1));
+            if let Some(wait) = deadline.checked_sub(run_start.elapsed()) {
+                std::thread::sleep(wait);
             }
-            let w = close_window(&slabs, history.last().map_or(run_start_ns, |w| w.end_ns));
-            windows.push(window_report(&slabs, &w, run_start_ns));
-            history.push(w);
+            windows.push(close_window(&slabs, run_start, &mut opened_ns));
         }
         stop.store(true, Relaxed);
     });
 
     // Clients have joined; anything recorded after the last rotation forms
     // a short tail window (kept only if it saw traffic).
-    let tail = close_window(&slabs, history.last().map_or(run_start_ns, |w| w.end_ns));
-    let elapsed_ms = tail.end_ns.saturating_sub(run_start_ns) as f64 / 1e6;
-    if tail.queries > 0 {
-        windows.push(window_report(&slabs, &tail, run_start_ns));
-        history.push(tail);
+    let tail = close_window(&slabs, run_start, &mut opened_ns);
+    if tail.requests > 0 {
+        windows.push(tail);
     }
-
-    let all = slabs.overall_summary(None, None);
-    let overall_kinds = QueryKind::ALL
-        .iter()
-        .filter_map(|&k| {
-            let s = slabs.overall_summary(Some(k), None);
-            (s.count > 0).then(|| CellReport::from_summary(k.name(), &s))
-        })
-        .collect();
-    let overall_classes = DegreeClass::ALL
-        .iter()
-        .filter_map(|&c| {
-            let s = slabs.overall_summary(None, Some(c));
-            (s.count > 0).then(|| CellReport::from_summary(c.name(), &s))
-        })
-        .collect();
-    let qps = if elapsed_ms > 0.0 {
-        all.count as f64 * 1_000.0 / elapsed_ms
-    } else {
-        0.0
-    };
-    let overall = WindowReport {
-        window: 0,
-        start_ms: 0.0,
-        dur_ms: elapsed_ms,
-        requests: all.count,
-        qps,
-        p50_ns: all.p50,
-        p95_ns: all.p95,
-        p99_ns: all.p99,
-        kinds: overall_kinds,
-        classes: overall_classes,
-    };
+    let overall = rollup(
+        0,
+        0,
+        opened_ns,
+        |kind, class| slabs.overall_summary(kind, class),
+        Vec::new(),
+    );
     DriverReport {
         graph: graph_name,
         nodes: n,
@@ -702,10 +676,8 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
         mix: opts.mix,
         zipf_s: opts.zipf_s,
         seed: opts.seed,
-        elapsed_ms,
         windows,
         overall,
-        history,
     }
 }
 
@@ -756,7 +728,7 @@ pub fn render_table(report: &DriverReport) -> String {
         out,
         "overall: {} requests in {:.0} ms — {:.0} q/s, p50 {:.1} µs, p95 {:.1} µs, p99 {:.1} µs",
         o.requests,
-        report.elapsed_ms,
+        o.dur_ms,
         o.qps,
         us(o.p50_ns),
         us(o.p95_ns),
@@ -775,7 +747,7 @@ pub fn render_table(report: &DriverReport) -> String {
         );
     }
     if let Some(slowest) = report
-        .history
+        .windows
         .iter()
         .flat_map(|w| &w.exemplars)
         .max_by_key(|e| e.ns)
@@ -932,14 +904,13 @@ mod tests {
         assert_eq!((by_kind, by_class), (all.requests, all.requests));
         // Exemplars: every rotated window that saw traffic kept its slowest
         // queries, slowest first.
-        assert_eq!(report.history.len(), report.windows.len());
-        for (we, w) in report.history.iter().zip(&report.windows) {
-            assert_eq!(we.window, w.window);
-            assert_eq!(we.exemplars.is_empty(), w.requests == 0);
-            for pair in we.exemplars.windows(2) {
+        for w in &report.windows {
+            assert_eq!(w.exemplars.is_empty(), w.requests == 0);
+            for pair in w.exemplars.windows(2) {
                 assert!(pair[0].ns >= pair[1].ns);
             }
         }
+        assert!(report.overall.exemplars.is_empty());
         // JSON round-trips and carries the schema tags.
         let parsed = Json::parse(&report.to_json().pretty()).expect("valid JSON");
         assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA),);
@@ -951,51 +922,38 @@ mod tests {
             ex.get("schema").and_then(Json::as_str),
             Some(EXEMPLAR_SCHEMA)
         );
-        let json_exemplars = ex.get("windows").unwrap().as_array().unwrap();
-        assert!(!json_exemplars.is_empty());
-
-        // The trace renders the same windows: one `query.win.qps` point per
-        // JSON window with traffic (same ordinal, same request count) and
-        // one `query.exemplar.*` point per JSON exemplar, in order.
-        let trace = parcsr_obs::export::chrome_trace_with_counters(&[], None, &report.history);
-        let events = trace.as_array().unwrap();
-        let arg = |e: &Json, key: &str| e.get("args").unwrap().get(key).unwrap().as_f64().unwrap();
-        let named = |prefix: &'static str| {
-            events
-                .iter()
-                .filter(move |e| e.get("name").unwrap().as_str().unwrap().starts_with(prefix))
-        };
-        let trace_windows: Vec<(u64, u64)> = named("query.win.qps")
-            .map(|e| (arg(e, "window") as u64, arg(e, "queries") as u64))
-            .collect();
-        let json_windows: Vec<(u64, u64)> = windows
+        // The exemplar block holds every window with traffic, in order,
+        // each with that window's exemplars.
+        let json_exemplars: Vec<(u64, Vec<[u64; 2]>)> = ex
+            .get("windows")
+            .unwrap()
+            .as_array()
+            .unwrap()
             .iter()
             .map(|w| {
-                let field = |key| w.get(key).unwrap().as_f64().unwrap() as u64;
-                (field("window"), field("requests"))
+                let list = w.get("exemplars").unwrap().as_array().unwrap();
+                let field = |e: &Json, key| e.get(key).unwrap().as_f64().unwrap() as u64;
+                (
+                    field(w, "window"),
+                    list.iter()
+                        .map(|e| [field(e, "source"), field(e, "total_ns")])
+                        .collect(),
+                )
             })
-            .filter(|&(_, requests)| requests > 0)
             .collect();
-        assert_eq!(trace_windows, json_windows);
-        let trace_exemplars: Vec<[u64; 3]> = named("query.exemplar.")
-            .map(|e| ["window", "source", "total"].map(|k| arg(e, k) as u64))
-            .collect();
-        let json_exemplars: Vec<[u64; 3]> = json_exemplars
+        let want: Vec<(u64, Vec<[u64; 2]>)> = report
+            .windows
             .iter()
-            .flat_map(|w| {
-                let window = w.get("window").unwrap().as_f64().unwrap() as u64;
-                w.get("exemplars")
-                    .unwrap()
-                    .as_array()
-                    .unwrap()
-                    .iter()
-                    .map(move |e| {
-                        let field = |key| e.get(key).unwrap().as_f64().unwrap() as u64;
-                        [window, field("source"), field("total_ns")]
-                    })
+            .filter(|w| w.requests > 0)
+            .map(|w| {
+                (
+                    w.window,
+                    w.exemplars.iter().map(|e| [e.source, e.ns]).collect(),
+                )
             })
             .collect();
-        assert_eq!(trace_exemplars, json_exemplars);
+        assert!(!want.is_empty());
+        assert_eq!(json_exemplars, want);
 
         // The human table renders every window plus the slowest query.
         let table = render_table(&report);
@@ -1004,7 +962,7 @@ mod tests {
     }
 
     #[test]
-    fn trace_window_zero_opens_at_the_run_start() {
+    fn windows_tile_the_run_from_its_start() {
         let opts = DriverOptions {
             scale: 0.01,
             clients: 2,
@@ -1012,29 +970,25 @@ mod tests {
             window_ms: 60,
             ..DriverOptions::default()
         };
-        // The span clock is already running; the graph build happens after
-        // this stamp and before the run starts.
-        let before = now_ns();
         let report = run(&opts);
-        let (w0, j0) = (&report.history[0], &report.windows[0]);
-        assert!(
-            w0.start_ns > before,
-            "window 0 opens at the run start ({} ns), not at the clock epoch \
-             (before the run: {before} ns)",
-            w0.start_ns
-        );
-        assert_eq!(j0.start_ms, 0.0);
-        assert_eq!(w0.dur_ns as f64 / 1e6, j0.dur_ms);
-        // Query count and qps match JSON window 0 within the rotation-smear
-        // bound (one in-flight record per client).
-        assert!(w0.queries > 0);
-        assert!(w0.queries.abs_diff(j0.requests) <= opts.clients as u64);
-        let smear_qps = opts.clients as f64 * 1e9 / w0.dur_ns as f64;
-        assert!(
-            (w0.qps - j0.qps).abs() <= smear_qps,
-            "{} vs {}",
-            w0.qps,
-            j0.qps
-        );
+        // Window 0 opens at the run start and lasts at least its nominal
+        // length (the reporter sleeps until each deadline).
+        let w0 = &report.windows[0];
+        assert_eq!(w0.start_ms, 0.0);
+        assert!(w0.dur_ms >= opts.window_ms as f64, "{}", w0.dur_ms);
+        assert!(w0.requests > 0);
+        // Each later window opens where the previous one closed, and the
+        // run ends no earlier than the last window.
+        for pair in report.windows.windows(2) {
+            let closed = pair[0].start_ms + pair[0].dur_ms;
+            assert!((pair[1].start_ms - closed).abs() < 1e-6, "{pair:?}");
+        }
+        let last = report.windows.last().unwrap();
+        assert!(report.overall.dur_ms >= last.start_ms + last.dur_ms - 1e-6);
+        // qps is the window's request count over its measured length.
+        for w in &report.windows {
+            let qps = w.requests as f64 * 1e3 / w.dur_ms;
+            assert!((w.qps - qps).abs() <= 1e-6 * qps.max(1.0), "{w:?}");
+        }
     }
 }

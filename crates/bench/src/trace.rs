@@ -5,12 +5,10 @@
 //! feature (which turns on `parcsr-obs/enabled` and registers the counting
 //! allocator); without it [`setup`] warns and the run proceeds
 //! uninstrumented. Either switch records both: heap accounting follows
-//! recording. The serving windows a run keeps (the closed-loop driver's)
-//! are its own data, so `--trace` writes them either way.
+//! recording.
 
 use std::path::Path;
 
-use parcsr_obs::serve::HistoryWindow;
 use parcsr_obs::SpanRecord;
 
 /// Switches runtime span and memory recording on when `--trace` or
@@ -21,26 +19,21 @@ pub fn setup(trace: Option<&str>, metrics: bool) {
     }
     if !parcsr_obs::compiled() {
         eprintln!(
-            "warning: spans and memory need a build with the obs feature (cargo run -p \
-             parcsr-bench --features obs ...); neither will be recorded, and a --trace file \
-             holds only the serving windows the run keeps"
+            "warning: --trace/--metrics need a build with the obs feature (cargo run -p \
+             parcsr-bench --features obs ...); nothing will be recorded"
         );
     }
     parcsr_obs::set_enabled(true);
 }
 
-/// Writes the Chrome trace file (spans, memory counter events and the
-/// serving windows in `history`) and/or prints the stage + memory summary,
-/// per the switches. Call once, after the measured work and while
-/// recording is still on, with the collected spans and the run's rotated
-/// serving windows (the closed-loop driver's
-/// [`DriverReport::history`](crate::closed_loop::DriverReport::history);
-/// `&[]` for the build-side binaries, which rotate none). Exits non-zero
-/// if a requested trace file cannot be written.
-pub fn finish(trace: Option<&str>, metrics: bool, spans: &[SpanRecord], history: &[HistoryWindow]) {
+/// Writes the Chrome trace file (spans and memory counter events) and/or
+/// prints the stage + memory summary, per the switches. Call once, after
+/// the measured work and while recording is still on, with the collected
+/// spans. Exits non-zero if a requested trace file cannot be written.
+pub fn finish(trace: Option<&str>, metrics: bool, spans: &[SpanRecord]) {
     let mem = parcsr_obs::mem::snapshot();
     if let Some(path) = trace {
-        match parcsr_obs::export::write_chrome_trace(Path::new(path), spans, mem, history) {
+        match parcsr_obs::export::write_chrome_trace(Path::new(path), spans, mem) {
             Ok(()) => eprintln!("trace: wrote {} spans to {path}", spans.len()),
             Err(e) => {
                 eprintln!("trace: failed to write {path}: {e}");

@@ -51,12 +51,7 @@ where
         parcsr_obs::set_enabled(false);
         let spans = parcsr_obs::drain();
         if let Some(path) = &obs.trace {
-            match parcsr_obs::export::write_chrome_trace(
-                std::path::Path::new(path),
-                &spans,
-                mem,
-                &[],
-            ) {
+            match parcsr_obs::export::write_chrome_trace(std::path::Path::new(path), &spans, mem) {
                 Ok(()) => eprintln!("trace: wrote {} spans to {path}", spans.len()),
                 Err(e) => {
                     let message = format!("trace: failed to write {path}: {e}");

@@ -13,14 +13,8 @@
 //! `mem.live_bytes` / `mem.stage_peak_bytes` series sampled at the end of
 //! each top-level coordinator span (when memory accounting ran) and one
 //! final `mem.peak_bytes` point, so memory lands in the same timeline as the
-//! spans. Each memory series keeps one arg key. When the caller hands it
-//! serving windows ([`crate::serve::HistoryWindow`], as the
-//! closed-loop driver keeps them), every window adds, at its rotation
-//! timestamp, a `query.win.<kind>.<class>` point per non-empty cell (args:
-//! `window`, `count`, `sum`, `p50`, `p95`, `p99`), one `query.win.qps` point
-//! with the summed query count and achieved qps, and a
-//! `query.exemplar.<kind>.<class>` point per captured tail query. `cargo xtask check-trace` validates both event
-//! kinds.
+//! spans. Each memory series keeps one arg key. `cargo xtask check-trace`
+//! validates both event kinds.
 //!
 //! The summary exporter renders per-stage and per-(stage, worker) wall-clock
 //! aggregates and a memory section when accounting ran, as fixed-width text
@@ -32,8 +26,6 @@ use std::path::Path;
 
 use crate::json::Json;
 use crate::mem::MemSnapshot;
-use crate::metrics::HistogramSummary;
-use crate::serve::{exemplar_series_name, window_series_name, HistoryWindow};
 use crate::span::SpanRecord;
 
 fn span_args_json(r: &SpanRecord) -> Json {
@@ -82,17 +74,6 @@ pub fn chrome_trace_json(spans: &[SpanRecord]) -> Json {
     )
 }
 
-fn summary_args(window: u64, s: &HistogramSummary) -> Vec<(String, Json)> {
-    vec![
-        ("window".into(), Json::Int(window as i64)),
-        ("count".into(), Json::Int(s.count as i64)),
-        ("sum".into(), Json::Int(s.sum as i64)),
-        ("p50".into(), Json::Int(s.p50 as i64)),
-        ("p95".into(), Json::Int(s.p95 as i64)),
-        ("p99".into(), Json::Int(s.p99 as i64)),
-    ]
-}
-
 fn counter_event(name: &str, ts_us: f64, args: Vec<(String, Json)>) -> Json {
     Json::Object(vec![
         ("name".into(), Json::Str(name.to_string())),
@@ -109,18 +90,9 @@ fn counter_event(name: &str, ts_us: f64, args: Vec<(String, Json)>) -> Json {
 /// followed by counter (`"C"`) events for memory (a live-bytes series
 /// sampled at each top-level coordinator span end, a per-stage peak series,
 /// and the process peak). Pass `mem = None` when memory accounting did not
-/// run; the memory series are then omitted. `history`
-/// (the closed-loop driver's rotated windows, oldest first) adds the
-/// per-window serving-telemetry series described in the module docs: the
-/// `query.win.*` cells and `query.win.qps` of every window, then every
-/// window's `query.exemplar.*` points (args: `window`, `source`, `total`,
-/// the query's latency in ns). Pass `&[]` when no window rotated.
+/// run; the memory series are then omitted.
 #[must_use]
-pub fn chrome_trace_with_counters(
-    spans: &[SpanRecord],
-    mem: Option<MemSnapshot>,
-    history: &[HistoryWindow],
-) -> Json {
+pub fn chrome_trace_with_counters(spans: &[SpanRecord], mem: Option<MemSnapshot>) -> Json {
     let Json::Array(mut events) = chrome_trace_json(spans) else {
         unreachable!("chrome_trace_json returns an array");
     };
@@ -152,45 +124,6 @@ pub fn chrome_trace_with_counters(
         ));
     }
 
-    // Serving-telemetry windows: one point per (window, kind, class) cell at
-    // the window's rotation timestamp, then one qps point per window that
-    // saw traffic. `history` is oldest first, so each counter name's series
-    // is time-ordered (a property `check-trace` enforces).
-    for w in history.iter().filter(|w| !w.cells.is_empty()) {
-        let ts_us = w.end_ns as f64 / 1_000.0;
-        for cell in &w.cells {
-            events.push(counter_event(
-                &window_series_name(cell.kind, cell.class),
-                ts_us,
-                summary_args(w.window, &cell.summary),
-            ));
-        }
-        events.push(counter_event(
-            "query.win.qps",
-            ts_us,
-            vec![
-                ("window".into(), Json::Int(w.window as i64)),
-                ("queries".into(), Json::Int(w.queries as i64)),
-                ("qps".into(), Json::Float(w.qps)),
-            ],
-        ));
-    }
-
-    // Tail exemplars: one point per captured slow query at its window's
-    // rotation timestamp.
-    for w in history {
-        for e in &w.exemplars {
-            events.push(counter_event(
-                &exemplar_series_name(e.kind, e.class),
-                w.end_ns as f64 / 1_000.0,
-                vec![
-                    ("window".into(), Json::Int(w.window as i64)),
-                    ("source".into(), Json::Int(e.source as i64)),
-                    ("total".into(), Json::Int(e.ns as i64)),
-                ],
-            ));
-        }
-    }
     Json::Array(events)
 }
 
@@ -200,14 +133,9 @@ pub fn write_chrome_trace(
     path: &Path,
     spans: &[SpanRecord],
     mem: Option<MemSnapshot>,
-    history: &[HistoryWindow],
 ) -> std::io::Result<()> {
     let mut file = std::fs::File::create(path)?;
-    file.write_all(
-        chrome_trace_with_counters(spans, mem, history)
-            .pretty()
-            .as_bytes(),
-    )?;
+    file.write_all(chrome_trace_with_counters(spans, mem).pretty().as_bytes())?;
     file.write_all(b"\n")
 }
 
@@ -439,7 +367,7 @@ mod tests {
             live_bytes: 150,
             peak_bytes: 1000,
         });
-        let json = chrome_trace_with_counters(&[a, b], mem, &[]);
+        let json = chrome_trace_with_counters(&[a, b], mem);
         let events = json.as_array().unwrap();
         // 2 spans + 2×(live,stage_peak) + peak = 7.
         assert_eq!(events.len(), 7);
@@ -480,151 +408,8 @@ mod tests {
             Some(1000)
         );
         // No mem snapshot → no counter events at all.
-        let json = chrome_trace_with_counters(&[span("degree", 0, 1, 0, 0)], None, &[]);
+        let json = chrome_trace_with_counters(&[span("degree", 0, 1, 0, 0)], None);
         assert_eq!(json.as_array().unwrap().len(), 1);
-    }
-
-    /// A serving window with no exemplars.
-    fn history_window(
-        window: u64,
-        start_ns: u64,
-        end_ns: u64,
-        cells: Vec<crate::serve::WindowCell>,
-    ) -> HistoryWindow {
-        HistoryWindow::new(window, start_ns, end_ns, cells, Vec::new())
-    }
-
-    #[test]
-    fn chrome_trace_window_counter_events() {
-        use crate::serve::{DegreeClass, QueryKind, WindowCell};
-        let sum = |count: u64, p99: u64| HistogramSummary {
-            count,
-            sum: count * 100,
-            max: p99,
-            p50: p99 / 2,
-            p95: p99,
-            p99,
-        };
-        let cell = |kind, class, summary| WindowCell {
-            kind,
-            class,
-            summary,
-        };
-        let windows = vec![
-            history_window(
-                0,
-                0,
-                1_000_000_000,
-                vec![
-                    cell(QueryKind::Neighbors, DegreeClass::Low, sum(300, 8_000)),
-                    cell(QueryKind::EdgeScan, DegreeClass::Hub, sum(100, 90_000)),
-                ],
-            ),
-            history_window(
-                1,
-                1_000_000_000,
-                2_000_000_000,
-                vec![cell(
-                    QueryKind::Neighbors,
-                    DegreeClass::Low,
-                    sum(500, 7_000),
-                )],
-            ),
-            // A window without traffic adds no points at all.
-            history_window(2, 2_000_000_000, 3_000_000_000, Vec::new()),
-        ];
-        let json =
-            chrome_trace_with_counters(&[span("serve", 0, 2_000_000_000, 0, 0)], None, &windows);
-        let events = json.as_array().unwrap();
-        // 1 span + 3 window cells + 2 qps points.
-        assert_eq!(events.len(), 6);
-        let cell = events
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("query.win.edge_scan.hub"))
-            .unwrap();
-        let args = cell.get("args").unwrap();
-        assert_eq!(args.get("window").unwrap().as_i64(), Some(0));
-        assert_eq!(args.get("count").unwrap().as_i64(), Some(100));
-        assert_eq!(args.get("sum").unwrap().as_i64(), Some(100 * 100));
-        assert_eq!(args.get("p99").unwrap().as_i64(), Some(90_000));
-        let qps: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("name").unwrap().as_str() == Some("query.win.qps"))
-            .collect();
-        assert_eq!(qps.len(), 2);
-        // Window 0: 400 queries over 1 s → 400 qps.
-        let a0 = qps[0].get("args").unwrap();
-        assert_eq!(a0.get("queries").unwrap().as_i64(), Some(400));
-        assert!((a0.get("qps").unwrap().as_f64().unwrap() - 400.0).abs() < 1e-6);
-        // Same-name series is time-ordered; window arg is non-decreasing.
-        assert!(qps[0].get("ts").unwrap().as_f64() <= qps[1].get("ts").unwrap().as_f64());
-        assert_eq!(
-            qps[1].get("args").unwrap().get("window").unwrap().as_i64(),
-            Some(1)
-        );
-        // The repeated per-cell series is time-ordered too.
-        let neigh: Vec<_> = events
-            .iter()
-            .filter(|e| e.get("name").unwrap().as_str() == Some("query.win.neighbors.low"))
-            .collect();
-        assert_eq!(neigh.len(), 2);
-        assert!(neigh[0].get("ts").unwrap().as_f64() <= neigh[1].get("ts").unwrap().as_f64());
-    }
-
-    #[test]
-    fn chrome_trace_phase_and_exemplar_events() {
-        use crate::serve::{DegreeClass, Exemplar, QueryKind, WindowCell};
-        let summary = |count: u64, sum: u64| HistogramSummary {
-            count,
-            sum,
-            max: sum,
-            p50: sum / 2,
-            p95: sum,
-            p99: sum,
-        };
-        let mut window = history_window(
-            0,
-            0,
-            1_000_000_000,
-            vec![WindowCell {
-                kind: QueryKind::SplitSearch,
-                class: DegreeClass::Hub,
-                summary: summary(10, 95_000),
-            }],
-        );
-        window.exemplars = vec![Exemplar {
-            kind: QueryKind::SplitSearch,
-            class: DegreeClass::Hub,
-            source: 42,
-            ns: 95_000,
-        }];
-        let json =
-            chrome_trace_with_counters(&[span("serve", 0, 1_000_000_000, 0, 0)], None, &[window]);
-        let events = json.as_array().unwrap();
-        // 1 span + 1 window cell + 1 qps point + 1 exemplar point, in that
-        // order.
-        assert_eq!(events.len(), 4);
-        let names: Vec<_> = events
-            .iter()
-            .map(|e| e.get("name").unwrap().as_str().unwrap())
-            .collect();
-        assert_eq!(
-            names[1..],
-            [
-                "query.win.split.hub",
-                "query.win.qps",
-                "query.exemplar.split.hub",
-            ]
-        );
-        let ex = events
-            .iter()
-            .find(|e| e.get("name").unwrap().as_str() == Some("query.exemplar.split.hub"))
-            .unwrap();
-        let args = ex.get("args").unwrap();
-        assert_eq!(args.get("source").unwrap().as_i64(), Some(42));
-        assert_eq!(args.get("window").unwrap().as_i64(), Some(0));
-        assert_eq!(args.get("total").unwrap().as_i64(), Some(95_000));
-        assert_eq!(args.as_object().unwrap().len(), 3);
     }
 
     #[test]

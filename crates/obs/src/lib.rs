@@ -25,17 +25,17 @@
 //!   the bench/CLI binaries) tracking live/peak heap bytes, with per-stage
 //!   peak attribution threaded through the span records.
 //! * **Serving telemetry** ([`serve`]): sharded per-worker latency slabs
-//!   and sliding-window histograms ([`serve::WindowedHistogram`]) with
+//!   and windowed histograms ([`serve::WindowedHistogram`]) with
 //!   per-query accounting by query kind and degree class — the qps /
 //!   percentile-per-window shape a query server reports against an SLO.
 //!   Plain value types: the `queries_closed_loop` load driver owns the one
-//!   slab set, times each query call once, and keeps one
-//!   [`serve::HistoryWindow`] per rotated window.
+//!   slab set, times each query call once, and reports each rotated window
+//!   in its result JSON.
 //! * **Exporters** ([`export`]): a human-readable per-stage/per-thread
 //!   summary table (with a memory section) and a Chrome `chrome://tracing`
 //!   JSON trace writer — span events with `args` payloads plus counter
-//!   events for memory and the serving windows it is handed — built on the
-//!   hand-rolled [`json`] module (shared with `parcsr-bench`).
+//!   events for memory — built on the hand-rolled [`json`] module (shared
+//!   with `parcsr-bench`).
 //! * **Analysis** ([`analyze`]): pure arithmetic over collected spans —
 //!   per-stage worker-utilization/critical-path metrics and chunk-imbalance
 //!   statistics. Compiled unconditionally (it holds no recording state), so

@@ -1,4 +1,4 @@
-//! Serving telemetry: sharded per-worker metric slabs and sliding-window
+//! Serving telemetry: sharded per-worker metric slabs and windowed
 //! histograms for per-query SLO accounting.
 //!
 //! The build-time obs stack (spans, cumulative histograms) answers "where
@@ -7,11 +7,11 @@
 //! per query type, per degree class". This module provides that shape,
 //! mirroring pelikan's metrics layout:
 //!
-//! * [`WindowedHistogram`] — a ring of the existing log-bucketed
+//! * [`WindowedHistogram`] — two of the existing log-bucketed
 //!   [`Histogram`]s with epoch rotation. Recording always lands in the live
 //!   epoch's histogram; [`WindowedHistogram::rotate`] completes the live
-//!   window and clears the oldest retained one for reuse. Completed windows
-//!   stay readable for `windows - 1` further rotations.
+//!   window and clears the previously completed one for reuse, so a
+//!   completed window stays readable until the next rotation.
 //! * [`QuerySlabs`] — cache-line-padded per-worker shards, each holding one
 //!   `(overall, windowed)` histogram pair per `(QueryKind, DegreeClass)`
 //!   cell. Workers record into their own shard with no sharing
@@ -22,11 +22,6 @@
 //!   [`EXEMPLARS_PER_SHARD`] slowest queries of the live window, rotated
 //!   with the window. Admission is gated on a relaxed floor load, so the
 //!   common (fast-query) path stays wait-free.
-//! * [`HistoryWindow`]: one rotated window as its owner keeps it
-//!   (open/close time, qps, per-cell summaries, and the window's tail
-//!   exemplars). The closed-loop driver builds one per rotation from its
-//!   own slabs, and the trace exporter writes the list as the
-//!   `query.win.*` / `query.exemplar.*` series.
 //!
 //! Everything here is a plain value type, compiled with or without the
 //! `enabled` feature: the query kernels carry no serving hook, and the
@@ -40,7 +35,7 @@
 //! coordinator thread (the window reporter); concurrent rotators would race
 //! on the epoch. A recorder that reads the epoch right at a rotation
 //! boundary may land its sample in the just-completed window (or, if
-//! descheduled for a full ring cycle, in a cleared one) — a one-sample
+//! descheduled across two rotations, in a cleared one) — a one-sample
 //! boundary smear that is acceptable for a statistical latency view and
 //! never corrupts bucket counts.
 
@@ -159,32 +154,17 @@ impl DegreeClass {
     }
 }
 
-/// Ring of [`Histogram`]s with epoch rotation: the sliding-window latency
-/// view. Always compiled (plain atomics, unit-testable without features).
-#[derive(Debug)]
+/// Two [`Histogram`]s with epoch rotation: the live window and the one
+/// just completed. Always compiled (plain atomics, unit-testable without
+/// features).
+#[derive(Debug, Default)]
 pub struct WindowedHistogram {
-    ring: Box<[Histogram]>,
+    // Boxed: a histogram is ~15 KiB, and a shard holds twelve of these.
+    ring: Box<[Histogram; 2]>,
     epoch: AtomicU64,
 }
 
 impl WindowedHistogram {
-    /// A ring retaining `windows` epochs (clamped to ≥ 2 so the live window
-    /// is never the one being cleared at rotation).
-    #[must_use]
-    pub fn new(windows: usize) -> Self {
-        let w = windows.max(2);
-        Self {
-            ring: (0..w).map(|_| Histogram::new()).collect(),
-            epoch: AtomicU64::new(0),
-        }
-    }
-
-    /// Ring capacity (number of retained epochs, including the live one).
-    #[must_use]
-    pub fn windows(&self) -> usize {
-        self.ring.len()
-    }
-
     /// The live (currently recording) epoch.
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -194,65 +174,42 @@ impl WindowedHistogram {
     /// Records one observation into the live window.
     #[inline]
     pub fn record(&self, v: u64) {
-        let e = self.epoch.load(Relaxed);
-        self.ring[(e % self.ring.len() as u64) as usize].record(v);
+        self.ring[(self.epoch.load(Relaxed) % 2) as usize].record(v);
     }
 
-    /// Completes the live window and opens the next: clears the oldest
-    /// retained histogram for reuse, then advances the epoch. Returns the
-    /// epoch just completed (readable via [`Self::window`] for another
-    /// `windows - 1` rotations). Single-rotator: call from one coordinator
+    /// Completes the live window and opens the next: clears the previously
+    /// completed window's histogram for reuse, then advances the epoch.
+    /// Returns the epoch just completed (readable via [`Self::window`]
+    /// until the next rotation). Single-rotator: call from one coordinator
     /// thread only.
     pub fn rotate(&self) -> u64 {
         let e = self.epoch.load(Relaxed);
-        let next = ((e + 1) % self.ring.len() as u64) as usize;
-        self.ring[next].reset();
+        self.ring[((e + 1) % 2) as usize].reset();
         self.epoch.store(e + 1, Relaxed);
         e
     }
 
-    /// The histogram for `epoch`, if still retained: the live epoch or one
-    /// of the `windows - 1` most recently completed ones.
+    /// The histogram for `epoch`, if still retained: the live epoch or the
+    /// one completed at the last rotation.
     #[must_use]
     pub fn window(&self, epoch: u64) -> Option<&Histogram> {
         let live = self.epoch.load(Relaxed);
-        if epoch > live || live - epoch >= self.ring.len() as u64 {
+        if epoch > live || live - epoch >= 2 {
             return None;
         }
-        Some(&self.ring[(epoch % self.ring.len() as u64) as usize])
-    }
-
-    /// The live window's histogram.
-    #[must_use]
-    pub fn live(&self) -> &Histogram {
-        &self.ring[(self.epoch() % self.ring.len() as u64) as usize]
-    }
-
-    /// Merges every retained window (completed + live) into `dst`: the
-    /// sliding-window aggregate over the last `windows` epochs.
-    pub fn merge_retained_into(&self, dst: &Histogram) {
-        for h in &self.ring {
-            h.merge_into(dst);
-        }
+        Some(&self.ring[(epoch % 2) as usize])
     }
 }
 
 /// One `(overall, windowed)` histogram pair: lifetime totals and the
-/// sliding-window view of the same observations.
-#[derive(Debug)]
+/// windowed view of the same observations.
+#[derive(Debug, Default)]
 struct SlabCell {
     overall: Histogram,
     windowed: WindowedHistogram,
 }
 
 impl SlabCell {
-    fn new(windows: usize) -> Self {
-        Self {
-            overall: Histogram::new(),
-            windowed: WindowedHistogram::new(windows),
-        }
-    }
-
     #[inline]
     fn record(&self, v: u64) {
         self.overall.record(v);
@@ -287,7 +244,7 @@ pub struct Exemplar {
 /// return without touching the lock, so the common path stays wait-free
 /// and only genuine tail candidates pay for the mutex. `rotate` publishes
 /// the live set as the completed window's exemplars and resets the floor.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ExemplarReservoir {
     /// Admission floor: 0 while the live set is not full, else the smallest
     /// retained `ns`. A stale read only costs one lock round or drops
@@ -299,14 +256,6 @@ struct ExemplarReservoir {
 }
 
 impl ExemplarReservoir {
-    fn new() -> Self {
-        Self {
-            floor_ns: AtomicU64::new(0),
-            live: Mutex::new(Vec::new()),
-            completed: Mutex::new(Vec::new()),
-        }
-    }
-
     #[inline]
     fn offer(&self, ex: Exemplar) {
         if ex.ns < self.floor_ns.load(Relaxed) {
@@ -365,32 +314,11 @@ impl ExemplarReservoir {
 /// shard's tail-exemplar reservoir, padded to its own cache-line
 /// neighborhood so concurrent recorders never share a line across shards
 /// (pelikan's per-worker metrics shape).
-#[derive(Debug)]
+#[derive(Debug, Default)]
 #[repr(align(128))]
 struct ShardSlab {
     cells: [[SlabCell; NUM_DEGREE_CLASSES]; NUM_QUERY_KINDS],
     exemplars: ExemplarReservoir,
-}
-
-impl ShardSlab {
-    fn new(windows: usize) -> Self {
-        Self {
-            cells: std::array::from_fn(|_| std::array::from_fn(|_| SlabCell::new(windows))),
-            exemplars: ExemplarReservoir::new(),
-        }
-    }
-}
-
-/// Per-window summary of one non-empty `(kind, class)` cell, merged across
-/// shards.
-#[derive(Debug, Clone)]
-pub struct WindowCell {
-    /// Query kind.
-    pub kind: QueryKind,
-    /// Degree class.
-    pub class: DegreeClass,
-    /// Merged-across-shards latency summary for the window.
-    pub summary: HistogramSummary,
 }
 
 /// Sharded per-worker query-latency slabs. Value type: the closed-loop
@@ -402,20 +330,12 @@ pub struct QuerySlabs {
 }
 
 impl QuerySlabs {
-    /// `shards` slabs (clamped to ≥ 1), each retaining `windows` epochs.
+    /// `shards` slabs (clamped to ≥ 1).
     #[must_use]
-    pub fn new(shards: usize, windows: usize) -> Self {
+    pub fn new(shards: usize) -> Self {
         Self {
-            shards: (0..shards.max(1))
-                .map(|_| ShardSlab::new(windows))
-                .collect(),
+            shards: (0..shards.max(1)).map(|_| ShardSlab::default()).collect(),
         }
-    }
-
-    /// Number of shards.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards.len()
     }
 
     /// The live epoch (all cells rotate in lockstep, so any cell's epoch is
@@ -466,33 +386,6 @@ impl QuerySlabs {
         out
     }
 
-    /// Merges window `epoch` of every shard's `(kind, class)` cell into
-    /// `dst`. `None` for `kind`/`class` merges across that whole dimension.
-    pub fn merge_window_into(
-        &self,
-        epoch: u64,
-        kind: Option<QueryKind>,
-        class: Option<DegreeClass>,
-        dst: &Histogram,
-    ) {
-        self.for_cells(kind, class, |cell| {
-            if let Some(h) = cell.windowed.window(epoch) {
-                h.merge_into(dst);
-            }
-        });
-    }
-
-    /// Merges the lifetime (overall) histograms of the selected cells into
-    /// `dst`. `None` for `kind`/`class` merges across that whole dimension.
-    pub fn merge_overall_into(
-        &self,
-        kind: Option<QueryKind>,
-        class: Option<DegreeClass>,
-        dst: &Histogram,
-    ) {
-        self.for_cells(kind, class, |cell| cell.overall.merge_into(dst));
-    }
-
     fn for_cells(
         &self,
         kind: Option<QueryKind>,
@@ -515,7 +408,7 @@ impl QuerySlabs {
     }
 
     /// Merged-across-shards summary of window `epoch` for the selected
-    /// cells.
+    /// cells. `None` for `kind`/`class` merges across that whole dimension.
     #[must_use]
     pub fn window_summary(
         &self,
@@ -524,11 +417,16 @@ impl QuerySlabs {
         class: Option<DegreeClass>,
     ) -> HistogramSummary {
         let scratch = Histogram::new();
-        self.merge_window_into(epoch, kind, class, &scratch);
+        self.for_cells(kind, class, |cell| {
+            if let Some(h) = cell.windowed.window(epoch) {
+                h.merge_into(&scratch);
+            }
+        });
         scratch.summary()
     }
 
-    /// Merged-across-shards lifetime summary for the selected cells.
+    /// Merged-across-shards lifetime summary for the selected cells. `None`
+    /// for `kind`/`class` merges across that whole dimension.
     #[must_use]
     pub fn overall_summary(
         &self,
@@ -536,103 +434,8 @@ impl QuerySlabs {
         class: Option<DegreeClass>,
     ) -> HistogramSummary {
         let scratch = Histogram::new();
-        self.merge_overall_into(kind, class, &scratch);
+        self.for_cells(kind, class, |cell| cell.overall.merge_into(&scratch));
         scratch.summary()
-    }
-
-    /// Every non-empty `(kind, class)` cell of window `epoch`, merged across
-    /// shards, in slab-index order.
-    #[must_use]
-    pub fn window_cells(&self, epoch: u64) -> Vec<WindowCell> {
-        let mut out = Vec::new();
-        for kind in QueryKind::ALL {
-            for class in DegreeClass::ALL {
-                let summary = self.window_summary(epoch, Some(kind), Some(class));
-                if summary.count > 0 {
-                    out.push(WindowCell {
-                        kind,
-                        class,
-                        summary,
-                    });
-                }
-            }
-        }
-        out
-    }
-}
-
-/// The canonical series name for one `(kind, class)` cell of the windowed
-/// serving grid: `query.win.<kind>.<class>`. The *single* definition of
-/// this naming, which the Chrome-trace counter events
-/// ([`crate::export::chrome_trace_with_counters`]) go through.
-#[must_use]
-pub fn window_series_name(kind: QueryKind, class: DegreeClass) -> String {
-    format!("query.win.{}.{}", kind.name(), class.name())
-}
-
-/// The canonical series name for a tail exemplar of one `(kind, class)`
-/// cell: `query.exemplar.<kind>.<class>`. Single definition, like
-/// [`window_series_name`].
-#[must_use]
-pub fn exemplar_series_name(kind: QueryKind, class: DegreeClass) -> String {
-    format!("query.exemplar.{}.{}", kind.name(), class.name())
-}
-
-/// One rotated window, the only record of it: the non-empty
-/// `(kind, class)` cells, the window-level throughput, and the window's
-/// tail exemplars. The closed-loop driver builds one per rotation
-/// ([`HistoryWindow::new`]) and hands the list to the trace exporter.
-#[derive(Debug, Clone)]
-pub struct HistoryWindow {
-    /// The completed epoch.
-    pub window: u64,
-    /// Window open time, ns on the span clock: the previous rotation, or the
-    /// run start for the first window.
-    pub start_ns: u64,
-    /// Window close (rotation) time, ns on the span clock.
-    pub end_ns: u64,
-    /// Window length, `end_ns - start_ns`.
-    pub dur_ns: u64,
-    /// Total queries across all cells.
-    pub queries: u64,
-    /// Achieved throughput over the window (0 when `dur_ns` is 0).
-    pub qps: f64,
-    /// Per-cell summaries, slab-index order, empty cells skipped.
-    pub cells: Vec<WindowCell>,
-    /// The window's tail exemplars, slowest first
-    /// ([`QuerySlabs::completed_exemplars`]).
-    pub exemplars: Vec<Exemplar>,
-}
-
-impl HistoryWindow {
-    /// The record of window `window`, open over `start_ns..end_ns` on the
-    /// span clock, deriving its length, query count and qps from the
-    /// bounds and `cells`.
-    #[must_use]
-    pub fn new(
-        window: u64,
-        start_ns: u64,
-        end_ns: u64,
-        cells: Vec<WindowCell>,
-        exemplars: Vec<Exemplar>,
-    ) -> Self {
-        let dur_ns = end_ns.saturating_sub(start_ns);
-        let queries: u64 = cells.iter().map(|c| c.summary.count).sum();
-        let qps = if dur_ns > 0 {
-            queries as f64 * 1e9 / dur_ns as f64
-        } else {
-            0.0
-        };
-        Self {
-            window,
-            start_ns,
-            end_ns,
-            dur_ns,
-            queries,
-            qps,
-            cells,
-            exemplars,
-        }
     }
 }
 
@@ -664,36 +467,23 @@ mod tests {
 
     #[test]
     fn windowed_histogram_rotation_retains_and_expires() {
-        let w = WindowedHistogram::new(3);
+        let w = WindowedHistogram::default();
         w.record(10);
         w.record(20);
-        assert_eq!(w.live().count(), 2);
+        assert_eq!(w.window(0).unwrap().count(), 2);
 
         let completed = w.rotate();
         assert_eq!(completed, 0);
         assert_eq!(w.epoch(), 1);
         assert_eq!(w.window(0).unwrap().count(), 2);
-        assert_eq!(w.live().count(), 0);
+        assert_eq!(w.window(1).unwrap().count(), 0);
 
         w.record(30);
-        w.rotate(); // completes epoch 1 (count 1)
-        w.rotate(); // completes epoch 2 (empty); epoch 0 now expires
+        w.rotate(); // completes epoch 1 (count 1); epoch 0 now expires
         assert!(w.window(0).is_none(), "epoch 0 fell out of the ring");
         assert_eq!(w.window(1).unwrap().count(), 1);
-        assert_eq!(w.window(2).unwrap().count(), 0);
-        assert!(w.window(4).is_none(), "future epoch");
-    }
-
-    #[test]
-    fn windowed_histogram_retained_merge_is_sliding_aggregate() {
-        let w = WindowedHistogram::new(2);
-        w.record(100);
-        w.rotate();
-        w.record(200);
-        let dst = Histogram::new();
-        w.merge_retained_into(&dst);
-        assert_eq!(dst.count(), 2);
-        assert_eq!(dst.max(), 200);
+        assert_eq!(w.window(2).unwrap().count(), 0, "reused slot starts empty");
+        assert!(w.window(3).is_none(), "future epoch");
     }
 
     /// One query of `kind` on a `class` source, `ns` long.
@@ -708,8 +498,8 @@ mod tests {
 
     #[test]
     fn slabs_merge_across_shards_matches_single_slab() {
-        let sharded = QuerySlabs::new(4, 2);
-        let single = QuerySlabs::new(1, 2);
+        let sharded = QuerySlabs::new(4);
+        let single = QuerySlabs::new(1);
         let samples = [
             (0usize, QueryKind::Neighbors, DegreeClass::Low, 50u64),
             (1, QueryKind::Neighbors, DegreeClass::Low, 5_000),
@@ -730,49 +520,31 @@ mod tests {
     }
 
     #[test]
-    fn window_series_names_are_canonical_and_snapshot_uses_them() {
-        assert_eq!(
-            window_series_name(QueryKind::EdgeBinary, DegreeClass::Hub),
-            "query.win.edge_binary.hub"
-        );
-        assert_eq!(
-            exemplar_series_name(QueryKind::Neighbors, DegreeClass::Low),
-            "query.exemplar.neighbors.low"
-        );
-        let slabs = QuerySlabs::new(2, 3);
-        slabs.record_query(0, query(QueryKind::Neighbors, DegreeClass::Low, 100));
-        slabs.record_query(1, query(QueryKind::SplitSearch, DegreeClass::Hub, 9_000));
-        let completed = slabs.rotate();
-        let names: Vec<_> = slabs
-            .window_cells(completed)
-            .iter()
-            .map(|c| window_series_name(c.kind, c.class))
-            .collect();
-        assert_eq!(
-            names,
-            ["query.win.neighbors.low", "query.win.split.hub"],
-            "slab-index order, one definition of the naming"
-        );
-    }
-
-    #[test]
-    fn slab_rotation_is_lockstep_and_window_cells_skip_empty() {
-        let slabs = QuerySlabs::new(2, 3);
+    fn slab_rotation_is_lockstep_and_opens_an_empty_window() {
+        let slabs = QuerySlabs::new(2);
         slabs.record_query(0, query(QueryKind::Neighbors, DegreeClass::Low, 10));
         slabs.record_query(1, query(QueryKind::SplitSearch, DegreeClass::Hub, 10_000));
         let completed = slabs.rotate();
         assert_eq!(completed, 0);
         assert_eq!(slabs.epoch(), 1);
-        let cells = slabs.window_cells(completed);
-        assert_eq!(cells.len(), 2);
-        assert_eq!(cells[0].kind, QueryKind::Neighbors);
-        assert_eq!(cells[0].class, DegreeClass::Low);
-        assert_eq!(cells[1].kind, QueryKind::SplitSearch);
-        assert_eq!(cells[1].class, DegreeClass::Hub);
+        // Both shards rotated: the completed window holds each query in its
+        // own cell, and nothing else.
+        for kind in QueryKind::ALL {
+            for class in DegreeClass::ALL {
+                let want = u64::from(
+                    (kind, class) == (QueryKind::Neighbors, DegreeClass::Low)
+                        || (kind, class) == (QueryKind::SplitSearch, DegreeClass::Hub),
+                );
+                let got = slabs
+                    .window_summary(completed, Some(kind), Some(class))
+                    .count;
+                assert_eq!(got, want, "({kind:?}, {class:?})");
+            }
+        }
         // Overall view survives rotation.
         assert_eq!(slabs.overall_summary(None, None).count, 2);
         // The new live window is empty.
-        assert!(slabs.window_cells(slabs.epoch()).is_empty());
+        assert_eq!(slabs.window_summary(slabs.epoch(), None, None).count, 0);
     }
 
     fn exemplar(ns: u64, source: u64) -> Exemplar {
@@ -784,7 +556,7 @@ mod tests {
 
     #[test]
     fn exemplar_reservoir_keeps_the_k_slowest_per_window() {
-        let slabs = QuerySlabs::new(1, 2);
+        let slabs = QuerySlabs::new(1);
         // 2×K queries with distinct latencies: only the slowest K survive.
         let n = 2 * EXEMPLARS_PER_SHARD as u64;
         for i in 0..n {
@@ -810,7 +582,7 @@ mod tests {
 
     #[test]
     fn exemplars_merge_across_shards_to_the_global_top_k() {
-        let slabs = QuerySlabs::new(4, 2);
+        let slabs = QuerySlabs::new(4);
         for shard in 0..4usize {
             for i in 0..EXEMPLARS_PER_SHARD as u64 {
                 slabs.record_query(shard, exemplar(1_000 * (shard as u64 + 1) + i, i));

@@ -1,9 +1,10 @@
 //! Property tests for the serving-telemetry layer: sharded slab recording
 //! must be indistinguishable from a single slab after the snapshot merge,
-//! window rotation must never lose an in-window sample, and percentile
-//! summaries must stay internally ordered under arbitrary merges. Like the
-//! histogram props, these run without the `enabled` feature: the slab and
-//! windowed-histogram value types are always compiled.
+//! window rotation must never lose an in-window sample, a window two
+//! rotations old must read `None`, and percentile summaries must stay
+//! internally ordered under arbitrary merges. Like the histogram props,
+//! these run without the `enabled` feature: the slab and windowed-histogram
+//! value types are always compiled.
 
 use parcsr_obs::metrics::Histogram;
 use parcsr_obs::serve::{
@@ -49,8 +50,8 @@ proptest! {
         samples in arb_samples(400),
         shards in 1usize..9,
     ) {
-        let sharded = QuerySlabs::new(shards, 3);
-        let single = QuerySlabs::new(1, 3);
+        let sharded = QuerySlabs::new(shards);
+        let single = QuerySlabs::new(1);
         record_all(&sharded, &samples, true);
         record_all(&single, &samples, false);
 
@@ -80,62 +81,52 @@ proptest! {
         );
     }
 
-    /// Rotation bookkeeping: splitting a sample stream across up to
-    /// `windows - 1` rotations loses nothing — every batch is retrievable
-    /// from its completed window, and retained + live together hold every
-    /// recorded value.
+    /// Rotation bookkeeping: however a sample stream is split across
+    /// rotations, each completed window holds exactly its batch until the
+    /// next rotation, and the live window holds exactly what came after.
     #[test]
     fn rotation_loses_no_in_window_samples(
         batches in prop::collection::vec(
-            prop::collection::vec(0u64..1_000_000_000, 1..40),
-            1..4,
+            prop::collection::vec(0u64..1_000_000_000, 0..40),
+            1..8,
         ),
-        windows in 2usize..6,
         tail in prop::collection::vec(0u64..1_000_000_000, 0..40),
     ) {
-        // At most windows - 1 completed batches stay retrievable; cap the
-        // rotation count so nothing is *expected* to expire.
-        let batches = &batches[..batches.len().min(windows - 1)];
-        let h = WindowedHistogram::new(windows);
-        let mut epochs = Vec::new();
-        for batch in batches {
+        let h = WindowedHistogram::default();
+        for (i, batch) in batches.iter().enumerate() {
             for &v in batch {
                 h.record(v);
             }
-            epochs.push(h.rotate());
+            let epoch = h.rotate();
+            prop_assert_eq!(epoch, i as u64);
+            let win = h.window(epoch).expect("completed window still retained");
+            prop_assert_eq!(win.count(), batch.len() as u64);
+            prop_assert_eq!(win.sum(), batch.iter().sum::<u64>());
         }
         for &v in &tail {
             h.record(v);
         }
 
-        // Each completed window holds exactly its batch.
-        for (batch, &epoch) in batches.iter().zip(&epochs) {
-            let win = h.window(epoch).expect("window still retained");
-            prop_assert_eq!(win.count(), batch.len() as u64);
-            prop_assert_eq!(win.sum(), batch.iter().sum::<u64>());
-        }
-        // The live window holds exactly the tail.
-        prop_assert_eq!(h.live().count(), tail.len() as u64);
-
-        // The retained set (completed windows + live) covers every sample
-        // ever recorded — nothing has expired at <= windows - 1 rotations.
-        let merged = Histogram::new();
-        h.merge_retained_into(&merged);
-        let total: usize = batches.iter().map(Vec::len).sum::<usize>() + tail.len();
-        prop_assert_eq!(merged.count(), total as u64);
+        // The last completed window is untouched by the tail, and the live
+        // window holds exactly the tail.
+        let last = batches.last().unwrap();
+        let win = h.window(h.epoch() - 1).expect("last completed window");
+        prop_assert_eq!(win.count(), last.len() as u64);
+        let live = h.window(h.epoch()).expect("live window");
+        prop_assert_eq!(live.count(), tail.len() as u64);
+        prop_assert_eq!(live.sum(), tail.iter().sum::<u64>());
     }
 
-    /// Epoch wrap-around: rotating more times than the ring holds evicts
-    /// oldest-first and only oldest — every epoch within the retention
-    /// horizon still serves exactly its own batch, every epoch past it
-    /// reads back as `None`, and the slot a new live window reuses starts
-    /// empty (rotation reset it).
+    /// Epoch wrap-around: the two slots alternate, so after any number of
+    /// rotations exactly the live epoch and the one before it are readable
+    /// (the latter with exactly its batch), the live one starts empty
+    /// (rotation reset its slot), and every older epoch reads back as
+    /// `None`.
     #[test]
     fn wrap_around_evicts_oldest_first(
-        batch_sizes in prop::collection::vec(1usize..20, 4..16),
-        windows in 2usize..6,
+        batch_sizes in prop::collection::vec(1usize..20, 2..16),
     ) {
-        let h = WindowedHistogram::new(windows);
+        let h = WindowedHistogram::default();
         for (i, &n) in batch_sizes.iter().enumerate() {
             for _ in 0..n {
                 h.record(i as u64 + 1);
@@ -143,24 +134,20 @@ proptest! {
             let completed = h.rotate();
             prop_assert_eq!(completed, i as u64);
             // The freshly opened live window reuses a cleared slot.
-            prop_assert_eq!(h.live().count(), 0);
+            prop_assert_eq!(h.window(h.epoch()).map(|w| w.count()), Some(0));
         }
 
         let live = h.epoch();
         prop_assert_eq!(live, batch_sizes.len() as u64);
         for (e, &n) in batch_sizes.iter().enumerate() {
             let e = e as u64;
-            match h.window(e) {
-                Some(win) => {
-                    // Within the horizon: the batch survived intact.
-                    prop_assert!(live - e < windows as u64, "epoch {e} should be evicted");
-                    prop_assert_eq!(win.count(), n as u64);
-                    prop_assert_eq!(win.sum(), n as u64 * (e + 1));
-                }
-                None => {
-                    // Past the horizon: evicted, and only because of age.
-                    prop_assert!(live - e >= windows as u64, "epoch {e} evicted too early");
-                }
+            if e + 1 == live {
+                let win = h.window(e).expect("the last completed window");
+                prop_assert_eq!(win.count(), n as u64);
+                prop_assert_eq!(win.sum(), n as u64 * (e + 1));
+            } else {
+                // Two or more rotations old: evicted.
+                prop_assert!(h.window(e).is_none(), "epoch {e} not evicted");
             }
         }
         // Epochs that never happened are not retained either.

@@ -5,8 +5,8 @@
 //!
 //! * `check-trace FILE` — validates a Chrome trace written by `--trace`
 //!   (see [`trace_check`]): parseable JSON array of span (`"X"`) and
-//!   counter (`"C"`) events, non-empty, time-ordered per thread / per
-//!   counter, with well-typed span args. CI runs it on a bench smoke
+//!   `mem.*` counter (`"C"`) events, non-empty, time-ordered per thread /
+//!   per counter, with well-typed span args. CI runs it on a bench smoke
 //!   trace so a silently-broken recorder fails the build.
 //! * `trace-analyze FILE [--stage NAME] [--json OUT] [--check]` — the
 //!   parallel-efficiency report (see [`trace_analyze`]): per-stage worker
@@ -18,13 +18,13 @@
 //!   time *shares* and peak heap bytes must stay within the threshold
 //!   (default 0.10) of the baseline. CI diffs the smoke run against a
 //!   committed baseline so a stage silently ballooning fails the build.
-//! * `slo-check RESULT.json [--p99-ns N] [--min-qps F] [--baseline FILE]
-//!   [--slack F]` — gates a `queries_closed_loop --json` artifact (see
+//! * `slo-check RESULT.json [--p99-ns N] [--min-qps F] [--baseline FILE]`
+//!   — gates a `queries_closed_loop --json` artifact (see
 //!   [`xtask::slo_check`]): the overall p99 of the per-query call latency
 //!   must stay under the ceiling and the sustained qps above the floor,
 //!   with thresholds given explicitly and/or derived from a committed
-//!   baseline result ± slack. CI runs it on a serving smoke so a
-//!   latency-tail or throughput regression fails the build.
+//!   baseline result ± a fixed slack of 0.50. CI runs it on a serving
+//!   smoke so a latency-tail or throughput regression fails the build.
 //! * `bless-baseline` — reruns the CI obs smoke (same binary, same flags,
 //!   reps 5) and rewrites `results/baselines/table2_smoke.stages.json`
 //!   with the fresh output, after validating that it parses and
@@ -126,7 +126,7 @@ fn main() -> ExitCode {
             None => {
                 eprintln!(
                     "usage: cargo xtask slo-check <result.json> [--p99-ns N] [--min-qps F] \
-                     [--baseline FILE] [--slack F]"
+                     [--baseline FILE]"
                 );
                 ExitCode::from(2)
             }
@@ -138,8 +138,7 @@ fn main() -> ExitCode {
                  trace-analyze <trace.json> [--stage NAME] [--json OUT] [--check] \
                  [--min-util F] | \
                  stage-diff <base.json> <cur.json> [--threshold F] | bless-baseline | \
-                 slo-check <result.json> [--p99-ns N] [--min-qps F] [--baseline FILE] \
-                 [--slack F]"
+                 slo-check <result.json> [--p99-ns N] [--min-qps F] [--baseline FILE]"
             );
             ExitCode::from(2)
         }
@@ -161,12 +160,7 @@ fn run_slo_check(path: &Path, args: &slo_check::SloArgs) -> ExitCode {
         let baseline = trace_read::read_file("slo-check", baseline_path)
             .and_then(|t| slo_check::parse_result("baseline", &t));
         match baseline {
-            Ok(b) => {
-                thresholds = slo_check::baseline_thresholds(
-                    &b,
-                    args.slack.unwrap_or(slo_check::DEFAULT_SLACK),
-                );
-            }
+            Ok(b) => thresholds = slo_check::baseline_thresholds(&b),
             Err(e) => {
                 eprintln!("xtask slo-check: {e}");
                 return ExitCode::FAILURE;
@@ -479,7 +473,7 @@ fn bless_closed_loop_baseline(root: &Path) -> ExitCode {
     // a result that cannot pass against itself must not become the
     // baseline.
     let self_thresholds = match slo_check::parse_result("fresh result", &text) {
-        Ok(r) => slo_check::baseline_thresholds(&r, slo_check::DEFAULT_SLACK),
+        Ok(r) => slo_check::baseline_thresholds(&r),
         Err(e) => {
             eprintln!("xtask bless-baseline: {e}");
             return ExitCode::FAILURE;

@@ -12,11 +12,11 @@
 //!
 //! * explicit — `--p99-ns N` (overall p99 must be ≤ N ns) and `--min-qps Q`
 //!   (sustained throughput must be ≥ Q queries/s);
-//! * baseline — `--baseline FILE [--slack F]` derives thresholds from
-//!   a committed earlier result: p99 may grow by at most the slack factor
-//!   (default 0.50 — latency tails are noisy on shared CI runners) and qps
-//!   may shrink by at most the same factor. Explicit flags override the
-//!   derived value for their dimension.
+//! * baseline — `--baseline FILE` derives thresholds from a committed
+//!   earlier result: p99 may grow by at most [`SLACK`] (0.50 — latency
+//!   tails are noisy on shared CI runners) and qps may shrink by at most
+//!   the same factor. Explicit flags override the derived value for their
+//!   dimension.
 //!
 //! Schema validation is part of the gate: a result whose `windows` series
 //! is empty, non-dense, or missing its percentile fields fails even if the
@@ -36,10 +36,10 @@ use crate::trace_read::parse_json;
 /// Result-JSON schema tag `slo-check` understands.
 pub const SCHEMA: &str = "parcsr.closed_loop.v1";
 
-/// Default baseline slack factor: p99 may grow, and qps may shrink, by
-/// half before the gate trips. Latency percentiles on shared CI runners
-/// are noisy; absolute targets should use the explicit flags.
-pub const DEFAULT_SLACK: f64 = 0.50;
+/// Baseline slack factor: p99 may grow, and qps may shrink, by half before
+/// the gate trips. Latency percentiles on shared CI runners are noisy;
+/// absolute targets should use the explicit flags.
+pub const SLACK: f64 = 0.50;
 
 /// The `queries_closed_loop` flags of the CI serving smoke: the `slo`
 /// job's "Closed-loop serving smoke" step passes them, and `cargo xtask
@@ -96,8 +96,6 @@ pub struct SloArgs {
     pub explicit: SloThresholds,
     /// `--baseline FILE`: derive thresholds from this committed result.
     pub baseline: Option<PathBuf>,
-    /// `--slack F`: the baseline's slack factor (needs `--baseline`).
-    pub slack: Option<f64>,
 }
 
 /// Parses `slo-check`'s options after the result-file argument.
@@ -125,18 +123,8 @@ pub fn parse_args(rest: &[String]) -> Result<SloArgs, String> {
                 let path = it.next().ok_or("--baseline needs a file path")?;
                 opts.baseline = Some(PathBuf::from(path));
             }
-            "--slack" => {
-                let value = it.next().ok_or("--slack needs a value")?;
-                opts.slack = match value.parse::<f64>() {
-                    Ok(f) if f.is_finite() && f >= 0.0 => Some(f),
-                    _ => return Err(format!("--slack must be non-negative, got `{value}`")),
-                };
-            }
             other => return Err(format!("unexpected argument `{other}`")),
         }
-    }
-    if opts.slack.is_some() && opts.baseline.is_none() {
-        return Err("--slack only makes sense with --baseline".into());
     }
     Ok(opts)
 }
@@ -250,12 +238,12 @@ pub fn parse_result(which: &str, text: &str) -> Result<ClosedLoopResult, String>
 }
 
 /// Derives thresholds from a baseline result: p99 ceiling = baseline p99
-/// scaled up by `slack`, qps floor = baseline qps scaled down by `slack`.
+/// scaled up by [`SLACK`], qps floor = baseline qps scaled down by it.
 #[must_use]
-pub fn baseline_thresholds(baseline: &ClosedLoopResult, slack: f64) -> SloThresholds {
+pub fn baseline_thresholds(baseline: &ClosedLoopResult) -> SloThresholds {
     SloThresholds {
-        p99_ns: Some((baseline.p99_ns as f64 * (1.0 + slack)).ceil() as u64),
-        min_qps: Some(baseline.qps * (1.0 - slack)),
+        p99_ns: Some((baseline.p99_ns as f64 * (1.0 + SLACK)).ceil() as u64),
+        min_qps: Some(baseline.qps * (1.0 - SLACK)),
     }
 }
 
@@ -422,7 +410,7 @@ mod tests {
     #[test]
     fn baseline_thresholds_apply_slack_both_ways() {
         let base = parse_result("baseline", &result_json(2_000, 100_000.0)).unwrap();
-        let t = baseline_thresholds(&base, 0.5);
+        let t = baseline_thresholds(&base);
         assert_eq!(t.p99_ns, Some(3_000));
         assert!((t.min_qps.unwrap() - 50_000.0).abs() < 1e-6);
 
@@ -447,10 +435,9 @@ mod tests {
                 min_qps: Some(10_000.0),
             }
         );
-        assert!(
-            args(&["--slack", "0.5"]).is_err(),
-            "--slack needs --baseline"
-        );
+        // The baseline slack is fixed at SLACK, not a flag.
+        let err = args(&["--baseline", "base.json", "--slack", "0.5"]).unwrap_err();
+        assert!(err.contains("unexpected argument `--slack`"), "{err}");
         // The queue/exec split is gone, and so are its ceilings.
         for flag in ["--p99-queue-ns", "--p99-exec-ns"] {
             let err = args(&[flag, "1"]).unwrap_err();

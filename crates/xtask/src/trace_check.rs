@@ -16,15 +16,9 @@
 //!   `bits`, `chunks`). Per-chunk spans (names ending `.chunk` or
 //!   `_chunk`) must carry a `chunk` index — a chunk span without its index
 //!   means the instrumentation site lost its payload.
-//! * counter (`"C"`) events — the memory and serving series. Must use a
-//!   known namespace (`mem.`, `query.`), be time-ordered per
-//!   counter name, and hold a non-empty `args` object of non-negative
-//!   numbers.
-//! * serving-window counters (`query.win.*` and `query.exemplar.*` — the
-//!   windowed series the closed-loop driver's reporter rotates) must
-//!   additionally carry a non-negative integer `window` arg that never
-//!   decreases within a counter name: a window ordinal going backwards
-//!   means the rotation epoch and the export order disagree.
+//! * counter (`"C"`) events — the memory series. Must use the known
+//!   namespace (`mem.`), be time-ordered per counter name, and hold a
+//!   non-empty `args` object of non-negative numbers.
 
 use crate::trace_read::{parse_trace, Phase, TraceEvent};
 
@@ -35,7 +29,7 @@ const SPAN_ARG_KEYS: &[&str] = &["depth", "edges", "chunk", "chunk_len", "bits",
 /// Namespaces counter events may use. A counter outside these was added
 /// ad hoc and would silently vanish from dashboards keyed on the known
 /// prefixes.
-const COUNTER_PREFIXES: &[&str] = &["mem.", "query."];
+const COUNTER_PREFIXES: &[&str] = &["mem."];
 
 fn check_span_args(i: usize, ev: &TraceEvent) -> Result<(), String> {
     let name = &ev.name;
@@ -71,7 +65,7 @@ fn check_counter(i: usize, ev: &TraceEvent) -> Result<(), String> {
     if !COUNTER_PREFIXES.iter().any(|p| name.starts_with(p)) {
         return Err(format!(
             "event {i}: counter `{name}` is outside the known namespaces \
-             (mem.*, query.*)"
+             (mem.*)"
         ));
     }
     let args = ev
@@ -100,26 +94,6 @@ fn check_counter(i: usize, ev: &TraceEvent) -> Result<(), String> {
     Ok(())
 }
 
-/// Counter namespaces whose every point belongs to a rotated serving
-/// window and must therefore carry a monotone `window` ordinal.
-const WINDOWED_PREFIXES: &[&str] = &["query.win.", "query.exemplar."];
-
-/// The serving-window ordinal of a windowed serving counter, enforced
-/// present and integer; `None` for any other counter.
-fn check_window_arg(i: usize, ev: &TraceEvent) -> Result<Option<i64>, String> {
-    let name = &ev.name;
-    if !WINDOWED_PREFIXES.iter().any(|p| name.starts_with(p)) {
-        return Ok(None);
-    }
-    match ev.arg_i64("window") {
-        Some(w) if w >= 0 => Ok(Some(w)),
-        _ => Err(format!(
-            "event {i}: serving-window counter `{name}` must carry a non-negative \
-             integer `window` arg"
-        )),
-    }
-}
-
 /// Validates trace text; returns the event count on success.
 pub fn check_trace_text(text: &str) -> Result<usize, String> {
     let events = parse_trace(text)?;
@@ -128,7 +102,6 @@ pub fn check_trace_text(text: &str) -> Result<usize, String> {
     // Both maps are tiny (few tids, few counters), linear scan is fine.
     let mut span_last_ts: Vec<(i64, f64)> = Vec::new();
     let mut counter_last_ts: Vec<(String, f64)> = Vec::new();
-    let mut window_last: Vec<(String, i64)> = Vec::new();
     let mut saw_span = false;
     for (i, ev) in events.iter().enumerate() {
         match ev.ph {
@@ -163,21 +136,6 @@ pub fn check_trace_text(text: &str) -> Result<usize, String> {
                         *last = ev.ts_us;
                     }
                     None => counter_last_ts.push((ev.name.clone(), ev.ts_us)),
-                }
-                if let Some(w) = check_window_arg(i, ev)? {
-                    match window_last.iter_mut().find(|(n, _)| *n == ev.name) {
-                        Some((_, last)) => {
-                            if w < *last {
-                                return Err(format!(
-                                    "event {i}: counter `{}` window ordinal goes \
-                                     backwards: {w} after {last}",
-                                    ev.name
-                                ));
-                            }
-                            *last = w;
-                        }
-                        None => window_last.push((ev.name.clone(), w)),
-                    }
                 }
             }
         }
@@ -331,84 +289,6 @@ mod tests {
         let text = format!("[{}]", counter("mem.peak_bytes", 20, r#"{"peak_bytes":1}"#));
         let err = check_trace_text(&text).unwrap_err();
         assert!(err.contains("no span events"), "{err}");
-    }
-
-    #[test]
-    fn serving_window_counters_need_a_monotone_window_arg() {
-        let span = event("degree", 0, 10);
-        let win = |ts: i64, args: &str| counter("query.win.neighbors.hub", ts, args);
-
-        // Well-formed series: window ordinal repeats or advances.
-        let text = format!(
-            "[{},{},{},{}]",
-            span,
-            win(
-                20,
-                r#"{"window":0,"count":10,"p50":90,"p95":180,"p99":199}"#
-            ),
-            win(
-                30,
-                r#"{"window":1,"count":12,"p50":91,"p95":181,"p99":200}"#
-            ),
-            counter(
-                "query.win.qps",
-                30,
-                r#"{"window":1,"queries":22,"qps":2200}"#
-            ),
-        );
-        assert_eq!(check_trace_text(&text), Ok(4));
-
-        // Missing window arg.
-        let text = format!("[{},{}]", span, win(20, r#"{"count":10}"#));
-        let err = check_trace_text(&text).unwrap_err();
-        assert!(err.contains("`window` arg"), "{err}");
-
-        // Window ordinal going backwards within a counter name.
-        let text = format!(
-            "[{},{},{}]",
-            span,
-            win(20, r#"{"window":2,"count":1}"#),
-            win(30, r#"{"window":1,"count":1}"#),
-        );
-        let err = check_trace_text(&text).unwrap_err();
-        assert!(err.contains("window ordinal goes backwards"), "{err}");
-
-        // Plain query.* counters (no .win.) stay exempt from the rule.
-        let text = format!(
-            "[{},{}]",
-            span,
-            counter("query.has_edge_ns", 20, r#"{"count":10}"#)
-        );
-        assert_eq!(check_trace_text(&text), Ok(2));
-    }
-
-    #[test]
-    fn phase_and_exemplar_counters_are_windowed_series() {
-        let span = event("degree", 0, 10);
-        let ex = |ts: i64, args: &str| counter("query.exemplar.neighbors.hub", ts, args);
-
-        // Exemplars are a windowed series: they require the window arg...
-        let text = format!("[{},{}]", span, ex(20, r#"{"source":7,"total":1000}"#));
-        let err = check_trace_text(&text).unwrap_err();
-        assert!(err.contains("`window` arg"), "{err}");
-
-        // ...a backwards ordinal within the series trips the gate...
-        let text = format!(
-            "[{},{},{}]",
-            span,
-            ex(20, r#"{"window":2,"source":7,"total":1000}"#),
-            ex(30, r#"{"window":1,"source":9,"total":900}"#),
-        );
-        let err = check_trace_text(&text).unwrap_err();
-        assert!(err.contains("window ordinal goes backwards"), "{err}");
-
-        // ...and a well-formed point carries one latency, `total`.
-        let text = format!(
-            "[{},{}]",
-            span,
-            ex(20, r#"{"window":0,"source":7,"total":1000}"#)
-        );
-        assert_eq!(check_trace_text(&text), Ok(2));
     }
 
     #[test]
