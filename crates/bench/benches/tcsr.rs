@@ -8,7 +8,7 @@ use std::hint::black_box;
 use parcsr::with_processors;
 use parcsr_graph::gen::{temporal_toggles, TemporalParams};
 use parcsr_graph::TemporalEdgeList;
-use parcsr_temporal::{AbsoluteFrames, FrameMode, TcsrBuilder};
+use parcsr_temporal::{AbsoluteFrames, TcsrBuilder};
 
 fn workload() -> TemporalEdgeList {
     temporal_toggles(TemporalParams::new(1 << 12, 1 << 16, 64, 42))
@@ -82,39 +82,5 @@ fn bench_point_queries(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_frame_modes(c: &mut Criterion) {
-    let events = workload();
-    let mut group = c.benchmark_group("tcsr_frame_mode");
-    group.measurement_time(std::time::Duration::from_secs(3));
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.sample_size(10);
-    for mode in [FrameMode::Random, FrameMode::Gap] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(mode.name()),
-            &events,
-            |b, events| {
-                let builder = TcsrBuilder::new().frame_mode(mode);
-                b.iter(|| black_box(builder.build(events)));
-            },
-        );
-    }
-    let r = TcsrBuilder::new()
-        .frame_mode(FrameMode::Random)
-        .build(&events);
-    let g = TcsrBuilder::new().frame_mode(FrameMode::Gap).build(&events);
-    eprintln!(
-        "tcsr frame-mode sizes: random={} B, gap={} B",
-        r.packed_bytes(),
-        g.packed_bytes()
-    );
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_build,
-    bench_snapshots,
-    bench_point_queries,
-    bench_frame_modes
-);
+criterion_group!(benches, bench_build, bench_snapshots, bench_point_queries);
 criterion_main!(benches);

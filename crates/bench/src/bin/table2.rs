@@ -1,11 +1,14 @@
-//! Regenerates Table II: compression results per dataset and processor
-//! count, with the paper's published numbers alongside.
+//! Regenerates the paper's evaluation from one sweep: Table II
+//! (compression results per dataset and processor count, with the paper's
+//! published numbers alongside), then Figure 6 (construction time vs.
+//! processors) and Figure 7 (speed-up %), each as CSV plus a terminal
+//! plot. `--json` prints the sweep's record instead.
 //!
 //! ```text
 //! cargo run -p parcsr-bench --release --bin table2 -- [--scale 1.0] [--procs 1,4,8,16,64]
 //! ```
 
-use parcsr_bench::{print_table2, run_experiment_traced, trace, Options};
+use parcsr_bench::{print_fig6, print_fig7, print_table2, run_experiment_traced, trace, Options};
 
 // Counting allocator: heap accounting while --trace/--metrics record.
 // Registered only in obs builds, so default builds keep the plain system
@@ -32,6 +35,8 @@ fn main() {
         println!("{}", parcsr_bench::results_to_json_pretty(&results));
     } else {
         print!("{}", print_table2(&results));
+        print!("\n{}", print_fig6(&results));
+        print!("\n{}", print_fig7(&results));
     }
     trace::finish(opts.trace.as_deref(), opts.metrics, &spans);
 }

@@ -2,12 +2,15 @@
 
 //! Benchmark harness regenerating the paper's evaluation (Section VI).
 //!
-//! Three binaries print the paper's artifacts:
+//! One sweep, the `table2` binary, prints all three of the paper's
+//! artifacts from one [`run_experiment_traced`] result:
 //!
-//! * `table2` — Table II: per dataset, edge-list size, packed-CSR size, and
+//! * Table II: per dataset, edge-list size, packed-CSR size, and
 //!   construction time/speed-up for each processor count;
-//! * `fig6` — Figure 6: construction time vs. processor count series;
-//! * `fig7` — Figure 7: speed-up percentage vs. processor count series.
+//! * Figure 6: construction time vs. processor count series;
+//! * Figure 7: speed-up percentage vs. processor count series.
+//!
+//! With `--json` it prints the machine-readable record instead.
 //!
 //! The `benches/` directory holds Criterion microbenches per pipeline stage
 //! plus the ablations listed in DESIGN.md §4.

@@ -8,8 +8,8 @@
 //! * [`RowCursor`]: a [`BitReader`] positioned at bit `start · width` that
 //!   yields `count` values of any width ≤ 64 one at a time and seeks
 //!   forward ([`RowCursor::advance`], `Iterator::nth`) without decoding the
-//!   skipped elements. The generic `u64` arrays (CSR offsets, temporal
-//!   frames) read through it.
+//!   skipped elements. The generic `u64` arrays (CSR offsets, a temporal
+//!   frame's sources and offsets) read through it.
 //! * The block kernel, for arrays of width ≤ 32 (the column array). Element
 //!   `64·k` starts on word `k · width`, so a block of [`BLOCK_LEN`] values is
 //!   exactly `width` words and [`unpack_block`] decodes it with constant

@@ -19,6 +19,9 @@
 //!   ([`unpack_block`]) behind [`BlockCursor`] and
 //!   [`PackedArray::decode_range_u32`], which decode one CSR row a block at
 //!   a time.
+//! * [`section`] — how the on-disk formats store a packed array (bit
+//!   length, then words), with the one section reader and [`ReadError`]
+//!   that `.pcsr` and `.tcsr` share.
 //! * [`varint`] — LEB128 variable-length integers, the byte-aligned codec
 //!   behind the EveLog/EdgeLog-style temporal logs of the related work.
 //! * [`parallel`] — Algorithm 4: split the input into one chunk per
@@ -44,10 +47,12 @@ pub mod bitbuf;
 pub mod cursor;
 pub mod fixed;
 pub mod parallel;
+pub mod section;
 pub mod varint;
 
 pub use bitbuf::{BitBuf, BitReader};
 pub use cursor::{unpack_block, BlockCursor, BlockIter, RowCursor, BLOCK_LEN};
 pub use fixed::{bits_needed, PackedArray};
 pub use parallel::{pack_parallel, pack_parallel_with_width};
+pub use section::ReadError;
 pub use varint::{varint_decode, varint_decode_stream, varint_encode, varint_encode_stream};

@@ -49,12 +49,9 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
             edges,
             procs,
         } => query(input, neighbors, edges, resolve_procs(*procs)),
-        Command::TemporalCompress {
-            input,
-            out,
-            gap,
-            procs,
-        } => temporal_compress(input, out, *gap, resolve_procs(*procs)),
+        Command::TemporalCompress { input, out, procs } => {
+            temporal_compress(input, out, resolve_procs(*procs))
+        }
         Command::TemporalQuery {
             input,
             frame,
@@ -65,18 +62,12 @@ pub fn execute(command: &Command) -> Result<String, CliError> {
     }
 }
 
-fn temporal_compress(input: &str, out: &str, gap: bool, procs: usize) -> Result<String, CliError> {
+fn temporal_compress(input: &str, out: &str, procs: usize) -> Result<String, CliError> {
     let events = parcsr::with_processors(procs, || gio::read_temporal_edge_list_file(input))
         .map_err(|e| err(format!("reading {input}: {e}")))?;
-    let mode = if gap {
-        parcsr_temporal::FrameMode::Gap
-    } else {
-        parcsr_temporal::FrameMode::Random
-    };
     let t = Instant::now();
     let tcsr = parcsr_temporal::TcsrBuilder::new()
         .processors(procs)
-        .frame_mode(mode)
         .build(&events);
     let ms = ms_since(t);
     let file = File::create(out).map_err(|e| err(format!("creating {out}: {e}")))?;
@@ -84,11 +75,10 @@ fn temporal_compress(input: &str, out: &str, gap: bool, procs: usize) -> Result<
     tcsr.write_to(&mut writer)
         .map_err(|e| err(format!("writing {out}: {e}")))?;
     Ok(format!(
-        "compressed {} events / {} frames over {} nodes in {ms:.1} ms ({} mode, {} B packed) -> {out}",
+        "compressed {} events / {} frames over {} nodes in {ms:.1} ms ({} B packed) -> {out}",
         events.num_events(),
         tcsr.num_frames(),
         tcsr.num_nodes(),
-        mode.name(),
         tcsr.packed_bytes()
     ))
 }
@@ -487,11 +477,10 @@ mod tests {
         let report = execute(&Command::TemporalCompress {
             input: txt,
             out: tcsr_path.clone(),
-            gap: true,
             procs: 2,
         })
         .unwrap();
-        assert!(report.contains("gap mode"), "{report}");
+        assert!(report.contains(" / 6 frames over "), "{report}");
 
         let snap = events.snapshot_at(3);
         let (u, v) = snap[0];
@@ -526,7 +515,6 @@ mod tests {
         execute(&Command::TemporalCompress {
             input: txt,
             out: out.clone(),
-            gap: false,
             procs: 1,
         })
         .unwrap();

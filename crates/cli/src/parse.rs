@@ -66,8 +66,6 @@ pub enum Command {
         input: String,
         /// Output `.tcsr` path.
         out: String,
-        /// Use gap-coded frames.
-        gap: bool,
         /// Processor count (0 = all).
         procs: usize,
     },
@@ -156,7 +154,7 @@ commands:
   stats    INPUT
   info     FILE.pcsr
   query    FILE.pcsr [--neighbors u1,u2,...] [--edge u,v] [--procs P]
-  temporal-compress INPUT --out FILE [--mode random|gap] [--procs P]
+  temporal-compress INPUT --out FILE [--procs P]
   temporal-query FILE.tcsr --frame T [--edge u,v] [--neighbors u1,u2] [--count]
 
 global flags (any command):
@@ -319,17 +317,10 @@ impl Command {
                 let input = args
                     .value("temporal-compress")
                     .map_err(|_| invalid("temporal-compress requires an input path"))?;
-                let (mut out, mut gap, mut procs) = (None, true, 0usize);
+                let (mut out, mut procs) = (None, 0usize);
                 while let Some(flag) = args.items.next() {
                     match flag.as_str() {
                         "--out" => out = Some(args.value("--out")?),
-                        "--mode" => {
-                            gap = match args.value("--mode")?.as_str() {
-                                "gap" => true,
-                                "random" => false,
-                                other => return Err(invalid(format!("unknown mode {other}"))),
-                            }
-                        }
                         "--procs" => procs = args.parsed("--procs")?,
                         other => return Err(invalid(format!("unknown flag {other}"))),
                     }
@@ -337,7 +328,6 @@ impl Command {
                 Ok(Command::TemporalCompress {
                     input,
                     out: out.ok_or_else(|| invalid("temporal-compress requires --out"))?,
-                    gap,
                     procs,
                 })
             }
@@ -505,8 +495,8 @@ mod tests {
             "ev.txt",
             "--out",
             "g.tcsr",
-            "--mode",
-            "random",
+            "--procs",
+            "2",
         ])
         .unwrap();
         assert_eq!(
@@ -514,11 +504,28 @@ mod tests {
             Command::TemporalCompress {
                 input: "ev.txt".into(),
                 out: "g.tcsr".into(),
-                gap: false,
-                procs: 0,
+                procs: 2,
             }
         );
         assert!(parse(&["temporal-compress", "ev.txt"]).is_err());
+    }
+
+    /// Every frame is a sparse delta CSR; `--mode` is not a flag.
+    #[test]
+    fn temporal_compress_has_one_frame_layout() {
+        for mode in ["gap", "random"] {
+            assert_eq!(
+                parse(&[
+                    "temporal-compress",
+                    "ev.txt",
+                    "--out",
+                    "g.tcsr",
+                    "--mode",
+                    mode
+                ]),
+                Err(ParseError::Invalid("unknown flag --mode".into()))
+            );
+        }
     }
 
     #[test]

@@ -17,10 +17,16 @@
 //! off_bits 8 B  offset bit length,     then ceil(off_bits/64) words
 //! col_bits 8 B  column bit length,     then ceil(col_bits/64) words
 //! ```
+//!
+//! The last two lines are the arrays' packed sections, written and read by
+//! [`parcsr_bitpack::section`], the reader `.tcsr` files share.
 
 use std::io::{self, Read, Write};
 
-use parcsr_bitpack::{BitBuf, PackedArray};
+use parcsr_bitpack::section::{
+    read_magic, read_section, read_u32, read_u64, read_u8, write_section,
+};
+pub use parcsr_bitpack::ReadError;
 use parcsr_graph::NodeId;
 
 use crate::packed::BitPackedCsr;
@@ -33,42 +39,6 @@ const MODE_RAW: u8 = 0;
 
 /// Mode byte older writers used for gap-coded columns; rejected on read.
 const MODE_GAP: u8 = 1;
-
-/// Errors from deserializing a packed CSR.
-#[derive(Debug)]
-pub enum ReadError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Not a parcsr file, or an unsupported format version.
-    BadMagic([u8; 8]),
-    /// Structurally invalid header or payload.
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for ReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadError::Io(e) => write!(f, "i/o error: {e}"),
-            ReadError::BadMagic(m) => write!(f, "bad magic/version {m:02x?}"),
-            ReadError::Corrupt(what) => write!(f, "corrupt packed CSR: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ReadError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ReadError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<io::Error> for ReadError {
-    fn from(e: io::Error) -> Self {
-        ReadError::Io(e)
-    }
-}
 
 impl BitPackedCsr {
     /// Serializes into `w`. The format is deterministic: equal structures
@@ -83,11 +53,7 @@ impl BitPackedCsr {
             w.write_all(&(arr.len() as u64).to_le_bytes())?;
         }
         for arr in [self.offsets_array(), self.columns_array()] {
-            let buf = arr.bit_buf();
-            w.write_all(&(buf.len() as u64).to_le_bytes())?;
-            for &word in buf.words() {
-                w.write_all(&word.to_le_bytes())?;
-            }
+            write_section(w, arr)?;
         }
         Ok(())
     }
@@ -99,11 +65,7 @@ impl BitPackedCsr {
     /// multigraph are legal). Buffers grow only as payload words arrive, so
     /// a header cannot make the reader allocate more than the input holds.
     pub fn read_from<R: Read>(r: &mut R) -> Result<BitPackedCsr, ReadError> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if magic != MAGIC {
-            return Err(ReadError::BadMagic(magic));
-        }
+        read_magic(r, MAGIC)?;
         match read_u8(r)? {
             MODE_RAW => {}
             MODE_GAP => return Err(ReadError::Corrupt("gap mode files are no longer supported")),
@@ -127,8 +89,8 @@ impl BitPackedCsr {
         if !(1..=64).contains(&off_w) || !(1..=64).contains(&col_w) {
             return Err(ReadError::Corrupt("widths must be in 1..=64"));
         }
-        let offsets = read_packed(r, off_w, off_n)?;
-        let columns = read_packed(r, col_w, col_n)?;
+        let offsets = read_section(r, off_w, off_n)?;
+        let columns = read_section(r, col_w, col_n)?;
         // Ids are u32 and writers pack at the width of the largest, so a
         // wider column array can only be corrupt.
         if col_w > 32 {
@@ -179,56 +141,12 @@ impl BitPackedCsr {
     }
 }
 
-/// Reads one packed array of `len` elements at `width` bits.
-fn read_packed<R: Read>(r: &mut R, width: u32, len: u64) -> Result<PackedArray, ReadError> {
-    let bits = read_u64(r)?;
-    let expected = len
-        .checked_mul(u64::from(width))
-        .ok_or(ReadError::Corrupt("len * width overflows"))?;
-    if bits != expected {
-        return Err(ReadError::Corrupt("bit length does not match len * width"));
-    }
-    let bits = usize::try_from(bits).map_err(|_| ReadError::Corrupt("bit length overflows"))?;
-    // Grows as words arrive: the header alone never sizes an allocation.
-    let mut buf = BitBuf::new();
-    let mut scratch = [0u8; 8];
-    let mut remaining = bits;
-    while remaining > 0 {
-        r.read_exact(&mut scratch)?;
-        let word = u64::from_le_bytes(scratch);
-        let take = remaining.min(64) as u32;
-        if take < 64 && (word >> take) != 0 {
-            return Err(ReadError::Corrupt("padding bits must be zero"));
-        }
-        buf.push_bits(word, take);
-        remaining -= take as usize;
-    }
-    Ok(PackedArray::from_raw_parts(buf, width, len as usize))
-}
-
-fn read_u8<R: Read>(r: &mut R) -> Result<u8, ReadError> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-fn read_u32<R: Read>(r: &mut R) -> Result<u32, ReadError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, ReadError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::build::CsrBuilder;
     use crate::packed::PackedCsrMode;
+    use parcsr_bitpack::PackedArray;
     use parcsr_graph::gen::{rmat, RmatParams};
     use parcsr_graph::EdgeList;
 

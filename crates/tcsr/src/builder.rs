@@ -7,15 +7,15 @@
 //! similar to that of computation of degree in Section III-A2" — so a merge
 //! step concatenates the boundary pieces (still sorted, because events are
 //! sorted by `(t, u, v)`) and re-collapses parity across the seam. Each
-//! final difference list is then bit-packed in parallel (Algorithm 4's
-//! engine).
+//! final difference list then becomes the frame's CSR of differences (its
+//! changed rows only), bit-packed with Algorithm 4's engine.
 
 use rayon::prelude::*;
 
 use parcsr_graph::{TemporalEdge, TemporalEdgeList, Timestamp};
 use parcsr_runtime::{plan_uniform, run_chunked_plan};
 
-use crate::frame::{key, DeltaFrame, FrameMode};
+use crate::frame::{key, DeltaFrame};
 use crate::tcsr::Tcsr;
 
 /// Per-chunk pass of Algorithm 5 over a `(t, u, v)`-sorted event chunk:
@@ -72,27 +72,19 @@ fn merge_frame_piece(slot: &mut Vec<u64>, mut keys: Vec<u64>) {
 #[derive(Debug, Clone, Copy)]
 pub struct TcsrBuilder {
     processors: usize,
-    mode: FrameMode,
 }
 
 impl TcsrBuilder {
-    /// Defaults: one chunk per current rayon thread, random-access frames.
+    /// Defaults: one chunk per current rayon thread.
     pub fn new() -> Self {
         TcsrBuilder {
             processors: rayon::current_num_threads(),
-            mode: FrameMode::Random,
         }
     }
 
     /// Sets the logical processor count.
     pub fn processors(mut self, p: usize) -> Self {
         self.processors = p.max(1);
-        self
-    }
-
-    /// Sets the frame storage mode.
-    pub fn frame_mode(mut self, mode: FrameMode) -> Self {
-        self.mode = mode;
         self
     }
 
@@ -131,14 +123,14 @@ impl TcsrBuilder {
             }
         });
 
-        // Pack every frame (parallel over frames; each pack is itself
-        // chunk-parallel for large frames).
-        let mode = self.mode;
+        // Turn every frame's sorted keys into its sparse delta rows
+        // (parallel over frames; each column pack is itself chunk-parallel
+        // for large frames).
         let p = self.processors;
         let frames: Vec<DeltaFrame> = parcsr_obs::with_span("tcsr.pack", || {
             per_frame
                 .into_par_iter()
-                .map(|keys| DeltaFrame::from_sorted_keys(&keys, mode, p))
+                .map(|keys| DeltaFrame::from_sorted_keys(&keys, p))
                 .collect()
         });
 
@@ -335,18 +327,6 @@ mod tests {
         assert_eq!(tcsr.num_frames(), 5);
         for t in 1..4 {
             assert!(tcsr.frame(t).is_empty(), "frame {t}");
-        }
-    }
-
-    #[test]
-    fn frame_modes_store_same_content() {
-        let events = temporal_toggles(TemporalParams::new(64, 500, 5, 4));
-        let random = TcsrBuilder::new()
-            .frame_mode(FrameMode::Random)
-            .build(&events);
-        let gap = TcsrBuilder::new().frame_mode(FrameMode::Gap).build(&events);
-        for t in 0..random.num_frames() as u32 {
-            assert_eq!(random.frame(t).decode_keys(), gap.frame(t).decode_keys());
         }
     }
 }

@@ -9,9 +9,10 @@
 //! edge toggled an even number of times within an interval is inactive, odd
 //! is active.
 //!
-//! * [`frame`] — [`DeltaFrame`]: one frame's difference set, bit-packed
-//!   (absolute packed keys for O(log) membership, or gap-coded for maximum
-//!   compression), plus sorted-set symmetric difference.
+//! * [`frame`] — [`DeltaFrame`]: one frame's difference set as a sparse
+//!   delta CSR (changed sources, row offsets, toggled columns; three packed
+//!   arrays with O(log s + log d_u) membership and one-slice rows), plus
+//!   sorted-set symmetric difference.
 //! * [`builder`] — Algorithm 5: chunk the event stream across processors,
 //!   build each chunk's per-frame difference lists, merge the frame that
 //!   straddles each chunk boundary (the same overlap-merge shape as the
@@ -28,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use parcsr_temporal::{TcsrBuilder, FrameMode};
+//! use parcsr_temporal::TcsrBuilder;
 //! use parcsr_graph::{TemporalEdge, TemporalEdgeList};
 //!
 //! let events = TemporalEdgeList::new(4, vec![
@@ -52,6 +53,6 @@ pub mod tcsr;
 
 pub use absolute::AbsoluteFrames;
 pub use builder::TcsrBuilder;
-pub use frame::{sym_diff, DeltaFrame, FrameMode};
+pub use frame::{sym_diff, DeltaFrame};
 pub use logs::{EdgeLog, EveLog};
 pub use tcsr::Tcsr;

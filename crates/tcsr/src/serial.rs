@@ -3,53 +3,30 @@
 //! Format (little-endian):
 //!
 //! ```text
-//! magic     8 B  "PARTCSR\x01"
+//! magic     8 B  "PARTCSR\x02"
 //! n         8 B  num_nodes
 //! frames    8 B  frame count
-//! per frame:
-//!   mode    1 B  0 = random, 1 = gap
-//!   head    9 B  presence flag (0/1) + u64 head key (gap mode; 0 otherwise)
-//!   width   4 B  packed width        len 8 B  packed entry count
+//! per frame, three packed arrays in order — sources (s ids), offsets
+//! (s + 1 row bounds), columns (d ids) — each as:
+//!   width   4 B  bits per entry, 1..=32
+//!   len     8 B  entry count
 //!   bits    8 B  bit length, then ceil(bits/64) u64 words
 //! ```
+//!
+//! The bit length and words are the array's packed section, read and
+//! written by [`parcsr_bitpack::section`] as `.pcsr` files are. Version-1
+//! files (64-bit edge keys) get [`ReadError::BadMagic`].
 
 use std::io::{self, Read, Write};
 
-use parcsr_bitpack::{BitBuf, PackedArray};
+use parcsr_bitpack::section::{read_magic, read_section, read_u32, read_u64, write_section};
+use parcsr_bitpack::PackedArray;
+pub use parcsr_bitpack::ReadError;
 
-use crate::frame::{unkey, DeltaFrame, FrameMode};
+use crate::frame::DeltaFrame;
 use crate::tcsr::Tcsr;
 
-const MAGIC: [u8; 8] = *b"PARTCSR\x01";
-
-/// Errors from deserializing a TCSR.
-#[derive(Debug)]
-pub enum ReadError {
-    /// Underlying I/O failure.
-    Io(io::Error),
-    /// Not a TCSR file or unsupported version.
-    BadMagic([u8; 8]),
-    /// Structurally invalid content.
-    Corrupt(&'static str),
-}
-
-impl std::fmt::Display for ReadError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReadError::Io(e) => write!(f, "i/o error: {e}"),
-            ReadError::BadMagic(m) => write!(f, "bad magic/version {m:02x?}"),
-            ReadError::Corrupt(what) => write!(f, "corrupt tcsr: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ReadError {}
-
-impl From<io::Error> for ReadError {
-    fn from(e: io::Error) -> Self {
-        ReadError::Io(e)
-    }
-}
+const MAGIC: [u8; 8] = *b"PARTCSR\x02";
 
 impl Tcsr {
     /// Serializes into `w`. Deterministic byte output.
@@ -58,175 +35,130 @@ impl Tcsr {
         w.write_all(&(self.num_nodes() as u64).to_le_bytes())?;
         w.write_all(&(self.num_frames() as u64).to_le_bytes())?;
         for t in 0..self.num_frames() {
-            self.frame(t as u32).write_to(w)?;
+            let frame = self.frame(t as u32);
+            for array in [&frame.sources, &frame.offsets, &frame.columns] {
+                w.write_all(&array.width().to_le_bytes())?;
+                w.write_all(&(array.len() as u64).to_le_bytes())?;
+                write_section(w, array)?;
+            }
         }
         Ok(())
     }
 
-    /// Deserializes from `r`, validating headers and frame invariants.
+    /// Deserializes from `r`, validating the header and every frame
+    /// invariant the queries assume. The frame list and every buffer grow
+    /// only as their bytes arrive, so a header cannot make the reader
+    /// allocate more than the input holds.
     pub fn read_from<R: Read>(r: &mut R) -> Result<Tcsr, ReadError> {
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if magic != MAGIC {
-            return Err(ReadError::BadMagic(magic));
-        }
+        read_magic(r, MAGIC)?;
         let num_nodes = read_u64(r)?;
-        let num_frames = read_u64(r)? as usize;
-        let mut frames = Vec::with_capacity(num_frames.min(1 << 20));
+        let num_frames = read_u64(r)?;
+        let mut frames = Vec::new();
         for _ in 0..num_frames {
-            let frame = DeltaFrame::read_from(r)?;
-            check_keys(&frame, num_nodes)?;
-            frames.push(frame);
+            frames.push(read_frame(r, num_nodes)?);
         }
         Ok(Tcsr::from_frames(num_nodes as usize, frames))
     }
 }
 
-impl DeltaFrame {
-    fn write_to<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let (mode_byte, head) = match self.mode() {
-            FrameMode::Random => (0u8, None),
-            FrameMode::Gap => (1u8, self.head_key()),
-        };
-        w.write_all(&[mode_byte])?;
-        w.write_all(&[u8::from(head.is_some())])?;
-        w.write_all(&head.unwrap_or(0).to_le_bytes())?;
-        let keys = self.packed_keys();
-        w.write_all(&keys.width().to_le_bytes())?;
-        w.write_all(&(keys.len() as u64).to_le_bytes())?;
-        let buf = keys.bit_buf();
-        w.write_all(&(buf.len() as u64).to_le_bytes())?;
-        for &word in buf.words() {
-            w.write_all(&word.to_le_bytes())?;
-        }
-        Ok(())
+/// Reads one packed array: width, length, then its section.
+fn read_array<R: Read>(r: &mut R) -> Result<PackedArray, ReadError> {
+    let width = read_u32(r)?;
+    // Every entry is a u32 id or a row bound below 2^32.
+    if !(1..=32).contains(&width) {
+        return Err(ReadError::Corrupt("widths must be in 1..=32"));
     }
+    let len = read_u64(r)?;
+    read_section(r, width, len)
+}
 
-    fn read_from<R: Read>(r: &mut R) -> Result<DeltaFrame, ReadError> {
-        let mode = match read_u8(r)? {
-            0 => FrameMode::Random,
-            1 => FrameMode::Gap,
-            _ => return Err(ReadError::Corrupt("unknown frame mode")),
-        };
-        let has_head = match read_u8(r)? {
-            0 => false,
-            1 => true,
-            _ => return Err(ReadError::Corrupt("bad head flag")),
-        };
-        let head_raw = read_u64(r)?;
-        if mode == FrameMode::Random && has_head {
-            return Err(ReadError::Corrupt("random-mode frame cannot carry a head"));
+/// Reads one frame and checks it in one pass: sources strictly increasing
+/// and below `num_nodes`; offsets from 0, strictly increasing (a listed
+/// source changed at least once) and ending at the column count; each row
+/// strictly increasing, with ids below `num_nodes`.
+fn read_frame<R: Read>(r: &mut R, num_nodes: u64) -> Result<DeltaFrame, ReadError> {
+    let sources = read_array(r)?;
+    let offsets = read_array(r)?;
+    let columns = read_array(r)?;
+    if offsets.len() != sources.len() + 1 {
+        return Err(ReadError::Corrupt("offset count must be source count + 1"));
+    }
+    let mut bounds = offsets.iter();
+    if bounds.next() != Some(0) {
+        return Err(ReadError::Corrupt("first offset must be 0"));
+    }
+    let d = columns.len() as u64;
+    let mut cols = columns.block_cursor(0, columns.len()).values();
+    let (mut start, mut prev_source) = (0u64, None);
+    for (u, end) in sources.iter().zip(bounds) {
+        if prev_source.is_some_and(|p| u <= p) {
+            return Err(ReadError::Corrupt("sources must be strictly increasing"));
         }
-        let width = read_u32(r)?;
-        if !(1..=64).contains(&width) {
-            return Err(ReadError::Corrupt("width must be in 1..=64"));
+        if u >= num_nodes {
+            return Err(ReadError::Corrupt("source id must be below num_nodes"));
         }
-        let len = read_u64(r)?;
-        let bits = read_u64(r)?;
-        let expected = len
-            .checked_mul(u64::from(width))
-            .ok_or(ReadError::Corrupt("len * width overflows"))?;
-        if bits != expected {
-            return Err(ReadError::Corrupt("bit length mismatch"));
+        prev_source = Some(u);
+        if end <= start {
+            return Err(ReadError::Corrupt("offsets must be strictly increasing"));
         }
-        let len = usize::try_from(len).map_err(|_| ReadError::Corrupt("len overflows"))?;
-        let bits = usize::try_from(bits).map_err(|_| ReadError::Corrupt("bit length overflows"))?;
-        // Grows as words arrive: the header alone never sizes an allocation.
-        let mut buf = BitBuf::new();
-        let mut scratch = [0u8; 8];
-        let mut remaining = bits;
-        while remaining > 0 {
-            r.read_exact(&mut scratch)?;
-            let word = u64::from_le_bytes(scratch);
-            let take = remaining.min(64) as u32;
-            if take < 64 && (word >> take) != 0 {
-                return Err(ReadError::Corrupt("padding bits must be zero"));
+        if end > d {
+            return Err(ReadError::Corrupt(
+                "last offset must equal the column count",
+            ));
+        }
+        let (mut left, mut prev) = ((end - start) as usize, None);
+        while left > 0 {
+            // Rows end at most at d, so a run is never empty here.
+            let run = cols.next_run(left);
+            for &v in run {
+                if prev.is_some_and(|p| v <= p) {
+                    return Err(ReadError::Corrupt("rows must be strictly increasing"));
+                }
+                if u64::from(v) >= num_nodes {
+                    return Err(ReadError::Corrupt("column id must be below num_nodes"));
+                }
+                prev = Some(v);
             }
-            buf.push_bits(word, take);
-            remaining -= take as usize;
+            left -= run.len();
         }
-        let keys = PackedArray::from_raw_parts(buf, width, len);
-        DeltaFrame::from_raw_parts(mode, has_head.then_some(head_raw), keys)
-            .ok_or(ReadError::Corrupt("inconsistent head/keys combination"))
+        start = end;
     }
-}
-
-/// One decode pass over a frame's keys: they must strictly increase, and
-/// every key's endpoints must fit the node space.
-fn check_keys(frame: &DeltaFrame, num_nodes: u64) -> Result<(), ReadError> {
-    let mut prev = None;
-    let mut check = |key: u64| {
-        if prev.is_some_and(|p| key <= p) {
-            return Err(ReadError::Corrupt("frame keys must be strictly increasing"));
-        }
-        prev = Some(key);
-        let (u, v) = unkey(key);
-        if u64::from(u) >= num_nodes || u64::from(v) >= num_nodes {
-            return Err(ReadError::Corrupt("frame references out-of-range node"));
-        }
-        Ok(())
-    };
-    let mut packed = frame.packed_keys().iter();
-    match (frame.mode(), frame.head_key()) {
-        (FrameMode::Random, _) => packed.try_for_each(check),
-        (FrameMode::Gap, None) => Ok(()),
-        (FrameMode::Gap, Some(head)) => {
-            check(head)?;
-            let mut key = head;
-            for gap in packed {
-                key = key
-                    .checked_add(gap)
-                    .ok_or(ReadError::Corrupt("frame key overflows"))?;
-                check(key)?;
-            }
-            Ok(())
-        }
+    if start != d {
+        return Err(ReadError::Corrupt(
+            "last offset must equal the column count",
+        ));
     }
-}
-
-fn read_u8<R: Read>(r: &mut R) -> Result<u8, ReadError> {
-    let mut b = [0u8; 1];
-    r.read_exact(&mut b)?;
-    Ok(b[0])
-}
-
-fn read_u32<R: Read>(r: &mut R) -> Result<u32, ReadError> {
-    let mut b = [0u8; 4];
-    r.read_exact(&mut b)?;
-    Ok(u32::from_le_bytes(b))
-}
-
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, ReadError> {
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
+    Ok(DeltaFrame {
+        sources,
+        offsets,
+        columns,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::builder::TcsrBuilder;
+    use parcsr_bitpack::bits_needed;
     use parcsr_graph::gen::{temporal_toggles, TemporalParams};
 
-    fn sample(mode: FrameMode) -> Tcsr {
+    fn sample() -> Tcsr {
         let events = temporal_toggles(TemporalParams::new(128, 1_500, 10, 3));
-        TcsrBuilder::new().frame_mode(mode).build(&events)
+        TcsrBuilder::new().build(&events)
     }
 
     #[test]
-    fn roundtrip_both_modes() {
-        for mode in [FrameMode::Random, FrameMode::Gap] {
-            let tcsr = sample(mode);
-            let mut bytes = Vec::new();
-            tcsr.write_to(&mut bytes).unwrap();
-            let back = Tcsr::read_from(&mut bytes.as_slice()).unwrap();
-            assert_eq!(back, tcsr, "{}", mode.name());
-        }
+    fn tcsr_roundtrip() {
+        let tcsr = sample();
+        let mut bytes = Vec::new();
+        tcsr.write_to(&mut bytes).unwrap();
+        let back = Tcsr::read_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(back, tcsr);
     }
 
     #[test]
     fn queries_after_roundtrip() {
-        let tcsr = sample(FrameMode::Gap);
+        let tcsr = sample();
         let mut bytes = Vec::new();
         tcsr.write_to(&mut bytes).unwrap();
         let back = Tcsr::read_from(&mut bytes.as_slice()).unwrap();
@@ -245,8 +177,42 @@ mod tests {
     }
 
     #[test]
+    fn version_1_is_bad_magic() {
+        let mut bytes = Vec::new();
+        sample().write_to(&mut bytes).unwrap();
+        bytes[7] = 1;
+        assert!(matches!(
+            Tcsr::read_from(&mut bytes.as_slice()),
+            Err(ReadError::BadMagic(m)) if m == *b"PARTCSR\x01"
+        ));
+    }
+
+    #[test]
+    fn corruption_detected() {
+        let tcsr = sample();
+        let mut bytes = Vec::new();
+        tcsr.write_to(&mut bytes).unwrap();
+        // The first frame's sources array starts at offset 24 (after
+        // magic, n, frame count): width 4 B, len 8 B, bit length 8 B.
+        let mut bad_width = bytes.clone();
+        bad_width[24] = 33;
+        assert_eq!(corrupt_reason(&bad_width), "widths must be in 1..=32");
+
+        let mut bad_len = bytes.clone();
+        bad_len[28] ^= 1;
+        assert!(Tcsr::read_from(&mut bad_len.as_slice()).is_err());
+
+        let mut bad_bits = bytes.clone();
+        bad_bits[36] ^= 0xFF;
+        assert_eq!(
+            corrupt_reason(&bad_bits),
+            "bit length does not match len * width"
+        );
+    }
+
+    #[test]
     fn truncation_detected() {
-        let tcsr = sample(FrameMode::Random);
+        let tcsr = sample();
         let mut bytes = Vec::new();
         tcsr.write_to(&mut bytes).unwrap();
         for cut in [4usize, 20, bytes.len() / 2, bytes.len() - 1] {
@@ -257,76 +223,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn corruption_detected() {
-        let tcsr = sample(FrameMode::Random);
-        let mut bytes = Vec::new();
-        tcsr.write_to(&mut bytes).unwrap();
-
-        // Invalid mode byte on the first frame (offset 24: after magic, n,
-        // frame count).
-        let mut bad_mode = bytes.clone();
-        bad_mode[24] = 7;
-        assert!(matches!(
-            Tcsr::read_from(&mut bad_mode.as_slice()),
-            Err(ReadError::Corrupt("unknown frame mode"))
-        ));
-
-        // A head on a random-mode frame (offset 25: the head flag).
-        let mut bad_head = bytes.clone();
-        bad_head[25] = 1;
-        assert!(matches!(
-            Tcsr::read_from(&mut bad_head.as_slice()),
-            Err(ReadError::Corrupt(_))
-        ));
-
-        // Inconsistent bit length (offset 24 + 1 + 1 + 8 + 4 + 8 = 46).
-        let mut bad_bits = bytes.clone();
-        bad_bits[46] ^= 0xFF;
-        assert!(Tcsr::read_from(&mut bad_bits.as_slice()).is_err());
+    /// Appends one packed array at `width` bits to `bytes`.
+    fn push_array(bytes: &mut Vec<u8>, values: &[u64], width: u32) {
+        let array = PackedArray::pack_with_width(values, width);
+        bytes.extend_from_slice(&width.to_le_bytes());
+        bytes.extend_from_slice(&(values.len() as u64).to_le_bytes());
+        write_section(bytes, &array).unwrap();
     }
 
-    /// A one-frame random-mode file over `num_nodes` nodes whose frame
-    /// header declares `len` keys at `width` bits and `bits` payload bits,
-    /// followed by `words`.
-    fn one_frame(num_nodes: u64, width: u32, len: u64, bits: u64, words: &[u64]) -> Vec<u8> {
-        frame_file(num_nodes, None, width, len, bits, words)
-    }
-
-    /// [`one_frame`] in gap mode when `head` is set.
-    fn frame_file(
-        num_nodes: u64,
-        head: Option<u64>,
-        width: u32,
-        len: u64,
-        bits: u64,
-        words: &[u64],
-    ) -> Vec<u8> {
+    /// A one-frame file over `num_nodes` nodes holding these raw arrays,
+    /// each packed at the width of its largest value.
+    fn frame_file(num_nodes: u64, sources: &[u64], offsets: &[u64], columns: &[u64]) -> Vec<u8> {
         let mut bytes = MAGIC.to_vec();
         bytes.extend_from_slice(&num_nodes.to_le_bytes());
         bytes.extend_from_slice(&1u64.to_le_bytes());
-        bytes.extend_from_slice(&[u8::from(head.is_some()), u8::from(head.is_some())]);
-        bytes.extend_from_slice(&head.unwrap_or(0).to_le_bytes());
-        bytes.extend_from_slice(&width.to_le_bytes());
-        bytes.extend_from_slice(&len.to_le_bytes());
-        bytes.extend_from_slice(&bits.to_le_bytes());
-        for word in words {
-            bytes.extend_from_slice(&word.to_le_bytes());
+        for values in [sources, offsets, columns] {
+            let width = bits_needed(values.iter().copied().max().unwrap_or(0));
+            push_array(&mut bytes, values, width);
         }
         bytes
-    }
-
-    /// [`one_frame`] holding exactly `keys`, packed at 64 bits.
-    fn keys_frame(num_nodes: u64, keys: &[u64]) -> Vec<u8> {
-        let packed = PackedArray::pack_with_width(keys, 64);
-        let buf = packed.bit_buf();
-        one_frame(
-            num_nodes,
-            64,
-            keys.len() as u64,
-            buf.len() as u64,
-            buf.words(),
-        )
     }
 
     fn corrupt_reason(bytes: &[u8]) -> &'static str {
@@ -337,17 +252,142 @@ mod tests {
     }
 
     #[test]
+    fn hand_built_frame_is_accepted() {
+        // Rows 0: [1, 3] and 2: [0].
+        let bytes = frame_file(4, &[0, 2], &[0, 2, 3], &[1, 3, 0]);
+        let tcsr = Tcsr::read_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(tcsr.snapshot_at(0), [(0, 1), (0, 3), (2, 0)]);
+        assert_eq!(tcsr.neighbors_at(0, 0), [1, 3]);
+        let empty = frame_file(4, &[], &[0], &[]);
+        assert!(Tcsr::read_from(&mut empty.as_slice())
+            .unwrap()
+            .frame(0)
+            .is_empty());
+    }
+
+    #[test]
+    fn non_increasing_sources_rejected() {
+        for sources in [[2, 0], [1, 1]] {
+            assert_eq!(
+                corrupt_reason(&frame_file(4, &sources, &[0, 1, 2], &[1, 2])),
+                "sources must be strictly increasing"
+            );
+        }
+    }
+
+    #[test]
+    fn source_past_num_nodes_rejected() {
+        assert_eq!(
+            corrupt_reason(&frame_file(4, &[0, 4], &[0, 1, 2], &[1, 2])),
+            "source id must be below num_nodes"
+        );
+    }
+
+    #[test]
+    fn offset_count_must_follow_sources() {
+        assert_eq!(
+            corrupt_reason(&frame_file(4, &[0, 2], &[0, 2], &[1, 3])),
+            "offset count must be source count + 1"
+        );
+    }
+
+    #[test]
+    fn first_offset_must_be_zero() {
+        assert_eq!(
+            corrupt_reason(&frame_file(4, &[0, 2], &[1, 2, 3], &[1, 3, 0])),
+            "first offset must be 0"
+        );
+    }
+
+    #[test]
+    fn empty_row_rejected() {
+        // Source 2 is listed with no change: offsets 2, 2.
+        assert_eq!(
+            corrupt_reason(&frame_file(4, &[0, 2, 3], &[0, 2, 2, 3], &[1, 3, 0])),
+            "offsets must be strictly increasing"
+        );
+        assert_eq!(
+            corrupt_reason(&frame_file(4, &[0, 2], &[0, 3, 2], &[1, 2, 3])),
+            "offsets must be strictly increasing"
+        );
+    }
+
+    #[test]
+    fn last_offset_must_equal_column_count() {
+        // Past the columns, and short of them.
+        assert_eq!(
+            corrupt_reason(&frame_file(4, &[0, 2], &[0, 2, 4], &[1, 3, 0])),
+            "last offset must equal the column count"
+        );
+        assert_eq!(
+            corrupt_reason(&frame_file(4, &[0, 2], &[0, 1, 2], &[1, 3, 0])),
+            "last offset must equal the column count"
+        );
+    }
+
+    #[test]
+    fn out_of_range_endpoint_before_the_last_key_rejected() {
+        // Column 9 >= n sits before the frame's last column, so checking
+        // the last one alone would miss it.
+        assert_eq!(
+            corrupt_reason(&frame_file(4, &[0, 2], &[0, 2, 3], &[1, 9, 0])),
+            "column id must be below num_nodes"
+        );
+    }
+
+    #[test]
+    fn non_increasing_keys_rejected() {
+        for row in [[3, 1], [2, 2]] {
+            let columns = [row[0], row[1], 0];
+            assert_eq!(
+                corrupt_reason(&frame_file(4, &[0, 2], &[0, 2, 3], &columns)),
+                "rows must be strictly increasing"
+            );
+        }
+        // A row may start below the previous row's last column.
+        assert!(
+            Tcsr::read_from(&mut frame_file(4, &[0, 2], &[0, 2, 3], &[1, 3, 0]).as_slice()).is_ok()
+        );
+    }
+
+    #[test]
+    fn widths_past_32_rejected() {
+        for width in [0, 33, 64] {
+            let mut bytes = MAGIC.to_vec();
+            bytes.extend_from_slice(&4u64.to_le_bytes());
+            bytes.extend_from_slice(&1u64.to_le_bytes());
+            push_array(&mut bytes, &[], width.max(1));
+            bytes[24..28].copy_from_slice(&u32::to_le_bytes(width));
+            assert_eq!(
+                corrupt_reason(&bytes),
+                "widths must be in 1..=32",
+                "{width}"
+            );
+        }
+    }
+
+    #[test]
     fn len_times_width_overflow_rejected() {
-        let bytes = one_frame(4, 64, 1 << 60, 0, &[]);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&32u32.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 60).to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
         assert_eq!(corrupt_reason(&bytes), "len * width overflows");
     }
 
     #[test]
     fn declared_size_is_not_allocated_up_front() {
-        // 54 bytes declaring 2^40 keys at 16 bits (2 TiB) with no payload:
-        // the reader must run out of input, not memory.
-        let bytes = one_frame(4, 16, 1 << 40, 1 << 44, &[]);
-        assert_eq!(bytes.len(), 54);
+        // 44 bytes declaring 2^40 sources at 16 bits (2 TiB) with no
+        // payload: the reader must run out of input, not memory.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes.extend_from_slice(&1u64.to_le_bytes());
+        bytes.extend_from_slice(&16u32.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 44).to_le_bytes());
+        assert_eq!(bytes.len(), 44);
         assert!(matches!(
             Tcsr::read_from(&mut bytes.as_slice()),
             Err(ReadError::Io(_))
@@ -355,33 +395,15 @@ mod tests {
     }
 
     #[test]
-    fn non_increasing_keys_rejected() {
-        let (a, b) = (crate::frame::key(0, 1), crate::frame::key(2, 3));
-        for keys in [[b, a], [a, a]] {
-            assert_eq!(
-                corrupt_reason(&keys_frame(4, &keys)),
-                "frame keys must be strictly increasing"
-            );
-        }
-        assert!(Tcsr::read_from(&mut keys_frame(4, &[a, b]).as_slice()).is_ok());
-    }
-
-    #[test]
-    fn out_of_range_endpoint_before_the_last_key_rejected() {
-        // (0, 9) sorts before (1, 2), so the last key alone looks in range.
-        let keys = [crate::frame::key(0, 9), crate::frame::key(1, 2)];
-        assert_eq!(
-            corrupt_reason(&keys_frame(4, &keys)),
-            "frame references out-of-range node"
-        );
-    }
-
-    #[test]
-    fn gap_key_overflow_rejected() {
-        // Head (2^32 - 1, 2^32 - 2) is in range of 2^33 nodes; the gap of 5
-        // after it overflows u64.
-        let bytes = frame_file(1 << 33, Some(u64::MAX - 1), 3, 1, 3, &[5]);
-        assert_eq!(corrupt_reason(&bytes), "frame key overflows");
+    fn declared_frame_count_is_not_allocated_up_front() {
+        // A 24-byte header declaring 2^40 frames and no frame.
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&4u64.to_le_bytes());
+        bytes.extend_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(matches!(
+            Tcsr::read_from(&mut bytes.as_slice()),
+            Err(ReadError::Io(_))
+        ));
     }
 
     #[test]

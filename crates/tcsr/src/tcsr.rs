@@ -10,7 +10,9 @@
 //!   (per-chunk scan → serial carry across chunk tails → parallel fix-up),
 //!   reusing Algorithm 1's shape on a non-`Copy` monoid;
 //! * a point query `edge_active_at(u, v, t)` is a parity reduction of the
-//!   per-frame memberships — one packed binary search per frame, XORed.
+//!   per-frame memberships — per frame, a packed binary search on the
+//!   changed sources and one on `u`'s row, XORed;
+//! * `neighbors_at(u, t)` decodes only `u`'s row of each frame.
 
 use rayon::prelude::*;
 
@@ -82,11 +84,8 @@ impl Tcsr {
         self.check_frame(t);
         self.frames[..=t as usize]
             .par_iter()
-            .map(|f| f.row(u).into_iter().map(u64::from).collect::<Vec<u64>>())
+            .map(|f| f.row(u))
             .reduce(Vec::new, |a, b| sym_diff(&a, &b))
-            .into_iter()
-            .map(|k| k as NodeId)
-            .collect()
     }
 
     /// The full active edge set at frame `t` (sorted pairs): symmetric
@@ -238,7 +237,6 @@ impl Tcsr {
 mod tests {
     use super::*;
     use crate::builder::TcsrBuilder;
-    use crate::frame::FrameMode;
     use parcsr_graph::gen::{temporal_toggles, TemporalParams};
     use parcsr_graph::TemporalEdgeList;
 
@@ -288,7 +286,7 @@ mod tests {
     #[test]
     fn neighbors_at_matches_snapshot_rows() {
         let events = workload(4);
-        let tcsr = TcsrBuilder::new().frame_mode(FrameMode::Gap).build(&events);
+        let tcsr = TcsrBuilder::new().build(&events);
         let t = (events.num_frames() / 2) as u32;
         let snap = tcsr.snapshot_at(t);
         for u in 0..64u32 {

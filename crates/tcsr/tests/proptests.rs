@@ -5,7 +5,7 @@
 use proptest::prelude::*;
 
 use parcsr_graph::{TemporalEdge, TemporalEdgeList};
-use parcsr_temporal::{sym_diff, FrameMode, TcsrBuilder};
+use parcsr_temporal::{sym_diff, DeltaFrame, TcsrBuilder};
 
 fn arb_events(
     nodes: u32,
@@ -73,16 +73,21 @@ proptest! {
     }
 
     #[test]
-    fn frame_modes_agree(events in arb_events(20, 5, 120)) {
-        let r = TcsrBuilder::new().frame_mode(FrameMode::Random).build(&events);
-        let g = TcsrBuilder::new().frame_mode(FrameMode::Gap).build(&events);
-        for t in 0..events.num_frames() as u32 {
-            prop_assert_eq!(r.snapshot_at(t), g.snapshot_at(t));
+    fn frame_rows_answer_like_the_pair_set(
+        pairs in prop::collection::btree_set((0u32..40, 0u32..40), 0..120),
+        p in 1usize..5,
+    ) {
+        let keys: Vec<u64> = pairs.iter().map(|&(u, v)| u64::from(u) << 32 | u64::from(v)).collect();
+        let frame = DeltaFrame::from_sorted_keys(&keys, p);
+        prop_assert_eq!(frame.len(), pairs.len());
+        prop_assert_eq!(frame.decode_keys(), keys);
+        for u in 0..41u32 {
+            let row: Vec<u32> = pairs.iter().filter(|e| e.0 == u).map(|e| e.1).collect();
+            for v in 0..41u32 {
+                prop_assert_eq!(frame.contains(u, v), pairs.contains(&(u, v)), "({}, {})", u, v);
+            }
+            prop_assert_eq!(frame.row(u), row, "row {}", u);
         }
-        // Gap frames never use more bits than random-access frames on the
-        // same content... not guaranteed in pathological cases, but total
-        // content must agree:
-        prop_assert_eq!(r.num_frames(), g.num_frames());
     }
 
     #[test]

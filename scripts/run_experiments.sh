@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Regenerates every evaluation artifact into results/.
 #
-# Usage: scripts/run_experiments.sh [extra table2/fig flags...]
+# Usage: scripts/run_experiments.sh [extra table2 flags...]
 # e.g.:  scripts/run_experiments.sh --full --procs 1,4,8,16,64
 #
 # Every artifact name is prefixed with a per-run id (override with
@@ -20,21 +20,12 @@ cargo build --release -p parcsr-bench --features obs
 # Every run records metrics, and with them heap accounting; the stage
 # summaries on stderr (including the `== mem ==` section) are archived next
 # to the tables so memory regressions are diffable across runs.
-echo "== Table II (run ${RUN_ID}) =="
+# One sweep prints Table II, then Figure 6, then Figure 7.
+echo "== Table II, Figure 6, Figure 7 (run ${RUN_ID}) =="
 cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
   --metrics --trace "${OUT}.table2.trace.json" "$@" \
   2> >(tee "${OUT}.table2.stages.txt" >&2) \
   | tee "${OUT}.table2.md"
-echo "== Figure 6 =="
-cargo run --release -q -p parcsr-bench --features obs --bin fig6 -- \
-  --metrics --trace "${OUT}.fig6.trace.json" "$@" \
-  2> >(tee "${OUT}.fig6.stages.txt" >&2) \
-  | tee "${OUT}.fig6.txt"
-echo "== Figure 7 =="
-cargo run --release -q -p parcsr-bench --features obs --bin fig7 -- \
-  --metrics --trace "${OUT}.fig7.trace.json" "$@" \
-  2> >(tee "${OUT}.fig7.stages.txt" >&2) \
-  | tee "${OUT}.fig7.txt"
 
 # Machine-readable per-stage breakdown per (dataset, p): the bench JSON
 # schema carries a `stages` array (with `mem_peak_bytes`) and a `mem`

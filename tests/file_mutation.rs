@@ -1,6 +1,7 @@
 //! Mutation tests for the untrusted-file readers: valid `.pcsr` and `.tcsr`
 //! files with one region damaged — a bit flipped in the header, the
-//! offsets, the columns or the frame keys, the file truncated at any byte,
+//! offsets, the columns, or a frame's sources, offsets or columns, the file
+//! truncated at any byte,
 //! or bytes appended. `read_from` must return `Err`, or `Ok` with a value
 //! every query kernel agrees on; it must never panic.
 
@@ -11,16 +12,17 @@ use proptest::prelude::*;
 use parcsr::query::{edges_exist_batch, edges_exist_batch_binary, neighbors_batch};
 use parcsr::{with_processors, BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::{EdgeList, NodeId, TemporalEdge, TemporalEdgeList};
-use parcsr_temporal::{FrameMode, Tcsr, TcsrBuilder};
+use parcsr_temporal::{Tcsr, TcsrBuilder};
 
 /// `.pcsr` header: magic, mode, n, m, offset width and count, column
 /// width and count.
 const PCSR_HEADER: usize = 8 + 1 + 8 + 8 + 4 + 8 + 4 + 8;
 /// `.tcsr` file header: magic, n, frame count.
 const TCSR_HEADER: usize = 8 + 8 + 8;
-/// `.tcsr` frame header: mode, head flag, head key, width, length, bit
-/// length.
-const FRAME_HEADER: usize = 1 + 1 + 8 + 4 + 8 + 8;
+/// Header of one `.tcsr` frame array: width, length, bit length.
+const ARRAY_HEADER: usize = 4 + 8 + 8;
+/// The three packed arrays of a `.tcsr` frame, in file order.
+const FRAME_ARRAYS: [&str; 3] = ["sources", "offsets", "columns"];
 
 /// One damage to a file.
 #[derive(Debug, Clone)]
@@ -123,21 +125,27 @@ fn pcsr_regions(bytes: &[u8]) -> Vec<(&'static str, Range<usize>)> {
     ]
 }
 
-/// The header and frame-key regions of a `.tcsr` file: the file header and
-/// every frame header count as header; frames' packed words as keys.
+/// The header, sources, offsets and columns regions of a `.tcsr` file: the
+/// file header and every array header count as header; each frame's
+/// packed words join the region of their array.
 fn tcsr_regions(bytes: &[u8]) -> Vec<(&'static str, Range<usize>)> {
     let mut headers = vec![("header", 0..TCSR_HEADER)];
-    let mut keys = Vec::new();
+    let mut arrays = Vec::new();
     let mut at = TCSR_HEADER;
     for _ in 0..u64_at(bytes, 8 + 8) {
-        let words_at = at + FRAME_HEADER;
-        headers.push(("header", at..words_at));
-        at = words_at + words_len(u64_at(bytes, words_at - 8));
-        if at > words_at {
-            keys.push(("frame keys", words_at..at));
+        for name in FRAME_ARRAYS {
+            let words_at = at + ARRAY_HEADER;
+            headers.push(("header", at..words_at));
+            at = words_at + words_len(u64_at(bytes, words_at - 8));
+            if at > words_at {
+                arrays.push((name, words_at..at));
+            }
         }
     }
-    headers.extend(keys);
+    // `mutate` names regions in first-seen order: list them grouped.
+    for name in FRAME_ARRAYS {
+        headers.extend(arrays.iter().filter(|r| r.0 == name).cloned());
+    }
     headers
 }
 
@@ -226,7 +234,6 @@ proptest! {
     #[test]
     fn damaged_tcsr_is_rejected_or_consistent(
         events in prop::collection::vec((0u32..24, 0u32..24, 0u32..6), 0..80),
-        gap in any::<bool>(),
         procs in 1usize..4,
         mutation in arb_mutation(),
     ) {
@@ -234,8 +241,7 @@ proptest! {
             24,
             events.into_iter().map(|(u, v, t)| TemporalEdge::new(u, v, t)).collect(),
         );
-        let mode = if gap { FrameMode::Gap } else { FrameMode::Random };
-        let tcsr = TcsrBuilder::new().processors(procs).frame_mode(mode).build(&events);
+        let tcsr = TcsrBuilder::new().processors(procs).build(&events);
         let mut bytes = Vec::new();
         tcsr.write_to(&mut bytes).unwrap();
         let regions = tcsr_regions(&bytes);

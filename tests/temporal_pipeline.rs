@@ -7,7 +7,7 @@ use std::io::Cursor;
 
 use parcsr_graph::gen::{temporal_toggles, TemporalParams};
 use parcsr_graph::io::{read_temporal_edge_list, write_temporal_edge_list};
-use parcsr_temporal::{AbsoluteFrames, FrameMode, TcsrBuilder};
+use parcsr_temporal::{AbsoluteFrames, TcsrBuilder};
 
 #[test]
 fn tcsr_agrees_with_replay_and_copy_baseline() {
@@ -73,7 +73,7 @@ fn differential_compression_beats_copies_on_slowly_evolving_graphs() {
     // another").
     let events =
         temporal_toggles(TemporalParams::new(2_048, 30_000, 32, 51).with_events_per_frame(64));
-    let diff = TcsrBuilder::new().frame_mode(FrameMode::Gap).build(&events);
+    let diff = TcsrBuilder::new().build(&events);
     let copies = AbsoluteFrames::build(&events, 4);
     assert!(
         diff.packed_bytes() * 4 < copies.packed_bytes(),
