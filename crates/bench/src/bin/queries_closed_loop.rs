@@ -1,14 +1,15 @@
 //! Closed-loop serving load driver: N logical clients issue Zipf-skewed,
 //! degree-correlated query mixes (Algorithms 6/7/8 in configurable ratios)
-//! against a packed CSR, with per-window qps and latency percentiles.
+//! against a packed CSR, reporting the run's qps and latency percentiles
+//! overall, per query kind and per degree class.
 //!
 //! ```text
 //! cargo run --release -p parcsr-bench --bin queries_closed_loop -- \
-//!     --graph hub --clients 8 --duration-ms 2000 --window-ms 250 --json
+//!     --graph hub --clients 8 --duration-ms 2000 --json
 //! ```
 //!
-//! `--json` output lists every window and its tail exemplars; `cargo xtask
-//! slo-check` grades it. Built with `--features obs`, `--trace <file>`
+//! `--json` output holds the run's rollups and its slowest queries; `cargo
+//! xtask slo-check` grades it. Built with `--features obs`, `--trace <file>`
 //! writes the run's spans and `mem.*` counters like every other binary
 //! (served one-query batches record no span, so the spans are the graph
 //! build's), and `--metrics` prints the stage and heap summary.

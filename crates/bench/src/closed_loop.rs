@@ -5,26 +5,22 @@
 //! Algorithm 6/7/8 mix, picks the queried node Zipf-skewed *by degree rank*
 //! (rank 1 = highest-degree node, so the skew is degree-correlated the way
 //! real serving traffic is), times the query call with a wall clock, and
-//! records the latency into a driver-owned [`QuerySlabs`] shard. A
-//! reporter on the main thread rotates the slab windows every
-//! `--window-ms` and snapshots per-window throughput and latency
-//! percentiles, per query kind and per degree class.
+//! records the latency into its own [`QuerySlab`]. The main thread sleeps
+//! `--duration-ms`, raises the stop flag, and merges the slabs the
+//! clients return at join into one run record: throughput and latency
+//! percentiles overall, per query kind and per degree class, plus the
+//! run's slowest queries.
 //!
 //! Closed-loop means each client waits for its own previous query — offered
 //! load adapts to service time, so the reported qps is the *sustained*
 //! throughput at the observed latencies, the quantity an SLO is written
 //! against (`cargo xtask slo-check` grades the JSON this module emits).
 //!
-//! The driver's slabs are the one measurement of a served query: one
-//! latency, an `Instant` taken right before and right after the kernel
-//! call (the interval perfbench times too), with or without the obs
-//! feature. Picking the query and classifying its source happen before
-//! the first stamp; dropping the answer and recording happen after the
-//! second. Each window keeps its slowest queries as tail exemplars. At
-//! each rotation the reporter turns the completed window into one
-//! [`WindowReport`], exemplars included. That list is the one record of
-//! the run's windows: the JSON `windows` series, the JSON exemplar block
-//! and the table's slowest query all render from it.
+//! The slabs are the one measurement of a served query: one latency, an
+//! `Instant` taken right before and right after the kernel call (the
+//! interval perfbench times too), with or without the obs feature.
+//! Picking the query and classifying its source happen before the first
+//! stamp; dropping the answer and recording happen after the second.
 //!
 //! Each client wraps its loop in [`with_processors`]`(1, ..)`: the rayon
 //! shim runs width-1 pools inline on the calling thread, so a length-1
@@ -46,16 +42,13 @@ use parcsr::query::{
 };
 use parcsr::{with_processors, BitPackedCsr, CsrBuilder, PackedCsrMode};
 use parcsr_graph::{EdgeList, NodeId};
-use parcsr_obs::metrics::HistogramSummary;
-use parcsr_obs::serve::{DegreeClass, Exemplar, QueryKind, QuerySlabs, EXEMPLARS_PER_SHARD};
 
+use crate::histogram::HistogramSummary;
 use crate::json::{Json, ToJson};
+use crate::serve::{DegreeClass, Exemplar, QueryKind, QuerySlab};
 
 /// Result-JSON schema tag; bump when the shape changes incompatibly.
-pub const SCHEMA: &str = "parcsr.closed_loop.v1";
-
-/// Schema tag of the tail-exemplar block inside the result JSON.
-pub const EXEMPLAR_SCHEMA: &str = "parcsr.exemplars.v1";
+pub const SCHEMA: &str = "parcsr.closed_loop.v2";
 
 /// Which graph the driver serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +92,6 @@ pub struct DriverOptions {
     pub clients: usize,
     /// Total driving time in milliseconds.
     pub duration_ms: u64,
-    /// Reporting window length in milliseconds.
-    pub window_ms: u64,
     /// Query-mix weights for [`QueryKind::ALL`], in that order: neighbors
     /// (Alg 6), edge_scan (Alg 7), edge_binary (Alg 7 binary), split
     /// (Alg 8). They need not sum to 100.
@@ -126,7 +117,6 @@ impl Default for DriverOptions {
             scale: 1.0,
             clients: 4,
             duration_ms: 2_000,
-            window_ms: 250,
             mix: [45, 25, 20, 10],
             zipf_s: 1.0,
             seed: 42,
@@ -170,14 +160,6 @@ impl DriverOptions {
                         .map_err(|e| format!("--duration-ms: {e}"))?;
                     if opts.duration_ms == 0 {
                         return Err("--duration-ms must be at least 1".into());
-                    }
-                }
-                "--window-ms" => {
-                    opts.window_ms = value("--window-ms")?
-                        .parse()
-                        .map_err(|e| format!("--window-ms: {e}"))?;
-                    if opts.window_ms == 0 {
-                        return Err("--window-ms must be at least 1".into());
                     }
                 }
                 "--mix" => {
@@ -235,14 +217,14 @@ impl DriverOptions {
 /// `--help` text (public so the bin's exit-status test can compare).
 pub const HELP: &str = "\
 Closed-loop serving load driver: N clients issue Zipf-skewed query mixes
-against a packed CSR; reports per-window qps and latency percentiles.
+against a packed CSR; reports the run's qps and latency percentiles per
+query kind and degree class, plus its slowest queries.
 
 Flags:
   --graph <hub|web>   graph to serve (default hub: 64 hub rows, ~half the edges)
   --scale <f>         size fraction (default 1.0 = ~2.02M-edge hub graph)
   --clients <n>       logical closed-loop clients (default 4)
   --duration-ms <n>   total driving time (default 2000)
-  --window-ms <n>     reporting window length (default 250)
   --mix <a,b,c,d>     weights for neighbors,edge_scan,edge_binary,split
                       (default 45,25,20,10; need not sum to 100)
   --zipf-s <f>        Zipf exponent of the degree-rank skew (default 1.0; 0 = uniform)
@@ -310,8 +292,7 @@ pub fn build_graph(opts: &DriverOptions) -> (String, EdgeList) {
     }
 }
 
-/// One rolled-up latency cell (a query kind or a degree class) of a window
-/// or of the whole run.
+/// One rolled-up latency cell (a query kind or a degree class) of the run.
 #[derive(Debug, Clone)]
 pub struct CellReport {
     /// Cell name (`neighbors`, …, or `low`/`mid`/`hub`).
@@ -359,66 +340,74 @@ impl ToJson for CellReport {
     }
 }
 
-/// The exemplar block entry of one window: its ordinal and its tail
-/// exemplars, slowest first.
-fn window_exemplars_json(w: &WindowReport) -> Json {
-    Json::Object(vec![
-        ("window".into(), Json::Int(w.window as i64)),
-        (
-            "exemplars".into(),
-            Json::Array(
-                w.exemplars
-                    .iter()
-                    .map(|e| {
-                        Json::Object(vec![
-                            ("kind".into(), Json::Str(e.kind.name().into())),
-                            ("class".into(), Json::Str(e.class.name().into())),
-                            ("source".into(), Json::Int(e.source as i64)),
-                            ("total_ns".into(), Json::Int(e.ns as i64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ])
+impl ToJson for Exemplar {
+    fn to_json(&self) -> Json {
+        Json::Object(vec![
+            ("kind".into(), Json::Str(self.kind.name().into())),
+            ("class".into(), Json::Str(self.class.name().into())),
+            ("source".into(), Json::Int(self.source as i64)),
+            ("total_ns".into(), Json::Int(self.ns as i64)),
+        ])
+    }
 }
 
-/// One completed reporting window.
+/// The whole run's throughput and latency rollup.
 #[derive(Debug, Clone)]
-pub struct WindowReport {
-    /// Window ordinal (0-based; a trailing partial window may follow the
-    /// last full one).
-    pub window: u64,
-    /// Window open, ms since the run started.
-    pub start_ms: f64,
-    /// Window length, ms (wall-clock measured, not the nominal flag value).
-    pub dur_ms: f64,
-    /// Queries completed in the window.
+pub struct Overall {
+    /// Queries completed.
     pub requests: u64,
-    /// Completed queries per second.
+    /// Completed queries per second of the measured run length.
     pub qps: f64,
-    /// Overall latency percentiles for the window, ns.
+    /// Latency percentiles over every query, ns.
     pub p50_ns: u64,
     /// 95th percentile, ns.
     pub p95_ns: u64,
     /// 99th percentile, ns.
     pub p99_ns: u64,
-    /// Non-empty per-kind rollups.
+    /// Non-empty per-kind rollups; their counts sum to `requests`.
     pub kinds: Vec<CellReport>,
-    /// Non-empty per-degree-class rollups.
+    /// Non-empty per-degree-class rollups; their counts sum to `requests`.
     pub classes: Vec<CellReport>,
-    /// The window's tail exemplars, slowest first
-    /// ([`QuerySlabs::completed_exemplars`]); empty for the lifetime
-    /// rollup. The JSON renders them in the report's exemplar block.
-    pub exemplars: Vec<Exemplar>,
 }
 
-impl ToJson for WindowReport {
+impl Overall {
+    /// The rollup of `slab`, recorded over `elapsed_ns`.
+    fn of(slab: &QuerySlab, elapsed_ns: u64) -> Overall {
+        let all = slab.summary(None, None);
+        let kinds = QueryKind::ALL
+            .iter()
+            .filter_map(|&k| {
+                let s = slab.summary(Some(k), None);
+                (s.count > 0).then(|| CellReport::from_summary(k.name(), &s))
+            })
+            .collect();
+        let classes = DegreeClass::ALL
+            .iter()
+            .filter_map(|&c| {
+                let s = slab.summary(None, Some(c));
+                (s.count > 0).then(|| CellReport::from_summary(c.name(), &s))
+            })
+            .collect();
+        let qps = if elapsed_ns > 0 {
+            all.count as f64 * 1e9 / elapsed_ns as f64
+        } else {
+            0.0
+        };
+        Overall {
+            requests: all.count,
+            qps,
+            p50_ns: all.p50,
+            p95_ns: all.p95,
+            p99_ns: all.p99,
+            kinds,
+            classes,
+        }
+    }
+}
+
+impl ToJson for Overall {
     fn to_json(&self) -> Json {
         Json::Object(vec![
-            ("window".into(), Json::Int(self.window as i64)),
-            ("start_ms".into(), Json::Float(self.start_ms)),
-            ("dur_ms".into(), Json::Float(self.dur_ms)),
             ("requests".into(), Json::Int(self.requests as i64)),
             ("qps".into(), Json::Float(self.qps)),
             ("p50_ns".into(), Json::Int(self.p50_ns as i64)),
@@ -430,7 +419,7 @@ impl ToJson for WindowReport {
     }
 }
 
-/// Whole driver run: config echo, per-window series, lifetime rollup.
+/// Whole driver run: config echo, measured length, rollup, tail exemplars.
 #[derive(Debug, Clone)]
 pub struct DriverReport {
     /// Graph display name (`hub@1` / `WebNotreDame@0.25`).
@@ -447,11 +436,14 @@ pub struct DriverReport {
     pub zipf_s: f64,
     /// Seed as configured.
     pub seed: u64,
-    /// Completed reporting windows (last entry may be a partial tail).
-    pub windows: Vec<WindowReport>,
-    /// Lifetime rollup across all windows; its `dur_ms` is the measured
-    /// run length (the JSON's `elapsed_ms`).
-    pub overall: WindowReport,
+    /// Measured run length, ms: from the clients' start until the last
+    /// one joined.
+    pub elapsed_ms: f64,
+    /// The run's rollup.
+    pub overall: Overall,
+    /// The run's [`EXEMPLARS_PER_SHARD`](crate::serve::EXEMPLARS_PER_SHARD)
+    /// slowest queries, slowest first.
+    pub exemplars: Vec<Exemplar>,
 }
 
 impl ToJson for DriverReport {
@@ -468,89 +460,11 @@ impl ToJson for DriverReport {
             ),
             ("zipf_s".into(), Json::Float(self.zipf_s)),
             ("seed".into(), Json::Int(self.seed as i64)),
-            ("elapsed_ms".into(), Json::Float(self.overall.dur_ms)),
-            ("windows".into(), self.windows.as_slice().to_json()),
+            ("elapsed_ms".into(), Json::Float(self.elapsed_ms)),
             ("overall".into(), self.overall.to_json()),
-            (
-                "exemplars".into(),
-                Json::Object(vec![
-                    ("schema".into(), Json::Str(EXEMPLAR_SCHEMA.into())),
-                    ("per_shard".into(), Json::Int(EXEMPLARS_PER_SHARD as i64)),
-                    (
-                        "windows".into(),
-                        Json::Array(
-                            self.windows
-                                .iter()
-                                .filter(|w| !w.exemplars.is_empty())
-                                .map(window_exemplars_json)
-                                .collect(),
-                        ),
-                    ),
-                ]),
-            ),
+            ("exemplars".into(), self.exemplars.as_slice().to_json()),
         ])
     }
-}
-
-/// The rollup of one stretch of the run, `dur_ns` long from `start_ns`
-/// (ns since the run start): `summary(kind, class)` merges the slab cells
-/// it covers, `None` meaning the whole dimension.
-fn rollup(
-    window: u64,
-    start_ns: u64,
-    dur_ns: u64,
-    summary: impl Fn(Option<QueryKind>, Option<DegreeClass>) -> HistogramSummary,
-    exemplars: Vec<Exemplar>,
-) -> WindowReport {
-    let all = summary(None, None);
-    let kinds = QueryKind::ALL
-        .iter()
-        .filter_map(|&k| {
-            let s = summary(Some(k), None);
-            (s.count > 0).then(|| CellReport::from_summary(k.name(), &s))
-        })
-        .collect();
-    let classes = DegreeClass::ALL
-        .iter()
-        .filter_map(|&c| {
-            let s = summary(None, Some(c));
-            (s.count > 0).then(|| CellReport::from_summary(c.name(), &s))
-        })
-        .collect();
-    let qps = if dur_ns > 0 {
-        all.count as f64 * 1e9 / dur_ns as f64
-    } else {
-        0.0
-    };
-    WindowReport {
-        window,
-        start_ms: start_ns as f64 / 1e6,
-        dur_ms: dur_ns as f64 / 1e6,
-        requests: all.count,
-        qps,
-        p50_ns: all.p50,
-        p95_ns: all.p95,
-        p99_ns: all.p99,
-        kinds,
-        classes,
-        exemplars,
-    }
-}
-
-/// Rotates `slabs` and returns the report of the completed window, open
-/// from `*opened_ns` until now (ns since `run_start`); advances
-/// `*opened_ns` to the close, where the next window opens.
-fn close_window(slabs: &QuerySlabs, run_start: Instant, opened_ns: &mut u64) -> WindowReport {
-    let epoch = slabs.rotate();
-    let closed_ns = run_start.elapsed().as_nanos() as u64;
-    let start_ns = std::mem::replace(opened_ns, closed_ns);
-    rollup(
-        epoch,
-        start_ns,
-        closed_ns.saturating_sub(start_ns),
-        |kind, class| slabs.window_summary(epoch, kind, class),
-        slabs.completed_exemplars(),
-    )
 }
 
 /// Runs the closed loop: builds the graph and packed CSR, drives it for
@@ -575,99 +489,79 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
     let hub_pool = ranks.len().min(HUB_ROWS as usize);
     let total_weight: u32 = opts.mix.iter().sum();
 
-    // The reporter reads each window right after rotating it, so the live
-    // window and the one just completed are all the slabs keep.
-    let slabs = QuerySlabs::new(opts.clients);
+    // One client's closed loop: queries back-to-back until the stop flag
+    // rises, then hands its slab back through the join.
     let stop = AtomicBool::new(false);
-    let run_start = Instant::now();
-    let mut opened_ns = 0;
-    let windows_target = opts.duration_ms.div_ceil(opts.window_ms);
-    let mut windows: Vec<WindowReport> = Vec::new();
-
-    std::thread::scope(|scope| {
-        for client in 0..opts.clients {
-            let (slabs, stop, packed, ranks, zipf) = (&slabs, &stop, &packed, &ranks, &zipf);
-            let opts = opts.clone();
-            scope.spawn(move || {
-                let mut rng = SmallRng::seed_from_u64(
-                    opts.seed ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                // Width-1 install: the shim runs width-1 pools inline on
-                // this thread, so length-1 batches cost no thread spawn.
-                with_processors(1, || {
-                    while !stop.load(Relaxed) {
-                        let mut pick = rng.gen_range(0..total_weight);
-                        let kind = QueryKind::ALL
-                            .iter()
-                            .zip(opts.mix)
-                            .find_map(|(&k, w)| {
-                                if pick < w {
-                                    Some(k)
-                                } else {
-                                    pick -= w;
-                                    None
-                                }
-                            })
-                            .unwrap_or(QueryKind::Neighbors);
-                        let u = match kind {
-                            QueryKind::SplitSearch => ranks[rng.gen_range(0..hub_pool)],
-                            _ => ranks[zipf.sample_index(&mut rng)],
-                        };
-                        let deg = packed.degree(u);
-                        let ns = match kind {
-                            QueryKind::Neighbors => time_call(|| neighbors_batch(packed, &[u], 1)),
-                            QueryKind::EdgeScan => {
-                                let v = rng.gen_range(0..n as NodeId);
-                                time_call(|| edges_exist_batch(packed, &[(u, v)], 1))
-                            }
-                            QueryKind::EdgeBinary => {
-                                let v = rng.gen_range(0..n as NodeId);
-                                time_call(|| edges_exist_batch_binary(packed, &[(u, v)], 1))
-                            }
-                            QueryKind::SplitSearch => {
-                                let v = rng.gen_range(0..n as NodeId);
-                                time_call(|| edge_exists_split(packed, u, v, 1))
-                            }
-                        };
-                        slabs.record_query(
-                            client,
-                            Exemplar {
-                                kind,
-                                class: DegreeClass::classify(deg),
-                                source: u64::from(u),
-                                ns,
-                            },
-                        );
+    let drive = |client: usize| {
+        let mut slab = QuerySlab::default();
+        let mut rng = SmallRng::seed_from_u64(
+            opts.seed ^ (client as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
+        );
+        // Width-1 install: the shim runs width-1 pools inline on this
+        // thread, so length-1 batches cost no thread spawn.
+        with_processors(1, || {
+            while !stop.load(Relaxed) {
+                let mut pick = rng.gen_range(0..total_weight);
+                let kind = QueryKind::ALL
+                    .iter()
+                    .zip(opts.mix)
+                    .find_map(|(&k, w)| {
+                        if pick < w {
+                            Some(k)
+                        } else {
+                            pick -= w;
+                            None
+                        }
+                    })
+                    .unwrap_or(QueryKind::Neighbors);
+                let u = match kind {
+                    QueryKind::SplitSearch => ranks[rng.gen_range(0..hub_pool)],
+                    _ => ranks[zipf.sample_index(&mut rng)],
+                };
+                let deg = packed.degree(u);
+                let ns = match kind {
+                    QueryKind::Neighbors => time_call(|| neighbors_batch(&packed, &[u], 1)),
+                    QueryKind::EdgeScan => {
+                        let v = rng.gen_range(0..n as NodeId);
+                        time_call(|| edges_exist_batch(&packed, &[(u, v)], 1))
                     }
+                    QueryKind::EdgeBinary => {
+                        let v = rng.gen_range(0..n as NodeId);
+                        time_call(|| edges_exist_batch_binary(&packed, &[(u, v)], 1))
+                    }
+                    QueryKind::SplitSearch => {
+                        let v = rng.gen_range(0..n as NodeId);
+                        time_call(|| edge_exists_split(&packed, u, v, 1))
+                    }
+                };
+                slab.record_query(Exemplar {
+                    kind,
+                    class: DegreeClass::classify(deg),
+                    source: u64::from(u),
+                    ns,
                 });
-            });
-        }
-
-        // Reporter: the single rotator. Window 0 opens at the run start;
-        // each later window opens where the previous one closed.
-        for ordinal in 0..windows_target {
-            let deadline = Duration::from_millis(opts.window_ms.saturating_mul(ordinal + 1));
-            if let Some(wait) = deadline.checked_sub(run_start.elapsed()) {
-                std::thread::sleep(wait);
             }
-            windows.push(close_window(&slabs, run_start, &mut opened_ns));
-        }
-        stop.store(true, Relaxed);
-    });
+        });
+        slab
+    };
 
-    // Clients have joined; anything recorded after the last rotation forms
-    // a short tail window (kept only if it saw traffic).
-    let tail = close_window(&slabs, run_start, &mut opened_ns);
-    if tail.requests > 0 {
-        windows.push(tail);
-    }
-    let overall = rollup(
-        0,
-        0,
-        opened_ns,
-        |kind, class| slabs.overall_summary(kind, class),
-        Vec::new(),
-    );
+    let run_start = Instant::now();
+    let slab = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..opts.clients)
+            .map(|client| scope.spawn(move || drive(client)))
+            .collect();
+        std::thread::sleep(Duration::from_millis(opts.duration_ms));
+        stop.store(true, Relaxed);
+        clients
+            .into_iter()
+            .map(|client| client.join().expect("closed-loop client panicked"))
+            .reduce(|mut run, slab| {
+                run.merge(&slab);
+                run
+            })
+            .unwrap_or_default()
+    });
+    let elapsed_ns = run_start.elapsed().as_nanos() as u64;
     DriverReport {
         graph: graph_name,
         nodes: n,
@@ -676,8 +570,9 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
         mix: opts.mix,
         zipf_s: opts.zipf_s,
         seed: opts.seed,
-        windows,
-        overall,
+        elapsed_ms: elapsed_ns as f64 / 1e6,
+        overall: Overall::of(&slab, elapsed_ns),
+        exemplars: slab.exemplars(),
     }
 }
 
@@ -692,8 +587,8 @@ fn time_call<T>(call: impl FnOnce() -> T) -> u64 {
     ns
 }
 
-/// Renders the human window table (one line per window, then the lifetime
-/// rollup, per-kind/per-class rollups, and the slowest query).
+/// Renders the human summary: the overall rollup, the per-kind and
+/// per-class rollups, and the slowest query.
 #[must_use]
 pub fn render_table(report: &DriverReport) -> String {
     use std::fmt::Write;
@@ -703,32 +598,13 @@ pub fn render_table(report: &DriverReport) -> String {
         "closed loop: {} ({} nodes / {} edges), {} clients, mix {:?}, zipf_s {}",
         report.graph, report.nodes, report.edges, report.clients, report.mix, report.zipf_s
     );
-    let _ = writeln!(
-        out,
-        "| window | span (ms) | requests | qps | p50 (µs) | p95 (µs) | p99 (µs) |"
-    );
-    let _ = writeln!(out, "|---:|---:|---:|---:|---:|---:|---:|");
     let us = |ns: u64| ns as f64 / 1_000.0;
-    for w in &report.windows {
-        let _ = writeln!(
-            out,
-            "| {} | {:.0}–{:.0} | {} | {:.0} | {:.1} | {:.1} | {:.1} |",
-            w.window,
-            w.start_ms,
-            w.start_ms + w.dur_ms,
-            w.requests,
-            w.qps,
-            us(w.p50_ns),
-            us(w.p95_ns),
-            us(w.p99_ns),
-        );
-    }
     let o = &report.overall;
     let _ = writeln!(
         out,
         "overall: {} requests in {:.0} ms — {:.0} q/s, p50 {:.1} µs, p95 {:.1} µs, p99 {:.1} µs",
         o.requests,
-        o.dur_ms,
+        report.elapsed_ms,
         o.qps,
         us(o.p50_ns),
         us(o.p95_ns),
@@ -746,12 +622,7 @@ pub fn render_table(report: &DriverReport) -> String {
             us(cell.max_ns),
         );
     }
-    if let Some(slowest) = report
-        .windows
-        .iter()
-        .flat_map(|w| &w.exemplars)
-        .max_by_key(|e| e.ns)
-    {
+    if let Some(slowest) = report.exemplars.first() {
         let _ = writeln!(
             out,
             "slowest query: {} {} source {} — {:.1} µs",
@@ -767,6 +638,7 @@ pub fn render_table(report: &DriverReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::serve::EXEMPLARS_PER_SHARD;
 
     fn parse(args: &[&str]) -> Result<DriverOptions, String> {
         DriverOptions::parse(args.iter().map(|s| s.to_string()))
@@ -778,7 +650,7 @@ mod tests {
         assert_eq!(o.graph, GraphKind::Hub);
         assert_eq!(o.clients, 4);
         assert_eq!(o.mix, [45, 25, 20, 10]);
-        assert_eq!(o.window_ms, 250);
+        assert_eq!(o.duration_ms, 2_000);
         assert_eq!(o.trace, None);
     }
 
@@ -793,8 +665,6 @@ mod tests {
             "8",
             "--duration-ms",
             "500",
-            "--window-ms",
-            "100",
             "--mix",
             "1, 2,3,4",
             "--zipf-s",
@@ -808,7 +678,6 @@ mod tests {
         assert_eq!(o.scale, 0.1);
         assert_eq!(o.clients, 8);
         assert_eq!(o.duration_ms, 500);
-        assert_eq!(o.window_ms, 100);
         assert_eq!(o.mix, [1, 2, 3, 4]);
         assert_eq!(o.zipf_s, 0.8);
         assert_eq!(o.seed, 7);
@@ -820,7 +689,6 @@ mod tests {
         assert!(parse(&["--graph", "nope"]).is_err());
         assert!(parse(&["--clients", "0"]).is_err());
         assert!(parse(&["--duration-ms", "0"]).is_err());
-        assert!(parse(&["--window-ms", "0"]).is_err());
         assert!(parse(&["--mix", "1,2,3"]).is_err());
         assert!(parse(&["--mix", "0,0,0,0"]).is_err());
         assert!(parse(&["--zipf-s", "-1"]).is_err());
@@ -832,9 +700,11 @@ mod tests {
             assert!(err.starts_with("unknown flag"), "{flag}: {err}");
         }
         // `--trace` and `--metrics` are the only obs switches: spans are not
-        // sampled, and heap accounting follows recording.
+        // sampled, and heap accounting follows recording. The run is one
+        // record, so there is no reporting window to size.
         for args in [
-            &["--trace-sample", "64"][..],
+            &["--window-ms", "100"][..],
+            &["--trace-sample", "64"],
             &["--trace-sample"],
             &["--mem-metrics"],
             &["--mem-sample", "4"],
@@ -863,132 +733,64 @@ mod tests {
     }
 
     #[test]
-    fn smoke_run_reports_windows_and_parses_back() {
-        let opts = DriverOptions {
-            scale: 0.01,
-            clients: 2,
-            duration_ms: 220,
-            window_ms: 60,
-            ..DriverOptions::default()
-        };
-        let report = run(&opts);
-        assert!(
-            report.windows.len() >= 4,
-            "windows: {}",
-            report.windows.len()
-        );
-        assert!(report.overall.requests > 0);
-        // Window ordinals are dense and every full window saw traffic (a
-        // 60 ms window on a 2k-node graph answers thousands of queries).
-        for (i, w) in report.windows.iter().enumerate() {
-            assert_eq!(w.window, i as u64);
-        }
-        assert!(report.windows[0].requests > 0);
-        // Lifetime rollup equals the sum of the windows up to boundary
-        // smear: a client mid-record across a rotation may land its sample
-        // in a completed slot after the reporter read it (at most one
-        // in-flight record per client per rotation, per the serve-module
-        // concurrency contract), so the window sum may trail slightly.
-        let sum: u64 = report.windows.iter().map(|w| w.requests).sum();
-        assert!(sum <= report.overall.requests);
-        let smear_bound = opts.clients as u64 * (report.windows.len() as u64 + 1);
-        assert!(
-            report.overall.requests - sum <= smear_bound,
-            "lost {} records to rotation smear (bound {smear_bound})",
-            report.overall.requests - sum
-        );
-        // Every query lands in exactly one kind and one class.
-        let all = &report.overall;
-        let by_kind: u64 = all.kinds.iter().map(|c| c.count).sum();
-        let by_class: u64 = all.classes.iter().map(|c| c.count).sum();
-        assert_eq!((by_kind, by_class), (all.requests, all.requests));
-        // Exemplars: every rotated window that saw traffic kept its slowest
-        // queries, slowest first.
-        for w in &report.windows {
-            assert_eq!(w.exemplars.is_empty(), w.requests == 0);
-            for pair in w.exemplars.windows(2) {
-                assert!(pair[0].ns >= pair[1].ns);
-            }
-        }
-        assert!(report.overall.exemplars.is_empty());
-        // JSON round-trips and carries the schema tags.
-        let parsed = Json::parse(&report.to_json().pretty()).expect("valid JSON");
-        assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA),);
-        let windows = parsed.get("windows").unwrap().as_array().unwrap();
-        assert_eq!(windows.len(), report.windows.len());
-        assert!(windows[0].get("kinds").unwrap().as_array().unwrap().len() >= 2);
-        let ex = parsed.get("exemplars").unwrap();
-        assert_eq!(
-            ex.get("schema").and_then(Json::as_str),
-            Some(EXEMPLAR_SCHEMA)
-        );
-        // The exemplar block holds every window with traffic, in order,
-        // each with that window's exemplars.
-        let json_exemplars: Vec<(u64, Vec<[u64; 2]>)> = ex
-            .get("windows")
-            .unwrap()
-            .as_array()
-            .unwrap()
-            .iter()
-            .map(|w| {
-                let list = w.get("exemplars").unwrap().as_array().unwrap();
-                let field = |e: &Json, key| e.get(key).unwrap().as_f64().unwrap() as u64;
-                (
-                    field(w, "window"),
-                    list.iter()
-                        .map(|e| [field(e, "source"), field(e, "total_ns")])
-                        .collect(),
-                )
-            })
-            .collect();
-        let want: Vec<(u64, Vec<[u64; 2]>)> = report
-            .windows
-            .iter()
-            .filter(|w| w.requests > 0)
-            .map(|w| {
-                (
-                    w.window,
-                    w.exemplars.iter().map(|e| [e.source, e.ns]).collect(),
-                )
-            })
-            .collect();
-        assert!(!want.is_empty());
-        assert_eq!(json_exemplars, want);
-
-        // The human table renders every window plus the slowest query.
-        let table = render_table(&report);
-        assert!(table.contains("overall:"));
-        assert!(table.contains("slowest query:"));
-    }
-
-    #[test]
-    fn windows_tile_the_run_from_its_start() {
+    fn smoke_run_accounts_every_query_and_parses_back() {
         let opts = DriverOptions {
             scale: 0.01,
             clients: 2,
             duration_ms: 120,
-            window_ms: 60,
             ..DriverOptions::default()
         };
         let report = run(&opts);
-        // Window 0 opens at the run start and lasts at least its nominal
-        // length (the reporter sleeps until each deadline).
-        let w0 = &report.windows[0];
-        assert_eq!(w0.start_ms, 0.0);
-        assert!(w0.dur_ms >= opts.window_ms as f64, "{}", w0.dur_ms);
-        assert!(w0.requests > 0);
-        // Each later window opens where the previous one closed, and the
-        // run ends no earlier than the last window.
-        for pair in report.windows.windows(2) {
-            let closed = pair[0].start_ms + pair[0].dur_ms;
-            assert!((pair[1].start_ms - closed).abs() < 1e-6, "{pair:?}");
+        let all = &report.overall;
+        assert!(all.requests > 0);
+        assert!(report.elapsed_ms >= opts.duration_ms as f64);
+        // Every query lands in exactly one kind and one class: the slabs
+        // merge after the clients join, so the sums are exact.
+        let by_kind: u64 = all.kinds.iter().map(|c| c.count).sum();
+        let by_class: u64 = all.classes.iter().map(|c| c.count).sum();
+        assert_eq!((by_kind, by_class), (all.requests, all.requests));
+        // Exemplars: the run's slowest queries, at most K, slowest first,
+        // each no slower than its kind cell's exact maximum.
+        assert!(!report.exemplars.is_empty());
+        assert!(report.exemplars.len() <= EXEMPLARS_PER_SHARD);
+        for pair in report.exemplars.windows(2) {
+            assert!(pair[0].ns >= pair[1].ns);
         }
-        let last = report.windows.last().unwrap();
-        assert!(report.overall.dur_ms >= last.start_ms + last.dur_ms - 1e-6);
-        // qps is the window's request count over its measured length.
-        for w in &report.windows {
-            let qps = w.requests as f64 * 1e3 / w.dur_ms;
-            assert!((w.qps - qps).abs() <= 1e-6 * qps.max(1.0), "{w:?}");
+        for e in &report.exemplars {
+            let cell = all.kinds.iter().find(|c| c.name == e.kind.name()).unwrap();
+            assert!(e.ns <= cell.max_ns, "{e:?} vs {cell:?}");
         }
+        // The slowest exemplar is the run's maximum.
+        let max = all.kinds.iter().map(|c| c.max_ns).max().unwrap();
+        assert_eq!(report.exemplars[0].ns, max);
+
+        // JSON round-trips those numbers and carries the schema tag.
+        let parsed = Json::parse(&report.to_json().pretty()).expect("valid JSON");
+        assert_eq!(parsed.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        let int = |j: &Json, key| j.get(key).unwrap().as_i64().unwrap() as u64;
+        let overall = parsed.get("overall").unwrap();
+        assert_eq!(int(overall, "requests"), all.requests);
+        let counts = |key| -> Vec<u64> {
+            let cells = overall.get(key).unwrap().as_array().unwrap();
+            cells.iter().map(|c| int(c, "count")).collect()
+        };
+        let want = |cells: &[CellReport]| cells.iter().map(|c| c.count).collect::<Vec<_>>();
+        assert_eq!(counts("kinds"), want(&all.kinds));
+        assert_eq!(counts("classes"), want(&all.classes));
+        let json_exemplars: Vec<[u64; 2]> = parsed
+            .get("exemplars")
+            .unwrap()
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|e| [int(e, "source"), int(e, "total_ns")])
+            .collect();
+        let want: Vec<[u64; 2]> = report.exemplars.iter().map(|e| [e.source, e.ns]).collect();
+        assert_eq!(json_exemplars, want);
+
+        // The human table renders the rollup plus the slowest query.
+        let table = render_table(&report);
+        assert!(table.contains("overall:"));
+        assert!(table.contains("slowest query:"));
     }
 }

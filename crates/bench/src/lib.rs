@@ -22,15 +22,17 @@
 //!
 //! Built with `--features obs`, every binary also accepts `--trace <file>`
 //! (Chrome `chrome://tracing` JSON of the per-stage pipeline spans) and
-//! `--metrics` (per-stage/per-worker summary plus query-path histograms on
+//! `--metrics` (per-stage/per-worker summary plus the heap section on
 //! stderr); the JSON output then carries a `stages` breakdown per
 //! (dataset, processor-count) sample.
 
 pub mod closed_loop;
 pub mod experiment;
+pub mod histogram;
 pub mod json;
 pub mod options;
 pub mod report;
+pub mod serve;
 pub mod trace;
 
 pub use experiment::{run_experiment, run_experiment_traced, DatasetResult, ProcessorSample};

@@ -1,7 +1,7 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
-//! Zero-dependency observability for the parcsr pipeline (tracing, latency
-//! histograms, memory accounting, per-stage profiling).
+//! Zero-dependency observability for the parcsr pipeline (tracing, memory
+//! accounting, per-stage profiling).
 //!
 //! The paper's whole evaluation is per-stage wall-clock attribution — degree
 //! count, prefix sum, scatter, bit packing, TCSR merge — so the reproduction
@@ -18,19 +18,9 @@
 //!   carries the worker id it ran on. Every span is recorded; the
 //!   instrumented code opens spans only around parallel regions and
 //!   pipeline stages, so a trace grows with the regions that ran.
-//! * **Histograms** ([`metrics`]): log-bucketed (HDR-style) latency
-//!   histograms with p50/p95/p99 extraction, the value type the serving
-//!   slabs below are built from.
 //! * **Memory** ([`mem`]): a counting global allocator (registered only by
 //!   the bench/CLI binaries) tracking live/peak heap bytes, with per-stage
 //!   peak attribution threaded through the span records.
-//! * **Serving telemetry** ([`serve`]): sharded per-worker latency slabs
-//!   and windowed histograms ([`serve::WindowedHistogram`]) with
-//!   per-query accounting by query kind and degree class — the qps /
-//!   percentile-per-window shape a query server reports against an SLO.
-//!   Plain value types: the `queries_closed_loop` load driver owns the one
-//!   slab set, times each query call once, and reports each rotated window
-//!   in its result JSON.
 //! * **Exporters** ([`export`]): a human-readable per-stage/per-thread
 //!   summary table (with a memory section) and a Chrome `chrome://tracing`
 //!   JSON trace writer — span events with `args` payloads plus counter
@@ -58,11 +48,8 @@ pub mod analyze;
 pub mod export;
 pub mod json;
 pub mod mem;
-pub mod metrics;
-pub mod serve;
 pub mod span;
 
-pub use metrics::Histogram;
 pub use span::{
     drain, enter, enter_with_args, with_span, with_span_args, Span, SpanArgs, SpanRecord,
 };

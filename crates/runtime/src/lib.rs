@@ -11,9 +11,7 @@
 //! shared, and observable:
 //!
 //! * [`chunk_ranges`] — near-equal element counts, the uniform-cost split;
-//! * [`chunk_ranges_weighted`] — near-equal total weight over an explicit
-//!   per-element weight slice;
-//! * [`chunk_ranges_by_prefix_sum`] — the same weighted split driven
+//! * [`chunk_ranges_by_prefix_sum`] — near-equal total weight, driven
 //!   directly by a CSR-style prefix-sum array (offsets *are* the prefix
 //!   sum), allocation-free and `O(chunks · log n)`;
 //! * [`plan`] — the row-chunk plan the pipeline stages consume: near-equal
@@ -71,89 +69,28 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Splits `0..weights.len()` into at most `chunks` contiguous, non-empty
-/// ranges of near-equal total *weight* — the size-aware alternative to
+/// Splits `0..n` into at most `chunks` contiguous, non-empty ranges of
+/// near-equal total *weight* — the size-aware alternative to
 /// [`chunk_ranges`] for skewed inputs (hub rows), where equal element counts
-/// leave one chunk with most of the work.
-///
-/// Chunk `i`'s target is its fair share of the weight still remaining
-/// (`(total − consumed) / chunks_left`), so a hub that blows through several
-/// naive fixed targets does not force the following chunks down to one
-/// forced element each. The chunk stops at the element that first crosses
-/// its target, except that when stopping *before* the crossing element lands
-/// strictly nearer the target, the crossing element is left to the next
-/// chunk — so a hub sitting just past a boundary is isolated instead of
-/// dragging its predecessors' chunk far over target. Every chunk takes at
-/// least one element and leaves at least one for each remaining chunk.
-///
-/// Returns exactly `min(chunks, weights.len())` ranges covering the input
-/// contiguously; an all-zero weight vector falls back to [`chunk_ranges`].
-/// `chunks == 0` is treated as `1`.
-///
-/// ```
-/// use parcsr_runtime::chunk_ranges_weighted;
-/// // A hub at the front: element 0 alone is half the work.
-/// assert_eq!(chunk_ranges_weighted(&[6, 1, 1, 1, 1, 2], 2), vec![0..1, 1..6]);
-/// assert_eq!(chunk_ranges_weighted(&[0, 0, 0, 0], 2), vec![0..2, 2..4]);
-/// ```
-pub fn chunk_ranges_weighted(weights: &[u64], chunks: usize) -> Vec<Range<usize>> {
-    let len = weights.len();
-    if len == 0 {
-        return Vec::new();
-    }
-    let chunks = chunks.max(1).min(len);
-    let total: u128 = weights.iter().map(|&w| u128::from(w)).sum();
-    if total == 0 {
-        return chunk_ranges(len, chunks);
-    }
-    let mut ranges = Vec::with_capacity(chunks);
-    let mut start = 0usize;
-    let mut cum: u128 = 0;
-    for i in 0..chunks {
-        let remaining = (chunks - i) as u128;
-        if remaining == 1 {
-            // The last chunk takes everything left (a zero-weight tail
-            // would otherwise satisfy the target early and strand elements).
-            ranges.push(start..len);
-            start = len;
-            break;
-        }
-        let target = cum + (total - cum) / remaining;
-        // Leave at least one element for each of the remaining chunks.
-        let max_end = len - (chunks - i - 1);
-        let mut end = start + 1;
-        cum += u128::from(weights[start]);
-        while end < max_end && cum < target {
-            cum += u128::from(weights[end]);
-            end += 1;
-        }
-        if cum >= target && end > start + 1 {
-            // Nearest-boundary rule: if excluding the crossing element lands
-            // strictly nearer the target than including it, leave it to the
-            // next chunk (ties include).
-            let w_last = u128::from(weights[end - 1]);
-            if cum - target > target - (cum - w_last) {
-                end -= 1;
-                cum -= w_last;
-            }
-        }
-        ranges.push(start..end);
-        start = end;
-    }
-    debug_assert_eq!(start, len);
-    ranges
-}
-
-/// [`chunk_ranges_weighted`] over the per-element weights implied by a
+/// leave one chunk with most of the work. The weights are implied by a
 /// CSR-style prefix-sum array, without materializing them: element `i`
 /// weighs `(prefix[i + 1] − prefix[i]) + 1` — its span of the prefix sum
 /// plus a constant charge so long runs of zero-weight elements (empty rows)
 /// still spread across chunks.
 ///
+/// Chunk `i`'s target is its fair share of the weight still remaining
+/// (`(total − consumed) / chunks_left`), so a hub that blows through several
+/// naive fixed targets does not force the following chunks down to one
+/// element each. The chunk stops at the element that first crosses its
+/// target, except that when stopping *before* the crossing element lands
+/// strictly nearer the target, the crossing element is left to the next
+/// chunk — so a hub sitting just past a boundary is isolated instead of
+/// dragging its predecessors' chunk far over target. Every chunk takes at
+/// least one element and leaves at least one for each remaining chunk.
+///
 /// `prefix` must be non-decreasing with `prefix.len() == n + 1` (exactly the
-/// shape of a CSR offsets array); the result covers `0..n`. Produces ranges
-/// identical to calling [`chunk_ranges_weighted`] on the materialized
-/// weights, but allocation-free and in `O(chunks · log n)`: the cumulative
+/// shape of a CSR offsets array); the result covers `0..n`. Planning is
+/// allocation-free beyond the result and `O(chunks · log n)`: the cumulative
 /// weight of elements `0..e` is `(prefix[e] − prefix[0]) + e`, a strictly
 /// increasing function of `e`, so each chunk boundary is a binary search.
 ///
@@ -203,7 +140,9 @@ pub fn chunk_ranges_by_prefix_sum(prefix: &[u64], chunks: usize) -> Vec<Range<us
             }
             lo
         };
-        // Same nearest-boundary rule as `chunk_ranges_weighted`.
+        // Nearest-boundary rule: if excluding the crossing element lands
+        // strictly nearer the target than including it, leave it to the
+        // next chunk (ties include).
         if cum_at(end) >= target && end > start + 1 {
             let overshoot = cum_at(end) - target;
             let undershoot = target - cum_at(end - 1);
@@ -402,90 +341,41 @@ mod tests {
         }
     }
 
-    #[test]
-    fn weighted_split_isolates_a_hub() {
-        // Element 0 carries half the weight: it gets a chunk of its own.
-        assert_eq!(
-            chunk_ranges_weighted(&[6, 1, 1, 1, 1, 2], 2),
-            vec![0..1, 1..6]
-        );
-        // Uniform weights reduce to the near-equal element split.
-        assert_eq!(
-            chunk_ranges_weighted(&[1; 8], 4),
-            vec![0..2, 2..4, 4..6, 6..8]
-        );
-    }
-
-    #[test]
-    fn weighted_split_edge_cases() {
-        assert!(chunk_ranges_weighted(&[], 4).is_empty());
-        assert_eq!(chunk_ranges_weighted(&[3, 3], 0), vec![0..2]);
-        assert_eq!(chunk_ranges_weighted(&[0, 0, 0, 0], 2), vec![0..2, 2..4]);
-        // More chunks than elements: one element each.
-        assert_eq!(
-            chunk_ranges_weighted(&[5, 1, 1], 10),
-            vec![0..1, 1..2, 2..3]
-        );
-        // A zero-weight tail still gets covered by the last chunk.
-        assert_eq!(chunk_ranges_weighted(&[5, 0, 0], 1), vec![0..3]);
-        assert_eq!(chunk_ranges_weighted(&[5, 5, 0, 0], 2), vec![0..1, 1..4]);
-    }
-
-    #[test]
-    fn weighted_split_recovers_after_a_leading_hub() {
-        // A hub that blows through several fixed fair-share boundaries:
-        // re-targeting against the *remaining* weight keeps the successor
-        // chunks balanced instead of one-element dribbles feeding a bloated
-        // last chunk.
-        let weights = [100, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1];
-        assert_eq!(
-            chunk_ranges_weighted(&weights, 4),
-            vec![0..1, 1..5, 5..9, 9..13]
-        );
-    }
-
-    #[test]
-    fn weighted_split_does_not_pull_a_hub_across_a_boundary() {
-        // Cumulative weight sits just below the first target when the hub
-        // arrives; the nearest-boundary rule leaves the hub to the next
-        // chunk instead of handing chunk 0 nearly the whole input.
-        let weights = [39, 100, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1];
-        assert_eq!(chunk_ranges_weighted(&weights, 3), vec![0..1, 1..2, 2..13]);
-    }
-
-    #[test]
-    fn weighted_ranges_cover_exactly_once_and_balance() {
-        // A deterministic skewed weight vector: one hub plus a long tail.
-        let weights: Vec<u64> = (0..1000u64)
-            .map(|i| if i == 17 { 5000 } else { 1 + i % 7 })
-            .collect();
-        for chunks in [1usize, 2, 3, 7, 64, 1500] {
-            let ranges = chunk_ranges_weighted(&weights, chunks);
-            assert_eq!(ranges.len(), chunks.min(weights.len()).max(1));
-            let mut prev_end = 0;
-            for r in &ranges {
-                assert_eq!(r.start, prev_end, "contiguous");
-                assert!(!r.is_empty(), "non-empty");
-                prev_end = r.end;
-            }
-            assert_eq!(prev_end, weights.len());
-            // No chunk except a single-element one exceeds its fair share
-            // by more than the largest single weight.
-            let total: u64 = weights.iter().sum();
-            let fair = total / chunks as u64;
-            for r in &ranges {
-                let w: u64 = weights[r.clone()].iter().sum();
-                assert!(
-                    r.len() == 1 || w <= fair + 5000,
-                    "chunk {r:?} weight {w} vs fair {fair}"
-                );
-            }
+    /// The linear-scan planner over materialized weights that
+    /// [`chunk_ranges_by_prefix_sum`] replaces with binary searches: the
+    /// reference its boundaries must reproduce.
+    fn weighted_reference(weights: &[u64], chunks: usize) -> Vec<Range<usize>> {
+        let len = weights.len();
+        if len == 0 {
+            return Vec::new();
         }
+        let chunks = chunks.max(1).min(len);
+        let total: u64 = weights.iter().sum();
+        let (mut ranges, mut start, mut cum) = (Vec::new(), 0, 0);
+        for i in 0..chunks - 1 {
+            let target = cum + (total - cum) / (chunks - i) as u64;
+            let max_end = len - (chunks - i - 1);
+            let mut end = start + 1;
+            cum += weights[start];
+            while end < max_end && cum < target {
+                cum += weights[end];
+                end += 1;
+            }
+            let last = weights[end - 1];
+            if cum >= target && end > start + 1 && cum - target > target - (cum - last) {
+                end -= 1;
+                cum -= last;
+            }
+            ranges.push(start..end);
+            start = end;
+        }
+        ranges.push(start..len);
+        ranges
     }
 
     #[test]
     fn prefix_sum_planner_matches_weighted_planner_exactly() {
-        // The prefix-sum planner must reproduce `chunk_ranges_weighted`
+        // The prefix-sum planner must reproduce the linear-scan planner
         // over the implied `degree + 1` weights, boundary for boundary.
         let degree_vectors: Vec<Vec<u64>> = vec![
             vec![],
@@ -508,7 +398,7 @@ mod tests {
             for chunks in [1usize, 2, 3, 7, 64, 1000] {
                 assert_eq!(
                     chunk_ranges_by_prefix_sum(&prefix, chunks),
-                    chunk_ranges_weighted(&weights, chunks),
+                    weighted_reference(&weights, chunks),
                     "degrees {degrees:?} x{chunks}"
                 );
             }

@@ -9,10 +9,14 @@
 //!   difference**, computed with the paper's chunked-scan structure
 //!   (per-chunk scan → serial carry across chunk tails → parallel fix-up),
 //!   reusing Algorithm 1's shape on a non-`Copy` monoid;
-//! * a point query `edge_active_at(u, v, t)` is a parity reduction of the
+//! * a point query `edge_active_at(u, v, t)` is a parity fold of the
 //!   per-frame memberships — per frame, a packed binary search on the
 //!   changed sources and one on `u`'s row, XORed;
 //! * `neighbors_at(u, t)` decodes only `u`'s row of each frame.
+//!
+//! The two one-query calls fold their frames on the calling thread: a
+//! point query's per-frame work is two binary searches, far below the cost
+//! of opening a parallel region.
 
 use rayon::prelude::*;
 
@@ -61,7 +65,7 @@ impl Tcsr {
 
     /// Whether edge `(u, v)` is active at frame `t` — the parity rule: an
     /// odd number of toggles in frames `0..=t` means active. One packed
-    /// membership test per frame, XOR-reduced in parallel.
+    /// membership test per frame, XOR-folded on the calling thread.
     ///
     /// # Panics
     ///
@@ -69,13 +73,13 @@ impl Tcsr {
     pub fn edge_active_at(&self, u: NodeId, v: NodeId, t: Timestamp) -> bool {
         self.check_frame(t);
         self.frames[..=t as usize]
-            .par_iter()
-            .map(|f| f.contains(u, v))
-            .reduce(|| false, |a, b| a ^ b)
+            .iter()
+            .fold(false, |active, f| active ^ f.contains(u, v))
     }
 
     /// The active neighbor set of `u` at frame `t` (sorted): symmetric
-    /// difference of the per-frame rows of `u`.
+    /// difference of the per-frame rows of `u`, folded on the calling
+    /// thread.
     ///
     /// # Panics
     ///
@@ -83,9 +87,8 @@ impl Tcsr {
     pub fn neighbors_at(&self, u: NodeId, t: Timestamp) -> Vec<NodeId> {
         self.check_frame(t);
         self.frames[..=t as usize]
-            .par_iter()
-            .map(|f| f.row(u))
-            .reduce(Vec::new, |a, b| sym_diff(&a, &b))
+            .iter()
+            .fold(Vec::new(), |active, f| sym_diff(&active, &f.row(u)))
     }
 
     /// The full active edge set at frame `t` (sorted pairs): symmetric

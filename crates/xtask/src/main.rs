@@ -427,7 +427,7 @@ fn bless_baseline() -> ExitCode {
 
 /// Reruns the CI serving smoke (`queries_closed_loop`, same flags as the
 /// `slo` CI job) and rewrites `results/baselines/closed_loop_smoke.json`.
-/// The fresh result must parse as a `parcsr.closed_loop.v1` document and
+/// The fresh result must parse as a `parcsr.closed_loop.v2` document and
 /// slo-check cleanly against itself before it replaces the baseline.
 fn bless_closed_loop_baseline(root: &Path) -> ExitCode {
     let baseline = root.join("results/baselines/closed_loop_smoke.json");

@@ -1,8 +1,9 @@
 //! Gate on a closed-loop driver result (`cargo xtask slo-check`).
 //!
-//! The `queries_closed_loop` bench binary emits a `parcsr.closed_loop.v1`
-//! JSON document: per-window qps and latency percentiles plus a lifetime
-//! rollup. CI archives that artifact and runs it through
+//! The `queries_closed_loop` bench binary emits a `parcsr.closed_loop.v2`
+//! JSON document: the run's qps and latency percentiles, overall and per
+//! query kind and degree class, plus its slowest queries. CI archives that
+//! artifact and runs it through
 //! `cargo xtask slo-check RESULT.json --p99-ns N --min-qps Q`, so a serving
 //! regression (latency tail blowing past the SLO, throughput collapsing)
 //! fails the build the same way a construction-stage drift does.
@@ -18,10 +19,12 @@
 //!   the same factor. Explicit flags override the derived value for their
 //!   dimension.
 //!
-//! Schema validation is part of the gate: a result whose `windows` series
-//! is empty, non-dense, or missing its percentile fields fails even if the
-//! numbers would pass — a driver that silently stopped reporting windows
-//! must not look healthy.
+//! Schema validation is part of the gate: a result that measured nothing
+//! (zero requests, a non-positive `elapsed_ms`), misses a percentile field,
+//! or whose per-kind or per-class counts do not sum to `overall.requests`
+//! fails even if the numbers would pass. The driver merges its clients'
+//! records once, after they join, so those sums are exact: a result that
+//! dropped or double-counted queries must not look healthy.
 //!
 //! The module also holds the flag lists of the two CI smokes that `cargo
 //! xtask bless-baseline` reruns to refresh `results/baselines/`
@@ -34,7 +37,7 @@ use parcsr_obs::json::Json;
 use crate::trace_read::parse_json;
 
 /// Result-JSON schema tag `slo-check` understands.
-pub const SCHEMA: &str = "parcsr.closed_loop.v1";
+pub const SCHEMA: &str = "parcsr.closed_loop.v2";
 
 /// Baseline slack factor: p99 may grow, and qps may shrink, by half before
 /// the gate trips. Latency percentiles on shared CI runners are noisy;
@@ -56,8 +59,6 @@ pub const CLOSED_LOOP_SMOKE_ARGS: &[&str] = &[
     "2",
     "--duration-ms",
     "600",
-    "--window-ms",
-    "150",
     "--seed",
     "42",
     "--json",
@@ -129,19 +130,6 @@ pub fn parse_args(rest: &[String]) -> Result<SloArgs, String> {
     Ok(opts)
 }
 
-/// One window row of a parsed result (the fields the gate prints).
-#[derive(Debug, Clone)]
-pub struct WindowRow {
-    /// Window ordinal.
-    pub window: u64,
-    /// Queries completed in the window.
-    pub requests: u64,
-    /// Completed queries per second.
-    pub qps: f64,
-    /// Window p99 latency, ns.
-    pub p99_ns: u64,
-}
-
 /// A parsed, schema-validated closed-loop result.
 #[derive(Debug, Clone)]
 pub struct ClosedLoopResult {
@@ -149,9 +137,10 @@ pub struct ClosedLoopResult {
     pub graph: String,
     /// Client count.
     pub clients: u64,
-    /// Per-window series (non-empty, dense ordinals).
-    pub windows: Vec<WindowRow>,
-    /// Lifetime requests.
+    /// Measured run length, ms (positive).
+    pub elapsed_ms: f64,
+    /// Lifetime requests (positive; the per-kind and per-class counts sum
+    /// to it).
     pub requests: u64,
     /// Lifetime sustained throughput, queries/s.
     pub qps: f64,
@@ -194,30 +183,11 @@ pub fn parse_result(which: &str, text: &str) -> Result<ClosedLoopResult, String>
         .ok_or_else(|| format!("{which}: field `graph` must be a string"))?
         .to_string();
     let clients = u64_field(&doc, "clients", which)?;
-    let windows_json = field(&doc, "windows", which)?
-        .as_array()
-        .ok_or_else(|| format!("{which}: field `windows` must be an array"))?;
-    if windows_json.is_empty() {
+    let elapsed_ms = f64_field(&doc, "elapsed_ms", which)?;
+    if elapsed_ms <= 0.0 {
         return Err(format!(
-            "{which}: `windows` is empty — the driver reported no completed windows"
+            "{which}: `elapsed_ms` is {elapsed_ms} — the driver ran for no time"
         ));
-    }
-    let mut windows = Vec::with_capacity(windows_json.len());
-    for (i, w) in windows_json.iter().enumerate() {
-        let ctx = format!("{which}: windows[{i}]");
-        let row = WindowRow {
-            window: u64_field(w, "window", &ctx)?,
-            requests: u64_field(w, "requests", &ctx)?,
-            qps: f64_field(w, "qps", &ctx)?,
-            p99_ns: u64_field(w, "p99_ns", &ctx)?,
-        };
-        if row.window != i as u64 {
-            return Err(format!(
-                "{ctx}: ordinal is {} — the window series must be dense from 0",
-                row.window
-            ));
-        }
-        windows.push(row);
     }
     let overall = field(&doc, "overall", which)?;
     let ctx = format!("{which}: overall");
@@ -227,10 +197,25 @@ pub fn parse_result(which: &str, text: &str) -> Result<ClosedLoopResult, String>
             "{ctx}: zero requests — the driver measured nothing"
         ));
     }
+    for rollup in ["kinds", "classes"] {
+        let cells = field(overall, rollup, &ctx)?
+            .as_array()
+            .ok_or_else(|| format!("{ctx}: field `{rollup}` must be an array"))?;
+        let mut sum = 0u64;
+        for (i, cell) in cells.iter().enumerate() {
+            sum = sum.saturating_add(u64_field(cell, "count", &format!("{ctx}.{rollup}[{i}]"))?);
+        }
+        if sum != requests {
+            return Err(format!(
+                "{ctx}.{rollup}: counts sum to {sum}, but overall.requests is {requests} \
+                 — every query belongs to exactly one cell"
+            ));
+        }
+    }
     Ok(ClosedLoopResult {
         graph,
         clients,
-        windows,
+        elapsed_ms,
         requests,
         qps: f64_field(overall, "qps", &ctx)?,
         p99_ns: u64_field(overall, "p99_ns", &ctx)?,
@@ -250,7 +235,7 @@ pub fn baseline_thresholds(baseline: &ClosedLoopResult) -> SloThresholds {
 /// Gate outcome: the rendered report plus pass/fail.
 #[derive(Debug)]
 pub struct SloOutcome {
-    /// Window table plus the verdict lines, ready to print.
+    /// Summary line plus the verdict lines, ready to print.
     pub report: String,
     /// True iff a threshold was violated.
     pub failed: bool,
@@ -268,24 +253,9 @@ pub fn check_slo_text(text: &str, thresholds: &SloThresholds) -> Result<SloOutco
     let mut report = String::new();
     let _ = writeln!(
         report,
-        "slo-check: {} ({} clients, {} requests over {} windows)",
-        result.graph,
-        result.clients,
-        result.requests,
-        result.windows.len()
+        "slo-check: {} ({} clients, {} requests in {:.0} ms)",
+        result.graph, result.clients, result.requests, result.elapsed_ms
     );
-    let _ = writeln!(report, "| window | requests | qps | p99 (µs) |");
-    let _ = writeln!(report, "|---:|---:|---:|---:|");
-    for w in &result.windows {
-        let _ = writeln!(
-            report,
-            "| {} | {} | {:.0} | {:.1} |",
-            w.window,
-            w.requests,
-            w.qps,
-            w.p99_ns as f64 / 1_000.0
-        );
-    }
     let mut failed = false;
     if let Some(ceiling) = thresholds.p99_ns {
         let ok = result.p99_ns <= ceiling;
@@ -315,18 +285,19 @@ pub fn check_slo_text(text: &str, thresholds: &SloThresholds) -> Result<SloOutco
 mod tests {
     use super::*;
 
-    /// A minimal well-formed v1 result with the given overall numbers.
+    /// A minimal well-formed v2 result with the given overall numbers.
     fn result_json(p99_ns: u64, qps: f64) -> String {
         format!(
             r#"{{
-  "schema": "parcsr.closed_loop.v1",
+  "schema": "parcsr.closed_loop.v2",
   "graph": "hub@0.02",
   "clients": 2,
-  "windows": [
-    {{"window": 0, "requests": 1000, "qps": {qps}, "p99_ns": {p99_ns}}},
-    {{"window": 1, "requests": 1100, "qps": {qps}, "p99_ns": {p99_ns}}}
-  ],
-  "overall": {{"requests": 2100, "qps": {qps}, "p99_ns": {p99_ns}}}
+  "elapsed_ms": 600.5,
+  "overall": {{
+    "requests": 2100, "qps": {qps}, "p99_ns": {p99_ns},
+    "kinds": [{{"name": "neighbors", "count": 1500}}, {{"name": "split", "count": 600}}],
+    "classes": [{{"name": "low", "count": 2000}}, {{"name": "hub", "count": 100}}]
+  }}
 }}"#
         )
     }
@@ -379,32 +350,51 @@ mod tests {
             p99_ns: Some(u64::MAX),
             ..SloThresholds::default()
         };
-        // Wrong schema tag.
+        let good = result_json(1, 1.0);
+        assert!(check_slo_text(&good, &thresholds).is_ok());
+        // Wrong schema tag, and the windowed v1 format.
         let err = check_slo_text(r#"{"schema":"other.v9"}"#, &thresholds).unwrap_err();
         assert!(err.contains("schema"), "{err}");
-        // Empty window series.
-        let text = r#"{"schema":"parcsr.closed_loop.v1","graph":"g","clients":1,
-                       "windows":[],"overall":{"requests":1,"qps":1.0,"p99_ns":1}}"#;
-        let err = check_slo_text(text, &thresholds).unwrap_err();
-        assert!(err.contains("empty"), "{err}");
-        // Non-dense ordinals.
-        let text = r#"{"schema":"parcsr.closed_loop.v1","graph":"g","clients":1,
-                       "windows":[{"window":1,"requests":1,"qps":1.0,"p99_ns":1}],
-                       "overall":{"requests":1,"qps":1.0,"p99_ns":1}}"#;
-        let err = check_slo_text(text, &thresholds).unwrap_err();
-        assert!(err.contains("dense"), "{err}");
+        let v1 = good.replace("closed_loop.v2", "closed_loop.v1");
+        let err = check_slo_text(&v1, &thresholds).unwrap_err();
+        let want = r#"schema is "parcsr.closed_loop.v1", expected "parcsr.closed_loop.v2""#;
+        assert!(err.contains(want), "{err}");
+        // The driver ran for no time.
+        let text = good.replace(r#""elapsed_ms": 600.5"#, r#""elapsed_ms": 0.0"#);
+        let err = check_slo_text(&text, &thresholds).unwrap_err();
+        assert!(err.contains("elapsed_ms"), "{err}");
         // Zero overall requests.
-        let text = r#"{"schema":"parcsr.closed_loop.v1","graph":"g","clients":1,
-                       "windows":[{"window":0,"requests":0,"qps":0.0,"p99_ns":0}],
-                       "overall":{"requests":0,"qps":0.0,"p99_ns":0}}"#;
+        let text = r#"{"schema":"parcsr.closed_loop.v2","graph":"g","clients":1,
+                       "elapsed_ms":1.0,"overall":{"requests":0,"qps":0.0,"p99_ns":0,
+                       "kinds":[],"classes":[]}}"#;
         let err = check_slo_text(text, &thresholds).unwrap_err();
         assert!(err.contains("measured nothing"), "{err}");
         // Missing percentile field.
-        let text = r#"{"schema":"parcsr.closed_loop.v1","graph":"g","clients":1,
-                       "windows":[{"window":0,"requests":1,"qps":1.0}],
-                       "overall":{"requests":1,"qps":1.0,"p99_ns":1}}"#;
-        let err = check_slo_text(text, &thresholds).unwrap_err();
+        let text = good.replace(r#""p99_ns": 1,"#, "");
+        let err = check_slo_text(&text, &thresholds).unwrap_err();
         assert!(err.contains("p99_ns"), "{err}");
+    }
+
+    #[test]
+    fn rejects_rollups_that_do_not_sum_to_the_requests() {
+        let thresholds = SloThresholds {
+            p99_ns: Some(u64::MAX),
+            ..SloThresholds::default()
+        };
+        let good = result_json(1, 1.0);
+        // A kind cell lost a query.
+        let text = good.replace(r#""count": 1500"#, r#""count": 1499"#);
+        let err = check_slo_text(&text, &thresholds).unwrap_err();
+        assert!(err.contains("overall.kinds"), "{err}");
+        assert!(err.contains("2099"), "{err}");
+        // A class cell counted one twice.
+        let text = good.replace(r#""count": 100"#, r#""count": 101"#);
+        let err = check_slo_text(&text, &thresholds).unwrap_err();
+        assert!(err.contains("overall.classes"), "{err}");
+        // A missing rollup is a schema error too.
+        let text = good.replace(r#""classes""#, r#""tiers""#);
+        let err = check_slo_text(&text, &thresholds).unwrap_err();
+        assert!(err.contains("`classes`"), "{err}");
     }
 
     #[test]

@@ -62,8 +62,9 @@ fn baseline_mode_gates_the_bad_result_against_the_good_one() {
 
 #[test]
 fn fixtures_carry_per_kind_and_per_class_rollups() {
-    // The gate only reads windows/overall, but the fixtures double as the
-    // committed example of the full v1 schema — keep the rollups present.
+    // The gate only sums the rollups' counts, but the fixtures double as
+    // the committed example of the full v2 schema — keep the rollups
+    // present.
     for name in ["closed_loop_good.json", "closed_loop_bad.json"] {
         let doc = parcsr_obs::json::Json::parse(&fixture(name)).unwrap();
         let overall = doc.get("overall").unwrap();
@@ -90,35 +91,41 @@ fn fixtures_carry_per_kind_and_per_class_rollups() {
 
 #[test]
 fn fixtures_carry_phase_rollups_and_exemplars() {
-    // The tail-exemplar block: one latency per captured query, slowest
-    // first within each window.
+    // The tail exemplars: the run's slowest queries, one latency each,
+    // slowest first, at most the driver's K, none slower than the
+    // exact maximum of its kind cell.
     for name in ["closed_loop_good.json", "closed_loop_bad.json"] {
         let doc = parcsr_obs::json::Json::parse(&fixture(name)).unwrap();
-        let ex = doc.get("exemplars").unwrap();
-        assert_eq!(
-            ex.get("schema").unwrap().as_str(),
-            Some("parcsr.exemplars.v1"),
-            "{name}"
-        );
-        for win in ex.get("windows").unwrap().as_array().unwrap() {
-            let ns: Vec<i64> = win
-                .get("exemplars")
-                .unwrap()
+        let kinds = doc.get("overall").unwrap().get("kinds").unwrap();
+        let exemplars = doc.get("exemplars").unwrap().as_array().unwrap();
+        assert!(!exemplars.is_empty(), "{name}: no exemplars");
+        assert!(exemplars.len() <= 8, "{name}: more than K exemplars");
+        let ns: Vec<i64> = exemplars
+            .iter()
+            .map(|e| e.get("total_ns").unwrap().as_i64().unwrap())
+            .collect();
+        assert!(ns.windows(2).all(|p| p[0] >= p[1]), "{name}: {ns:?}");
+        for (e, &ns) in exemplars.iter().zip(&ns) {
+            let kind = e.get("kind").unwrap().as_str().unwrap();
+            let cell = kinds
                 .as_array()
                 .unwrap()
                 .iter()
-                .map(|e| e.get("total_ns").unwrap().as_i64().unwrap())
-                .collect();
-            assert!(!ns.is_empty(), "{name}: empty exemplar window");
-            assert!(ns.windows(2).all(|p| p[0] >= p[1]), "{name}: {ns:?}");
+                .find(|c| c.get("name").unwrap().as_str() == Some(kind))
+                .unwrap_or_else(|| panic!("{name}: no `{kind}` cell"));
+            assert!(
+                ns <= cell.get("max_ns").unwrap().as_i64().unwrap(),
+                "{name}"
+            );
         }
     }
 }
 
 #[test]
 fn trace_with_serving_window_counters_is_rejected() {
-    // Serving windows leave the driver only in its result JSON; a trace
-    // counter outside `mem.*` is an unknown namespace.
+    // Serving numbers leave the driver only in its result JSON; a trace
+    // counter outside `mem.*`, like the retired per-window series, is an
+    // unknown namespace.
     let text = r#"[
         {"name":"graph.build","cat":"parcsr","ph":"X","ts":1,"dur":5,"pid":1,"tid":0,
          "args":{"depth":0}},
