@@ -1,11 +1,11 @@
 //! Closed-loop serving load driver: N logical clients issue Zipf-skewed,
-//! degree-correlated query mixes (Algorithms 6/7/8 in configurable ratios)
-//! against a packed CSR, reporting the run's qps and latency percentiles
-//! overall, per query kind and per degree class.
+//! degree-correlated query mixes (Algorithms 6/7/8 at 45/25/20/10)
+//! against the packed hub graph, reporting the run's qps and latency
+//! percentiles overall, per query kind and per degree class.
 //!
 //! ```text
 //! cargo run --release -p parcsr-bench --bin queries_closed_loop -- \
-//!     --graph hub --clients 8 --duration-ms 2000 --json
+//!     --clients 8 --duration-ms 2000 --json
 //! ```
 //!
 //! `--json` output holds the run's rollups and its slowest queries; `cargo

@@ -1,8 +1,9 @@
 //! Closed-loop serving load driver (the harness side of DESIGN.md §8).
 //!
 //! `N` logical clients issue single queries back-to-back against a built
-//! [`BitPackedCsr`]: each client picks a query kind from a configurable
-//! Algorithm 6/7/8 mix, picks the queried node Zipf-skewed *by degree rank*
+//! [`BitPackedCsr`] of the hub graph ([`hub_graph`]): each client picks a
+//! query kind from the fixed Algorithm 6/7/8 [`MIX`], picks the queried
+//! node Zipf-skewed ([`ZIPF_S`]) *by degree rank*
 //! (rank 1 = highest-degree node, so the skew is degree-correlated the way
 //! real serving traffic is), times the query call with a wall clock, and
 //! records the latency into its own [`QuerySlab`]. The main thread sleeps
@@ -50,54 +51,22 @@ use crate::serve::{DegreeClass, Exemplar, QueryKind, QuerySlab};
 /// Result-JSON schema tag; bump when the shape changes incompatibly.
 pub const SCHEMA: &str = "parcsr.closed_loop.v2";
 
-/// Which graph the driver serves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum GraphKind {
-    /// The imbalance study's hub graph: 64 hub rows carry ~half the edges
-    /// (~2.02M edges at scale 1.0) — the adversarial serving shape.
-    Hub,
-    /// The WebNotreDame profile stand-in (power-law, no planted hub block).
-    Web,
-}
+/// Query-mix weights for [`QueryKind::ALL`], in that order: neighbors
+/// (Alg 6), edge_scan (Alg 7), edge_binary (Alg 7 binary), split (Alg 8).
+pub const MIX: [u32; 4] = [45, 25, 20, 10];
 
-impl GraphKind {
-    /// Parses `hub` / `web`.
-    pub fn parse(s: &str) -> Result<GraphKind, String> {
-        match s {
-            "hub" => Ok(GraphKind::Hub),
-            "web" => Ok(GraphKind::Web),
-            other => Err(format!("unknown graph {other:?} (hub|web)")),
-        }
-    }
-
-    /// Stable name for reports.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            GraphKind::Hub => "hub",
-            GraphKind::Web => "web",
-        }
-    }
-}
+/// Zipf exponent of the degree-rank skew: a hub-heavy stream.
+pub const ZIPF_S: f64 = 1.0;
 
 /// Driver options (`queries_closed_loop` flags).
 #[derive(Debug, Clone, PartialEq)]
 pub struct DriverOptions {
-    /// Which graph to serve.
-    pub graph: GraphKind,
-    /// Size fraction: scales the hub graph's node count and hub degree, or
-    /// the WebNotreDame published size.
+    /// Size fraction: scales the hub graph's node count and hub degree.
     pub scale: f64,
     /// Logical closed-loop clients (one OS thread each).
     pub clients: usize,
     /// Total driving time in milliseconds.
     pub duration_ms: u64,
-    /// Query-mix weights for [`QueryKind::ALL`], in that order: neighbors
-    /// (Alg 6), edge_scan (Alg 7), edge_binary (Alg 7 binary), split
-    /// (Alg 8). They need not sum to 100.
-    pub mix: [u32; 4],
-    /// Zipf exponent of the degree-rank skew (`0` = uniform).
-    pub zipf_s: f64,
     /// RNG seed (each client derives its own stream).
     pub seed: u64,
     /// Emit the result as JSON on stdout (the human table moves to stderr).
@@ -113,12 +82,9 @@ pub struct DriverOptions {
 impl Default for DriverOptions {
     fn default() -> Self {
         DriverOptions {
-            graph: GraphKind::Hub,
             scale: 1.0,
             clients: 4,
             duration_ms: 2_000,
-            mix: [45, 25, 20, 10],
-            zipf_s: 1.0,
             seed: 42,
             json: false,
             trace: None,
@@ -137,7 +103,6 @@ impl DriverOptions {
             let mut value =
                 |name: &str| it.next().ok_or_else(|| format!("{name} requires a value"));
             match flag.as_str() {
-                "--graph" => opts.graph = GraphKind::parse(&value("--graph")?)?,
                 "--scale" => {
                     opts.scale = value("--scale")?
                         .parse()
@@ -160,31 +125,6 @@ impl DriverOptions {
                         .map_err(|e| format!("--duration-ms: {e}"))?;
                     if opts.duration_ms == 0 {
                         return Err("--duration-ms must be at least 1".into());
-                    }
-                }
-                "--mix" => {
-                    let raw = value("--mix")?;
-                    let parts: Vec<u32> = raw
-                        .split(',')
-                        .map(|s| s.trim().parse::<u32>())
-                        .collect::<Result<_, _>>()
-                        .map_err(|e| format!("--mix: {e}"))?;
-                    let mix: [u32; 4] = parts.try_into().map_err(|_| {
-                        "--mix needs exactly 4 comma-separated weights \
-                                      (neighbors,edge_scan,edge_binary,split)"
-                            .to_string()
-                    })?;
-                    if mix.iter().all(|&w| w == 0) {
-                        return Err("--mix needs at least one positive weight".into());
-                    }
-                    opts.mix = mix;
-                }
-                "--zipf-s" => {
-                    opts.zipf_s = value("--zipf-s")?
-                        .parse()
-                        .map_err(|e| format!("--zipf-s: {e}"))?;
-                    if !opts.zipf_s.is_finite() || opts.zipf_s < 0.0 {
-                        return Err("--zipf-s must be finite and non-negative".into());
                     }
                 }
                 "--seed" => {
@@ -216,18 +156,16 @@ impl DriverOptions {
 
 /// `--help` text (public so the bin's exit-status test can compare).
 pub const HELP: &str = "\
-Closed-loop serving load driver: N clients issue Zipf-skewed query mixes
-against a packed CSR; reports the run's qps and latency percentiles per
-query kind and degree class, plus its slowest queries.
+Closed-loop serving load driver: N clients issue Zipf(1.0)-skewed
+neighbors/edge_scan/edge_binary/split queries (45/25/20/10) against the
+packed hub graph (64 hub rows, ~half the edges); reports the run's qps and
+latency percentiles per query kind and degree class, plus its slowest
+queries.
 
 Flags:
-  --graph <hub|web>   graph to serve (default hub: 64 hub rows, ~half the edges)
   --scale <f>         size fraction (default 1.0 = ~2.02M-edge hub graph)
   --clients <n>       logical closed-loop clients (default 4)
   --duration-ms <n>   total driving time (default 2000)
-  --mix <a,b,c,d>     weights for neighbors,edge_scan,edge_binary,split
-                      (default 45,25,20,10; need not sum to 100)
-  --zipf-s <f>        Zipf exponent of the degree-rank skew (default 1.0; 0 = uniform)
   --seed <n>          RNG seed (default 42)
   --json              emit the result JSON on stdout (table moves to stderr)
   --trace <file>      write a Chrome trace of the spans and heap
@@ -275,21 +213,6 @@ pub fn hub_graph(scale: f64) -> EdgeList {
         }
     }
     EdgeList::new(nodes as usize, edges)
-}
-
-/// Builds the graph the options ask for; returns `(display name, edges)`.
-#[must_use]
-pub fn build_graph(opts: &DriverOptions) -> (String, EdgeList) {
-    match opts.graph {
-        GraphKind::Hub => (format!("hub@{}", opts.scale), hub_graph(opts.scale)),
-        GraphKind::Web => {
-            let profile = &parcsr_graph::paper_datasets()[3]; // WebNotreDame
-            (
-                format!("{}@{}", profile.name, opts.scale),
-                profile.synthesize(opts.scale.min(0.5), opts.seed),
-            )
-        }
-    }
 }
 
 /// One rolled-up latency cell (a query kind or a degree class) of the run.
@@ -422,7 +345,7 @@ impl ToJson for Overall {
 /// Whole driver run: config echo, measured length, rollup, tail exemplars.
 #[derive(Debug, Clone)]
 pub struct DriverReport {
-    /// Graph display name (`hub@1` / `WebNotreDame@0.25`).
+    /// Graph display name (`hub@<scale>`).
     pub graph: String,
     /// Node count served.
     pub nodes: usize,
@@ -430,10 +353,6 @@ pub struct DriverReport {
     pub edges: usize,
     /// Client count.
     pub clients: usize,
-    /// Query-mix weights as configured.
-    pub mix: [u32; 4],
-    /// Zipf exponent as configured.
-    pub zipf_s: f64,
     /// Seed as configured.
     pub seed: u64,
     /// Measured run length, ms: from the clients' start until the last
@@ -456,9 +375,9 @@ impl ToJson for DriverReport {
             ("clients".into(), Json::Int(self.clients as i64)),
             (
                 "mix".into(),
-                Json::Array(self.mix.iter().map(|&w| Json::Int(w as i64)).collect()),
+                Json::Array(MIX.iter().map(|&w| Json::Int(w as i64)).collect()),
             ),
-            ("zipf_s".into(), Json::Float(self.zipf_s)),
+            ("zipf_s".into(), Json::Float(ZIPF_S)),
             ("seed".into(), Json::Int(self.seed as i64)),
             ("elapsed_ms".into(), Json::Float(self.elapsed_ms)),
             ("overall".into(), self.overall.to_json()),
@@ -473,7 +392,7 @@ impl ToJson for DriverReport {
 /// not.
 #[must_use]
 pub fn run(opts: &DriverOptions) -> DriverReport {
-    let (graph_name, edges) = build_graph(opts);
+    let edges = hub_graph(opts.scale);
     let csr = CsrBuilder::new().build(&edges);
     let packed = BitPackedCsr::from_csr(&csr, PackedCsrMode::Raw, 4);
     let n = csr.num_nodes();
@@ -482,12 +401,12 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
     // node (ties broken by node id for determinism). Zipf rank 1 → ranks[0].
     let mut ranks: Vec<NodeId> = (0..n as NodeId).collect();
     ranks.sort_by_key(|&u| (std::cmp::Reverse(csr.degree(u)), u));
-    let zipf = Zipf::new(n, opts.zipf_s);
+    let zipf = Zipf::new(n, ZIPF_S);
     // Split searches (Algorithm 8) target the hottest rows — that is the
     // query the paper splits across processors precisely because hub rows
     // are long.
     let hub_pool = ranks.len().min(HUB_ROWS as usize);
-    let total_weight: u32 = opts.mix.iter().sum();
+    let total_weight: u32 = MIX.iter().sum();
 
     // One client's closed loop: queries back-to-back until the stop flag
     // rises, then hands its slab back through the join.
@@ -504,7 +423,7 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
                 let mut pick = rng.gen_range(0..total_weight);
                 let kind = QueryKind::ALL
                     .iter()
-                    .zip(opts.mix)
+                    .zip(MIX)
                     .find_map(|(&k, w)| {
                         if pick < w {
                             Some(k)
@@ -563,12 +482,10 @@ pub fn run(opts: &DriverOptions) -> DriverReport {
     });
     let elapsed_ns = run_start.elapsed().as_nanos() as u64;
     DriverReport {
-        graph: graph_name,
+        graph: format!("hub@{}", opts.scale),
         nodes: n,
         edges: csr.num_edges(),
         clients: opts.clients,
-        mix: opts.mix,
-        zipf_s: opts.zipf_s,
         seed: opts.seed,
         elapsed_ms: elapsed_ns as f64 / 1e6,
         overall: Overall::of(&slab, elapsed_ns),
@@ -596,7 +513,7 @@ pub fn render_table(report: &DriverReport) -> String {
     let _ = writeln!(
         out,
         "closed loop: {} ({} nodes / {} edges), {} clients, mix {:?}, zipf_s {}",
-        report.graph, report.nodes, report.edges, report.clients, report.mix, report.zipf_s
+        report.graph, report.nodes, report.edges, report.clients, MIX, ZIPF_S
     );
     let us = |ns: u64| ns as f64 / 1_000.0;
     let o = &report.overall;
@@ -647,9 +564,8 @@ mod tests {
     #[test]
     fn defaults() {
         let o = parse(&[]).unwrap();
-        assert_eq!(o.graph, GraphKind::Hub);
+        assert_eq!(o.scale, 1.0);
         assert_eq!(o.clients, 4);
-        assert_eq!(o.mix, [45, 25, 20, 10]);
         assert_eq!(o.duration_ms, 2_000);
         assert_eq!(o.trace, None);
     }
@@ -657,45 +573,33 @@ mod tests {
     #[test]
     fn parses_the_full_flag_set() {
         let o = parse(&[
-            "--graph",
-            "web",
             "--scale",
             "0.1",
             "--clients",
             "8",
             "--duration-ms",
             "500",
-            "--mix",
-            "1, 2,3,4",
-            "--zipf-s",
-            "0.8",
             "--seed",
             "7",
             "--json",
         ])
         .unwrap();
-        assert_eq!(o.graph, GraphKind::Web);
         assert_eq!(o.scale, 0.1);
         assert_eq!(o.clients, 8);
         assert_eq!(o.duration_ms, 500);
-        assert_eq!(o.mix, [1, 2, 3, 4]);
-        assert_eq!(o.zipf_s, 0.8);
         assert_eq!(o.seed, 7);
         assert!(o.json);
     }
 
     #[test]
     fn rejects_bad_values() {
-        assert!(parse(&["--graph", "nope"]).is_err());
         assert!(parse(&["--clients", "0"]).is_err());
         assert!(parse(&["--duration-ms", "0"]).is_err());
-        assert!(parse(&["--mix", "1,2,3"]).is_err());
-        assert!(parse(&["--mix", "0,0,0,0"]).is_err());
-        assert!(parse(&["--zipf-s", "-1"]).is_err());
         assert!(parse(&["--nope"]).is_err());
         assert!(parse(&["--admin-port", "9184"]).is_err());
         // The driver grades nothing itself: `cargo xtask slo-check` does.
-        for flag in ["--p99-ns", "--min-qps"] {
+        // The graph, mix and skew are the fixed workload, not flags.
+        for flag in ["--p99-ns", "--min-qps", "--graph", "--mix", "--zipf-s"] {
             let err = parse(&[flag, "1"]).unwrap_err();
             assert!(err.starts_with("unknown flag"), "{flag}: {err}");
         }

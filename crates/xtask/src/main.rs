@@ -13,26 +13,24 @@
 //!   utilization, critical-path ratio, and chunk-imbalance statistics,
 //!   with per-worker timeline bars for `--stage`. `--check` gates CI on
 //!   every stage reporting positive utilization.
-//! * `stage-diff BASE CUR [--threshold F]` — compares two bench
-//!   `*.stages.json` files (see [`stage_diff`]): per-stage construction
-//!   time *shares* and peak heap bytes must stay within the threshold
-//!   (default 0.10) of the baseline. CI diffs the smoke run against a
-//!   committed baseline so a stage silently ballooning fails the build.
-//! * `slo-check RESULT.json [--p99-ns N] [--min-qps F] [--baseline FILE]`
-//!   — gates a `queries_closed_loop --json` artifact (see
-//!   [`xtask::slo_check`]): the overall p99 of the per-query call latency
-//!   must stay under the ceiling and the sustained qps above the floor,
-//!   with thresholds given explicitly and/or derived from a committed
-//!   baseline result ± a fixed slack of 0.50. CI runs it on a serving
-//!   smoke so a latency-tail or throughput regression fails the build.
-//! * `bless-baseline` — reruns the CI obs smoke (same binary, same flags,
-//!   reps 5) and rewrites `results/baselines/table2_smoke.stages.json`
-//!   with the fresh output, after validating that it parses and
-//!   stage-diffs cleanly against itself; then reruns the CI serving smoke
-//!   and rewrites `results/baselines/closed_loop_smoke.json` the same way
-//!   (fresh result must slo-check against itself). Run it after
-//!   intentionally changing the pipeline's stage shape or the serving
-//!   path's performance envelope.
+//! * `smoke <stages|serving>` — runs one CI smoke (see [`xtask::gate`])
+//!   with its one flag list, an obs build of `table2` or
+//!   `queries_closed_loop`, and writes its output under `target/smoke/`.
+//!   The `stages` smoke also writes a trace there and runs `check-trace`
+//!   on it. The output is then graded against its committed baseline in
+//!   `results/baselines/`: each stage's share of construction time within
+//!   ±25 pp and its peak heap within ±25 %, or the serving p99 at most
+//!   min(1.5 × baseline, 1 ms) and qps at least max(0.5 × baseline,
+//!   10 kq/s). CI's `obs` and `slo` jobs run it.
+//! * `bless-baseline` — runs both smokes through the same runner, grades
+//!   each fresh output against itself, and rewrites the committed
+//!   baselines with them. Run it after intentionally changing the
+//!   pipeline's stage shape or the serving path's performance envelope.
+//! * `stage-diff BASE CUR` — grades a bench `*.stages.json` file against
+//!   a baseline one with the stage bounds above.
+//! * `slo-check RESULT [BASELINE]` — grades a `queries_closed_loop --json`
+//!   result with the serving bounds above; without a baseline only the
+//!   1 ms and 10 kq/s constants apply.
 //! * `lint [--skip-clippy] [--json OUT] [--inventory OUT]` — the
 //!   workspace's static-analysis gate, in two stages:
 //!   1. **source lints** (see [`xtask::lints`]): the line-based rules
@@ -53,13 +51,13 @@
 //!
 //! Exit code 0 means the tree is clean; 1 means violations were printed.
 
-mod stage_diff;
 mod trace_analyze;
 
-use xtask::{fixtures, lints, slo_check, trace_check, trace_read};
+use xtask::gate::{self, Outcome, Smoke};
+use xtask::{fixtures, lints, trace_check, trace_read};
 
 use std::path::{Path, PathBuf};
-use std::process::{Command, ExitCode};
+use std::process::{Command, ExitCode, Stdio};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -95,39 +93,32 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        Some("stage-diff") => match (args.get(1), args.get(2)) {
-            (Some(base), Some(cur)) => {
-                let threshold = match parse_threshold(&args[3..]) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        eprintln!("xtask stage-diff: {e}");
-                        return ExitCode::from(2);
-                    }
-                };
-                run_stage_diff(Path::new(base), Path::new(cur), threshold)
-            }
+        Some("smoke") => match args.get(1).and_then(|s| Smoke::parse(s)) {
+            Some(smoke) if args.len() == 2 => run_smoke_gate(smoke),
             _ => {
-                eprintln!(
-                    "usage: cargo xtask stage-diff <baseline.stages.json> \
-                     <current.stages.json> [--threshold F]"
-                );
+                eprintln!("usage: cargo xtask smoke <stages|serving>");
                 ExitCode::from(2)
             }
         },
         Some("bless-baseline") => bless_baseline(),
-        Some("slo-check") => match args.get(1) {
-            Some(file) => match slo_check::parse_args(&args[2..]) {
-                Ok(opts) => run_slo_check(Path::new(file), &opts),
-                Err(e) => {
-                    eprintln!("xtask slo-check: {e}");
-                    ExitCode::from(2)
-                }
-            },
-            None => {
+        Some("stage-diff") => match &args[1..] {
+            [base, cur] => grade_files("stage-diff", &[base, cur], |t| {
+                gate::grade_stages(&t[0], &t[1])
+            }),
+            _ => {
                 eprintln!(
-                    "usage: cargo xtask slo-check <result.json> [--p99-ns N] [--min-qps F] \
-                     [--baseline FILE]"
+                    "usage: cargo xtask stage-diff <baseline.stages.json> <current.stages.json>"
                 );
+                ExitCode::from(2)
+            }
+        },
+        Some("slo-check") => match &args[1..] {
+            [result] => grade_files("slo-check", &[result], |t| gate::grade_serving(&t[0], None)),
+            [result, base] => grade_files("slo-check", &[result, base], |t| {
+                gate::grade_serving(&t[0], Some(&t[1]))
+            }),
+            _ => {
+                eprintln!("usage: cargo xtask slo-check <result.json> [baseline.json]");
                 ExitCode::from(2)
             }
         },
@@ -137,54 +128,10 @@ fn main() -> ExitCode {
                  lint-fixtures | check-trace <trace.json> | \
                  trace-analyze <trace.json> [--stage NAME] [--json OUT] [--check] \
                  [--min-util F] | \
-                 stage-diff <base.json> <cur.json> [--threshold F] | bless-baseline | \
-                 slo-check <result.json> [--p99-ns N] [--min-qps F] [--baseline FILE]"
+                 smoke <stages|serving> | bless-baseline | \
+                 stage-diff <base.json> <cur.json> | slo-check <result.json> [baseline.json]"
             );
             ExitCode::from(2)
-        }
-    }
-}
-
-/// Gates a closed-loop result file on SLO thresholds (explicit flags,
-/// baseline-derived, or both — explicit wins per dimension).
-fn run_slo_check(path: &Path, args: &slo_check::SloArgs) -> ExitCode {
-    let text = match trace_read::read_file("slo-check", path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut thresholds = slo_check::SloThresholds::default();
-    if let Some(baseline_path) = &args.baseline {
-        let baseline = trace_read::read_file("slo-check", baseline_path)
-            .and_then(|t| slo_check::parse_result("baseline", &t));
-        match baseline {
-            Ok(b) => thresholds = slo_check::baseline_thresholds(&b),
-            Err(e) => {
-                eprintln!("xtask slo-check: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    // Explicit flags override the baseline-derived value for their
-    // dimension.
-    thresholds.p99_ns = args.explicit.p99_ns.or(thresholds.p99_ns);
-    thresholds.min_qps = args.explicit.min_qps.or(thresholds.min_qps);
-    match slo_check::check_slo_text(&text, &thresholds) {
-        Ok(out) => {
-            eprint!("{}", out.report);
-            if out.failed {
-                eprintln!("xtask slo-check: {} FAILED", path.display());
-                ExitCode::FAILURE
-            } else {
-                eprintln!("xtask slo-check: {} ok", path.display());
-                ExitCode::SUCCESS
-            }
-        }
-        Err(e) => {
-            eprintln!("xtask slo-check: {e}");
-            ExitCode::FAILURE
         }
     }
 }
@@ -274,56 +221,49 @@ fn run_trace_analyze(path: &Path, opts: &AnalyzeOpts) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Parses `[--threshold F]` from the tail of a stage-diff invocation.
-fn parse_threshold(rest: &[String]) -> Result<f64, String> {
-    match rest {
-        [] => Ok(0.10),
-        [flag, value] if flag == "--threshold" => match value.parse::<f64>() {
-            Ok(t) if t > 0.0 && t.is_finite() => Ok(t),
-            _ => Err(format!(
-                "--threshold must be a positive number, got `{value}`"
-            )),
-        },
-        _ => Err(format!("unexpected arguments: {rest:?}")),
+/// Reads `files` and grades their texts with `grade`; exit 0 iff they
+/// parse and every check holds.
+fn grade_files(
+    cmd: &str,
+    files: &[&String],
+    grade: impl FnOnce(&[String]) -> Result<Outcome, String>,
+) -> ExitCode {
+    let texts: Result<Vec<String>, String> = files
+        .iter()
+        .map(|f| trace_read::read_file(cmd, Path::new(f)))
+        .collect();
+    let label = files
+        .iter()
+        .map(|f| f.as_str())
+        .collect::<Vec<_>>()
+        .join(" vs ");
+    match texts {
+        Ok(texts) => finish(cmd, &label, grade(&texts)),
+        Err(e) => {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-/// Diffs two bench stage-breakdown JSON files; exit 0 iff every stage's
-/// time share and peak memory stayed within the threshold.
-fn run_stage_diff(base: &Path, cur: &Path, threshold: f64) -> ExitCode {
-    let (base_text, cur_text) = match (
-        trace_read::read_file("stage-diff", base),
-        trace_read::read_file("stage-diff", cur),
-    ) {
-        (Ok(b), Ok(c)) => (b, c),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
+/// Prints a graded outcome; exit 0 iff it parsed and passed.
+fn finish(cmd: &str, label: &str, graded: Result<Outcome, String>) -> ExitCode {
+    match graded {
+        Ok(out) if !out.failed => {
+            eprint!("{}", out.report);
+            eprintln!("xtask {cmd}: {label} ok");
+            ExitCode::SUCCESS
         }
-    };
-    match stage_diff::diff_stage_text(&base_text, &cur_text, threshold) {
         Ok(out) => {
             eprint!("{}", out.report);
-            if out.failed {
-                eprintln!(
-                    "xtask stage-diff: {} vs {} FAILED \
-                     (intentional shift? refresh the baseline with \
-                     `cargo xtask bless-baseline`)",
-                    base.display(),
-                    cur.display()
-                );
-                ExitCode::FAILURE
-            } else {
-                eprintln!(
-                    "xtask stage-diff: {} vs {} ok",
-                    base.display(),
-                    cur.display()
-                );
-                ExitCode::SUCCESS
-            }
+            eprintln!(
+                "xtask {cmd}: {label} FAILED (an intentional shift? refresh the \
+                 baselines with `cargo xtask bless-baseline`)"
+            );
+            ExitCode::FAILURE
         }
         Err(e) => {
-            eprintln!("xtask stage-diff: {e}");
+            eprintln!("xtask {cmd}: {label}: {e}");
             ExitCode::FAILURE
         }
     }
@@ -351,157 +291,82 @@ fn check_trace(path: &Path) -> ExitCode {
     }
 }
 
-/// Reruns the CI obs smoke command and rewrites the committed stage
-/// baseline with its output. The smoke must produce JSON that parses and
-/// stage-diffs cleanly against itself before the baseline is replaced.
-fn bless_baseline() -> ExitCode {
-    let root = workspace_root();
-    let baseline = root.join("results/baselines/table2_smoke.stages.json");
-    let trace_tmp = root.join("target/bless-baseline.trace.json");
-    eprintln!("xtask bless-baseline: running the CI obs smoke (reps 5, all obs flags)...");
-    // The "Bench smoke with all obs flags" CI step runs the same flags (a
-    // serving_gates test holds the two equal).
-    let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
-        .current_dir(&root)
-        .args([
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "parcsr-bench",
-            "--features",
-            "obs",
-            "--bin",
-            "table2",
-            "--",
-        ])
-        .args(slo_check::TABLE2_SMOKE_ARGS)
-        .arg("--trace")
-        .arg(&trace_tmp)
-        .output();
-    let output = match output {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("xtask bless-baseline: could not run cargo: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+/// Runs `smoke` with its flags (an obs build, through cargo) and writes
+/// its output under `target/smoke/`; a smoke with a trace also has the
+/// trace checked. Returns the output text.
+fn run_smoke(root: &Path, smoke: Smoke) -> Result<String, String> {
+    let dir = root.join("target/smoke");
+    std::fs::create_dir_all(&dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    eprintln!("xtask smoke: {} {}", smoke.bin(), smoke.args().join(" "));
+    let mut cmd = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()));
+    cmd.current_dir(root)
+        .args(["run", "-q", "--release", "-p", "parcsr-bench"])
+        .args(["--features", "obs", "--bin", smoke.bin(), "--"])
+        .args(smoke.args());
+    let trace = smoke.trace().map(|name| dir.join(name));
+    if let Some(trace) = &trace {
+        cmd.arg("--trace").arg(trace);
+    }
+    let output = cmd
+        .stderr(Stdio::inherit())
+        .output()
+        .map_err(|e| format!("could not run cargo: {e}"))?;
     if !output.status.success() {
-        eprintln!("xtask bless-baseline: smoke run failed:");
-        eprint!("{}", String::from_utf8_lossy(&output.stderr));
-        return ExitCode::FAILURE;
+        return Err(format!("{} exited with {}", smoke.bin(), output.status));
     }
-    let text = match String::from_utf8(output.stdout) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bless-baseline: smoke output is not UTF-8: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Self-diff exercises the full baseline parser on the new text; a file
-    // that cannot even diff against itself must not become the baseline.
-    if let Err(e) = stage_diff::diff_stage_text(&text, &text, 0.25) {
-        eprintln!("xtask bless-baseline: smoke output is not a valid stage breakdown: {e}");
-        return ExitCode::FAILURE;
+    let text = String::from_utf8(output.stdout)
+        .map_err(|e| format!("{} output is not UTF-8: {e}", smoke.bin()))?;
+    let out = dir.join(smoke.output());
+    std::fs::write(&out, &text).map_err(|e| format!("cannot write {}: {e}", out.display()))?;
+    eprintln!("xtask smoke: wrote {}", out.display());
+    if let Some(trace) = &trace {
+        let events = trace_read::read_file("smoke", trace)
+            .and_then(|t| trace_check::check_trace_text(&t))
+            .map_err(|e| format!("{} invalid: {e}", trace.display()))?;
+        eprintln!("xtask smoke: {} ok ({events} events)", trace.display());
     }
-    if let Some(dir) = baseline.parent() {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("xtask bless-baseline: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Err(e) = std::fs::write(&baseline, &text) {
-        eprintln!(
-            "xtask bless-baseline: cannot write {}: {e}",
-            baseline.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "xtask bless-baseline: wrote {} ({} bytes); review and commit it",
-        baseline.display(),
-        text.len()
-    );
-    bless_closed_loop_baseline(&root)
+    Ok(text)
 }
 
-/// Reruns the CI serving smoke (`queries_closed_loop`, same flags as the
-/// `slo` CI job) and rewrites `results/baselines/closed_loop_smoke.json`.
-/// The fresh result must parse as a `parcsr.closed_loop.v2` document and
-/// slo-check cleanly against itself before it replaces the baseline.
-fn bless_closed_loop_baseline(root: &Path) -> ExitCode {
-    let baseline = root.join("results/baselines/closed_loop_smoke.json");
-    eprintln!("xtask bless-baseline: running the CI serving smoke (queries_closed_loop)...");
-    // The `slo` CI job's smoke step runs the same flags (a serving_gates
-    // test holds the two equal).
-    let output = Command::new(std::env::var("CARGO").unwrap_or_else(|_| "cargo".into()))
-        .current_dir(root)
-        .args([
-            "run",
-            "-q",
-            "--release",
-            "-p",
-            "parcsr-bench",
-            "--features",
-            "obs",
-            "--bin",
-            "queries_closed_loop",
-            "--",
-        ])
-        .args(slo_check::CLOSED_LOOP_SMOKE_ARGS)
-        .output();
-    let output = match output {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("xtask bless-baseline: could not run cargo: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if !output.status.success() {
-        eprintln!("xtask bless-baseline: serving smoke failed:");
-        eprint!("{}", String::from_utf8_lossy(&output.stderr));
-        return ExitCode::FAILURE;
-    }
-    let text = match String::from_utf8(output.stdout) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("xtask bless-baseline: serving smoke output is not UTF-8: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    // Self-check exercises the full result parser and threshold machinery;
-    // a result that cannot pass against itself must not become the
-    // baseline.
-    let self_thresholds = match slo_check::parse_result("fresh result", &text) {
-        Ok(r) => slo_check::baseline_thresholds(&r),
-        Err(e) => {
-            eprintln!("xtask bless-baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    match slo_check::check_slo_text(&text, &self_thresholds) {
-        Ok(out) if !out.failed => {}
-        Ok(_) => {
-            eprintln!("xtask bless-baseline: fresh result fails slo-check against itself");
-            return ExitCode::FAILURE;
-        }
-        Err(e) => {
-            eprintln!("xtask bless-baseline: {e}");
-            return ExitCode::FAILURE;
+/// `smoke`: runs one CI smoke and grades it against its committed
+/// baseline.
+fn run_smoke_gate(smoke: Smoke) -> ExitCode {
+    let root = workspace_root();
+    let graded = run_smoke(&root, smoke).and_then(|cur| {
+        let base = trace_read::read_file("smoke", &root.join(smoke.baseline()))?;
+        smoke.grade(&base, &cur)
+    });
+    let label = format!("target/smoke/{} vs {}", smoke.output(), smoke.baseline());
+    finish("smoke", &label, graded)
+}
+
+/// `bless-baseline`: runs both smokes and rewrites their committed
+/// baselines with the fresh outputs, each of which must first pass its
+/// gate against itself.
+fn bless_baseline() -> ExitCode {
+    let root = workspace_root();
+    for smoke in Smoke::ALL {
+        let path = root.join(smoke.baseline());
+        let blessed = run_smoke(&root, smoke).and_then(|text| {
+            let out = smoke.grade(&text, &text)?;
+            if out.failed {
+                return Err(format!("fails its own gate:\n{}", out.report));
+            }
+            std::fs::write(&path, &text)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+            Ok(text.len())
+        });
+        match blessed {
+            Ok(bytes) => eprintln!(
+                "xtask bless-baseline: wrote {} ({bytes} bytes); review and commit it",
+                path.display()
+            ),
+            Err(e) => {
+                eprintln!("xtask bless-baseline: {} smoke: {e}", smoke.bin());
+                return ExitCode::FAILURE;
+            }
         }
     }
-    if let Err(e) = std::fs::write(&baseline, &text) {
-        eprintln!(
-            "xtask bless-baseline: cannot write {}: {e}",
-            baseline.display()
-        );
-        return ExitCode::FAILURE;
-    }
-    eprintln!(
-        "xtask bless-baseline: wrote {} ({} bytes); review and commit it",
-        baseline.display(),
-        text.len()
-    );
     ExitCode::SUCCESS
 }
 

@@ -1,14 +1,15 @@
-//! Integration tests for the serving-telemetry gates: `slo-check` against
-//! seeded good/bad closed-loop results, `check-trace` refusing serving
-//! series in a trace (the result JSON is their one output), and the CI
-//! workflow's `slo` job and `obs` stage smoke against the thresholds and
-//! smoke flags defined here and in the xtask lib. The fixtures live in
-//! `tests/serving_fixtures/` and pin the result shape CI consumes, so a
-//! schema drift in either producer or gate shows up here first.
+//! Integration tests for the baseline gates: the serving gate against
+//! seeded good/bad closed-loop results, each committed baseline against
+//! its own gate, the stage gate against inputs that compare nothing, and
+//! `check-trace` refusing serving series in a trace (the result JSON is
+//! their one output). The fixtures live in `tests/serving_fixtures/` and
+//! pin the result shape CI consumes, so a schema drift in either producer
+//! or gate shows up here first.
 
 use std::path::PathBuf;
 
-use xtask::slo_check::{self, SloThresholds};
+use parcsr_obs::json::Json;
+use xtask::gate::{self, Smoke};
 use xtask::trace_check::check_trace_text;
 
 fn fixture(name: &str) -> String {
@@ -18,19 +19,17 @@ fn fixture(name: &str) -> String {
     std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
 }
 
-/// The thresholds the CI `slo` job enforces on the serving smoke (loose on
-/// purpose: a laptop-class runner sustains hundreds of kq/s with p99 in
-/// the low microseconds, so 1 ms / 10 kq/s only trips on order-of-magnitude
-/// regressions). `ci_slo_job_matches_the_thresholds_and_the_bless_flags`
-/// holds the workflow to these values.
-const CI_THRESHOLDS: SloThresholds = SloThresholds {
-    p99_ns: Some(1_000_000),
-    min_qps: Some(10_000.0),
-};
+/// A committed baseline, by its workspace-relative path.
+fn baseline(smoke: Smoke) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .join(smoke.baseline());
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
+}
 
 #[test]
 fn good_result_passes_the_ci_thresholds() {
-    let out = slo_check::check_slo_text(&fixture("closed_loop_good.json"), &CI_THRESHOLDS)
+    let out = gate::grade_serving(&fixture("closed_loop_good.json"), None)
         .expect("good fixture must parse");
     assert!(!out.failed, "{}", out.report);
     assert!(out.report.contains("p99:"), "{}", out.report);
@@ -39,7 +38,7 @@ fn good_result_passes_the_ci_thresholds() {
 
 #[test]
 fn bad_result_fails_every_dimension() {
-    let out = slo_check::check_slo_text(&fixture("closed_loop_bad.json"), &CI_THRESHOLDS)
+    let out = gate::grade_serving(&fixture("closed_loop_bad.json"), None)
         .expect("bad fixture is schema-valid; only the numbers are bad");
     assert!(out.failed);
     // The latency ceiling and the throughput floor are both violated.
@@ -50,14 +49,90 @@ fn bad_result_fails_every_dimension() {
 
 #[test]
 fn baseline_mode_gates_the_bad_result_against_the_good_one() {
-    let base = slo_check::parse_result("baseline", &fixture("closed_loop_good.json")).unwrap();
-    let thresholds = slo_check::baseline_thresholds(&base);
+    let good = fixture("closed_loop_good.json");
     // The good result passes against itself-with-slack...
-    let out = slo_check::check_slo_text(&fixture("closed_loop_good.json"), &thresholds).unwrap();
+    let out = gate::grade_serving(&good, Some(&good)).unwrap();
     assert!(!out.failed, "{}", out.report);
     // ...the bad one (3000× the latency, 0.5% of the throughput) does not.
-    let out = slo_check::check_slo_text(&fixture("closed_loop_bad.json"), &thresholds).unwrap();
+    let out = gate::grade_serving(&fixture("closed_loop_bad.json"), Some(&good)).unwrap();
     assert!(out.failed);
+}
+
+#[test]
+fn committed_baselines_pass_their_own_gate() {
+    for smoke in Smoke::ALL {
+        let text = baseline(smoke);
+        let out = smoke
+            .grade(&text, &text)
+            .unwrap_or_else(|e| panic!("{smoke:?}: {e}"));
+        assert!(!out.failed, "{smoke:?}:\n{}", out.report);
+    }
+    // The stage baseline grades every one of its 32 stages, and each has a
+    // peak heap (0 on one side only would fail).
+    let out = Smoke::Stages
+        .grade(&baseline(Smoke::Stages), &baseline(Smoke::Stages))
+        .unwrap();
+    assert!(
+        out.report.contains("0 violations across 32 stages"),
+        "{}",
+        out.report
+    );
+}
+
+/// Replaces the value of every `key` field, at any depth, with `value`.
+fn replace_fields(json: &mut Json, key: &str, value: &Json) {
+    match json {
+        Json::Array(items) => items.iter_mut().for_each(|j| replace_fields(j, key, value)),
+        Json::Object(fields) => {
+            for (k, v) in fields {
+                if k == key {
+                    *v = value.clone();
+                } else {
+                    replace_fields(v, key, value);
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+#[test]
+fn stage_gate_fails_inputs_that_compare_nothing() {
+    let base = baseline(Smoke::Stages);
+    let edited = |edit: &dyn Fn(&mut Json)| {
+        let mut doc = Json::parse(&base).unwrap();
+        edit(&mut doc);
+        doc.pretty()
+    };
+    // Dataset names sit at the top level; stage names one level down.
+    let renamed = edited(&|doc| {
+        let Json::Array(datasets) = doc else {
+            panic!("stage baseline is not an array");
+        };
+        for ds in datasets {
+            let Json::Object(fields) = ds else {
+                panic!("dataset result is not an object");
+            };
+            fields.retain(|(k, _)| k != "name");
+            fields.push(("name".into(), Json::Str("renamed".into())));
+        }
+    });
+    let emptied = edited(&|doc| replace_fields(doc, "stages", &Json::Array(Vec::new())));
+    let unaccounted = edited(&|doc| replace_fields(doc, "mem_peak_bytes", &Json::Int(0)));
+    for (what, cur, why) in [
+        (
+            "an empty file",
+            "[]".to_string(),
+            "no counterpart in current",
+        ),
+        ("renamed datasets", renamed, "no counterpart in current"),
+        ("emptied stages", emptied, "missing from current"),
+        ("zeroed peak heaps", unaccounted, "FAIL (mem)"),
+    ] {
+        let out = gate::grade_stages(&base, &cur).unwrap();
+        assert!(out.failed, "{what} passed:\n{}", out.report);
+        assert!(out.report.contains(why), "{what}:\n{}", out.report);
+    }
 }
 
 #[test]
@@ -66,7 +141,7 @@ fn fixtures_carry_per_kind_and_per_class_rollups() {
     // the committed example of the full v2 schema — keep the rollups
     // present.
     for name in ["closed_loop_good.json", "closed_loop_bad.json"] {
-        let doc = parcsr_obs::json::Json::parse(&fixture(name)).unwrap();
+        let doc = Json::parse(&fixture(name)).unwrap();
         let overall = doc.get("overall").unwrap();
         assert!(
             !overall.get("kinds").unwrap().as_array().unwrap().is_empty(),
@@ -83,7 +158,7 @@ fn fixtures_carry_per_kind_and_per_class_rollups() {
         );
         assert_eq!(
             doc.get("schema").unwrap().as_str(),
-            Some(slo_check::SCHEMA),
+            Some(gate::SCHEMA),
             "{name}"
         );
     }
@@ -95,7 +170,7 @@ fn fixtures_carry_phase_rollups_and_exemplars() {
     // slowest first, at most the driver's K, none slower than the
     // exact maximum of its kind cell.
     for name in ["closed_loop_good.json", "closed_loop_bad.json"] {
-        let doc = parcsr_obs::json::Json::parse(&fixture(name)).unwrap();
+        let doc = Json::parse(&fixture(name)).unwrap();
         let kinds = doc.get("overall").unwrap().get("kinds").unwrap();
         let exemplars = doc.get("exemplars").unwrap().as_array().unwrap();
         assert!(!exemplars.is_empty(), "{name}: no exemplars");
@@ -134,76 +209,4 @@ fn trace_with_serving_window_counters_is_rejected() {
     ]"#;
     let err = check_trace_text(text).unwrap_err();
     assert!(err.contains("outside the known namespaces"), "{err}");
-}
-
-/// The whitespace-split command tokens of the `run:` block of the CI step
-/// named `step`, with line continuations dropped.
-fn ci_step_tokens(ci: &str, step: &str) -> Vec<String> {
-    let mut lines = ci
-        .lines()
-        .skip_while(|l| l.trim() != format!("- name: {step}"))
-        .skip(1);
-    assert_eq!(
-        lines.next().map(str::trim),
-        Some("run: |"),
-        "CI step `{step}` not found or has no `run: |` block"
-    );
-    lines
-        .take_while(|l| {
-            let t = l.trim();
-            !t.is_empty() && !t.starts_with("- ") && !t.starts_with('#')
-        })
-        .flat_map(str::split_whitespace)
-        .filter(|t| *t != "\\")
-        .map(str::to_string)
-        .collect()
-}
-
-#[test]
-fn ci_slo_job_matches_the_thresholds_and_the_bless_flags() {
-    let ci = ci_workflow();
-
-    // The absolute gate passes exactly CI_THRESHOLDS, through the real
-    // argument parser.
-    let gate = ci_step_tokens(&ci, "SLO gate (absolute ceilings)");
-    let at = gate
-        .iter()
-        .position(|t| t == "closed_loop_smoke.json")
-        .expect("the gate grades the smoke result");
-    assert_eq!(gate[..at], ["cargo", "xtask", "slo-check"]);
-    let args = slo_check::parse_args(&gate[at + 1..]).unwrap();
-    assert_eq!(args.explicit, CI_THRESHOLDS);
-    assert_eq!(args.baseline, None);
-
-    // The smoke runs the driver with the flags `bless-baseline` reruns, so
-    // the committed baseline matches what CI measures.
-    let smoke = ci_step_tokens(&ci, "Closed-loop serving smoke");
-    let start = smoke.iter().position(|t| t == "--").expect("driver flags") + 1;
-    let end = smoke
-        .iter()
-        .position(|t| t == ">")
-        .expect("stdout redirect");
-    assert_eq!(smoke[start..end], *slo_check::CLOSED_LOOP_SMOKE_ARGS);
-}
-
-/// The workflow text.
-fn ci_workflow() -> String {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../.github/workflows/ci.yml");
-    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {}: {e}", path.display()))
-}
-
-#[test]
-fn ci_stage_smoke_matches_the_bless_flags() {
-    // The obs job's stage smoke runs `table2` with the flags
-    // `bless-baseline` reruns, so `stage-diff` compares CI against a
-    // baseline measured the same way; only the trace path differs.
-    let ci = ci_workflow();
-    let smoke = ci_step_tokens(&ci, "Bench smoke with all obs flags");
-    let start = smoke.iter().position(|t| t == "--").expect("table2 flags") + 1;
-    let trace = smoke
-        .iter()
-        .position(|t| t == "--trace")
-        .expect("the smoke writes a trace");
-    assert_eq!(smoke[start..trace], *slo_check::TABLE2_SMOKE_ARGS);
-    assert_eq!(smoke[trace + 2], ">", "one trace path, then the redirect");
 }

@@ -30,7 +30,8 @@ cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
 # Machine-readable per-stage breakdown per (dataset, p): the bench JSON
 # schema carries a `stages` array (with `mem_peak_bytes`) and a `mem`
 # object on every processor sample. Compare two of these with
-# `cargo xtask stage-diff <baseline> <current>`; the per-stage utilization
+# `cargo xtask stage-diff <baseline> <current>` (each stage's share within
+# ±25 pp and peak heap within ±25 %); the per-stage utilization
 # and chunk statistics are the trace analysis below.
 echo "== Table II (JSON, per-stage breakdown + memory) =="
 cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
@@ -39,12 +40,14 @@ cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
 # Closed-loop serving run: sustained qps + per-query call latency
 # percentiles overall, per query kind, and per degree class on the
 # 2M-edge hub graph — plus the run's slowest queries — archived as a
-# *.slo.json summary (`cargo xtask slo-check <file> --p99-ns N --min-qps Q`
-# to gate a run; compare two runs' overall blocks for serving drift).
+# *.slo.json summary (`cargo xtask slo-check <file> [baseline]` grades a
+# run: p99 at most 1 ms and qps at least 10 kq/s, tightened to 1.5× / 0.5×
+# the baseline's when one is given). CI's gated smokes are
+# `cargo xtask smoke stages` and `cargo xtask smoke serving`.
 echo "== closed-loop serving (qps + latency percentiles + SLO summary) =="
 for clients in 1 2 8; do
   cargo run --release -q -p parcsr-bench --features obs --bin queries_closed_loop -- \
-    --graph hub --clients "$clients" --duration-ms 2000 --json \
+    --clients "$clients" --duration-ms 2000 --json \
     2> >(tee "${OUT}.closed_loop.c${clients}.txt" >&2) \
     > "${OUT}.closed_loop.c${clients}.slo.json"
 done
