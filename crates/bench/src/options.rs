@@ -209,8 +209,8 @@ mod tests {
     #[test]
     fn removed_obs_flags_are_unknown() {
         // `--trace` and `--metrics` are the only obs switches: spans are not
-        // sampled, heap accounting follows recording, and the per-stage
-        // analysis is `cargo xtask trace-analyze`'s.
+        // sampled, heap accounting follows recording, and no imbalance
+        // report exists.
         for args in [
             &["--trace-sample", "8"][..],
             &["--trace-sample"],

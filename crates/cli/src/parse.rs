@@ -584,9 +584,9 @@ mod tests {
         assert!(ObsOptions::extract(["--trace".to_string()]).is_err());
 
         // `--trace` and `--metrics` are the only obs switches: spans are not
-        // sampled, heap accounting follows recording, and the analysis is
-        // `cargo xtask trace-analyze`'s. Every other flag stays in the
-        // arguments and the command rejects it.
+        // sampled, heap accounting follows recording, and no imbalance
+        // report exists. Every other flag stays in the arguments and the
+        // command rejects it.
         for flag in [
             &["--trace-sample", "8"][..],
             &["--mem-metrics"],

@@ -26,11 +26,6 @@
 //!   JSON trace writer — span events with `args` payloads plus counter
 //!   events for memory — built on the hand-rolled [`json`] module (shared
 //!   with `parcsr-bench`).
-//! * **Analysis** ([`analyze`]): pure arithmetic over collected spans —
-//!   per-stage worker-utilization/critical-path metrics and chunk-imbalance
-//!   statistics. Compiled unconditionally (it holds no recording state), so
-//!   offline tools like `cargo xtask trace-analyze` use it without the
-//!   `enabled` feature.
 //!
 //! # Cost model
 //!
@@ -44,7 +39,6 @@
 //! decide whether anything is collected; memory is accounted whenever
 //! recording is on and a counting allocator is registered.
 
-pub mod analyze;
 pub mod export;
 pub mod json;
 pub mod mem;

@@ -19,8 +19,8 @@
 //!   dragging a whole chunk ([`plan_uniform`] for stages with no offsets);
 //! * [`run_chunked`] / [`run_chunked_plan`] — execute one planned chunk per
 //!   parallel task, each wrapped in a span carrying the
-//!   `chunk`/`chunk_len`/`edges` payloads that `parcsr_obs::analyze` turns
-//!   into imbalance statistics;
+//!   `chunk`/`chunk_len`/`edges` payloads, so a trace shows each region's
+//!   split and `cargo xtask check-trace` can match chunks to their plan;
 //! * [`split_mut_by_ranges`] — hand out disjoint mutable sub-slices matching
 //!   a plan;
 //! * [`pool::with_processors`] — the cached fixed-width rayon pools the

@@ -31,7 +31,7 @@
 //! * **span-coverage** — every `run_chunked`/`run_chunked_plan` call site
 //!   outside `parcsr-runtime` (and outside the vendored shims) must be
 //!   lexically inside a `span!`/`with_span`/`enter` scope, so new parallel
-//!   stages cannot dodge the trace analytics CI gates on.
+//!   stages cannot dodge the trace checks CI gates on.
 //!
 //! Directive grammar (one directive per comment line): `LINT: hot` in the
 //! comment block above a `fn` marks that function hot for the allocation
@@ -982,8 +982,8 @@ fn span_pass(file: &str, lexed: &Lexed, cutoff: usize, out: &mut Vec<Violation>)
                             rule: "span-coverage",
                             message: format!(
                                 "`{}` outside any `span!`/`with_span`/`enter` scope; \
-                                 wrap the stage in a span so trace analytics (and the \
-                                 CI utilization gate) can attribute its workers",
+                                 wrap the stage in a span so its trace records it and \
+                                 `check-trace`'s stage rules cover its workers",
                                 t.text
                             ),
                         });

@@ -6,13 +6,10 @@
 //! * `check-trace FILE` — validates a Chrome trace written by `--trace`
 //!   (see [`trace_check`]): parseable JSON array of span (`"X"`) and
 //!   `mem.*` counter (`"C"`) events, non-empty, time-ordered per thread /
-//!   per counter, with well-typed span args. CI runs it on a bench smoke
-//!   trace so a silently-broken recorder fails the build.
-//! * `trace-analyze FILE [--stage NAME] [--json OUT] [--check]` — the
-//!   parallel-efficiency report (see [`trace_analyze`]): per-stage worker
-//!   utilization, critical-path ratio, and chunk-imbalance statistics,
-//!   with per-worker timeline bars for `--stage`. `--check` gates CI on
-//!   every stage reporting positive utilization.
+//!   per counter, with well-typed span args, and the stage rules R1–R3:
+//!   every stage has a positive duration, every worker span lies inside a
+//!   stage, and every planned chunk has its span. CI runs it on a bench
+//!   smoke trace so a silently-broken recorder fails the build.
 //! * `smoke <stages|serving>` — runs one CI smoke (see [`xtask::gate`])
 //!   with its one flag list, an obs build of `table2` or
 //!   `queries_closed_loop`, and writes its output under `target/smoke/`.
@@ -51,8 +48,6 @@
 //!
 //! Exit code 0 means the tree is clean; 1 means violations were printed.
 
-mod trace_analyze;
-
 use xtask::gate::{self, Outcome, Smoke};
 use xtask::{fixtures, lints, trace_check, trace_read};
 
@@ -74,22 +69,6 @@ fn main() -> ExitCode {
             Some(file) => check_trace(Path::new(file)),
             None => {
                 eprintln!("usage: cargo xtask check-trace <trace.json>");
-                ExitCode::from(2)
-            }
-        },
-        Some("trace-analyze") => match args.get(1) {
-            Some(file) => match parse_analyze_args(&args[2..]) {
-                Ok(opts) => run_trace_analyze(Path::new(file), &opts),
-                Err(e) => {
-                    eprintln!("xtask trace-analyze: {e}");
-                    ExitCode::from(2)
-                }
-            },
-            None => {
-                eprintln!(
-                    "usage: cargo xtask trace-analyze <trace.json> [--stage NAME] \
-                     [--json OUT] [--check] [--min-util F]"
-                );
                 ExitCode::from(2)
             }
         },
@@ -126,99 +105,12 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: cargo xtask lint [--skip-clippy] [--json OUT] [--inventory OUT] | \
                  lint-fixtures | check-trace <trace.json> | \
-                 trace-analyze <trace.json> [--stage NAME] [--json OUT] [--check] \
-                 [--min-util F] | \
                  smoke <stages|serving> | bless-baseline | \
                  stage-diff <base.json> <cur.json> | slo-check <result.json> [baseline.json]"
             );
             ExitCode::from(2)
         }
     }
-}
-
-/// Options for `trace-analyze` after the file argument.
-#[derive(Default)]
-struct AnalyzeOpts {
-    stage: Option<String>,
-    json_out: Option<PathBuf>,
-    check: bool,
-    min_util: f64,
-}
-
-fn parse_analyze_args(rest: &[String]) -> Result<AnalyzeOpts, String> {
-    let mut opts = AnalyzeOpts::default();
-    let mut it = rest.iter();
-    while let Some(flag) = it.next() {
-        match flag.as_str() {
-            "--stage" => {
-                let name = it.next().ok_or("--stage needs a stage name")?;
-                opts.stage = Some(name.clone());
-            }
-            "--json" => {
-                let path = it.next().ok_or("--json needs an output path")?;
-                opts.json_out = Some(PathBuf::from(path));
-            }
-            "--check" => opts.check = true,
-            "--min-util" => {
-                let value = it.next().ok_or("--min-util needs a value")?;
-                opts.min_util = match value.parse::<f64>() {
-                    Ok(f) if (0.0..=1.0).contains(&f) => f,
-                    _ => return Err(format!("--min-util must be in [0, 1], got `{value}`")),
-                };
-            }
-            other => return Err(format!("unexpected argument `{other}`")),
-        }
-    }
-    Ok(opts)
-}
-
-/// Runs the analyzer over a trace file; exit 0 unless the file is
-/// unreadable/invalid or `--check` found an idle or empty stage set.
-fn run_trace_analyze(path: &Path, opts: &AnalyzeOpts) -> ExitCode {
-    let text = match trace_read::read_file("trace-analyze", path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("{e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let analysis = match trace_analyze::analyze_trace_text(&text) {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("xtask trace-analyze: {} invalid: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    print!(
-        "{}",
-        trace_analyze::render_report(&analysis, opts.stage.as_deref())
-    );
-    if let Some(out) = &opts.json_out {
-        let mut body = analysis.to_json().pretty();
-        body.push('\n');
-        if let Err(e) = std::fs::write(out, body) {
-            eprintln!("xtask trace-analyze: cannot write {}: {e}", out.display());
-            return ExitCode::FAILURE;
-        }
-        eprintln!("xtask trace-analyze: wrote {}", out.display());
-    }
-    if opts.check {
-        if let Err(e) = trace_analyze::check_analysis(&analysis, opts.min_util) {
-            eprintln!("xtask trace-analyze: {} FAILED: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-        let floor = if opts.min_util > 0.0 {
-            format!(">= {}", opts.min_util)
-        } else {
-            "> 0".to_string()
-        };
-        eprintln!(
-            "xtask trace-analyze: {} ok ({} stages, all utilization {floor})",
-            path.display(),
-            analysis.stages.len()
-        );
-    }
-    ExitCode::SUCCESS
 }
 
 /// Reads `files` and grades their texts with `grade`; exit 0 iff they

@@ -7,8 +7,8 @@
 //! time-ordered — the cheapest end-to-end proof that the instrumentation
 //! actually recorded the pipeline.
 //!
-//! Structural parsing lives in [`crate::trace_read`] (shared with
-//! `stage-diff` and `trace-analyze`); this module adds the semantic rules:
+//! Structural parsing lives in [`crate::trace_read`]; this module adds
+//! the semantic rules:
 //!
 //! * complete (`"X"`) span events must be time-ordered per thread, and
 //!   their `args` payload (when present) must hold only non-negative
@@ -19,6 +19,21 @@
 //! * counter (`"C"`) events — the memory series. Must use the known
 //!   namespace (`mem.`), be time-ordered per counter name, and hold a
 //!   non-empty `args` object of non-negative numbers.
+//!
+//! Then three stage rules prove the spans are real. A *stage* is a
+//! top-level coordinator span (`tid` 0, `depth` 0); times compare in
+//! integer ns, `round(µs × 1000)`, so float rounding cannot push a
+//! contained span out.
+//!
+//! * **R1** — the trace has at least one stage, and every stage has a
+//!   positive duration.
+//! * **R2** — every worker span (`tid` ≠ 0) lies inside some stage.
+//!   Shifted or orphaned worker spans fail here.
+//! * **R3** — a `plan` span with `chunks: k` inside a stage requires that
+//!   stage to hold chunk-indexed spans covering every index `0..k`. A
+//!   parallel region whose workers never flushed their spans fails here.
+
+use std::collections::BTreeSet;
 
 use crate::trace_read::{parse_trace, Phase, TraceEvent};
 
@@ -143,7 +158,78 @@ pub fn check_trace_text(text: &str) -> Result<usize, String> {
     if !saw_span {
         return Err("trace has counter events but no span events".into());
     }
+    check_stages(&events)?;
     Ok(events.len())
+}
+
+/// A span's `[start, end]` in integer ns.
+fn span_ns(ev: &TraceEvent) -> (u64, u64) {
+    let ns = |us: f64| {
+        if us <= 0.0 {
+            0
+        } else {
+            (us * 1e3).round() as u64
+        }
+    };
+    let start = ns(ev.ts_us);
+    (start, start + ns(ev.dur_us))
+}
+
+/// R1–R3 over the spans of an otherwise valid trace.
+fn check_stages(events: &[TraceEvent]) -> Result<(), String> {
+    let spans: Vec<&TraceEvent> = events.iter().filter(|e| e.ph == Phase::Complete).collect();
+    let is_stage = |e: &TraceEvent| e.tid == 0 && e.arg_u64("depth").unwrap_or(0) == 0;
+    // Coordinator spans are time-ordered (checked above), so the stages are
+    // sorted by start and, being top-level, do not overlap.
+    let stages: Vec<(&str, u64, u64)> = spans
+        .iter()
+        .filter(|e| is_stage(e))
+        .map(|e| {
+            let (start, end) = span_ns(e);
+            (e.name.as_str(), start, end)
+        })
+        .collect();
+    if stages.is_empty() {
+        return Err("R1: trace has no stage (a top-level coordinator span: tid 0, depth 0)".into());
+    }
+    if let Some((name, start, _)) = stages.iter().find(|(_, start, end)| end == start) {
+        return Err(format!(
+            "R1: stage `{name}` at {start} ns has zero duration"
+        ));
+    }
+    // The stage holding `[start, end]`: the last one starting at or before it.
+    let stage_of = |(start, end): (u64, u64)| {
+        let i = stages.partition_point(|s| s.1 <= start).checked_sub(1)?;
+        (end <= stages[i].2).then_some(i)
+    };
+    let mut plans = Vec::new();
+    let mut chunks_in = vec![BTreeSet::new(); stages.len()];
+    for ev in &spans {
+        let stage = stage_of(span_ns(ev));
+        if ev.tid != 0 && stage.is_none() {
+            return Err(format!(
+                "R2: worker span `{}` (tid {}) at ts {} lies outside every stage",
+                ev.name, ev.tid, ev.ts_us
+            ));
+        }
+        let Some(i) = stage else { continue };
+        if let Some(chunk) = ev.arg_u64("chunk") {
+            chunks_in[i].insert(chunk);
+        }
+        if ev.name == "plan" && !is_stage(ev) {
+            plans.push((i, ev.arg_u64("chunks").unwrap_or(0)));
+        }
+    }
+    for (i, k) in plans {
+        if let Some(missing) = (0..k).find(|c| !chunks_in[i].contains(c)) {
+            let (name, start, _) = stages[i];
+            return Err(format!(
+                "R3: stage `{name}` at {start} ns plans {k} chunks but holds no span \
+                 for chunk {missing}"
+            ));
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -168,7 +254,7 @@ mod tests {
             "[{},{},{}]",
             event("degree", 0, 10),
             event("scan", 0, 20),
-            event("degree.chunk", 1, 12).replace(
+            event("degree.chunk", 1, 10).replace(
                 r#""args":{"depth":0}"#,
                 r#""args":{"depth":0,"chunk":3,"chunk_len":128}"#
             )
@@ -195,7 +281,7 @@ mod tests {
         assert!(err.contains("backwards"), "{err}");
 
         // ...but interleaved tids each monotone are fine.
-        let text = format!("[{},{}]", event("a", 0, 20), event("b", 1, 10));
+        let text = format!("[{},{}]", event("a", 0, 10), event("b", 1, 10));
         assert_eq!(check_trace_text(&text), Ok(2));
     }
 
@@ -298,5 +384,76 @@ mod tests {
         let text = r#"[{"name":"a","ph":"X","ts":1,"dur":2,"pid":1,"tid":0,"args":[1]}]"#;
         let err = check_trace_text(text).unwrap_err();
         assert!(err.contains("not an object"), "{err}");
+    }
+
+    fn span(name: &str, tid: i64, ts: f64, dur: f64, args: &str) -> String {
+        format!(
+            r#"{{"name":"{name}","cat":"parcsr","ph":"X","ts":{ts},"dur":{dur},"pid":1,"tid":{tid},"args":{args}}}"#
+        )
+    }
+
+    /// A p = 2 `scatter` stage: its plan of two chunks, one chunk on each
+    /// worker.
+    fn scatter_stage(chunk1_ts: f64) -> Vec<String> {
+        vec![
+            span("scatter", 0, 100.0, 50.0, r#"{"depth":0}"#),
+            span("plan", 0, 101.0, 1.0, r#"{"depth":1,"chunks":2}"#),
+            span("scatter.chunk", 1, 105.0, 20.0, r#"{"depth":0,"chunk":0}"#),
+            span(
+                "scatter.chunk",
+                2,
+                chunk1_ts,
+                20.0,
+                r#"{"depth":0,"chunk":1}"#,
+            ),
+        ]
+    }
+
+    #[test]
+    fn accepts_a_stage_whose_plan_and_workers_line_up() {
+        let text = format!("[{}]", scatter_stage(106.0).join(","));
+        assert_eq!(check_trace_text(&text), Ok(4));
+        // Both spans end at 800 ns. In float µs the stage ends at
+        // 0.7999999999999999 and the worker span at 0.8, so only the
+        // integer-ns comparison keeps the worker span inside.
+        let text = format!(
+            "[{},{}]",
+            span("pack", 0, 0.7, 0.1, r#"{"depth":0}"#),
+            span("pack.chunk", 1, 0.75, 0.05, r#"{"depth":0,"chunk":0}"#),
+        );
+        assert_eq!(check_trace_text(&text), Ok(2));
+    }
+
+    #[test]
+    fn r1_rejects_a_trace_without_stages_or_with_an_empty_one() {
+        // Only nested coordinator spans: nothing is top-level.
+        let text = format!("[{}]", span("plan", 0, 10.0, 5.0, r#"{"depth":1}"#));
+        let err = check_trace_text(&text).unwrap_err();
+        assert!(err.starts_with("R1:") && err.contains("no stage"), "{err}");
+
+        let text = format!("[{}]", span("degree", 0, 10.0, 0.0, r#"{"depth":0}"#));
+        let err = check_trace_text(&text).unwrap_err();
+        assert!(
+            err.starts_with("R1:") && err.contains("zero duration"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn r2_rejects_a_worker_span_outside_every_stage() {
+        let text = format!("[{}]", scatter_stage(10_106.0).join(","));
+        let err = check_trace_text(&text).unwrap_err();
+        assert!(err.starts_with("R2:") && err.contains("tid 2"), "{err}");
+    }
+
+    #[test]
+    fn r3_rejects_a_plan_whose_chunks_are_missing() {
+        let mut spans = scatter_stage(106.0);
+        spans.pop();
+        let err = check_trace_text(&format!("[{}]", spans.join(","))).unwrap_err();
+        assert!(
+            err.starts_with("R3:") && err.contains("plans 2 chunks") && err.contains("chunk 1"),
+            "{err}"
+        );
     }
 }

@@ -1,6 +1,7 @@
-//! Shared reader for Chrome trace-event JSON, used by `check-trace`,
-//! `stage-diff`, and `trace-analyze` — one parser, one set of error
-//! messages, instead of each command re-walking raw [`Json`].
+//! Reader for Chrome trace-event JSON, used by `check-trace`, plus the
+//! file and labeled-JSON readers the baseline graders share — one parser,
+//! one set of error messages, instead of each command re-walking raw
+//! [`Json`].
 //!
 //! Parsing here is *structural*: the file must be a non-empty JSON array of
 //! objects, each with a `name`, a numeric `ts`, a known phase (`"X"`
@@ -40,14 +41,11 @@ pub struct TraceEvent {
 }
 
 impl TraceEvent {
-    /// A numeric arg by key, as `i64` (`None` when absent or non-integer).
-    pub fn arg_i64(&self, key: &str) -> Option<i64> {
-        self.args.as_ref()?.get(key).and_then(Json::as_i64)
-    }
-
-    /// A non-negative numeric arg by key, as `u64`.
+    /// A non-negative integer arg by key, as `u64` (`None` when absent,
+    /// negative or non-integer).
     pub fn arg_u64(&self, key: &str) -> Option<u64> {
-        self.arg_i64(key).and_then(|v| u64::try_from(v).ok())
+        let v = self.args.as_ref()?.get(key).and_then(Json::as_i64)?;
+        u64::try_from(v).ok()
     }
 }
 

@@ -1,6 +1,6 @@
 //! Integration tests for the baseline gates: the serving gate against
 //! seeded good/bad closed-loop results, each committed baseline against
-//! its own gate, the stage gate against inputs that compare nothing, and
+//! its own gate and its writer's key shape, the stage gate against inputs that compare nothing, and
 //! `check-trace` refusing serving series in a trace (the result JSON is
 //! their one output). The fixtures live in `tests/serving_fixtures/` and
 //! pin the result shape CI consumes, so a schema drift in either producer
@@ -8,6 +8,9 @@
 
 use std::path::PathBuf;
 
+use parcsr_bench::closed_loop::Overall;
+use parcsr_bench::ToJson;
+use parcsr_obs::export::StageAgg;
 use parcsr_obs::json::Json;
 use xtask::gate::{self, Smoke};
 use xtask::trace_check::check_trace_text;
@@ -77,6 +80,54 @@ fn committed_baselines_pass_their_own_gate() {
         "{}",
         out.report
     );
+
+    // Each baseline carries exactly the keys its writer emits today: every
+    // stage row those of `StageAgg`, the serving `overall` those of
+    // `Overall`.
+    let stage_keys = keys(
+        &StageAgg {
+            name: "degree",
+            calls: 1,
+            total_ms: 1.0,
+            workers: 1,
+            mem_peak_bytes: 1,
+        }
+        .to_json(),
+    );
+    let stages = Json::parse(&baseline(Smoke::Stages)).unwrap();
+    let mut rows = 0;
+    for dataset in stages.as_array().unwrap() {
+        for sample in dataset.get("samples").unwrap().as_array().unwrap() {
+            for row in sample.get("stages").unwrap().as_array().unwrap() {
+                assert_eq!(keys(row), stage_keys, "stage row {row:?}");
+                rows += 1;
+            }
+        }
+    }
+    assert_eq!(rows, 32);
+    let overall = Overall {
+        requests: 0,
+        qps: 0.0,
+        p50_ns: 0,
+        p95_ns: 0,
+        p99_ns: 0,
+        kinds: Vec::new(),
+        classes: Vec::new(),
+    };
+    let serving = Json::parse(&baseline(Smoke::Serving)).unwrap();
+    assert_eq!(
+        keys(serving.get("overall").unwrap()),
+        keys(&overall.to_json())
+    );
+}
+
+/// An object's keys, in order.
+fn keys(obj: &Json) -> Vec<String> {
+    obj.as_object()
+        .unwrap()
+        .iter()
+        .map(|(k, _)| k.clone())
+        .collect()
 }
 
 /// Replaces the value of every `key` field, at any depth, with `value`.

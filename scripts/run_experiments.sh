@@ -31,8 +31,7 @@ cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
 # schema carries a `stages` array (with `mem_peak_bytes`) and a `mem`
 # object on every processor sample. Compare two of these with
 # `cargo xtask stage-diff <baseline> <current>` (each stage's share within
-# ±25 pp and peak heap within ±25 %); the per-stage utilization
-# and chunk statistics are the trace analysis below.
+# ±25 pp and peak heap within ±25 %).
 echo "== Table II (JSON, per-stage breakdown + memory) =="
 cargo run --release -q -p parcsr-bench --features obs --bin table2 -- \
   --json --metrics "$@" > "${OUT}.table2.stages.json"
@@ -52,12 +51,12 @@ for clients in 1 2 8; do
     > "${OUT}.closed_loop.c${clients}.slo.json"
 done
 
-# Worker-utilization / chunk-imbalance analysis of each Chrome trace
-# (cargo xtask trace-analyze <trace> for the human-readable report).
-echo "== trace analysis (worker utilization + chunk imbalance) =="
+# Validate each Chrome trace: well-typed, time-ordered events, and the
+# stage rules (positive stage durations, worker spans inside stages,
+# every planned chunk present).
+echo "== trace check =="
 for trace in "${OUT}".*.trace.json; do
-  cargo xtask trace-analyze "$trace" --json "${trace%.trace.json}.imbalance.json" \
-    > "${trace%.trace.json}.imbalance.txt"
+  cargo xtask check-trace "$trace"
 done
 
-echo "results written to results/ with prefix ${RUN_ID} (incl. *.trace.json Chrome traces, *.stages.* breakdowns with memory sections, *.imbalance.json analyzer output and *.slo.json serving summaries with tail exemplars)"
+echo "results written to results/ with prefix ${RUN_ID} (incl. *.trace.json Chrome traces, *.stages.* breakdowns with memory sections and *.slo.json serving summaries with tail exemplars)"
